@@ -694,8 +694,8 @@ func BenchmarkPublicAPIQuery(b *testing.B) {
 // The headline pair: BenchmarkSnapshotBuild is what a restart costs without
 // persistence (read trajectories, rebuild suffix arrays/BWTs, freeze the
 // forest, rebuild the estimator); BenchmarkSnapshotLoad restores the same
-// serving-ready engine from snapshot bytes. benchrecord derives the
-// load_vs_build ratio from the two (acceptance bar: >= 10x).
+// serving-ready engine from snapshot bytes. End to end the pair shows up in
+// `sh bench/run.sh --trace 1` as snapshot.load_copied_ms against snt.build_s.
 
 // snapshotBenchOpts mirrors the ttserve serving configuration.
 var snapshotBenchOpts = Options{Partition: ByZone, Estimator: EstimatorCSSFast}
@@ -769,8 +769,8 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 
 // BenchmarkSnapshotLoadMapped is the zero-copy restart path (PR 10): the
 // snapshot file is memory-mapped read-only and frozen columns decode as
-// views into the mapping instead of heap copies. benchrecord derives
-// mmap_load_vs_copy_load from this and BenchmarkSnapshotLoad.
+// views into the mapping instead of heap copies (`sh bench/run.sh --trace 1`
+// reports the pair as snapshot.load_mapped_ms and snapshot.load_copied_ms).
 func BenchmarkSnapshotLoadMapped(b *testing.B) {
 	e := env(b)
 	eng, err := NewEngine(e.DS.G, e.DS.Store, snapshotBenchOpts)

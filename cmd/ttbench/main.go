@@ -17,10 +17,8 @@ import (
 	"strings"
 	"time"
 
-	"pathhist"
 	"pathhist/internal/experiments"
 	"pathhist/internal/network"
-	"pathhist/internal/sharded"
 	"pathhist/internal/workload"
 )
 
@@ -28,7 +26,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ttbench: ")
 	var (
-		expArg   = flag.String("experiment", "all", "comma-separated: table1,fig5,fig6,fig7,fig8,fig9,fig10a,fig10b,fig10c,fig11a,fig11b,fig11c,baselines,compact,sustained,deadline,shards,all")
+		expArg   = flag.String("experiment", "all", "comma-separated: table1,fig5,fig6,fig7,fig8,fig9,fig10a,fig10b,fig10c,fig11a,fig11b,fig11c,baselines,compact,sustained,deadline,all")
 		scale    = flag.String("scale", "small", "dataset scale: small, medium or full")
 		seed     = flag.Int64("seed", 42, "master seed")
 		frac     = flag.Float64("queryfrac", 0, "query sampling fraction (0 = scale default)")
@@ -177,21 +175,6 @@ func main() {
 		fmt.Printf("deadline %v: %d/%d completed, %d timed out, max latency %v, max overrun %v\n",
 			r.Deadline, r.Completed, r.Queries, r.TimedOut,
 			r.MaxLatency.Round(time.Microsecond), r.MaxOverrun.Round(time.Microsecond))
-	}
-	if sel("shards") {
-		log.Printf("running shard scaling (build + query + %d-batch concurrent ingest per N)...", *batches)
-		s := env.DS.Store.Slice(0, env.DS.Store.Len())
-		s.SortByStart()
-		var qs []pathhist.Query
-		for _, q := range env.Queries {
-			qs = append(qs, pathhist.Query{Path: pathhist.Path(q.Path), Periodic: true, Around: q.T0, Beta: 20})
-		}
-		rows, err := sharded.RunShardScaling(env.DS.G, s, qs, []int{1, 2, 4, 8}, *batches)
-		if err != nil {
-			log.Fatalf("shard scaling: %v", err)
-		}
-		fmt.Println("\n== Shard scaling: scatter-gather cost and concurrent-ingest gain vs N ==")
-		fmt.Print(sharded.FormatShardScaling(rows))
 	}
 
 	log.Printf("done in %s", time.Since(start).Round(time.Millisecond))

@@ -17,6 +17,9 @@ type ServerCounters struct {
 	// PanicsRecovered counts handler panics the recovery middleware
 	// converted to 500 responses instead of a process crash.
 	PanicsRecovered atomic.Int64
+	// EncodeFailures counts /query answers json could not represent
+	// (non-finite histogram mass), answered 500 instead of an empty 200.
+	EncodeFailures atomic.Int64
 	// WALFailed is a gauge: 1 after the write-ahead log latched its sticky
 	// failed state, 0 while it is healthy.
 	WALFailed atomic.Int64
@@ -60,6 +63,7 @@ type ServerCounterValues struct {
 	QueryTimeouts      int64 `json:"query_timeouts"`
 	CanceledRequests   int64 `json:"canceled_requests"`
 	PanicsRecovered    int64 `json:"panics_recovered"`
+	EncodeFailures     int64 `json:"encode_failures,omitempty"`
 	WALFailed          int64 `json:"wal_failed"`
 	DegradedMode       int64 `json:"degraded_mode"`
 	ShardDispatches    int64 `json:"shard_dispatches,omitempty"`
@@ -79,6 +83,7 @@ func (c *ServerCounters) Snapshot() ServerCounterValues {
 		QueryTimeouts:      c.QueryTimeouts.Load(),
 		CanceledRequests:   c.CanceledRequests.Load(),
 		PanicsRecovered:    c.PanicsRecovered.Load(),
+		EncodeFailures:     c.EncodeFailures.Load(),
 		WALFailed:          c.WALFailed.Load(),
 		DegradedMode:       c.DegradedMode.Load(),
 		ShardDispatches:    c.ShardDispatches.Load(),

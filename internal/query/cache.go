@@ -302,7 +302,7 @@ func (c *spqCache[V]) Len() int {
 
 // CacheStats reports cumulative lookup traffic across all queries. The
 // counters measure the cache (every get, including speculative attempts
-// whose outcome reconciliation later discards), so the hit ratio can read
+// whose outcome the driver never asks for), so the hit ratio can read
 // higher than the per-Result CacheHits/CacheMisses, which book only
 // adopted outcomes. Invalidations counts cross-epoch entries dropped
 // lazily on lookup after an Extend (each is also a miss); Purges counts

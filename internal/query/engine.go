@@ -160,12 +160,7 @@ func NewEngine(ix *snt.Index, cfg Config) *Engine {
 // generations and clients correlating /statsz epochs never see the counter
 // jump backwards.
 func NewEngineAt(ix *snt.Index, cfg Config, epoch uint64) *Engine {
-	if len(cfg.Alphas) == 0 {
-		cfg.Alphas = DefaultAlphas
-	}
-	if cfg.BucketWidth <= 0 {
-		cfg.BucketWidth = 10
-	}
+	cfg = cfg.WithDefaults()
 	e := &Engine{cfg: cfg, snap: new(atomic.Pointer[snapshot])}
 	e.snap.Store(&snapshot{ix: ix, est: cfg.Estimator, epoch: epoch})
 	if !cfg.DisableCache {
@@ -564,117 +559,47 @@ func (r *Result) PredictedMean() float64 {
 	return s
 }
 
-// subQ is a pending sub-query in the processing queue. base is the
-// un-shifted interval; the effective interval applied to the index adds the
-// shift-and-enlarge offsets accumulated from completed predecessors at
-// processing time (applying the shift lazily avoids double-shifting when a
-// sub-query is widened and re-processed; DESIGN.md §4, decision 3).
-type subQ struct {
-	path     network.Path
-	base     snt.Interval
-	filter   snt.Filter
-	beta     int
-	widenIdx int  // position of base.Width in cfg.Alphas (periodic only)
-	terminal bool // the Procedure 1 line 12 fallback: fixed [0,tmax), no β
-}
-
-// outcome is the result of one attempt at a sub-query: an estimator skip, a
-// scan (or cache hit) that succeeded, or one that came back empty.
-type outcome struct {
-	xs       []int // owned by the outcome (or shared immutably via cache)
-	hist     *hist.Histogram
-	fallback bool
-	skipped  bool // estimator said β̂ < β; no scan was issued
-	cached   bool // served from the sub-result cache; no scan was issued
-	stale    bool // the lookup dropped a cross-epoch entry before scanning
-}
-
-func (o *outcome) success() bool { return !o.skipped && len(o.xs) > 0 }
-
-// attempt runs one sub-query attempt at the given effective interval
+// attempt answers one strict path query (its Interval the effective one)
 // against one index snapshot: cardinality estimation first (Procedure 6
 // semantics — never for terminal sub-queries, which have no β), then the
 // sub-result cache (epoch-checked), then the Procedure 3-5 index scan.
 // Attempts are deterministic given the snapshot and cache state; with the
 // cache disabled they are fully deterministic, which is what makes
 // speculative execution exact (see TripQuery).
-func (e *Engine) attempt(sn *snapshot, sub *subQ, iv snt.Interval, sc *snt.Scratch) outcome {
-	if sub.beta > 0 && sn.est.Enabled() {
-		if bhat, ok := sn.est.Estimate(sub.path, iv, sub.filter); ok && bhat < float64(sub.beta) {
-			return outcome{skipped: true}
+func (e *Engine) attempt(sn *snapshot, q SPQ, sc *snt.Scratch) Outcome {
+	if q.Beta > 0 && sn.est.Enabled() {
+		if bhat, ok := sn.est.Estimate(q.Path, q.Interval, q.Filter); ok && bhat < float64(q.Beta) {
+			return Outcome{Skipped: true}
 		}
 	}
 	stale := false
 	if e.cache != nil {
-		v, ok, st := e.cache.get(sub.path, iv, sub.filter, sub.beta, sn.epoch)
+		v, ok, st := e.cache.get(q.Path, q.Interval, q.Filter, q.Beta, sn.epoch)
 		if ok {
-			return outcome{xs: v.xs, hist: v.hist, fallback: v.fallback, cached: true}
+			return Outcome{X: v.xs, Hist: v.hist, Fallback: v.fallback, Cached: true}
 		}
 		stale = st
 	}
-	view, fallback := sn.ix.GetTravelTimesWith(sc, sub.path, iv, sub.filter, sub.beta)
+	view, fallback := sn.ix.GetTravelTimesWith(sc, q.Path, q.Interval, q.Filter, q.Beta)
 	if sc.Canceled() {
 		// The scan may have been aborted mid-sweep (TripQueryCtx deadline):
 		// the view is partial and must not be cached or trusted — the caller
 		// is aborting the whole query, so return an inert outcome.
-		return outcome{stale: stale}
+		return Outcome{Stale: stale}
 	}
 	if len(view) == 0 {
 		if e.cache != nil {
-			e.cache.put(sub.path, iv, sub.filter, sub.beta, sn.epoch, subValue{})
+			e.cache.put(q.Path, q.Interval, q.Filter, q.Beta, sn.epoch, subValue{})
 		}
-		return outcome{stale: stale}
+		return Outcome{Stale: stale}
 	}
 	xs := make([]int, len(view))
 	copy(xs, view)
 	hg := hist.FromSamples(xs, e.cfg.BucketWidth)
 	if e.cache != nil {
-		e.cache.put(sub.path, iv, sub.filter, sub.beta, sn.epoch, subValue{xs: xs, hist: hg, fallback: fallback})
+		e.cache.put(q.Path, q.Interval, q.Filter, q.Beta, sn.epoch, subValue{xs: xs, hist: hg, fallback: fallback})
 	}
-	return outcome{xs: xs, hist: hg, fallback: fallback, stale: stale}
-}
-
-// count books an attempt's effort into the result counters.
-func (e *Engine) count(r *Result, o *outcome) {
-	if o.stale {
-		r.CacheInvalidations++
-	}
-	switch {
-	case o.skipped:
-		r.EstimatorSkips++
-	case o.cached:
-		r.CacheHits++
-	default:
-		r.IndexScans++
-		if e.cache != nil {
-			r.CacheMisses++
-		}
-	}
-}
-
-// accept appends a successful outcome as a completed sub-query and folds
-// its extremes into the shift-and-enlarge accumulators (Section 4.2):
-// S = Σ H_j^min, R = Σ (H_j^max - H_j^min).
-func (r *Result) accept(sub *subQ, iv snt.Interval, o *outcome, shiftS, shiftR *int64) {
-	r.Subs = append(r.Subs, SubResult{
-		Path:     sub.path,
-		Interval: iv,
-		Filter:   sub.filter,
-		X:        o.xs,
-		Hist:     o.hist,
-		Fallback: o.fallback,
-	})
-	*shiftS += int64(o.hist.Min())
-	*shiftR += int64(o.hist.Max() - o.hist.Min())
-}
-
-// effective applies the lazy shift-and-enlarge adaptation to a sub-query's
-// base interval given the completed predecessors.
-func (e *Engine) effective(base snt.Interval, done int, shiftS, shiftR int64) snt.Interval {
-	if base.IsPeriodic() && done > 0 && !e.cfg.DisableShiftEnlarge {
-		return base.ShiftEnlarge(shiftS, shiftR)
-	}
-	return base
+	return Outcome{X: xs, Hist: hg, Fallback: fallback, Stale: stale}
 }
 
 // TripQuery is Procedure 6: partition, process with relaxation, convolve.
@@ -689,20 +614,20 @@ func (e *Engine) effective(base snt.Interval, done int, shiftS, shiftR int64) sn
 // every initial sub-query concurrently on a bounded worker pool, scanning
 // with the un-shifted base interval (the shift-and-enlarge offsets of
 // Section 4.2 depend on the preceding sub-queries' results and are unknown
-// at that point). A sequential reconciliation pass then walks the initial
-// sub-queries in path order, maintaining the exact shift accumulators of
-// the sequential algorithm: a speculative result is accepted verbatim when
-// its interval equals the shift-adjusted interval the sequential pass would
-// have used (always true for the first sub-query, and for every sub-query
-// of fixed-interval or shift-disabled queries); otherwise the sub-query is
-// re-processed sequentially, including the full Procedure 1 relaxation
-// chain. Failed attempts relax sequentially in both modes, so the produced
-// Subs and Hist are identical to the purely sequential execution. With the
-// cache disabled, attempts are fully deterministic and IndexScans and
-// EstimatorSkips are identical too; with it enabled, scan and hit/miss
-// counts can vary run to run, because concurrent attempts race on shared
-// cache entries (the retrieved values never differ — every entry is a
-// deterministic function of the immutable index).
+// at that point). The sequential pass is the shared driver (Run's loop)
+// over the engine's local source, which maintains the exact shift
+// accumulators of the sequential algorithm; the source answers an attempt
+// with the speculative outcome when the pre-pass asked exactly the same
+// question (always true for the first sub-query, and for every initial
+// sub-query of fixed-interval or shift-disabled queries) and scans
+// otherwise. The driver never learns the pre-pass exists: attempts are
+// deterministic, so an adopted outcome is the one a scan would have
+// produced, and the Subs and Hist are identical to the purely sequential
+// execution. With the cache disabled, IndexScans and EstimatorSkips are
+// identical too; with it enabled, scan and hit/miss counts can vary run to
+// run, because concurrent attempts race on shared cache entries (the
+// retrieved values never differ — every entry is a deterministic function
+// of the immutable index).
 //
 // Speculation trades CPU for latency: on a periodic query with
 // shift-and-enlarge active, every accepted sub-query after the first
@@ -754,12 +679,8 @@ func (e *Engine) TripQueryCtx(ctx context.Context, q SPQ) (Result, error) {
 		// a private copy so no cached result ever aliases caller memory.
 		q.Path = append(network.Path(nil), q.Path...)
 	}
-	res := Result{Epoch: sn.epoch}
-	if staleFull {
-		res.CacheInvalidations++
-	}
-	initial := e.initialSubs(sn, q)
-	var spec []outcome
+	initial := e.cfg.initialSubs(sn.ix.Graph(), q)
+	var spec []Outcome
 	if w := e.workers(); w > 1 && len(initial) > 1 {
 		spec = e.speculate(sn, initial, w, done)
 		if done != nil {
@@ -773,30 +694,47 @@ func (e *Engine) TripQueryCtx(ctx context.Context, q SPQ) (Result, error) {
 	sc := snt.AcquireScratch()
 	defer snt.ReleaseScratch(sc) // also disarms the cancel channel
 	sc.SetCancel(done)
-	var shiftS, shiftR int64
-	for i := range initial {
-		sub := initial[i]
-		iv := e.effective(sub.base, len(res.Subs), shiftS, shiftR)
-		if spec != nil && iv == sub.base {
-			// The speculative attempt used exactly this interval, and
-			// attempts are deterministic: adopt its outcome instead of
-			// re-scanning.
-			o := spec[i]
-			e.count(&res, &o)
-			if o.success() {
-				res.accept(&sub, iv, &o, &shiftS, &shiftR)
-				continue
+	_, tmax := sn.ix.TimeRange()
+	// The local source: every question goes to the pinned snapshot on this
+	// query's scratch. A scan or count that observed the cancel channel
+	// returned untrustworthy (possibly clipped) output, so it surfaces as
+	// the context's error and the driver aborts the whole query.
+	res, err := e.cfg.run(Source{
+		Attempt: func(sub SPQ) (Outcome, error) {
+			for i := range spec {
+				if s := &initial[i]; samePath(sub.Path, s.path) && sub.Interval == s.base && sub.Beta == s.beta && sub.Filter == s.filter {
+					// The speculative attempt asked exactly this, and
+					// attempts are deterministic: adopt its outcome instead
+					// of re-scanning.
+					return spec[i], nil
+				}
 			}
-			if !e.drain(sn, e.relax(sn, sub, iv, sc), &res, &shiftS, &shiftR, sc) {
-				return Result{}, ctx.Err()
+			o := e.attempt(sn, sub, sc)
+			if sc.Canceled() {
+				return Outcome{}, ctx.Err()
 			}
-			continue
-		}
-		if !e.drain(sn, []subQ{sub}, &res, &shiftS, &shiftR, sc) {
-			return Result{}, ctx.Err()
-		}
+			return o, nil
+		},
+		Count: func(sub SPQ) (int, error) {
+			n := sn.ix.CountMatchesWith(sc, sub.Path, sub.Interval, sub.Filter, sub.Beta)
+			if sc.Canceled() {
+				return 0, ctx.Err()
+			}
+			return n, nil
+		},
+		TMax: tmax,
+	}, initial)
+	if err != nil {
+		return Result{}, err
 	}
-	res.Hist = convolveSubs(res.Subs)
+	res.Epoch = sn.epoch
+	if staleFull {
+		res.CacheInvalidations++
+	}
+	if e.cache != nil {
+		// With the cache on, every scan that reached the index missed it first.
+		res.CacheMisses = res.IndexScans
+	}
 	if e.full != nil && !sc.Canceled() {
 		// Hist and Subs become shared with future hits; both are immutable
 		// from here on (the final histogram is never recycled, and Subs'
@@ -810,26 +748,10 @@ func (e *Engine) TripQueryCtx(ctx context.Context, q SPQ) (Result, error) {
 	return res, nil
 }
 
-// initialSubs partitions the query and applies the per-zone β overrides.
-func (e *Engine) initialSubs(sn *snapshot, q SPQ) []subQ {
-	parts := e.cfg.Partitioner.Partition(sn.ix.Graph(), q)
-	subs := make([]subQ, 0, len(parts))
-	for _, s := range parts {
-		beta := s.Beta
-		if e.cfg.ZoneBetas != nil && beta > 0 {
-			if zb, ok := e.cfg.ZoneBetas[sn.ix.Graph().Edge(s.Path[0]).Zone]; ok {
-				beta = zb
-			}
-		}
-		subs = append(subs, subQ{
-			path:     s.Path,
-			base:     s.Interval,
-			filter:   s.Filter,
-			beta:     beta,
-			widenIdx: e.widenIndexOf(s.Interval),
-		})
-	}
-	return subs
+// samePath reports whether two sub-paths are the same slice of the query
+// path (sub-queries only ever re-slice it, so identity is equality).
+func samePath(a, b network.Path) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // workers resolves the speculative pool bound.
@@ -847,11 +769,11 @@ func (e *Engine) workers() int {
 // at the next poll, so the pool drains promptly and no goroutine outlives
 // the deadline by more than one scan stride. The caller must discard the
 // outcomes when the context was canceled — they may be partial.
-func (e *Engine) speculate(sn *snapshot, initial []subQ, workers int, done <-chan struct{}) []outcome {
+func (e *Engine) speculate(sn *snapshot, initial []subQ, workers int, done <-chan struct{}) []Outcome {
 	if workers > len(initial) {
 		workers = len(initial)
 	}
-	out := make([]outcome, len(initial))
+	out := make([]Outcome, len(initial))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -869,139 +791,10 @@ func (e *Engine) speculate(sn *snapshot, initial []subQ, workers int, done <-cha
 				if i >= len(initial) {
 					return
 				}
-				out[i] = e.attempt(sn, &initial[i], initial[i].base, sc)
+				out[i] = e.attempt(sn, initial[i].at(initial[i].base), sc)
 			}
 		}()
 	}
 	wg.Wait()
 	return out
-}
-
-// drain runs the sequential Procedure 6 loop over a queue seeded with one
-// (possibly already-relaxed) sub-query, prepending Procedure 1 relaxations
-// until the queue is empty. It reports whether the queue drained to
-// completion: false means the scratch's cancel channel fired — the attempt
-// that observed it returned untrustworthy (possibly clipped) output, so the
-// caller must abort the whole query rather than keep the partial Result.
-func (e *Engine) drain(sn *snapshot, queue []subQ, res *Result, shiftS, shiftR *int64, sc *snt.Scratch) bool {
-	for len(queue) > 0 {
-		sub := queue[0]
-		queue = queue[1:]
-		iv := e.effective(sub.base, len(res.Subs), *shiftS, *shiftR)
-		o := e.attempt(sn, &sub, iv, sc)
-		if sc.Canceled() {
-			return false
-		}
-		e.count(res, &o)
-		if !o.success() {
-			queue = append(e.relax(sn, sub, iv, sc), queue...)
-			continue
-		}
-		res.accept(&sub, iv, &o, shiftS, shiftR)
-	}
-	return true
-}
-
-// convolveSubs folds the sub-query histograms in path order, recycling the
-// intermediate convolution results (which nothing else can reach; the
-// operands and the returned final histogram stay live).
-func convolveSubs(subs []SubResult) *hist.Histogram {
-	var conv *hist.Histogram
-	owned := false
-	for i := range subs {
-		next := conv.Convolve(subs[i].Hist)
-		if owned && next != conv {
-			conv.Recycle()
-		}
-		// next is a fresh intermediate only when both operands existed;
-		// otherwise Convolve returned an operand we must not recycle.
-		owned = conv != nil && subs[i].Hist != nil
-		conv = next
-	}
-	return conv
-}
-
-// widenIndexOf locates the interval's width in A (the largest index whose
-// α does not exceed the width, so foreign widths still widen correctly).
-func (e *Engine) widenIndexOf(iv snt.Interval) int {
-	if !iv.IsPeriodic() {
-		return 0
-	}
-	idx := 0
-	for i, a := range e.cfg.Alphas {
-		if iv.Width >= a {
-			idx = i
-		}
-	}
-	return idx
-}
-
-// relax is Procedure 1 (σ): widen the periodic interval to the next size in
-// A; once A is exhausted split the path (σR or σL) and reset children to
-// αmin; then drop non-temporal predicates; finally fall back to all data in
-// the fixed interval [0, tmax) with no β. The returned sub-queries replace
-// the failed one at the front of the queue, preserving path order.
-func (e *Engine) relax(sn *snapshot, sub subQ, effective snt.Interval, sc *snt.Scratch) []subQ {
-	alphas := e.cfg.Alphas
-	if sub.base.IsPeriodic() && sub.widenIdx+1 < len(alphas) {
-		sub.widenIdx++
-		sub.base = sub.base.Resize(alphas[sub.widenIdx])
-		return []subQ{sub}
-	}
-	if len(sub.path) > 1 {
-		m := e.splitPoint(sn, sub, effective, sc)
-		mk := func(p network.Path) subQ {
-			child := subQ{path: p, base: sub.base, filter: sub.filter, beta: sub.beta}
-			if child.base.IsPeriodic() {
-				child.base = child.base.Resize(alphas[0])
-			}
-			return child
-		}
-		return []subQ{mk(sub.path[:m]), mk(sub.path[m:])}
-	}
-	if sub.filter.HasPredicate() {
-		sub.filter = sub.filter.DropPredicates()
-		return []subQ{sub}
-	}
-	if sub.terminal {
-		// Cannot happen: the terminal query always yields at least the
-		// speed-limit estimate for a single segment. Guard anyway.
-		return nil
-	}
-	_, tmax := sn.ix.TimeRange()
-	return []subQ{{
-		path:     sub.path,
-		base:     snt.NewFixed(0, tmax+1),
-		filter:   sub.filter,
-		beta:     0,
-		terminal: true,
-	}}
-}
-
-// splitPoint returns m so the path splits into P[0,m) and P[m,l). The
-// counting scans run on the caller's scratch so they honour its cancel
-// channel; a canceled count returns a wrong split point, which is harmless
-// because the caller aborts the query before using it (drain re-checks
-// Canceled after the next attempt).
-func (e *Engine) splitPoint(sn *snapshot, sub subQ, effective snt.Interval, sc *snt.Scratch) int {
-	l := len(sub.path)
-	if e.cfg.Splitter == SigmaR || sub.beta <= 0 {
-		return l / 2
-	}
-	// σL: the largest m in [1, l-1] with |T^{P[0,m)}| >= β. Cardinality is
-	// non-increasing in m, so binary search with exact counting scans
-	// (capped at β) — this is the expense Figure 9 charges to σL.
-	lo, hi := 1, l-1 // invariant: count(lo) >= β assumed, answer in [lo, hi]
-	if sn.ix.CountMatchesWith(sc, sub.path[:1], effective, sub.filter, sub.beta) < sub.beta {
-		return 1 // even a single segment falls short; minimal prefix
-	}
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if sn.ix.CountMatchesWith(sc, sub.path[:mid], effective, sub.filter, sub.beta) >= sub.beta {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
 }

@@ -37,9 +37,9 @@ type Config struct {
 	// Shards is the number of per-stripe engines (clamped to [1, |T|]).
 	Shards int
 	// Opts configures each shard's engine. Build forces the estimator off
-	// and the caches disabled (see ShardOptions): the router runs the
-	// relaxation procedure itself from merged scans, so per-shard skip
-	// decisions or cache hits would have nothing to attach to.
+	// and the caches disabled (see ShardOptions): the relaxation driver
+	// runs once, over merged scans, so per-shard skip decisions or cache
+	// hits would have nothing to attach to.
 	Opts pathhist.Options
 	// ShardBudget is the per-dispatch deadline carved from the request
 	// context (default 2s): a shard that cannot scan one sub-query within
@@ -176,10 +176,9 @@ type Cluster struct {
 	cfg    Config
 	shards []*shard
 
-	partitioner query.Partitioner
-	splitter    query.Splitter
-	alphas      []int64
-	bucketWidth int
+	// ladder is the relaxation-ladder configuration the shared driver runs
+	// with (pathhist.LadderConfig of the shard options).
+	ladder query.Config
 
 	// ingestMu serialises only the admission decision — validate against the
 	// global time range (including batches still in flight, via pendingMax)
@@ -247,23 +246,7 @@ func New(g *network.Graph, engines []*pathhist.Engine, cfg Config) (*Cluster, er
 	}
 	cfg = cfg.normalized()
 	cfg.Shards = len(engines)
-	c := &Cluster{
-		g:           g,
-		cfg:         cfg,
-		partitioner: partitionerFor(cfg.Opts),
-		splitter:    query.SigmaR,
-		alphas:      cfg.Opts.IntervalSizes,
-		bucketWidth: cfg.Opts.BucketSeconds,
-	}
-	if cfg.Opts.LongestPrefixSplitting {
-		c.splitter = query.SigmaL
-	}
-	if len(c.alphas) == 0 {
-		c.alphas = query.DefaultAlphas
-	}
-	if c.bucketWidth <= 0 {
-		c.bucketWidth = 10
-	}
+	c := &Cluster{g: g, cfg: cfg, ladder: pathhist.LadderConfig(cfg.Opts)}
 	for i, eng := range engines {
 		s := &shard{idx: i}
 		for ri := 0; ri < cfg.ReplicasPerShard; ri++ {
@@ -283,27 +266,6 @@ func New(g *network.Graph, engines []*pathhist.Engine, cfg Config) (*Cluster, er
 	c.ingestCond = sync.NewCond(&c.ingestMu)
 	c.ingestBusy = make([]bool, len(c.shards))
 	return c, nil
-}
-
-// partitionerFor mirrors pathhist's Options-to-partitioner mapping.
-func partitionerFor(opts pathhist.Options) query.Partitioner {
-	if opts.RegularP > 0 {
-		return query.Partitioner{Kind: query.Regular, P: opts.RegularP}
-	}
-	switch opts.Partition {
-	case pathhist.ByCategory:
-		return query.Partitioner{Kind: query.Category}
-	case pathhist.ByZoneAndCategory:
-		return query.Partitioner{Kind: query.ZoneCategory}
-	case pathhist.NoPartition:
-		return query.Partitioner{Kind: query.None}
-	case pathhist.MainRoadUserFilters:
-		return query.Partitioner{Kind: query.MDM}
-	case pathhist.EverySegment:
-		return query.Partitioner{Kind: query.Regular, P: 1}
-	default:
-		return query.Partitioner{Kind: query.ZoneKind}
-	}
 }
 
 // NumShards returns the shard count.

@@ -4,16 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"pathhist"
 	"pathhist/internal/hist"
-	"pathhist/internal/network"
 	"pathhist/internal/query"
 	"pathhist/internal/snt"
-	"pathhist/internal/traj"
 )
 
 // ErrInsufficientCoverage is returned when so many shards are out that the
@@ -51,17 +50,6 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// subQ mirrors the unsharded engine's pending sub-query: the un-shifted
-// base interval plus its position in the widening ladder.
-type subQ struct {
-	path     network.Path
-	base     snt.Interval
-	filter   snt.Filter
-	beta     int
-	widenIdx int
-	terminal bool
-}
-
 // runState is one attempt at answering a query over a fixed live-shard set:
 // the per-shard index snapshots pinned for the whole attempt (a concurrent
 // Extend cannot shear the query across epochs within a shard) and the
@@ -85,13 +73,13 @@ func (f *shardFailure) Error() string {
 
 func (f *shardFailure) Unwrap() error { return f.err }
 
-// Query answers a travel-time query by scattering every sub-query scan
-// across the live shards and merging the per-shard candidates back into the
-// exact global scan order (see mergeCands). The relaxation procedure runs
-// here, once, globally — shards only ever execute bounded candidate scans
-// and cardinality counts — so with every shard live the produced histogram,
-// sub-queries and point estimate are bit-identical to the unsharded engine
-// over the union of the stripes.
+// Query answers a travel-time query with the shared relaxation driver
+// (query.Run) over a scatter source: every attempt and every σL count fans
+// out to the live shards, and the per-shard candidates merge back into the
+// exact global scan order (see mergeCands). Shards only ever execute bounded
+// candidate scans and cardinality counts, so with every shard live the
+// produced histogram, sub-queries and point estimate are bit-identical to
+// the unsharded engine over the union of the stripes.
 //
 // Fault handling: shards known down are excluded up front; a shard that
 // fails mid-flight (budget exhausted, fault injected, shed by a racing
@@ -101,17 +89,6 @@ func (f *shardFailure) Unwrap() error { return f.err }
 // floor — or the caller's own context expires — does the query fail.
 func (c *Cluster) Query(ctx context.Context, q pathhist.Query) (*Result, error) {
 	start := time.Now()
-	if len(q.Path) == 0 {
-		return nil, errors.New("sharded: empty query path")
-	}
-	for _, edge := range q.Path {
-		if int(edge) < 0 || int(edge) >= c.g.NumEdges() {
-			return nil, fmt.Errorf("sharded: edge id %d out of range [0, %d)", edge, c.g.NumEdges())
-		}
-	}
-	if !c.g.IsTraversable(q.Path) {
-		return nil, errors.New("sharded: path is not traversable")
-	}
 	if q.Exclude {
 		// Trajectory ids are shard-local; a global exclusion id does not
 		// identify anything. The serving layer never sends one.
@@ -154,20 +131,14 @@ func (c *Cluster) Query(ctx context.Context, q pathhist.Query) (*Result, error) 
 		if !errors.As(err, &sf) {
 			return nil, err
 		}
-		next := live[:0:len(live)]
-		for _, si := range live {
-			if si != sf.shard {
-				next = append(next, si)
-			}
-		}
-		live = next
+		live = slices.DeleteFunc(live, func(si int) bool { return si == sf.shard })
 		missing = append(missing, sf.shard)
 		restarts++
 	}
 }
 
-// runOnce runs the full sequential relaxation procedure over one fixed
-// live-shard set. A per-shard failure surfaces as *shardFailure.
+// runOnce answers the query over one fixed live-shard set. A per-shard
+// failure aborts the driver and surfaces as *shardFailure.
 func (c *Cluster) runOnce(ctx context.Context, q pathhist.Query, live []int) (*Result, error) {
 	rs := &runState{live: live, ixs: make([]*snt.Index, len(live))}
 	for i, si := range live {
@@ -180,125 +151,28 @@ func (c *Cluster) runOnce(ctx context.Context, q pathhist.Query, live []int) (*R
 			rs.tmax = tmax
 		}
 	}
-
-	// Mirror pathhist.QueryCtx's query construction, with the global tmax
-	// standing in for the single engine's.
-	beta := q.Beta
-	if beta == 0 {
-		beta = 20
+	spq, err := pathhist.StrictPathQuery(c.g, q, rs.tmax)
+	if err != nil {
+		return nil, err
 	}
-	var iv snt.Interval
-	switch {
-	case q.Periodic || q.Around != 0:
-		w := q.WindowSeconds
-		if w <= 0 {
-			w = 900
-		}
-		iv = snt.PeriodicAround(q.Around, w)
-	default:
-		until := q.Until
-		if until == 0 {
-			until = rs.tmax + 1
-		}
-		iv = snt.NewFixed(q.From, until)
+	res, err := query.Run(c.ladder, c.g, query.Source{
+		Attempt: func(sub query.SPQ) (query.Outcome, error) { return c.scatterScan(ctx, rs, sub) },
+		Count:   func(sub query.SPQ) (int, error) { return c.scatterCount(ctx, rs, sub) },
+		TMax:    rs.tmax,
+	}, spq)
+	if err != nil {
+		return nil, err
 	}
-	user := traj.NoUser
-	if q.FilterUser {
-		user = q.User
-	}
-	spq := query.SPQ{
-		Path:     q.Path,
-		Interval: iv,
-		Filter:   snt.Filter{User: user, ExcludeTraj: traj.ID(-1)},
-		Beta:     beta,
-	}
-
-	res := &Result{}
-	var shiftS, shiftR int64
-	queue := c.initialSubs(spq)
-	for len(queue) > 0 {
-		sub := queue[0]
-		queue = queue[1:]
-		eff := c.effective(sub.base, len(res.Subs), shiftS, shiftR)
-		xs, fallback, err := c.scatterScan(ctx, rs, &sub, eff)
-		if err != nil {
-			return nil, err
-		}
-		res.IndexScans++
-		if len(xs) > 0 {
-			h := hist.FromSamples(xs, c.bucketWidth)
-			res.Subs = append(res.Subs, query.SubResult{
-				Path:     sub.path,
-				Interval: eff,
-				Filter:   sub.filter,
-				X:        xs,
-				Hist:     h,
-				Fallback: fallback,
-			})
-			shiftS += int64(h.Min())
-			shiftR += int64(h.Max() - h.Min())
-			continue
-		}
-		relaxed, err := c.relax(ctx, rs, sub, eff)
-		if err != nil {
-			return nil, err
-		}
-		queue = append(relaxed, queue...)
-	}
-	res.Hist = convolveSubs(res.Subs)
-	for i := range res.Subs {
-		res.MeanSeconds += res.Subs[i].MeanX()
-	}
-	return res, nil
+	return &Result{Hist: res.Hist, Subs: res.Subs, MeanSeconds: res.PredictedMean(), IndexScans: res.IndexScans}, nil
 }
 
-// initialSubs partitions the query and applies the per-zone β overrides,
-// mirroring the unsharded engine.
-func (c *Cluster) initialSubs(q query.SPQ) []subQ {
-	parts := c.partitioner.Partition(c.g, q)
-	subs := make([]subQ, 0, len(parts))
-	for _, s := range parts {
-		beta := s.Beta
-		if c.cfg.Opts.ZoneBetas != nil && beta > 0 {
-			if zb, ok := c.cfg.Opts.ZoneBetas[c.g.Edge(s.Path[0]).Zone]; ok {
-				beta = zb
-			}
-		}
-		subs = append(subs, subQ{
-			path:     s.Path,
-			base:     s.Interval,
-			filter:   s.Filter,
-			beta:     beta,
-			widenIdx: c.widenIndexOf(s.Interval),
-		})
-	}
-	return subs
-}
-
-func (c *Cluster) effective(base snt.Interval, done int, shiftS, shiftR int64) snt.Interval {
-	if base.IsPeriodic() && done > 0 {
-		return base.ShiftEnlarge(shiftS, shiftR)
-	}
-	return base
-}
-
-func (c *Cluster) widenIndexOf(iv snt.Interval) int {
-	if !iv.IsPeriodic() {
-		return 0
-	}
-	idx := 0
-	for i, a := range c.alphas {
-		if iv.Width >= a {
-			idx = i
-		}
-	}
-	return idx
-}
-
-// scatter fans one op out to every live shard concurrently and collects the
-// per-shard outputs. The first failing shard (lowest index, for
-// determinism) is reported as a *shardFailure.
-func (c *Cluster) scatter(ctx context.Context, rs *runState, op func(ix *snt.Index, ctx context.Context) (scanOut, error)) ([]scanOut, error) {
+// scatter fans one op out to every live shard concurrently, each run on its
+// own scratch armed with the dispatch's context (a hedged second attempt is
+// a second run), and collects the per-shard outputs. A scan that observed
+// its cancel channel is clipped and reported as the context's error. The
+// first failing shard (lowest index, for determinism) surfaces as a
+// *shardFailure.
+func (c *Cluster) scatter(ctx context.Context, rs *runState, op func(ix *snt.Index, sc *snt.Scratch) scanOut) ([]scanOut, error) {
 	outs := make([]scanOut, len(rs.live))
 	errs := make([]error, len(rs.live))
 	var wg sync.WaitGroup
@@ -308,7 +182,14 @@ func (c *Cluster) scatter(ctx context.Context, rs *runState, op func(ix *snt.Ind
 			defer wg.Done()
 			ix := rs.ixs[i]
 			outs[i], errs[i] = c.dispatch(ctx, c.shards[rs.live[i]], func(ctx context.Context) (scanOut, error) {
-				return op(ix, ctx)
+				sc := snt.AcquireScratch()
+				defer snt.ReleaseScratch(sc)
+				sc.SetCancel(ctx.Done())
+				out := op(ix, sc)
+				if sc.Canceled() {
+					return scanOut{}, ctx.Err()
+				}
+				return out, nil
 			})
 		}(i)
 	}
@@ -327,26 +208,28 @@ type taggedCand struct {
 	c     snt.Cand
 }
 
-// scatterScan is one sub-query attempt: scan every live shard's candidates,
-// merge them into the global scan order, apply the global β cutoff and the
-// Procedure 5 decision ladder, and reconstruct the travel-time samples.
-func (c *Cluster) scatterScan(ctx context.Context, rs *runState, sub *subQ, iv snt.Interval) (xs []int, fallback bool, err error) {
-	outs, err := c.scatter(ctx, rs, func(ix *snt.Index, ctx context.Context) (scanOut, error) {
-		sc := snt.AcquireScratch()
-		defer snt.ReleaseScratch(sc)
-		sc.SetCancel(ctx.Done())
-		cands, anyData := ix.ScanCandidates(sc, sub.path, iv, sub.filter, sub.beta)
-		if sc.Canceled() {
-			if err := ctx.Err(); err != nil {
-				return scanOut{}, err
-			}
-			return scanOut{}, context.Canceled
-		}
-		return scanOut{cands: cands, anyData: anyData}, nil
+// scatterScan is the scatter source's attempt: scan every live shard's
+// candidates, merge them into the global scan order, apply the global β
+// cutoff and the Procedure 5 decision ladder, and reconstruct the
+// travel-time samples.
+func (c *Cluster) scatterScan(ctx context.Context, rs *runState, q query.SPQ) (query.Outcome, error) {
+	outs, err := c.scatter(ctx, rs, func(ix *snt.Index, sc *snt.Scratch) scanOut {
+		cands, anyData := ix.ScanCandidates(sc, q.Path, q.Interval, q.Filter, q.Beta)
+		return scanOut{cands: cands, anyData: anyData}
 	})
 	if err != nil {
-		return nil, false, err
+		return query.Outcome{}, err
 	}
+	xs, fallback := c.admit(outs, q)
+	if len(xs) == 0 {
+		return query.Outcome{}, nil
+	}
+	return query.Outcome{X: xs, Hist: hist.FromSamples(xs, c.ladder.BucketWidth), Fallback: fallback}, nil
+}
+
+// admit turns the shards' candidate lists into the attempt's samples (none
+// when the attempt fails) and the speed-limit fallback flag.
+func (c *Cluster) admit(outs []scanOut, q query.SPQ) (xs []int, fallback bool) {
 	anyData := false
 	total := 0
 	for _, o := range outs {
@@ -354,48 +237,45 @@ func (c *Cluster) scatterScan(ctx context.Context, rs *runState, sub *subQ, iv s
 		total += len(o.cands)
 	}
 	if !anyData {
-		if len(sub.path) == 1 {
+		if len(q.Path) == 1 {
 			// The Procedure 5 fallback: the segment occurs nowhere in any
 			// shard's trajectory string; answer with the speed-limit
 			// estimate.
-			return []int{c.g.EstimateTTSeconds(sub.path[0])}, true, nil
+			return []int{c.g.EstimateTTSeconds(q.Path[0])}, true
 		}
-		return nil, false, nil
+		return nil, false
 	}
 	// total is the capped admitted count Σ_s min(count_s, β): because every
 	// per-shard count is capped at the same β the global rule tests against,
 	// total < β exactly when the true global count is below β.
-	if total < sub.beta && iv.IsPeriodic() {
-		return nil, false, nil
+	if total < q.Beta && q.Interval.IsPeriodic() {
+		return nil, false
 	}
 	merged := mergeCands(outs, !c.cfg.Opts.OldestFirst)
-	if sub.beta > 0 && len(merged) > sub.beta {
-		merged = merged[:sub.beta]
+	if q.Beta > 0 && len(merged) > q.Beta {
+		merged = merged[:q.Beta]
 	}
-	if len(sub.path) == 1 {
+	if len(q.Path) == 1 {
 		if len(merged) == 0 {
-			return []int{c.g.EstimateTTSeconds(sub.path[0])}, true, nil
+			return []int{c.g.EstimateTTSeconds(q.Path[0])}, true
 		}
 		// The unsharded scan emits single-segment samples in ascending time
 		// order: the reverse of the newest-first merged order.
 		xs = make([]int, 0, len(merged))
-		if c.cfg.Opts.OldestFirst {
-			for i := range merged {
-				xs = append(xs, int(merged[i].c.X))
-			}
-		} else {
-			for i := len(merged) - 1; i >= 0; i-- {
-				xs = append(xs, int(merged[i].c.X))
-			}
+		for i := range merged {
+			xs = append(xs, int(merged[i].c.X))
 		}
-		return xs, false, nil
+		if !c.cfg.Opts.OldestFirst {
+			slices.Reverse(xs)
+		}
+		return xs, false
 	}
 	for i := range merged {
 		if merged[i].c.HasX {
 			xs = append(xs, int(merged[i].c.X))
 		}
 	}
-	return xs, false, nil
+	return xs, false
 }
 
 // mergeCands re-establishes the global scan order over per-shard candidate
@@ -420,13 +300,7 @@ func mergeCands(outs []scanOut, newestFirst bool) []taggedCand {
 	sort.Slice(all, func(i, j int) bool {
 		a, b := &all[i], &all[j]
 		if newestFirst {
-			if a.c.Ts != b.c.Ts {
-				return a.c.Ts > b.c.Ts
-			}
-			if a.shard != b.shard {
-				return a.shard > b.shard
-			}
-			return a.c.Traj > b.c.Traj
+			a, b = b, a
 		}
 		if a.c.Ts != b.c.Ts {
 			return a.c.Ts < b.c.Ts
@@ -439,115 +313,16 @@ func mergeCands(outs []scanOut, newestFirst bool) []taggedCand {
 	return all
 }
 
-// scatterCount sums the shards' β-capped cardinality counts for a path —
-// the σL splitter's probe. The sum of per-shard counts capped at β crosses
-// β exactly when the true global count does, which is the only question the
-// binary search asks.
-func (c *Cluster) scatterCount(ctx context.Context, rs *runState, p network.Path, iv snt.Interval, f snt.Filter, beta int) (int, error) {
-	outs, err := c.scatter(ctx, rs, func(ix *snt.Index, ctx context.Context) (scanOut, error) {
-		sc := snt.AcquireScratch()
-		defer snt.ReleaseScratch(sc)
-		sc.SetCancel(ctx.Done())
-		n := ix.CountMatchesWith(sc, p, iv, f, beta)
-		if sc.Canceled() {
-			if err := ctx.Err(); err != nil {
-				return scanOut{}, err
-			}
-			return scanOut{}, context.Canceled
-		}
-		return scanOut{count: n}, nil
+// scatterCount is the scatter source's σL probe: the sum of the shards'
+// β-capped cardinality counts crosses β exactly when the true global count
+// does, which is the only question the binary search asks.
+func (c *Cluster) scatterCount(ctx context.Context, rs *runState, q query.SPQ) (int, error) {
+	outs, err := c.scatter(ctx, rs, func(ix *snt.Index, sc *snt.Scratch) scanOut {
+		return scanOut{count: ix.CountMatchesWith(sc, q.Path, q.Interval, q.Filter, q.Beta)}
 	})
-	if err != nil {
-		return 0, err
-	}
 	total := 0
 	for _, o := range outs {
 		total += o.count
 	}
-	return total, nil
-}
-
-// relax is the unsharded engine's Procedure 1 with the σL cardinality
-// probes scattered: widen the periodic interval, then split the path (σR or
-// σL), then drop non-temporal predicates, finally fall back to all data in
-// the fixed global interval with no β.
-func (c *Cluster) relax(ctx context.Context, rs *runState, sub subQ, effective snt.Interval) ([]subQ, error) {
-	if sub.base.IsPeriodic() && sub.widenIdx+1 < len(c.alphas) {
-		sub.widenIdx++
-		sub.base = sub.base.Resize(c.alphas[sub.widenIdx])
-		return []subQ{sub}, nil
-	}
-	if len(sub.path) > 1 {
-		m, err := c.splitPoint(ctx, rs, &sub, effective)
-		if err != nil {
-			return nil, err
-		}
-		mk := func(p network.Path) subQ {
-			child := subQ{path: p, base: sub.base, filter: sub.filter, beta: sub.beta}
-			if child.base.IsPeriodic() {
-				child.base = child.base.Resize(c.alphas[0])
-			}
-			return child
-		}
-		return []subQ{mk(sub.path[:m]), mk(sub.path[m:])}, nil
-	}
-	if sub.filter.HasPredicate() {
-		sub.filter = sub.filter.DropPredicates()
-		return []subQ{sub}, nil
-	}
-	if sub.terminal {
-		return nil, nil
-	}
-	return []subQ{{
-		path:     sub.path,
-		base:     snt.NewFixed(0, rs.tmax+1),
-		filter:   sub.filter,
-		beta:     0,
-		terminal: true,
-	}}, nil
-}
-
-// splitPoint mirrors the unsharded splitter over scattered counts.
-func (c *Cluster) splitPoint(ctx context.Context, rs *runState, sub *subQ, effective snt.Interval) (int, error) {
-	l := len(sub.path)
-	if c.splitter == query.SigmaR || sub.beta <= 0 {
-		return l / 2, nil
-	}
-	n, err := c.scatterCount(ctx, rs, sub.path[:1], effective, sub.filter, sub.beta)
-	if err != nil {
-		return 0, err
-	}
-	if n < sub.beta {
-		return 1, nil
-	}
-	lo, hi := 1, l-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		n, err := c.scatterCount(ctx, rs, sub.path[:mid], effective, sub.filter, sub.beta)
-		if err != nil {
-			return 0, err
-		}
-		if n >= sub.beta {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo, nil
-}
-
-// convolveSubs mirrors the unsharded engine's fold, recycling intermediate
-// convolution results.
-func convolveSubs(subs []query.SubResult) *hist.Histogram {
-	var conv *hist.Histogram
-	owned := false
-	for i := range subs {
-		next := conv.Convolve(subs[i].Hist)
-		if owned && next != conv {
-			conv.Recycle()
-		}
-		owned = conv != nil && subs[i].Hist != nil
-		conv = next
-	}
-	return conv
+	return total, err
 }

@@ -120,6 +120,11 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			DisableFullResultCache: true,
 		}},
 		{"partitioned-oldestfirst", pathhist.Options{PartitionDays: 7, OldestFirst: true}},
+		// The ladder options: one Options → ladder mapping serves both sides.
+		{"zonebetas", pathhist.Options{ZoneBetas: map[pathhist.Zone]int{pathhist.ZoneRural: 3, pathhist.ZoneCity: 40}}},
+		{"alphas-bucket", pathhist.Options{IntervalSizes: []int64{600, 1200, 5400}, BucketSeconds: 7}},
+		{"regular-p2", pathhist.Options{RegularP: 2}},
+		{"mdm", pathhist.Options{Partition: pathhist.MainRoadUserFilters}},
 	} {
 		ref, err := pathhist.NewEngine(ds.G, copyStore(ds.Store), tc.opts)
 		if err != nil {

@@ -39,6 +39,7 @@ import (
 	"pathhist"
 	"pathhist/internal/failpoint"
 	"pathhist/internal/metrics"
+	"pathhist/internal/sharded"
 	"pathhist/internal/wal"
 )
 
@@ -215,6 +216,7 @@ type Stats struct {
 	QueryTimeouts          int64   `json:"query_timeouts"`
 	CanceledRequests       int64   `json:"canceled_requests"`
 	PanicsRecovered        int64   `json:"panics_recovered"`
+	EncodeFailures         int64   `json:"encode_failures,omitempty"`
 	WALFailed              int64   `json:"wal_failed"`
 	DegradedMode           int64   `json:"degraded_mode"`
 	DegradedCause          string  `json:"degraded_cause,omitempty"`
@@ -647,6 +649,7 @@ func (s *Server) statsSnapshot() Stats {
 	st.QueryTimeouts = cv.QueryTimeouts
 	st.CanceledRequests = cv.CanceledRequests
 	st.PanicsRecovered = cv.PanicsRecovered
+	st.EncodeFailures = cv.EncodeFailures
 	st.WALFailed = cv.WALFailed
 	st.DegradedMode = cv.DegradedMode
 	if cause := s.degradedCause.Load(); cause != nil {
@@ -713,11 +716,16 @@ func requestDeadline(r *http.Request, limit time.Duration) (context.Context, con
 	return ctx, cancel, limit, nil
 }
 
-func (s *Server) query(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
+// serveQuery is the one /query handler body, shared by Server and
+// ShardedServer: drain shedding, parameter parsing, the request deadline,
+// the fault-injection site, the front's answer, the error → status mapping,
+// and a fail-closed encode. answer returns the value to marshal.
+func serveQuery(w http.ResponseWriter, r *http.Request, draining bool, timeout time.Duration,
+	ctr *metrics.ServerCounters, answer func(context.Context, pathhist.Query) (any, error)) {
+	if draining {
 		// A draining listener used to just close on clients mid-restart;
 		// a 503 with Retry-After lets them fail over cleanly instead.
-		s.unavailable(w, "server is draining")
+		unavailableJSON(w, "server is draining")
 		return
 	}
 	q, err := parseQuery(r)
@@ -725,7 +733,7 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 		rejectJSON(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	ctx, cancel, limit, err := requestDeadline(r, s.cfg.QueryTimeout)
+	ctx, cancel, limit, err := requestDeadline(r, timeout)
 	if err != nil {
 		rejectJSON(w, http.StatusBadRequest, err.Error())
 		return
@@ -739,30 +747,51 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 		rejectJSON(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	res, err := s.eng.QueryCtx(ctx, q)
+	resp, err := answer(ctx, q)
 	if err != nil {
 		switch {
+		case errors.Is(err, sharded.ErrInsufficientCoverage):
+			// Too many shards out to answer honestly: shed, like any other
+			// overload, and let the client retry once shards recover.
+			unavailableJSON(w, err.Error())
 		case errors.Is(err, context.DeadlineExceeded):
 			// The query, not the client, ran out of time: the engine
 			// abandoned its scans at the deadline and freed its scratch
 			// state; nothing partial was computed or cached.
-			s.counters.QueryTimeouts.Add(1)
+			ctr.QueryTimeouts.Add(1)
 			rejectJSON(w, http.StatusGatewayTimeout,
 				fmt.Sprintf("query exceeded its %v deadline", limit))
 		case errors.Is(err, context.Canceled):
 			// The client hung up; the status is for logs and counters only.
-			s.counters.CanceledRequests.Add(1)
+			ctr.CanceledRequests.Add(1)
 			rejectJSON(w, StatusClientClosedRequest, "client closed the request")
 		default:
 			rejectJSON(w, http.StatusUnprocessableEntity, err.Error())
 		}
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(toResponse(res)); err != nil {
-		// Too late for a status change; the connection is gone.
+	// Encode before any header goes out: a result json cannot represent
+	// (non-finite histogram mass on a very long path) must be a 500 with a
+	// reason, never a 200 whose body stops at zero bytes.
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(resp); err != nil {
+		ctr.EncodeFailures.Add(1)
+		rejectJSON(w, http.StatusInternalServerError, fmt.Sprintf("encoding the answer: %v", err))
 		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(body.Bytes()) // a failed write means the client is gone
+}
+
+func (s *Server) query(w http.ResponseWriter, r *http.Request) {
+	serveQuery(w, r, s.draining.Load(), s.cfg.QueryTimeout, &s.counters,
+		func(ctx context.Context, q pathhist.Query) (any, error) {
+			res, err := s.eng.QueryCtx(ctx, q)
+			if err != nil {
+				return nil, err
+			}
+			return toResponse(res), nil
+		})
 }
 
 // extend ingests a trajectory batch: the request body is the traj binary
@@ -1116,8 +1145,8 @@ func toResponse(res *pathhist.Result) Response {
 
 // fillHistogram renders a histogram into the response's quantiles and
 // buckets. A zero-mass histogram would make every Fraction 0/0 = NaN, which
-// json.Encoder rejects after the 200 header is already out (the client sees
-// a truncated body) — the emptiness is flagged instead.
+// json cannot encode (serveQuery would answer 500) — the emptiness is
+// flagged instead.
 func fillHistogram(out *Response, h *pathhist.Histogram) {
 	if h == nil || h.Total() == 0 {
 		out.Empty = true

@@ -168,44 +168,14 @@ type ShardedResponse struct {
 }
 
 func (s *ShardedServer) query(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		unavailableJSON(w, "server is draining")
-		return
-	}
-	q, err := parseQuery(r)
-	if err != nil {
-		rejectJSON(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	ctx, cancel, limit, err := requestDeadline(r, s.cfg.QueryTimeout)
-	if err != nil {
-		rejectJSON(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if cancel != nil {
-		defer cancel()
-	}
-	res, err := s.cluster.Query(ctx, q)
-	if err != nil {
-		switch {
-		case errors.Is(err, sharded.ErrInsufficientCoverage):
-			// Too many shards out to answer honestly: shed, like any other
-			// overload, and let the client retry once shards recover.
-			unavailableJSON(w, err.Error())
-		case errors.Is(err, context.DeadlineExceeded):
-			s.cluster.Counters().QueryTimeouts.Add(1)
-			rejectJSON(w, http.StatusGatewayTimeout,
-				fmt.Sprintf("query exceeded its %v deadline", limit))
-		case errors.Is(err, context.Canceled):
-			s.cluster.Counters().CanceledRequests.Add(1)
-			rejectJSON(w, StatusClientClosedRequest, "client closed the request")
-		default:
-			rejectJSON(w, http.StatusUnprocessableEntity, err.Error())
-		}
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(s.toShardedResponse(res))
+	serveQuery(w, r, s.draining.Load(), s.cfg.QueryTimeout, s.cluster.Counters(),
+		func(ctx context.Context, q pathhist.Query) (any, error) {
+			res, err := s.cluster.Query(ctx, q)
+			if err != nil {
+				return nil, err
+			}
+			return s.toShardedResponse(res), nil
+		})
 }
 
 func (s *ShardedServer) toShardedResponse(res *sharded.Result) ShardedResponse {

@@ -126,23 +126,6 @@ const (
 	EverySegment
 )
 
-func (m PartitionMethod) partitioner() query.Partitioner {
-	switch m {
-	case ByCategory:
-		return query.Partitioner{Kind: query.Category}
-	case ByZoneAndCategory:
-		return query.Partitioner{Kind: query.ZoneCategory}
-	case NoPartition:
-		return query.Partitioner{Kind: query.None}
-	case MainRoadUserFilters:
-		return query.Partitioner{Kind: query.MDM}
-	case EverySegment:
-		return query.Partitioner{Kind: query.Regular, P: 1}
-	default:
-		return query.Partitioner{Kind: query.ZoneKind}
-	}
-}
-
 // EstimatorMode selects the cardinality estimator (Section 4.4).
 type EstimatorMode = card.Mode
 
@@ -281,42 +264,61 @@ func NewEngine(g *Graph, store *Store, opts Options) (*Engine, error) {
 	return &Engine{g: g, qe: query.NewEngineAt(ix, engineConfig(ix, opts), 0)}, nil
 }
 
-// engineConfig translates the public Options into the internal query
-// engine configuration, building the cardinality estimator against the
-// index that will be served (NewEngine's freshly built one, or
-// LoadSnapshot's restored one).
-func engineConfig(ix *snt.Index, opts Options) query.Config {
-	splitter := query.SigmaR
-	if opts.LongestPrefixSplitting {
-		splitter = query.SigmaL
+// LadderConfig maps the public Options onto the relaxation-ladder part of
+// the internal query configuration — π, σ, the widening list A, the bucket
+// width h and the per-zone β overrides — with defaults applied. It is the
+// only such mapping: engineConfig completes it for a single engine, and the
+// sharded router hands it to the shared driver (query.Run) as is.
+func LadderConfig(opts Options) query.Config {
+	pt := query.Partitioner{Kind: query.ZoneKind}
+	switch opts.Partition {
+	case ByCategory:
+		pt.Kind = query.Category
+	case ByZoneAndCategory:
+		pt.Kind = query.ZoneCategory
+	case NoPartition:
+		pt.Kind = query.None
+	case MainRoadUserFilters:
+		pt.Kind = query.MDM
+	case EverySegment:
+		pt = query.Partitioner{Kind: query.Regular, P: 1}
 	}
-	partitioner := opts.Partition.partitioner()
 	if opts.RegularP > 0 {
-		partitioner = query.Partitioner{Kind: query.Regular, P: opts.RegularP}
+		pt = query.Partitioner{Kind: query.Regular, P: opts.RegularP}
 	}
-	var est *card.Estimator
+	cfg := query.Config{
+		Partitioner: pt,
+		Alphas:      opts.IntervalSizes,
+		BucketWidth: opts.BucketSeconds,
+		ZoneBetas:   opts.ZoneBetas,
+	}
+	if opts.LongestPrefixSplitting {
+		cfg.Splitter = query.SigmaL
+	}
+	return cfg.WithDefaults()
+}
+
+// engineConfig completes LadderConfig into the internal query engine
+// configuration, building the cardinality estimator against the index that
+// will be served (NewEngine's freshly built one, or LoadSnapshot's restored
+// one).
+func engineConfig(ix *snt.Index, opts Options) query.Config {
+	cfg := LadderConfig(opts)
 	if opts.Estimator != card.Off {
-		est = card.New(ix, opts.Estimator)
+		cfg.Estimator = card.New(ix, opts.Estimator)
 	}
-	return query.Config{
-		Partitioner:             partitioner,
-		Splitter:                splitter,
-		Alphas:                  opts.IntervalSizes,
-		BucketWidth:             opts.BucketSeconds,
-		Estimator:               est,
-		ZoneBetas:               opts.ZoneBetas,
-		Workers:                 opts.Workers,
-		DisableCache:            opts.DisableCache,
-		CacheCapacity:           opts.CacheCapacity,
-		DisableFullResultCache:  opts.DisableFullResultCache,
-		FullResultCacheCapacity: opts.FullResultCacheCapacity,
-		Compaction: snt.CompactionPolicy{
-			TriggerPartitions: opts.AutoCompactPartitions,
-			MaxMergedRecords:  opts.MaxCompactedRecords,
-			MaxRuns:           opts.MaxCompactionRuns,
-		},
-		CompactInBackground: opts.CompactInBackground,
+	cfg.Workers = opts.Workers
+	cfg.DisableCache = opts.DisableCache
+	cfg.CacheCapacity = opts.CacheCapacity
+	cfg.DisableFullResultCache = opts.DisableFullResultCache
+	cfg.FullResultCacheCapacity = opts.FullResultCacheCapacity
+	cfg.Compaction = snt.CompactionPolicy{
+		TriggerPartitions: opts.AutoCompactPartitions,
+		MaxMergedRecords:  opts.MaxCompactedRecords,
+		MaxRuns:           opts.MaxCompactionRuns,
 	}
+	cfg.CompactInBackground = opts.CompactInBackground
+	return cfg
 }
 
 // IngestStats describes the snapshot one Extend published.
@@ -491,6 +493,54 @@ type Result struct {
 	Epoch uint64
 }
 
+// StrictPathQuery validates a Query against the network — non-empty path,
+// edge ids in range, traversable — and translates it into the strict path
+// query spq(P, I, f, β) the relaxation driver runs: β defaults to 20, a
+// periodic window to 15 minutes, and an open-ended fixed interval ends at
+// tmax, the end of the indexed time range. It is the only such translation;
+// Engine.QueryCtx and the sharded router both call it.
+func StrictPathQuery(g *Graph, q Query, tmax int64) (query.SPQ, error) {
+	if len(q.Path) == 0 {
+		return query.SPQ{}, errors.New("pathhist: empty query path")
+	}
+	for _, edge := range q.Path {
+		if int(edge) < 0 || int(edge) >= g.NumEdges() {
+			return query.SPQ{}, fmt.Errorf("pathhist: edge id %d out of range [0, %d)", edge, g.NumEdges())
+		}
+	}
+	if !g.IsTraversable(q.Path) {
+		return query.SPQ{}, errors.New("pathhist: path is not traversable")
+	}
+	spq := query.SPQ{
+		Path:   q.Path,
+		Filter: snt.Filter{User: traj.NoUser, ExcludeTraj: -1},
+		Beta:   q.Beta,
+	}
+	if spq.Beta == 0 {
+		spq.Beta = 20
+	}
+	if q.Periodic || q.Around != 0 {
+		w := q.WindowSeconds
+		if w <= 0 {
+			w = 900
+		}
+		spq.Interval = snt.PeriodicAround(q.Around, w)
+	} else {
+		until := q.Until
+		if until == 0 {
+			until = tmax + 1
+		}
+		spq.Interval = snt.NewFixed(q.From, until)
+	}
+	if q.Exclude {
+		spq.Filter.ExcludeTraj = q.ExcludeTraj
+	}
+	if q.FilterUser {
+		spq.Filter.User = q.User
+	}
+	return spq, nil
+}
+
 // Query answers a travel-time query.
 func (e *Engine) Query(q Query) (*Result, error) {
 	return e.QueryCtx(context.Background(), q)
@@ -505,50 +555,10 @@ func (e *Engine) Query(q Query) (*Result, error) {
 // returned and nothing partial enters the engine's caches. With a
 // background context the behaviour and the result are exactly Query's.
 func (e *Engine) QueryCtx(ctx context.Context, q Query) (*Result, error) {
-	if len(q.Path) == 0 {
-		return nil, errors.New("pathhist: empty query path")
-	}
-	for _, edge := range q.Path {
-		if int(edge) < 0 || int(edge) >= e.g.NumEdges() {
-			return nil, fmt.Errorf("pathhist: edge id %d out of range [0, %d)", edge, e.g.NumEdges())
-		}
-	}
-	if !e.g.IsTraversable(q.Path) {
-		return nil, fmt.Errorf("pathhist: path is not traversable")
-	}
-	beta := q.Beta
-	if beta == 0 {
-		beta = 20
-	}
-	var iv snt.Interval
-	switch {
-	case q.Periodic || q.Around != 0:
-		w := q.WindowSeconds
-		if w <= 0 {
-			w = 900
-		}
-		iv = snt.PeriodicAround(q.Around, w)
-	default:
-		until := q.Until
-		if until == 0 {
-			_, tmax := e.qe.Index().TimeRange()
-			until = tmax + 1
-		}
-		iv = snt.NewFixed(q.From, until)
-	}
-	excl := TrajID(-1)
-	if q.Exclude {
-		excl = q.ExcludeTraj
-	}
-	user := traj.NoUser
-	if q.FilterUser {
-		user = q.User
-	}
-	spq := query.SPQ{
-		Path:     q.Path,
-		Interval: iv,
-		Filter:   snt.Filter{User: user, ExcludeTraj: excl},
-		Beta:     beta,
+	_, tmax := e.qe.Index().TimeRange()
+	spq, err := StrictPathQuery(e.g, q, tmax)
+	if err != nil {
+		return nil, err
 	}
 	res, err := e.qe.TripQueryCtx(ctx, spq)
 	if err != nil {
@@ -583,9 +593,9 @@ func (e *Engine) QueryCtx(ctx context.Context, q Query) (*Result, error) {
 func (e *Engine) SpeedLimitEstimate(p Path) float64 { return e.g.EstimatePathTT(p) }
 
 // QueryEngine exposes the underlying query engine. The returned type lives
-// in an internal package, so only in-module callers can use it — it exists
-// for the sharded scatter-gather layer, which pins per-shard index snapshots
-// and runs the relaxation procedure itself across shards (internal/sharded).
+// in an internal package, so only in-module callers can use it — the sharded
+// scatter-gather layer pins per-shard index snapshots through it
+// (internal/sharded).
 func (e *Engine) QueryEngine() *query.Engine { return e.qe }
 
 // IndexMemory returns the modelled index memory footprint in bytes by
