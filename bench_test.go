@@ -511,40 +511,6 @@ func BenchmarkCompact(b *testing.B) {
 	}
 }
 
-// benchSustained runs the durable-ingest pipeline (WAL append + fsync →
-// Extend, under concurrent query load) once per iteration and reports the
-// extend latency distribution of the last run.
-func benchSustained(b *testing.B, background bool) {
-	e := env(b)
-	b.ResetTimer()
-	var row experiments.SustainedRow
-	for i := 0; i < b.N; i++ {
-		mode := "in-lock"
-		if background {
-			mode = "background"
-		}
-		row = e.RunSustainedMode(mode, background, 24)
-	}
-	b.StopTimer()
-	if row.Batches == 0 {
-		b.Skip("dataset has no quiescent split points")
-	}
-	b.ReportMetric(row.ExtendP50Ms, "p50-ms")
-	b.ReportMetric(row.ExtendP99Ms, "p99-ms")
-	b.ReportMetric(row.ExtendMaxMs, "max-ms")
-	b.ReportMetric(row.FsyncMsPerBatch, "fsync-ms/batch")
-	b.ReportMetric(row.QueriesPerSec, "queries/s")
-}
-
-// BenchmarkSustainedIngestInLock is the PR 6 headline pair: durable
-// sustained ingestion with merges inside the triggering Extend — the p99
-// extend latency is the merge cost every few batches.
-func BenchmarkSustainedIngestInLock(b *testing.B) { benchSustained(b, false) }
-
-// BenchmarkSustainedIngestBackground is the same stream with merges in the
-// background compactor: extends pay indexing + fsync only.
-func BenchmarkSustainedIngestBackground(b *testing.B) { benchSustained(b, true) }
-
 // BenchmarkWALAppend prices the durability step alone: one acknowledged
 // batch's write + fsync into the ingest write-ahead log.
 func BenchmarkWALAppend(b *testing.B) {

@@ -26,14 +26,12 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ttbench: ")
 	var (
-		expArg   = flag.String("experiment", "all", "comma-separated: table1,fig5,fig6,fig7,fig8,fig9,fig10a,fig10b,fig10c,fig11a,fig11b,fig11c,baselines,compact,sustained,deadline,all")
-		scale    = flag.String("scale", "small", "dataset scale: small, medium or full")
-		seed     = flag.Int64("seed", 42, "master seed")
-		frac     = flag.Float64("queryfrac", 0, "query sampling fraction (0 = scale default)")
-		subQs    = flag.Int("subqueries", 5000, "sub-queries for fig11a")
-		minLen   = flag.Int("minlen", 5, "minimum query path length in segments")
-		batches  = flag.Int("compact-batches", 32, "simulated Extend batches for the compact experiment")
-		deadline = flag.Duration("deadline", 50*time.Millisecond, "per-query deadline for the deadline experiment")
+		expArg = flag.String("experiment", "all", "comma-separated: table1,fig5,fig6,fig7,fig8,fig9,fig10a,fig10b,fig10c,fig11a,fig11b,fig11c,baselines,ablations,all")
+		scale  = flag.String("scale", "small", "dataset scale: small, medium or full")
+		seed   = flag.Int64("seed", 42, "master seed")
+		frac   = flag.Float64("queryfrac", 0, "query sampling fraction (0 = scale default)")
+		subQs  = flag.Int("subqueries", 5000, "sub-queries for fig11a")
+		minLen = flag.Int("minlen", 5, "minimum query path length in segments")
 	)
 	flag.Parse()
 
@@ -155,26 +153,6 @@ func main() {
 			fmt.Print(experiments.FormatEstimatorSweep(rows,
 				func(r experiments.EstimatorRuntimeRow) float64 { return r.SMAPE }, "sMAPE"))
 		}
-	}
-	if sel("compact") {
-		log.Printf("running partition compaction sweep (%d extends)...", *batches)
-		rows := env.RunCompactionSweep(*batches)
-		fmt.Println("\n== Partition compaction: query latency by index layout ==")
-		fmt.Print(experiments.FormatCompaction(rows))
-	}
-	if sel("sustained") {
-		log.Printf("running sustained ingestion (%d extends, WAL + concurrent queries)...", *batches)
-		rows := env.RunSustained(*batches)
-		fmt.Println("\n== Sustained ingestion: extend latency by compaction regime ==")
-		fmt.Print(experiments.FormatSustained(rows))
-	}
-	if sel("deadline") {
-		log.Printf("running bounded-latency replay (per-query deadline %s)...", *deadline)
-		r := env.RunDeadline(*deadline, 20)
-		fmt.Println("\n== Bounded latency: query set under a per-query deadline ==")
-		fmt.Printf("deadline %v: %d/%d completed, %d timed out, max latency %v, max overrun %v\n",
-			r.Deadline, r.Completed, r.Queries, r.TimedOut,
-			r.MaxLatency.Round(time.Microsecond), r.MaxOverrun.Round(time.Microsecond))
 	}
 
 	log.Printf("done in %s", time.Since(start).Round(time.Millisecond))

@@ -1,33 +1,33 @@
 // Command ttserve exposes travel-time histogram retrieval as an HTTP JSON
 // service over a dataset produced by ttgen — the "online routing
-// application" deployment shape the paper's outlook describes. One shared
-// engine serves all requests concurrently; with -enable-extend the service
-// also ingests live trajectory batches, published lock-free as index
-// epochs (DESIGN.md §8).
+// application" deployment shape the paper's outlook describes. The data is
+// held in -shards N independent index shards (default 1): one shard is
+// served by its own engine, N > 1 through the fault-tolerant scatter-gather
+// front (DESIGN.md §14). With -enable-extend the service also ingests live
+// trajectory batches, published lock-free as index epochs (DESIGN.md §8).
 //
-// Durability (DESIGN.md §11): with -enable-extend and -snapshot-dir the
-// service keeps a write-ahead log next to its snapshots — every /extend is
-// fsynced to the log before it is acknowledged, so a crash (SIGKILL,
-// panic, power loss) loses nothing a client was told succeeded. Startup
-// recovers in order: bind the listener behind a not-ready bootstrap
-// handler, restore the newest snapshot in -snapshot-dir (or build from
-// trajectories.bin when there is none), replay the log's uncovered
-// records, then swap in the real handler — /readyz flips to 200 only after
-// snapshot load and WAL replay both completed. -snapshot-interval bounds
-// how much log a future restart replays by snapshotting periodically; each
-// snapshot rotates the log and prunes old snapshot generations down to
-// -snapshot-keep.
-//
-// The process runs as a managed foreground service: SIGINT/SIGTERM drain
-// in-flight requests (every accepted /extend completes and is acknowledged
-// before the listener closes for good) while new requests get 503 +
-// Retry-After instead of connection resets, and the listener applies
+// One lifecycle for every N (DESIGN.md §11): bind the listener behind a
+// not-ready bootstrap handler; recover the shards in parallel — each
+// restores the newest snapshot in its directory (-snapshot-dir itself at
+// N = 1, shard-K under it otherwise) or builds from its part of
+// trajectories.bin, then replays its write-ahead log's uncovered records;
+// swap in the front — /readyz flips to 200 only now; on SIGINT/SIGTERM
+// drain in-flight requests (every accepted /extend completes and is
+// acknowledged) while new ones get 503 + Retry-After instead of connection
+// resets, then write a final snapshot per shard. With -enable-extend and
+// -snapshot-dir every /extend is fsynced to its shard's log before it is
+// acknowledged, so a crash (SIGKILL, panic, power loss) loses nothing a
+// client was told succeeded; -snapshot-interval bounds how much log a
+// restart replays, and each snapshot rotates the log and prunes old
+// generations down to -snapshot-keep. The listener applies
 // read/header/idle timeouts so one slow client cannot pin goroutines
-// forever.
+// forever. Refused at start-up: -shards < 1, -load-snapshot with
+// -shards > 1, -replicas-per-shard > 1 with -shards 1.
 //
 //	ttserve -data data -addr :8080 [-enable-extend] [-auto-compact 16]
 //	        [-snapshot-dir snapdir] [-snapshot-interval 5m] [-snapshot-keep 3]
 //	        [-load-snapshot snapdir/snapshot-…snt] [-disable-wal]
+//	        [-shards 4 [-replicas-per-shard 2]] [-mmap-snapshots]
 //
 //	GET  /query?path=17,42,43&tod=08:15&window=900&beta=20[&user=3]
 //	GET  /query?path=17,42,43&from=1335830400&until=1335917000&beta=20
@@ -56,7 +56,6 @@ import (
 
 	"pathhist"
 	"pathhist/internal/ttserve"
-	"pathhist/internal/wal"
 )
 
 // config carries the parsed flags; run is kept separate from main so the
@@ -163,11 +162,35 @@ func bootstrapHandler() http.Handler {
 	return mux
 }
 
-// run is the whole service lifecycle. It returns once the server has shut
-// down cleanly (nil) or failed.
+// service is the surface run drives, whichever front serves: the handler,
+// the drain switch, and "snapshot every shard".
+type service interface {
+	http.Handler
+	BeginDrain()
+	WriteSnapshots() ([]ttserve.ShardSnapshotResult, error)
+}
+
+// validate rejects flag combinations that would silently do something other
+// than what was asked, before anything binds or loads.
+func (cfg config) validate() error {
+	switch {
+	case cfg.shards < 1:
+		return fmt.Errorf("-shards %d: need at least one shard", cfg.shards)
+	case cfg.shards > 1 && cfg.loadSnapshot != "":
+		return errors.New("-load-snapshot names one engine's snapshot and cannot restore -shards > 1; each shard restores the newest snapshot in its shard-K directory")
+	case cfg.shards == 1 && cfg.replicasPerShard > 1:
+		return errors.New("-replicas-per-shard needs -shards > 1: the single engine already serves every request concurrently")
+	}
+	return nil
+}
+
+// run is the whole service lifecycle, the same for any shard count: bind
+// behind the bootstrap handler, recover shards 0…N−1 in parallel, swap the
+// front in, snapshot post-recovery / periodically / finally, drain. It
+// returns once the server has shut down cleanly (nil) or failed.
 func run(ctx context.Context, cfg config) error {
-	if cfg.shards > 1 {
-		return runSharded(ctx, cfg)
+	if err := cfg.validate(); err != nil {
+		return err
 	}
 	// Signal wiring first: a SIGTERM during the (potentially long) recovery
 	// triggers a clean exit at the next phase boundary. The AfterFunc
@@ -186,7 +209,7 @@ func run(ctx context.Context, cfg config) error {
 	// are bounded so a rolling restart is not hostage to dormant
 	// connections.
 	type handlerBox struct{ h http.Handler } // one concrete type for atomic.Value
-	var handler atomic.Value                 // handlerBox: bootstrap, swapped for the real server
+	var handler atomic.Value                 // handlerBox: bootstrap, swapped for the real front
 	handler.Store(handlerBox{bootstrapHandler()})
 	httpSrv := &http.Server{
 		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -203,21 +226,33 @@ func run(ctx context.Context, cfg config) error {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
-	log.Printf("listening on %s (not ready; recovering)", ln.Addr())
-	// Any pre-serving failure must take the bootstrap listener down with it.
-	fail := func(err error) error {
-		httpSrv.Close()
+	log.Printf("listening on %s (not ready; recovering %d shard(s))", ln.Addr(), cfg.shards)
+
+	var states []*shardState
+	// release closes every recovered write-ahead log and engine.
+	release := func() (err error) {
+		for k, st := range states {
+			if st.log != nil {
+				if cerr := st.log.Close(); cerr != nil {
+					err = errors.Join(err, fmt.Errorf("closing shard %d write-ahead log: %w", k, cerr))
+				}
+			}
+			if st.eng != nil {
+				st.eng.Close()
+			}
+		}
 		return err
+	}
+	// abandon ends a start-up that will not serve: the bootstrap listener
+	// goes down with it, and so does whatever was recovered so far.
+	abandon := func(err error) error {
+		httpSrv.Close()
+		return errors.Join(err, release())
 	}
 
 	g, err := loadGraph(cfg.data)
 	if err != nil {
-		return fail(err)
-	}
-	if ctx.Err() != nil {
-		log.Printf("interrupted while loading the dataset; exiting")
-		httpSrv.Close()
-		return nil
+		return abandon(err)
 	}
 	opts := pathhist.Options{
 		Partition:             pathhist.ByZone,
@@ -225,60 +260,22 @@ func run(ctx context.Context, cfg config) error {
 		AutoCompactPartitions: cfg.autoCompact,
 		CompactInBackground:   cfg.compactBackground,
 	}
-	if cfg.snapshotDir != "" {
-		if err := os.MkdirAll(cfg.snapshotDir, 0o755); err != nil {
-			return fail(fmt.Errorf("snapshot dir: %w", err))
-		}
-	}
-	// Resolve the recovery base: an explicit -load-snapshot wins, otherwise
-	// the newest snapshot in -snapshot-dir.
-	snapshotPath := cfg.loadSnapshot
-	if snapshotPath == "" && cfg.snapshotDir != "" {
-		snapshotPath, err = pathhist.FindLatestSnapshot(cfg.snapshotDir)
-		if err != nil {
-			return fail(fmt.Errorf("scanning %s for snapshots: %w", cfg.snapshotDir, err))
-		}
-	}
-	// The trajectory store is only needed when the index is actually built
-	// — a successful snapshot restore must not pay for reading and parsing
-	// trajectories.bin (the biggest file in the dataset), so it loads
-	// lazily inside the fallback path.
-	eng, source, err := buildOrRestore(g, func() (*pathhist.Store, error) {
-		return loadStore(cfg.data)
-	}, opts, snapshotPath, cfg.mmapSnapshots)
-	if err != nil {
-		return fail(err)
+	// Recovery opens each shard's write-ahead log, replays what its
+	// snapshot does not cover, and only then is the shard recovered. Replay
+	// fails closed — a log that does not chain from the restored state (or
+	// fails its checksums) stops the process rather than silently serving
+	// less than what was acknowledged.
+	walEnabled := cfg.enableExtend && cfg.snapshotDir != "" && !cfg.disableWAL
+	if states, err = recoverShards(g, opts, cfg, walEnabled); err != nil {
+		return abandon(err)
 	}
 	if ctx.Err() != nil {
-		log.Printf("interrupted while building the index; exiting")
-		httpSrv.Close()
-		eng.Close()
-		return nil
+		log.Printf("interrupted while recovering; exiting")
+		return abandon(nil)
 	}
-
-	// Write-ahead log: open, replay what the snapshot does not cover, and
-	// only then declare the engine recovered. Replay fails closed — a log
-	// that does not chain from the restored state (or fails its checksums)
-	// stops the process rather than silently serving less than what was
-	// acknowledged.
-	var ingestLog *wal.WAL
-	walEnabled := cfg.enableExtend && cfg.snapshotDir != "" && !cfg.disableWAL
-	if walEnabled {
-		ingestLog, err = wal.Open(filepath.Join(cfg.snapshotDir, walFileName))
-		if err != nil {
-			return fail(fmt.Errorf("write-ahead log: %w", err))
-		}
-		if st := ingestLog.Stats(); st.TornTail {
-			log.Printf("write-ahead log: dropped a torn %d-byte tail (crash mid-append; the batch was never acknowledged)", st.TornBytes)
-		}
-		applied, err := ttserve.ReplayWAL(eng, ingestLog)
-		if err != nil {
-			return fail(fmt.Errorf("replaying write-ahead log: %w", err))
-		}
-		if applied > 0 {
-			log.Printf("write-ahead log: replayed %d acknowledged batches (epoch %d, %d trajectories)",
-				applied, eng.Epoch(), eng.Trajectories())
-		}
+	front, err := newFront(g, opts, cfg, states)
+	if err != nil {
+		return abandon(err)
 	}
 
 	mode := "ingestion disabled"
@@ -297,38 +294,35 @@ func run(ctx context.Context, cfg config) error {
 	if cfg.snapshotDir != "" {
 		mode += fmt.Sprintf(", snapshots to %s", cfg.snapshotDir)
 	}
-
-	srv := ttserve.NewServer(eng, ttserve.Config{
-		EnableExtend:          cfg.enableExtend,
-		MaxExtendBytes:        cfg.maxExtendMiB << 20,
-		MaxExtendTrajectories: cfg.maxTrajs,
-		SnapshotDir:           cfg.snapshotDir,
-		SnapshotKeep:          cfg.snapshotKeep,
-		WAL:                   ingestLog,
-		LoadedSnapshotPath:    snapshotPath,
-		MaxWALBytes:           cfg.maxWALMiB << 20,
-		MaxPartitionBacklog:   cfg.maxBacklog,
-		QueryTimeout:          cfg.queryTimeout,
-		ExtendTimeout:         cfg.extendTimeout,
-	})
+	total, replayed := 0, false
+	for _, st := range states {
+		total += st.eng.Trajectories()
+		replayed = replayed || (st.log != nil && st.log.Size() > 16)
+	}
 	// Recovery complete: swap the real handler in; /readyz flips to 200.
-	handler.Store(handlerBox{srv})
-	log.Printf("serving %d trajectories over %d edges (%s); listening on %s (%s)",
-		eng.Trajectories(), g.NumEdges(), source, ln.Addr(), mode)
+	handler.Store(handlerBox{front})
+	log.Printf("serving %d trajectories over %d edges in %d shard(s); listening on %s (%s)",
+		total, g.NumEdges(), cfg.shards, ln.Addr(), mode)
 	if cfg.started != nil {
 		cfg.started <- ln.Addr().String()
 	}
 
+	snapshotAll := func(when string) error {
+		res, err := front.WriteSnapshots()
+		for _, r := range res {
+			if r.Error == "" {
+				log.Printf("%s snapshot: %s (%d bytes, epoch %d)", when, r.Path, r.Bytes, r.Epoch)
+			}
+		}
+		return err
+	}
 	// A replayed log means the durable base is stale: snapshot now so the
 	// next restart replays from here, and so the log is rotated down.
-	if walEnabled && ingestLog.Size() > 16 {
-		if st, err := srv.WriteSnapshot(); err != nil {
+	if replayed {
+		if err := snapshotAll("post-recovery"); err != nil {
 			log.Printf("warning: post-recovery snapshot: %v", err)
-		} else {
-			log.Printf("post-recovery snapshot: %s (epoch %d)", st.Path, st.Epoch)
 		}
 	}
-
 	// Periodic snapshots bound the replay a crash victim pays for.
 	if cfg.snapshotDir != "" && cfg.snapshotInterval > 0 {
 		go func() {
@@ -339,10 +333,8 @@ func run(ctx context.Context, cfg config) error {
 				case <-ctx.Done():
 					return
 				case <-tick.C:
-					if st, err := srv.WriteSnapshot(); err != nil {
+					if err := snapshotAll("periodic"); err != nil {
 						log.Printf("warning: periodic snapshot: %v", err)
-					} else {
-						log.Printf("periodic snapshot: %s (epoch %d, %d bytes)", st.Path, st.Epoch, st.Bytes)
 					}
 				}
 			}
@@ -351,8 +343,7 @@ func run(ctx context.Context, cfg config) error {
 
 	select {
 	case err := <-errc:
-		eng.Close()
-		return err
+		return errors.Join(err, release())
 	case <-ctx.Done():
 	}
 	// Graceful drain: flip /readyz, shed new requests with 503 +
@@ -360,7 +351,7 @@ func run(ctx context.Context, cfg config) error {
 	// publications — complete and be acknowledged. Default signal handling
 	// is already restored (the AfterFunc above), so a second signal kills
 	// the process the default way.
-	srv.BeginDrain()
+	front.BeginDrain()
 	log.Printf("shutting down: draining in-flight requests (limit %v)", shutdownTimeout)
 	shCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
@@ -380,24 +371,12 @@ func run(ctx context.Context, cfg config) error {
 	// from exactly the state clients saw — written even when the drain
 	// timed out, since the published engine state is valid regardless.
 	if cfg.snapshotDir != "" {
-		st, err := srv.WriteSnapshot()
-		if err != nil {
-			eng.Close()
-			if drainErr != nil {
-				return fmt.Errorf("final snapshot: %v (after %w)", err, drainErr)
-			}
-			return fmt.Errorf("final snapshot: %w", err)
-		}
-		log.Printf("final snapshot: %s (%d bytes, epoch %d)", st.Path, st.Bytes, st.Epoch)
-	}
-	if ingestLog != nil {
-		if err := ingestLog.Close(); err != nil && drainErr == nil {
-			drainErr = fmt.Errorf("closing write-ahead log: %w", err)
+		if err := snapshotAll("final"); err != nil {
+			drainErr = errors.Join(fmt.Errorf("final snapshot: %w", err), drainErr)
 		}
 	}
-	eng.Close()
-	if drainErr != nil {
-		return drainErr
+	if err := errors.Join(drainErr, release()); err != nil {
+		return err
 	}
 	log.Printf("shutdown complete")
 	return nil

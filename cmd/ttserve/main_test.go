@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -66,6 +68,7 @@ func TestLifecycleSIGTERM(t *testing.T) {
 		maxExtendMiB: 64,
 		autoCompact:  0,
 		snapshotDir:  snapDir,
+		shards:       1,
 		started:      started,
 	}
 	go func() { done <- run(context.Background(), cfg) }()
@@ -167,6 +170,32 @@ func TestLifecycleSIGTERM(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > baseline+2 {
 		t.Fatalf("goroutines: %d, baseline %d", n, baseline)
+	}
+}
+
+// TestRunRejectsFlagCombinations: flag combinations that would silently do
+// something other than what was asked are refused with a one-line error
+// before the listener binds — the address is taken, so a bind would have
+// failed with a different error.
+func TestRunRejectsFlagCombinations(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	for name, tc := range map[string]struct {
+		cfg  config
+		want string
+	}{
+		"no shards":               {config{shards: 0}, "-shards 0"},
+		"load-snapshot, sharded":  {config{shards: 2, loadSnapshot: "snapshot.snt"}, "-load-snapshot"},
+		"replicas, single engine": {config{shards: 1, replicasPerShard: 2}, "-replicas-per-shard"},
+	} {
+		tc.cfg.addr, tc.cfg.data = ln.Addr().String(), t.TempDir()
+		err := run(context.Background(), tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: run = %v, want a one-line error naming %s", name, err, tc.want)
+		}
 	}
 }
 

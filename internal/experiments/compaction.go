@@ -2,29 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
-	"pathhist/internal/query"
 	"pathhist/internal/snt"
 	"pathhist/internal/traj"
 )
-
-// Compaction sweep: the ingestion-degradation experiment behind PR 4. An
-// index fragmented by many small Extend batches pays one FM-index backward
-// search per partition per sub-query, so query latency grows with ingest
-// count; compaction merges the partitions back and must return latency to
-// (within noise of) a single-partition from-scratch build.
-
-// CompactionRow is one engine layout measured over the query set.
-type CompactionRow struct {
-	Name       string
-	Partitions int
-	MsPerQuery float64
-	IndexBytes int
-	// CompactionMs is the one-off merge cost (only on the compacted row).
-	CompactionMs float64
-}
 
 // IngestionCuts picks up to nBatches quiescent split points in the newest
 // half of a store (sorting it as a side effect): the resulting batches
@@ -72,64 +53,4 @@ func (env *Env) FragmentedIndex(nBatches int) *snt.Index {
 		ix = next
 	}
 	return ix
-}
-
-// timeQueries measures cold average query latency over the query set (both
-// caches disabled so every query pays its scans).
-func (env *Env) timeQueries(ix *snt.Index) float64 {
-	eng := query.NewEngine(ix, query.Config{
-		Partitioner: query.Partitioner{Kind: query.ZoneKind}, BucketWidth: 10,
-		DisableCache: true, DisableFullResultCache: true,
-	})
-	start := time.Now()
-	for _, q := range env.Queries {
-		_ = eng.TripQuery(SPQFor(q, TemporalFilters, 20))
-	}
-	return float64(time.Since(start).Microseconds()) / 1000 / float64(len(env.Queries))
-}
-
-// RunCompactionSweep measures query latency on the fragmented layout, the
-// compacted layout, and a single-partition from-scratch rebuild.
-func (env *Env) RunCompactionSweep(nBatches int) []CompactionRow {
-	frag := env.FragmentedIndex(nBatches)
-	rows := []CompactionRow{{
-		Name:       fmt.Sprintf("fragmented (%d extends)", frag.NumPartitions()-1),
-		Partitions: frag.NumPartitions(),
-		MsPerQuery: env.timeQueries(frag),
-		IndexBytes: frag.Memory().Total(),
-	}}
-	compacted, st, err := frag.Compact(snt.CompactionPolicy{TriggerPartitions: -1})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: compaction: %v", err))
-	}
-	rows = append(rows, CompactionRow{
-		Name:         "compacted",
-		Partitions:   compacted.NumPartitions(),
-		MsPerQuery:   env.timeQueries(compacted),
-		IndexBytes:   compacted.Memory().Total(),
-		CompactionMs: float64(st.Elapsed.Microseconds()) / 1000,
-	})
-	rebuilt := env.Index(0, 0, 0)
-	rows = append(rows, CompactionRow{
-		Name:       "rebuilt from scratch",
-		Partitions: rebuilt.NumPartitions(),
-		MsPerQuery: env.timeQueries(rebuilt),
-		IndexBytes: rebuilt.Memory().Total(),
-	})
-	return rows
-}
-
-// FormatCompaction renders the sweep as an aligned table.
-func FormatCompaction(rows []CompactionRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-26s%12s%12s%12s%14s\n", "layout", "partitions", "ms/query", "MiB", "compact ms")
-	for _, r := range rows {
-		compact := ""
-		if r.CompactionMs > 0 {
-			compact = fmt.Sprintf("%.1f", r.CompactionMs)
-		}
-		fmt.Fprintf(&b, "%-26s%12d%12.3f%12.2f%14s\n",
-			r.Name, r.Partitions, r.MsPerQuery, float64(r.IndexBytes)/1024/1024, compact)
-	}
-	return b.String()
 }

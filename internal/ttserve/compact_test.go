@@ -36,7 +36,7 @@ func extendBatches(t *testing.T, url string, ids map[string]pathhist.EdgeID, n i
 // the compaction.
 func TestCompactEndpoint(t *testing.T) {
 	eng, ids := testEngine(t)
-	srv := httptest.NewServer(NewHandlerWith(eng, Config{EnableExtend: true}))
+	srv := httptest.NewServer(NewServer(eng, Config{EnableExtend: true}))
 	defer srv.Close()
 
 	extendBatches(t, srv.URL, ids, 6)
@@ -94,14 +94,7 @@ func TestCompactEndpoint(t *testing.T) {
 	}
 
 	// GET is rejected; a second POST is an idempotent no-op.
-	if resp, err := http.Get(srv.URL + "/compact"); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Fatalf("GET /compact status = %d", resp.StatusCode)
-		}
-	}
+	rejectsGET(t, "/compact", Config{EnableExtend: true})
 	resp2, err := http.Post(srv.URL+"/compact", "", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +113,7 @@ func TestCompactEndpoint(t *testing.T) {
 // deployments that opted into mutation.
 func TestCompactDisabledWithoutExtend(t *testing.T) {
 	eng, _ := testEngine(t)
-	srv := httptest.NewServer(NewHandler(eng))
+	srv := httptest.NewServer(NewServer(eng, Config{}))
 	defer srv.Close()
 	resp, err := http.Post(srv.URL+"/compact", "", nil)
 	if err != nil {
@@ -136,82 +129,79 @@ func TestCompactDisabledWithoutExtend(t *testing.T) {
 // trajectory budget is rejected with 413 and a JSON error before the engine
 // sees it, and the rejection is counted separately from malformed bodies.
 func TestExtendAdmissionTrajectoryBudget(t *testing.T) {
-	eng, ids := testEngine(t)
-	srv := httptest.NewServer(NewHandlerWith(eng, Config{
+	_, ids, _ := testData()
+	seen := refusals{}
+	for _, f := range bothFronts(t, Config{
 		EnableExtend:          true,
 		MaxExtendTrajectories: 2,
-	}))
-	defer srv.Close()
+	}) {
+		day := int64(86400)
+		big := pathhist.NewStore()
+		for k := 0; k < 3; k++ {
+			big.Add(pathhist.UserID(k), []pathhist.Entry{{Edge: ids["A"], T: day + int64(k)*100, TT: 5}})
+		}
+		epochBefore := f.epoch()
+		resp := postBatch(t, f.url, big)
+		seen.add(t, f.name, resp)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversized batch status = %d, want 413", f.name, resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("%s: rejection content type = %q", f.name, ct)
+		}
+		var er ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error == "" {
+			t.Fatalf("%s: rejection body not a JSON error: %v %+v", f.name, err, er)
+		}
+		resp.Body.Close()
+		if f.epoch() != epochBefore || f.trajectories() != 4 {
+			t.Fatalf("%s: rejected batch reached the engine", f.name)
+		}
 
-	day := int64(86400)
-	big := pathhist.NewStore()
-	for k := 0; k < 3; k++ {
-		big.Add(pathhist.UserID(k), []pathhist.Entry{{Edge: ids["A"], T: day + int64(k)*100, TT: 5}})
-	}
-	epochBefore := eng.Epoch()
-	resp := postBatch(t, srv.URL, big)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized batch status = %d, want 413", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("rejection content type = %q", ct)
-	}
-	var er ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error == "" {
-		t.Fatalf("rejection body not a JSON error: %v %+v", err, er)
-	}
-	if eng.Epoch() != epochBefore || eng.Trajectories() != 4 {
-		t.Fatal("rejected batch reached the engine")
-	}
+		// A batch within the budget still lands.
+		ok := pathhist.NewStore()
+		ok.Add(9, []pathhist.Entry{{Edge: ids["A"], T: 2 * day, TT: 5}})
+		resp2 := postBatch(t, f.url, ok)
+		resp2.Body.Close()
+		if resp2.StatusCode != http.StatusOK {
+			t.Fatalf("%s: in-budget batch status = %d", f.name, resp2.StatusCode)
+		}
 
-	// A batch within the budget still lands.
-	ok := pathhist.NewStore()
-	ok.Add(9, []pathhist.Entry{{Edge: ids["A"], T: 2 * day, TT: 5}})
-	resp2 := postBatch(t, srv.URL, ok)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("in-budget batch status = %d", resp2.StatusCode)
+		var st Stats
+		getJSON(t, f.url+"/statsz", &st)
+		if st.ExtendOverloadRejects != 1 || st.ExtendRejects != 0 || st.Extends != 1 {
+			t.Fatalf("%s: admission counters = %+v", f.name, st)
+		}
 	}
-
-	var st Stats
-	sresp, err := http.Get(srv.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.ExtendOverloadRejects != 1 || st.ExtendRejects != 0 || st.Extends != 1 {
-		t.Fatalf("admission counters = %+v", st)
-	}
+	seen.same(t)
 }
 
 // TestExtendAdmissionByteBudget: a body above MaxExtendBytes is rejected
 // with 413 + JSON, not the generic 400 of a malformed body.
 func TestExtendAdmissionByteBudget(t *testing.T) {
-	eng, ids := testEngine(t)
-	srv := httptest.NewServer(NewHandlerWith(eng, Config{
+	_, ids, _ := testData()
+	seen := refusals{}
+	for _, f := range bothFronts(t, Config{
 		EnableExtend:   true,
 		MaxExtendBytes: 64, // far below any serialised batch
-	}))
-	defer srv.Close()
-
-	batch := pathhist.NewStore()
-	for k := 0; k < 16; k++ {
-		batch.Add(pathhist.UserID(k), []pathhist.Entry{{Edge: ids["A"], T: 86400 + int64(k)*60, TT: 5}})
+	}) {
+		batch := pathhist.NewStore()
+		for k := 0; k < 16; k++ {
+			batch.Add(pathhist.UserID(k), []pathhist.Entry{{Edge: ids["A"], T: 86400 + int64(k)*60, TT: 5}})
+		}
+		resp := postBatch(t, f.url, batch)
+		seen.add(t, f.name, resp)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversized body status = %d, want 413", f.name, resp.StatusCode)
+		}
+		var er ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error == "" {
+			t.Fatalf("%s: rejection body not a JSON error: %v %+v", f.name, err, er)
+		}
+		resp.Body.Close()
+		if f.epoch() != 0 {
+			t.Fatalf("%s: oversized body reached the engine", f.name)
+		}
 	}
-	resp := postBatch(t, srv.URL, batch)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body status = %d, want 413", resp.StatusCode)
-	}
-	var er ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error == "" {
-		t.Fatalf("rejection body not a JSON error: %v %+v", err, er)
-	}
-	if eng.Epoch() != 0 {
-		t.Fatal("oversized body reached the engine")
-	}
+	seen.same(t)
 }

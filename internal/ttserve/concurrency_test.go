@@ -13,7 +13,7 @@ import (
 // counters move under query traffic.
 func TestStatsz(t *testing.T) {
 	eng, ids := testEngine(t)
-	srv := httptest.NewServer(NewHandler(eng))
+	srv := httptest.NewServer(NewServer(eng, Config{}))
 	defer srv.Close()
 
 	queryURL := fmt.Sprintf("%s/query?path=%d,%d,%d&tod=00:00&window=40&beta=2",
@@ -55,7 +55,7 @@ func TestStatsz(t *testing.T) {
 // service-level consequence of the engine's concurrency safety.
 func TestConcurrentRequests(t *testing.T) {
 	eng, ids := testEngine(t)
-	srv := httptest.NewServer(NewHandler(eng))
+	srv := httptest.NewServer(NewServer(eng, Config{}))
 	defer srv.Close()
 
 	urls := []string{

@@ -73,19 +73,22 @@ func TestQueryPerRequestTimeout(t *testing.T) {
 }
 
 func TestExtendTimeoutSheds(t *testing.T) {
-	eng, ids := testEngine(t)
-	srv := httptest.NewServer(NewServer(eng, Config{
+	_, ids, _ := testData()
+	seen := refusals{}
+	for _, f := range bothFronts(t, Config{
 		EnableExtend: true, ExtendTimeout: time.Nanosecond,
-	}))
-	defer srv.Close()
-	resp := postBatch(t, srv.URL, dayBatch(ids, 7, 1))
-	defer resp.Body.Close()
-	// With no WAL the engine's ExtendCtx sheds at the expired deadline;
-	// nothing is acknowledged or applied.
-	if resp.StatusCode != http.StatusUnprocessableEntity && resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status %d, want a deadline rejection", resp.StatusCode)
+	}) {
+		resp := postBatch(t, f.url, dayBatch(ids, 7, 1))
+		seen.add(t, f.name, resp)
+		resp.Body.Close()
+		// With no WAL the engine's ExtendCtx sheds at the expired deadline;
+		// nothing is acknowledged or applied.
+		if resp.StatusCode != http.StatusUnprocessableEntity && resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("%s: status %d, want a deadline rejection", f.name, resp.StatusCode)
+		}
+		if got := f.epoch(); got != 0 {
+			t.Fatalf("%s: epoch %d after a shed extend, want 0", f.name, got)
+		}
 	}
-	if got := eng.Epoch(); got != 0 {
-		t.Fatalf("epoch %d after a shed extend, want 0", got)
-	}
+	seen.same(t)
 }

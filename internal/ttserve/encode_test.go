@@ -50,9 +50,9 @@ func overflowFronts(t *testing.T, n int) map[string]http.Handler {
 		t.Fatal(err)
 	}
 	t.Cleanup(cluster.Close)
-	shards := make([]*Server, cluster.NumShards())
+	shards := make([]*Shard, cluster.NumShards())
 	for i := range shards {
-		shards[i] = NewServer(cluster.Engine(i), Config{})
+		shards[i] = NewShard(cluster.Engine(i), Config{})
 	}
 	front, err := NewShardedServer(cluster, shards, Config{})
 	if err != nil {

@@ -32,7 +32,7 @@ func postBatch(t *testing.T, url string, batch *pathhist.Store) *http.Response {
 // repeated query reflects the new samples without a server restart.
 func TestExtendEndpoint(t *testing.T) {
 	eng, ids := testEngine(t)
-	srv := httptest.NewServer(NewHandlerWith(eng, Config{EnableExtend: true}))
+	srv := httptest.NewServer(NewServer(eng, Config{EnableExtend: true}))
 	defer srv.Close()
 
 	queryURL := fmt.Sprintf("%s/query?path=%d,%d,%d&beta=10&until=%d",
@@ -101,56 +101,53 @@ func TestExtendEndpoint(t *testing.T) {
 // TestExtendEndpointErrors covers the rejection paths: wrong method, bad
 // body, overlapping batch — and that a rejected batch changes nothing.
 func TestExtendEndpointErrors(t *testing.T) {
-	eng, ids := testEngine(t)
-	srv := httptest.NewServer(NewHandlerWith(eng, Config{EnableExtend: true}))
-	defer srv.Close()
-
-	if resp, err := http.Get(srv.URL + "/extend"); err != nil {
-		t.Fatal(err)
-	} else {
+	_, ids, _ := testData()
+	seen := refusals{}
+	for _, f := range bothFronts(t, Config{EnableExtend: true}) {
+		if resp, err := http.Get(f.url + "/extend"); err != nil {
+			t.Fatal(err)
+		} else {
+			seen.add(t, f.name, resp)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusMethodNotAllowed {
+				t.Fatalf("%s: GET /extend status = %d", f.name, resp.StatusCode)
+			}
+		}
+		resp, err := http.Post(f.url+"/extend", "application/octet-stream",
+			strings.NewReader("not a traj store"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen.add(t, f.name, resp)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Fatalf("GET /extend status = %d", resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: garbage body status = %d", f.name, resp.StatusCode)
+		}
+
+		// A batch inside the indexed time range is a semantic rejection: 422.
+		overlap := pathhist.NewStore()
+		overlap.Add(1, []pathhist.Entry{{Edge: ids["A"], T: 1, TT: 2}})
+		resp = postBatch(t, f.url, overlap)
+		seen.add(t, f.name, resp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: overlapping batch status = %d", f.name, resp.StatusCode)
+		}
+
+		var st Stats
+		getJSON(t, f.url+"/statsz", &st)
+		if st.Epoch != 0 || st.Extends != 0 || st.ExtendRejects != 2 {
+			t.Fatalf("%s: stats after rejects = %+v", f.name, st)
 		}
 	}
-	resp, err := http.Post(srv.URL+"/extend", "application/octet-stream",
-		strings.NewReader("not a traj store"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage body status = %d", resp.StatusCode)
-	}
-
-	// A batch inside the indexed time range is a semantic rejection: 422.
-	overlap := pathhist.NewStore()
-	overlap.Add(1, []pathhist.Entry{{Edge: ids["A"], T: 1, TT: 2}})
-	resp = postBatch(t, srv.URL, overlap)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("overlapping batch status = %d", resp.StatusCode)
-	}
-
-	var st Stats
-	sresp, err := http.Get(srv.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Epoch != 0 || st.Extends != 0 || st.ExtendRejects != 2 {
-		t.Fatalf("stats after rejects = %+v", st)
-	}
+	seen.same(t)
 }
 
 // TestExtendDisabledByDefault: without Config.EnableExtend the endpoint
 // does not exist.
 func TestExtendDisabledByDefault(t *testing.T) {
 	eng, _ := testEngine(t)
-	srv := httptest.NewServer(NewHandler(eng))
+	srv := httptest.NewServer(NewServer(eng, Config{}))
 	defer srv.Close()
 	resp, err := http.Post(srv.URL+"/extend", "application/octet-stream", strings.NewReader(""))
 	if err != nil {
@@ -167,7 +164,7 @@ func TestExtendDisabledByDefault(t *testing.T) {
 // layer statement of the non-blocking ingestion contract.
 func TestExtendWhileServingConcurrently(t *testing.T) {
 	eng, ids := testEngine(t)
-	srv := httptest.NewServer(NewHandlerWith(eng, Config{EnableExtend: true}))
+	srv := httptest.NewServer(NewServer(eng, Config{EnableExtend: true}))
 	defer srv.Close()
 
 	urls := []string{

@@ -32,7 +32,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -255,11 +254,16 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// rejectJSON writes a JSON error with the given status.
-func rejectJSON(w http.ResponseWriter, status int, msg string) {
+// writeJSON answers with v as the JSON body.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: msg})
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// rejectJSON writes a JSON error with the given status.
+func rejectJSON(w http.ResponseWriter, status int, msg string) {
+	writeJSON(w, status, ErrorResponse{Error: msg})
 }
 
 // SubResponse describes one final sub-query.
@@ -277,124 +281,73 @@ type Bucket struct {
 	Fraction float64 `json:"fraction"`
 }
 
-// Server carries the shared engine, the handler-level ingest counters
-// surfaced in /statsz, and the snapshot persistence state. It implements
-// http.Handler; WriteSnapshot is also callable directly so the process
-// lifecycle (cmd/ttserve's graceful shutdown) can persist a final snapshot
-// outside any HTTP request.
-type Server struct {
-	eng *pathhist.Engine
-	cfg Config
-	mux *http.ServeMux
+// front is what genuinely differs between the single-engine Server and the
+// sharded front: which engine answers /query, how a batch finds its shard,
+// and the wire shapes. Everything else is the core's.
+type front interface {
+	// readyLine is the body of a 200 /readyz.
+	readyLine() string
+	// answer returns the value to marshal for one /query.
+	answer(ctx context.Context, q pathhist.Query) (any, error)
+	statsz(w http.ResponseWriter, r *http.Request)
+	extend(w http.ResponseWriter, r *http.Request)
+	compact(w http.ResponseWriter, r *http.Request)
+	snapshot(w http.ResponseWriter, r *http.Request)
+}
 
-	extends         atomic.Int64
-	extendTrajs     atomic.Int64
+// core is the HTTP front both servers embed, written once: the mux,
+// liveness and readiness, the drain state, panic isolation, the POST/drain
+// gate of the mutating endpoints, /extend's admission preamble, the /query
+// body and the mapping of context errors to statuses and counters.
+type core struct {
+	f        front
+	cfg      Config
+	mux      *http.ServeMux
+	shards   []*Shard
+	counters *metrics.ServerCounters
+
 	extendRejects   atomic.Int64
 	extendOverloads atomic.Int64
-	lastExtendUnix  atomic.Int64
-
-	// ingestMu serialises the durable admission sequence — validate, WAL
-	// append, index — so the log order is exactly the apply order. Without
-	// a WAL the engine's own extend lock would suffice; with one, two
-	// interleaved requests could otherwise log in one order and apply in
-	// the other.
-	ingestMu sync.Mutex
 
 	// ready and draining drive /readyz and load-balancer behaviour: ready
-	// starts true (a constructed Server has a fully recovered engine) and
+	// starts true (a constructed front has fully recovered engines) and
 	// flips false on BeginDrain; draining additionally turns the serving
 	// endpoints into 503 + Retry-After so a rolling restart sheds clients
 	// to peers instead of resetting their connections.
 	ready    atomic.Bool
 	draining atomic.Bool
-
-	// snapshotMu serialises snapshot writes: concurrent triggers would
-	// race on the same target file for no benefit (each write captures
-	// the newest published epoch anyway).
-	snapshotMu       sync.Mutex
-	snapshotEpoch    atomic.Uint64
-	snapshotBytes    atomic.Int64
-	lastSnapshotUnix atomic.Int64
-
-	// counters are the robustness counters exported on /statsz.
-	counters metrics.ServerCounters
-
-	// degraded latches the fail-stop read-only mode (DESIGN.md §12): once
-	// the WAL reports a write/sync failure, the mutating endpoints shed
-	// with 503 while reads keep serving the (healthy, in-memory) index.
-	// The latch never clears in-process — the disk is suspect, and the
-	// only trustworthy reset is a restart, whose recovery re-reads the log
-	// from the bytes that actually made it down.
-	degraded      atomic.Bool
-	degradedCause atomic.Pointer[string]
 }
 
-// enterDegraded latches degraded read-only mode, recording the first cause.
-func (s *Server) enterDegraded(cause error) {
-	if s.degraded.CompareAndSwap(false, true) {
-		msg := cause.Error()
-		s.degradedCause.Store(&msg)
-		s.counters.DegradedMode.Store(1)
-		s.counters.WALFailed.Store(1)
-	}
-}
-
-// Degraded reports whether the server latched read-only mode.
-func (s *Server) Degraded() bool { return s.degraded.Load() }
-
-// Counters exposes the robustness counters (shared, live — callers must
-// only read).
-func (s *Server) Counters() *metrics.ServerCounters { return &s.counters }
-
-// checkWAL inspects the log's health after a failed WAL operation and
-// latches degraded mode when the failure was the log's sticky fail-stop
-// (as opposed to a transient admission error that left the log healthy).
-func (s *Server) checkWAL(err error) {
-	if log := s.cfg.WAL; log != nil && log.Failed() {
-		s.enterDegraded(err)
-	}
-}
-
-// NewHandler returns the service handler for an engine with the default
-// configuration (ingestion disabled).
-func NewHandler(eng *pathhist.Engine) http.Handler {
-	return NewHandlerWith(eng, Config{})
-}
-
-// NewHandlerWith returns the service handler for an engine.
-func NewHandlerWith(eng *pathhist.Engine, cfg Config) http.Handler {
-	return NewServer(eng, cfg)
-}
-
-// NewServer returns the service for an engine.
-func NewServer(eng *pathhist.Engine, cfg Config) *Server {
+// init wires the routes. The mutating endpoints exist only behind
+// EnableExtend, and /snapshot only when the shards have somewhere to write.
+func (c *core) init(f front, cfg Config, counters *metrics.ServerCounters, shards []*Shard) {
 	if cfg.MaxExtendBytes <= 0 {
 		cfg.MaxExtendBytes = DefaultMaxExtendBytes
 	}
-	if cfg.SnapshotKeep <= 0 {
-		cfg.SnapshotKeep = DefaultSnapshotKeep
-	}
-	s := &Server{eng: eng, cfg: cfg, mux: http.NewServeMux()}
-	s.ready.Store(true)
+	c.f, c.cfg, c.counters, c.shards, c.mux = f, cfg, counters, shards, http.NewServeMux()
+	c.ready.Store(true)
 	// Liveness vs readiness: /healthz answers 200 as long as the process
 	// serves HTTP at all (even draining — the process is alive), while
 	// /readyz tells the load balancer whether to route here.
-	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+	c.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
 	})
-	s.mux.HandleFunc("/readyz", s.readyz)
-	s.mux.HandleFunc("/statsz", s.statsz)
-	s.mux.HandleFunc("/query", s.query)
+	c.mux.HandleFunc("/readyz", c.readyz)
+	c.mux.HandleFunc("/statsz", f.statsz)
+	c.mux.HandleFunc("/query", c.query)
 	if cfg.EnableExtend {
-		s.mux.HandleFunc("/extend", s.extend)
-		s.mux.HandleFunc("/compact", s.compact)
-		if cfg.SnapshotDir != "" {
-			s.mux.HandleFunc("/snapshot", s.snapshot)
+		c.mux.HandleFunc("/extend", c.mutating("POST a traj-format batch to /extend", &c.extendOverloads, f.extend))
+		c.mux.HandleFunc("/compact", c.mutating("POST to /compact to merge ingested partitions", nil, f.compact))
+		if shards[0].cfg.SnapshotDir != "" {
+			c.mux.HandleFunc("/snapshot", c.mutating("POST to /snapshot to persist the served index", nil, f.snapshot))
 		}
 	}
-	return s
 }
+
+// Counters exposes the robustness counters (shared, live — callers must
+// only read).
+func (c *core) Counters() *metrics.ServerCounters { return c.counters }
 
 // headerTracker remembers whether a handler already committed a response,
 // so the panic-recovery path knows whether a 500 can still be written.
@@ -420,7 +373,7 @@ func (h *headerTracker) Write(b []byte) (int, error) {
 // process's fate depending on what the panic corrupted. http.ErrAbortHandler
 // is re-panicked: it is net/http's own sanctioned way to abort a response,
 // not a bug.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (c *core) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	tw := &headerTracker{ResponseWriter: w}
 	defer func() {
 		rec := recover()
@@ -430,164 +383,341 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if rec == http.ErrAbortHandler {
 			panic(rec)
 		}
-		s.counters.PanicsRecovered.Add(1)
+		c.counters.PanicsRecovered.Add(1)
 		if !tw.wrote {
 			rejectJSON(tw.ResponseWriter, http.StatusInternalServerError,
 				fmt.Sprintf("internal error: %v", rec))
 		}
 	}()
-	s.mux.ServeHTTP(tw, r)
+	c.mux.ServeHTTP(tw, r)
 }
 
-// BeginDrain moves the server into its terminal draining state: /readyz
+// BeginDrain moves the front into its terminal draining state: /readyz
 // flips to 503 and the serving endpoints (/query, /extend, /compact,
 // /snapshot) answer 503 + Retry-After with a JSON error body instead of
 // having their connections reset by the closing listener. Call it before
 // http.Server.Shutdown so the load balancer stops routing here while
 // in-flight requests finish.
-func (s *Server) BeginDrain() {
-	s.draining.Store(true)
-	s.ready.Store(false)
+func (c *core) BeginDrain() {
+	c.draining.Store(true)
+	c.ready.Store(false)
 }
 
 // SetReady overrides the readiness bit (it starts true — a constructed
-// Server wraps a fully recovered engine). BeginDrain clears it permanently.
-func (s *Server) SetReady(v bool) { s.ready.Store(v && !s.draining.Load()) }
+// front wraps fully recovered engines). BeginDrain clears it permanently.
+func (c *core) SetReady(v bool) { c.ready.Store(v && !c.draining.Load()) }
 
 // readyz reports routability: 200 once recovery (snapshot load + WAL
 // replay) is complete and the server is not draining, 503 otherwise.
-func (s *Server) readyz(w http.ResponseWriter, r *http.Request) {
-	if s.ready.Load() && !s.draining.Load() {
-		w.WriteHeader(http.StatusOK)
-		if s.degraded.Load() {
-			// Still routable — reads serve fine — but operators watching
-			// readiness probes should see the write path is gone.
-			fmt.Fprintln(w, "ready (degraded: read-only after a write-ahead log failure)")
-			return
-		}
-		fmt.Fprintln(w, "ready")
+func (c *core) readyz(w http.ResponseWriter, r *http.Request) {
+	if !c.ready.Load() || c.draining.Load() {
+		w.Header().Set("Retry-After", RetryAfter())
+		w.WriteHeader(http.StatusServiceUnavailable)
+		fmt.Fprintln(w, "not ready")
 		return
 	}
-	w.Header().Set("Retry-After", RetryAfter())
-	w.WriteHeader(http.StatusServiceUnavailable)
-	fmt.Fprintln(w, "not ready")
+	w.WriteHeader(http.StatusOK)
+	fmt.Fprintln(w, c.f.readyLine())
 }
 
-// unavailable writes a 503 with a jittered Retry-After hint and a JSON
+// unavailableJSON is the 503 shape: jittered Retry-After hint plus a JSON
 // error body.
-func (s *Server) unavailable(w http.ResponseWriter, msg string) {
-	unavailableJSON(w, msg)
-}
-
-// unavailableJSON is the shared 503 shape: jittered Retry-After hint plus a
-// JSON error body (the single-engine Server and the sharded front emit the
-// same wire format).
 func unavailableJSON(w http.ResponseWriter, msg string) {
 	w.Header().Set("Retry-After", RetryAfter())
 	rejectJSON(w, http.StatusServiceUnavailable, msg)
 }
 
-// ingestOverload reports whether the server sheds ingest load right now:
-// the write-ahead log outgrew its bound (a snapshot repays that debt) or
-// the merge backlog did (compaction repays it). Checked before any work is
-// done on an /extend, and by the sharded front before handing a routed
-// batch to a shard.
-func (s *Server) ingestOverload() (string, bool) {
-	if max := s.cfg.MaxWALBytes; max > 0 && s.cfg.WAL != nil && s.cfg.WAL.Size() > max {
-		return fmt.Sprintf(
-			"write-ahead log holds %d bytes (bound %d); waiting for a snapshot to rotate it",
-			s.cfg.WAL.Size(), max), true
+// mutating gates a state-changing endpoint: POST only, and 503 +
+// Retry-After once draining — a draining listener used to just close on
+// clients mid-restart; the 503 lets them fail over cleanly instead. shed,
+// when non-nil, counts the drained requests.
+func (c *core) mutating(hint string, shed *atomic.Int64, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			w.Header().Set("Allow", http.MethodPost)
+			rejectJSON(w, http.StatusMethodNotAllowed, hint)
+			return
+		}
+		if c.draining.Load() {
+			if shed != nil {
+				shed.Add(1)
+			}
+			unavailableJSON(w, "server is draining")
+			return
+		}
+		h(w, r)
 	}
-	if max := s.cfg.MaxPartitionBacklog; max > 0 && s.eng.Partitions() > max {
-		return fmt.Sprintf(
-			"index holds %d partitions (bound %d); waiting for compaction to catch up",
-			s.eng.Partitions(), max), true
-	}
-	return "", false
 }
 
-// WriteSnapshot persists the currently published index snapshot as an
-// epoch-named file in Config.SnapshotDir (atomic temp-file + rename),
-// rotates the write-ahead log — the snapshot durably covers every batch up
-// to its trajectory count, so those records are dead weight a crash victim
-// would only re-skip — prunes old snapshot generations down to
-// Config.SnapshotKeep (never the file the engine was loaded from), and
-// records the outcome in the /statsz counters. It is the engine behind
-// POST /snapshot, the periodic snapshot loop, and the final snapshot of a
-// graceful shutdown.
-//
-// The order matters for crash safety: snapshot first (fsync + rename +
-// directory fsync), then log rotation, then pruning. A crash between any
-// two steps leaves extra durable state (stale WAL records a replay skips,
-// an extra snapshot file), never missing state.
-func (s *Server) WriteSnapshot() (SnapshotResponse, error) {
-	if s.cfg.SnapshotDir == "" {
-		return SnapshotResponse{}, fmt.Errorf("ttserve: no snapshot directory configured")
+// rejectCtxErr maps a request-context error to its status and counter:
+// 504 when the deadline (timeoutMsg says whose) fired, 499 when the client
+// hung up — that status is for logs and counters only. It reports whether
+// err was one of the two.
+func (c *core) rejectCtxErr(w http.ResponseWriter, err error, timeoutMsg string) bool {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		c.counters.QueryTimeouts.Add(1)
+		rejectJSON(w, http.StatusGatewayTimeout, timeoutMsg)
+	case errors.Is(err, context.Canceled):
+		c.counters.CanceledRequests.Add(1)
+		rejectJSON(w, StatusClientClosedRequest, "client closed the request")
+	default:
+		return false
 	}
-	if s.degraded.Load() {
-		// The disk already ate one write; a snapshot would trust it with
-		// the whole index and then rotate away the log records that are
-		// the only durable account of what was acknowledged.
-		return SnapshotResponse{}, fmt.Errorf("ttserve: refusing snapshot in degraded mode (write-ahead log failed)")
-	}
-	s.snapshotMu.Lock()
-	defer s.snapshotMu.Unlock()
-	started := time.Now()
-	st, err := s.eng.SnapshotFileIn(s.cfg.SnapshotDir)
+	return true
+}
+
+// admitted is one /extend batch past the admission preamble.
+type admitted struct {
+	// ctx carries the extend timeout; cancel must be called when done.
+	ctx     context.Context
+	cancel  context.CancelFunc
+	raw     []byte
+	batch   *pathhist.Store
+	started time.Time
+}
+
+// admitBatch is /extend's admission preamble: byte budget, decode,
+// trajectory budget, extend timeout. The request body is the traj binary
+// format (pathhist.Store.WriteTo / ReadStore — the same bytes ttgen writes
+// to trajectories.bin). On a refusal the response is already written and ok
+// is false.
+func (c *core) admitBatch(w http.ResponseWriter, r *http.Request) (b admitted, ok bool) {
+	b.started = time.Now()
+	// The raw bytes are read once and decoded from memory: the WAL logs
+	// exactly the bytes the client sent (replay re-decodes them), so the
+	// decode and the log entry can never disagree.
+	var err error
+	b.raw, err = io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxExtendBytes))
 	if err != nil {
-		return SnapshotResponse{}, err
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			// Byte budget: a client-side sizing problem, reported as 413
+			// with a machine-readable body so batch producers can split
+			// and retry.
+			c.extendOverloads.Add(1)
+			rejectJSON(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("batch exceeds the %d-byte limit; split it into smaller batches", tooBig.Limit))
+			return b, false
+		}
+		c.extendRejects.Add(1)
+		rejectJSON(w, http.StatusBadRequest, fmt.Sprintf("reading batch: %v", err))
+		return b, false
 	}
-	// The counters report what the file actually holds (the epoch pinned
-	// inside SnapshotFileIn), not a re-read of engine state that a racing
-	// extend may already have advanced.
-	s.snapshotEpoch.Store(st.Epoch)
-	s.snapshotBytes.Store(st.Bytes)
-	s.lastSnapshotUnix.Store(time.Now().Unix())
-	resp := SnapshotResponse{
-		Path:  st.Path,
-		Bytes: st.Bytes,
-		Epoch: st.Epoch,
+	b.batch, err = pathhist.ReadStore(bytes.NewReader(b.raw))
+	if err != nil {
+		c.extendRejects.Add(1)
+		rejectJSON(w, http.StatusBadRequest, fmt.Sprintf("decoding batch: %v", err))
+		return b, false
 	}
-	if log := s.cfg.WAL; log != nil {
-		if err := log.TruncateCovered(uint64(st.Trajectories)); err != nil {
-			// The snapshot itself is durable; a rotation failure only means
-			// the log keeps covered records (replay skips them). But if the
-			// failure latched the log's fail-stop state, the write path
-			// must close with it.
-			s.checkWAL(err)
-			resp.ElapsedMs = float64(time.Since(started).Microseconds()) / 1000
-			return resp, fmt.Errorf("ttserve: rotating WAL after snapshot: %w", err)
+	if max := c.cfg.MaxExtendTrajectories; max > 0 && b.batch.Len() > max {
+		// Trajectory budget: indexing runs in the request goroutine under
+		// the serialised extend lock, so one huge batch would stall every
+		// later ingest for its whole build time.
+		c.extendOverloads.Add(1)
+		rejectJSON(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("batch holds %d trajectories, limit is %d; split it into smaller batches", b.batch.Len(), max))
+		return b, false
+	}
+	b.ctx, b.cancel = r.Context(), func() {}
+	if c.cfg.ExtendTimeout > 0 {
+		b.ctx, b.cancel = context.WithTimeout(b.ctx, c.cfg.ExtendTimeout)
+	}
+	return b, true
+}
+
+// rejectIngest answers a failed ingest: a context error by rejectCtxErr,
+// anything else with the status the shard (or the router) chose.
+func (c *core) rejectIngest(w http.ResponseWriter, status int, err error) {
+	c.extendRejects.Add(1)
+	if !c.rejectCtxErr(w, err, fmt.Sprintf(
+		"extend timed out after %v waiting for the writer lock; no batch was acknowledged", c.cfg.ExtendTimeout)) {
+		rejectJSON(w, status, err.Error())
+	}
+}
+
+// acknowledged is the single-engine part of a successful /extend answer. It
+// reports the publication this batch produced (from IngestStats), not a
+// re-read of engine state a concurrent extend may already have advanced.
+func (b *admitted) acknowledged(st pathhist.IngestStats) ExtendResponse {
+	return ExtendResponse{
+		Trajectories: b.batch.Len(),
+		Epoch:        st.Epoch,
+		Total:        st.TotalTrajectories,
+		ElapsedMs:    msSince(b.started),
+	}
+}
+
+// shardStats is shard i's /statsz entry stamped with the front's lifecycle
+// bits.
+func (c *core) shardStats(i int) Stats {
+	st := c.shards[i].statsSnapshot()
+	st.Ready, st.Draining = c.ready.Load(), c.draining.Load()
+	return st
+}
+
+// ShardSnapshotResult is one shard's entry in a WriteSnapshots answer.
+type ShardSnapshotResult struct {
+	Shard int `json:"shard"`
+	SnapshotResponse
+	Error string `json:"error,omitempty"`
+}
+
+// WriteSnapshots persists every shard's index to its own snapshot
+// directory (rotating its WAL). Shards fail independently: a full disk
+// under one shard must not stop the others from bounding their replay
+// debt. The first error is returned after every shard was attempted.
+func (c *core) WriteSnapshots() ([]ShardSnapshotResult, error) {
+	out := make([]ShardSnapshotResult, len(c.shards))
+	var firstErr error
+	for i, sh := range c.shards {
+		resp, err := sh.WriteSnapshot()
+		out[i] = ShardSnapshotResult{Shard: i, SnapshotResponse: resp}
+		if err != nil {
+			out[i].Error = err.Error()
+			if firstErr == nil {
+				firstErr = fmt.Errorf("shard %d: %w", i, err)
+			}
 		}
 	}
-	// Pin both the configured restore file and the file the engine is
-	// serving over a mapping. They usually coincide, but an engine mapped
-	// from an explicit -load-snapshot path inside the snapshot dir has no
-	// LoadedSnapshotPath pin, and deleting a mapped file silently breaks
-	// the next restart's re-open even though the running process keeps
-	// serving (the unlinked inode stays alive on unix).
-	if _, err := pathhist.PruneSnapshots(s.cfg.SnapshotDir, s.cfg.SnapshotKeep,
-		s.cfg.LoadedSnapshotPath, s.eng.MappedSnapshotPath()); err != nil {
-		resp.ElapsedMs = float64(time.Since(started).Microseconds()) / 1000
-		return resp, err
-	}
-	resp.ElapsedMs = float64(time.Since(started).Microseconds()) / 1000
-	return resp, nil
+	return out, firstErr
 }
 
-// snapshot handles POST /snapshot: persist the served index now. Gated by
-// EnableExtend + SnapshotDir (see Config).
+// query is the one /query handler body: drain shedding, parameter parsing,
+// the request deadline, the fault-injection site, the front's answer, the
+// error → status mapping, and a fail-closed encode.
+func (c *core) query(w http.ResponseWriter, r *http.Request) {
+	if c.draining.Load() {
+		unavailableJSON(w, "server is draining")
+		return
+	}
+	q, err := parseQuery(r)
+	if err != nil {
+		rejectJSON(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	ctx, cancel, limit, err := requestDeadline(r, c.cfg.QueryTimeout)
+	if err != nil {
+		rejectJSON(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if cancel != nil {
+		defer cancel()
+	}
+	if err := failpoint.Inject(FailpointQueryPanic); err != nil {
+		// The site exists for panic injection; an error injection surfaces
+		// as a plain 500 so tests can also drive that path.
+		rejectJSON(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	resp, err := c.f.answer(ctx, q)
+	if err != nil {
+		if errors.Is(err, sharded.ErrInsufficientCoverage) {
+			// Too many shards out to answer honestly: shed, like any other
+			// overload, and let the client retry once shards recover.
+			unavailableJSON(w, err.Error())
+		} else if !c.rejectCtxErr(w, err, fmt.Sprintf("query exceeded its %v deadline", limit)) {
+			// (On a deadline the engine abandoned its scans and freed its
+			// scratch state; nothing partial was computed or cached.)
+			rejectJSON(w, http.StatusUnprocessableEntity, err.Error())
+		}
+		return
+	}
+	// Encode before any header goes out: a result json cannot represent
+	// (non-finite histogram mass on a very long path) must be a 500 with a
+	// reason, never a 200 whose body stops at zero bytes.
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(resp); err != nil {
+		c.counters.EncodeFailures.Add(1)
+		rejectJSON(w, http.StatusInternalServerError, fmt.Sprintf("encoding the answer: %v", err))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(body.Bytes()) // a failed write means the client is gone
+}
+
+// Server is the single-engine front: the core over one Shard, answering
+// /query from that shard's engine with its estimator and both result caches
+// (which a scatter-gather merge cannot use — DESIGN.md §14).
+type Server struct {
+	core
+	*Shard
+}
+
+// NewServer returns the single-engine service for an engine.
+func NewServer(eng *pathhist.Engine, cfg Config) *Server {
+	s := &Server{Shard: NewShard(eng, cfg)}
+	s.init(s, cfg, &metrics.ServerCounters{}, []*Shard{s.Shard})
+	s.onDegraded = func() {
+		s.counters.DegradedMode.Store(1)
+		s.counters.WALFailed.Store(1)
+	}
+	return s
+}
+
+func (s *Server) readyLine() string {
+	if s.Degraded() {
+		// Still routable — reads serve fine — but operators watching
+		// readiness probes should see the write path is gone.
+		return "ready (degraded: read-only after a write-ahead log failure)"
+	}
+	return "ready"
+}
+
+func (s *Server) answer(ctx context.Context, q pathhist.Query) (any, error) {
+	res, err := s.eng.QueryCtx(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	return toResponse(res), nil
+}
+
+func (s *Server) statsz(w http.ResponseWriter, r *http.Request) {
+	st := s.shardStats(0)
+	st.ExtendRejects = s.extendRejects.Load()
+	st.ExtendOverloadRejects = s.extendOverloads.Load()
+	st.QueryTimeouts = s.counters.QueryTimeouts.Load()
+	st.CanceledRequests = s.counters.CanceledRequests.Load()
+	st.PanicsRecovered = s.counters.PanicsRecovered.Load()
+	st.EncodeFailures = s.counters.EncodeFailures.Load()
+	writeJSON(w, http.StatusOK, st)
+}
+
+// extend ingests a trajectory batch. Malformed bodies are 400s; well-formed
+// batches the engine rejects (e.g. overlapping the indexed time range) are
+// 422s; an overloaded server sheds with 503 + Retry-After before the body
+// is even read. With a WAL configured, the 200 is only written after the
+// batch is fsynced to the log and indexed (see Shard.ingest).
+func (s *Server) extend(w http.ResponseWriter, r *http.Request) {
+	if s.Degraded() {
+		// Fail-stop: the WAL can no longer make batches durable, so no
+		// batch is acknowledged. Reads keep serving; the write path stays
+		// closed until a restart re-establishes a trustworthy log.
+		s.extendRejects.Add(1)
+		unavailableJSON(w, degradedMsg)
+		return
+	}
+	if msg, shed := s.ingestOverload(); shed {
+		s.extendOverloads.Add(1)
+		unavailableJSON(w, msg)
+		return
+	}
+	b, ok := s.admitBatch(w, r)
+	if !ok {
+		return
+	}
+	defer b.cancel()
+	st, status, err := s.ingest(b.ctx, b.raw, b.batch)
+	if err != nil {
+		s.rejectIngest(w, status, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, b.acknowledged(st))
+}
+
 func (s *Server) snapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		rejectJSON(w, http.StatusMethodNotAllowed, "POST to /snapshot to persist the served index")
-		return
-	}
-	if s.draining.Load() {
-		s.unavailable(w, "server is draining")
-		return
-	}
-	if s.degraded.Load() {
-		s.unavailable(w, "server is degraded (read-only) after a write-ahead log failure; restart to recover")
+	if s.Degraded() {
+		unavailableJSON(w, degradedMsg)
 		return
 	}
 	resp, err := s.WriteSnapshot()
@@ -595,87 +725,23 @@ func (s *Server) snapshot(w http.ResponseWriter, r *http.Request) {
 		rejectJSON(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) statsz(w http.ResponseWriter, r *http.Request) {
-	st := s.statsSnapshot()
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(st)
-}
-
-// statsSnapshot assembles the /statsz payload. The sharded front calls it
-// once per shard to build its aggregated view.
-func (s *Server) statsSnapshot() Stats {
-	cs := s.eng.CacheStats()
-	fs := s.eng.FullCacheStats()
-	c, wt, user, forest := s.eng.IndexMemory()
-	compactions, lastCompaction := s.eng.CompactionInfo()
-	st := Stats{
-		Partitions:             s.eng.Partitions(),
-		Epoch:                  s.eng.Epoch(),
-		Trajectories:           s.eng.Trajectories(),
-		CacheHits:              cs.Hits,
-		CacheMisses:            cs.Misses,
-		CacheInvalidations:     cs.Invalidations,
-		CacheEntries:           cs.Entries,
-		FullCacheHits:          fs.Hits,
-		FullCacheMisses:        fs.Misses,
-		FullCacheInvalidations: fs.Invalidations,
-		FullCacheEntries:       fs.Entries,
-		CachePurges:            cs.Purges,
-		FullCachePurges:        fs.Purges,
-		IndexBytes:             c + wt + user + forest,
-		ExtendEnabled:          s.cfg.EnableExtend,
-		Extends:                s.extends.Load(),
-		ExtendTrajectories:     s.extendTrajs.Load(),
-		ExtendRejects:          s.extendRejects.Load(),
-		ExtendOverloadRejects:  s.extendOverloads.Load(),
-		LastExtendUnix:         s.lastExtendUnix.Load(),
-		Compactions:            compactions,
-		CompactionFailures:     s.eng.CompactionFailures(),
-		LastCompactionMerged:   int64(lastCompaction.PartitionsBefore - lastCompaction.PartitionsAfter),
-		LastCompactUnix:        lastCompaction.CompletedUnix,
-		SnapshotEpoch:          s.snapshotEpoch.Load(),
-		LastSnapshotUnix:       s.lastSnapshotUnix.Load(),
-		SnapshotBytes:          s.snapshotBytes.Load(),
-		Ready:                  s.ready.Load(),
-		Draining:               s.draining.Load(),
-		WALEnabled:             s.cfg.WAL != nil,
-		Index:                  s.eng.IndexInfo(),
+func (s *Server) compact(w http.ResponseWriter, r *http.Request) {
+	if s.Degraded() {
+		// Compaction is safe for the in-memory index, but it advances the
+		// epoch and invites a snapshot of state the broken log no longer
+		// anchors; in fail-stop mode, do nothing but serve reads.
+		unavailableJSON(w, degradedMsg)
+		return
 	}
-	cv := s.counters.Snapshot()
-	st.QueryTimeouts = cv.QueryTimeouts
-	st.CanceledRequests = cv.CanceledRequests
-	st.PanicsRecovered = cv.PanicsRecovered
-	st.EncodeFailures = cv.EncodeFailures
-	st.WALFailed = cv.WALFailed
-	st.DegradedMode = cv.DegradedMode
-	if cause := s.degradedCause.Load(); cause != nil {
-		st.DegradedCause = *cause
+	resp, err := s.Shard.compact()
+	if err != nil {
+		rejectJSON(w, http.StatusUnprocessableEntity, err.Error())
+		return
 	}
-	if log := s.cfg.WAL; log != nil {
-		ws := log.Stats()
-		st.WALRecords = ws.Records
-		st.WALBytes = ws.Bytes
-		st.WALAppends = ws.Appends
-		st.WALFsyncMsTotal = float64(ws.FsyncNanos) / 1e6
-		st.WALRotations = ws.Rotations
-		st.WALRollbacks = ws.Rollbacks
-		if ws.Failed && st.WALFailed == 0 {
-			// The log failed outside a request path this server drove
-			// (defence in depth): surface it even before a handler trips.
-			st.WALFailed = 1
-		}
-	}
-	if total := cs.Hits + cs.Misses; total > 0 {
-		st.CacheHitRatio = float64(cs.Hits) / float64(total)
-	}
-	if total := fs.Hits + fs.Misses; total > 0 {
-		st.FullCacheHitRatio = float64(fs.Hits) / float64(total)
-	}
-	return st
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // parseTimeout reads a ?timeout= value: a Go duration string ("50ms",
@@ -714,333 +780,6 @@ func requestDeadline(r *http.Request, limit time.Duration) (context.Context, con
 	}
 	ctx, cancel := context.WithTimeout(ctx, limit)
 	return ctx, cancel, limit, nil
-}
-
-// serveQuery is the one /query handler body, shared by Server and
-// ShardedServer: drain shedding, parameter parsing, the request deadline,
-// the fault-injection site, the front's answer, the error → status mapping,
-// and a fail-closed encode. answer returns the value to marshal.
-func serveQuery(w http.ResponseWriter, r *http.Request, draining bool, timeout time.Duration,
-	ctr *metrics.ServerCounters, answer func(context.Context, pathhist.Query) (any, error)) {
-	if draining {
-		// A draining listener used to just close on clients mid-restart;
-		// a 503 with Retry-After lets them fail over cleanly instead.
-		unavailableJSON(w, "server is draining")
-		return
-	}
-	q, err := parseQuery(r)
-	if err != nil {
-		rejectJSON(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	ctx, cancel, limit, err := requestDeadline(r, timeout)
-	if err != nil {
-		rejectJSON(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if cancel != nil {
-		defer cancel()
-	}
-	if err := failpoint.Inject(FailpointQueryPanic); err != nil {
-		// The site exists for panic injection; an error injection surfaces
-		// as a plain 500 so tests can also drive that path.
-		rejectJSON(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	resp, err := answer(ctx, q)
-	if err != nil {
-		switch {
-		case errors.Is(err, sharded.ErrInsufficientCoverage):
-			// Too many shards out to answer honestly: shed, like any other
-			// overload, and let the client retry once shards recover.
-			unavailableJSON(w, err.Error())
-		case errors.Is(err, context.DeadlineExceeded):
-			// The query, not the client, ran out of time: the engine
-			// abandoned its scans at the deadline and freed its scratch
-			// state; nothing partial was computed or cached.
-			ctr.QueryTimeouts.Add(1)
-			rejectJSON(w, http.StatusGatewayTimeout,
-				fmt.Sprintf("query exceeded its %v deadline", limit))
-		case errors.Is(err, context.Canceled):
-			// The client hung up; the status is for logs and counters only.
-			ctr.CanceledRequests.Add(1)
-			rejectJSON(w, StatusClientClosedRequest, "client closed the request")
-		default:
-			rejectJSON(w, http.StatusUnprocessableEntity, err.Error())
-		}
-		return
-	}
-	// Encode before any header goes out: a result json cannot represent
-	// (non-finite histogram mass on a very long path) must be a 500 with a
-	// reason, never a 200 whose body stops at zero bytes.
-	var body bytes.Buffer
-	if err := json.NewEncoder(&body).Encode(resp); err != nil {
-		ctr.EncodeFailures.Add(1)
-		rejectJSON(w, http.StatusInternalServerError, fmt.Sprintf("encoding the answer: %v", err))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(body.Bytes()) // a failed write means the client is gone
-}
-
-func (s *Server) query(w http.ResponseWriter, r *http.Request) {
-	serveQuery(w, r, s.draining.Load(), s.cfg.QueryTimeout, &s.counters,
-		func(ctx context.Context, q pathhist.Query) (any, error) {
-			res, err := s.eng.QueryCtx(ctx, q)
-			if err != nil {
-				return nil, err
-			}
-			return toResponse(res), nil
-		})
-}
-
-// extend ingests a trajectory batch: the request body is the traj binary
-// format (pathhist.Store.WriteTo / ReadStore — the same bytes ttgen writes
-// to trajectories.bin). Malformed bodies are 400s; well-formed batches the
-// engine rejects (e.g. overlapping the indexed time range) are 422s; an
-// overloaded or draining server sheds with 503 + Retry-After before doing
-// any work. With a WAL configured, the 200 is only written after the batch
-// is fsynced to the log and indexed (see ingest).
-func (s *Server) extend(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		rejectJSON(w, http.StatusMethodNotAllowed, "POST a traj-format batch to /extend")
-		return
-	}
-	if s.draining.Load() {
-		s.extendOverloads.Add(1)
-		s.unavailable(w, "server is draining")
-		return
-	}
-	if s.degraded.Load() {
-		// Fail-stop: the WAL can no longer make batches durable, so no
-		// batch is acknowledged. Reads keep serving; the write path stays
-		// closed until a restart re-establishes a trustworthy log.
-		s.extendRejects.Add(1)
-		s.unavailable(w, "server is degraded (read-only) after a write-ahead log failure; restart to recover")
-		return
-	}
-	// Overload shedding, checked before the body is even read: both
-	// conditions are repay-the-debt signals (a snapshot rotates the log, a
-	// compaction cycle shrinks the backlog), so the honest answer is
-	// "retry shortly", not a slow accept that deepens the hole.
-	if msg, shed := s.ingestOverload(); shed {
-		s.extendOverloads.Add(1)
-		s.unavailable(w, msg)
-		return
-	}
-	started := time.Now()
-	// The raw bytes are read once and decoded from memory: the WAL logs
-	// exactly the bytes the client sent (replay re-decodes them), so the
-	// decode and the log entry can never disagree.
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxExtendBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			// Admission control, byte budget: the request exceeded the
-			// configured body cap — a client-side sizing problem, reported
-			// as 413 with a machine-readable body so batch producers can
-			// split and retry.
-			s.extendOverloads.Add(1)
-			rejectJSON(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("batch exceeds the %d-byte limit; split it into smaller batches", tooBig.Limit))
-			return
-		}
-		s.extendRejects.Add(1)
-		rejectJSON(w, http.StatusBadRequest, fmt.Sprintf("reading batch: %v", err))
-		return
-	}
-	batch, err := pathhist.ReadStore(bytes.NewReader(raw))
-	if err != nil {
-		s.extendRejects.Add(1)
-		rejectJSON(w, http.StatusBadRequest, fmt.Sprintf("decoding batch: %v", err))
-		return
-	}
-	if max := s.cfg.MaxExtendTrajectories; max > 0 && batch.Len() > max {
-		// Admission control, trajectory budget: indexing runs in the
-		// request goroutine under the serialised extend lock, so one huge
-		// batch would stall every later ingest for its whole build time.
-		s.extendOverloads.Add(1)
-		rejectJSON(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch holds %d trajectories, limit is %d; split it into smaller batches", batch.Len(), max))
-		return
-	}
-	ctx := r.Context()
-	if s.cfg.ExtendTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.ExtendTimeout)
-		defer cancel()
-	}
-	st, status, err := s.ingest(ctx, raw, batch)
-	if err != nil {
-		s.extendRejects.Add(1)
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.counters.QueryTimeouts.Add(1)
-			status = http.StatusGatewayTimeout
-			err = fmt.Errorf("extend timed out after %v waiting for the writer lock; no batch was acknowledged", s.cfg.ExtendTimeout)
-		} else if errors.Is(err, context.Canceled) {
-			s.counters.CanceledRequests.Add(1)
-			status = StatusClientClosedRequest
-		}
-		rejectJSON(w, status, err.Error())
-		return
-	}
-	s.extends.Add(1)
-	s.extendTrajs.Add(int64(batch.Len()))
-	s.lastExtendUnix.Store(time.Now().Unix())
-	w.Header().Set("Content-Type", "application/json")
-	// The response reports the publication this batch produced (from
-	// IngestStats), not a re-read of engine state a concurrent extend may
-	// already have advanced.
-	_ = json.NewEncoder(w).Encode(ExtendResponse{
-		Trajectories: batch.Len(),
-		Epoch:        st.Epoch,
-		Total:        st.TotalTrajectories,
-		ElapsedMs:    float64(time.Since(started).Microseconds()) / 1000,
-	})
-}
-
-// ingest runs the durable admission sequence for one batch under the
-// ingest lock: validate, append to the WAL (fsynced), then index. The
-// returned status is the HTTP code to report alongside a non-nil error.
-//
-// The ordering is the durability contract. Validation runs first so the
-// log never records a batch replay would refuse; the fsynced append runs
-// before Extend so an acknowledged batch is on disk before any client can
-// observe it (acknowledged ⇒ fsynced ⇒ recovered); and if Extend still
-// fails after validation passed, the fresh record is rolled back so the
-// log stays exactly the applied history.
-// The context only guards the entry points — the wait for the ingest lock
-// and the moment before the WAL append. Once a batch's record is fsynced,
-// the sequence always runs to the publication: aborting between append and
-// Extend would leave a logged-but-unapplied record, breaking the invariant
-// that the log is exactly the applied history.
-func (s *Server) ingest(ctx context.Context, raw []byte, batch *pathhist.Store) (pathhist.IngestStats, int, error) {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	log := s.cfg.WAL
-	if log == nil {
-		st, err := s.eng.ExtendCtx(ctx, batch)
-		if err != nil {
-			return st, http.StatusUnprocessableEntity, err
-		}
-		return st, http.StatusOK, nil
-	}
-	if err := ctx.Err(); err != nil {
-		// The wait for a slow predecessor consumed the deadline; nothing
-		// was logged or applied, so shedding here is clean.
-		return pathhist.IngestStats{}, http.StatusGatewayTimeout, err
-	}
-	if err := s.eng.ValidateExtend(batch); err != nil {
-		return pathhist.IngestStats{}, http.StatusUnprocessableEntity, err
-	}
-	if err := log.Append(uint64(s.eng.Trajectories()), batch.Len(), raw); err != nil {
-		// A batch that cannot be made durable is not acknowledged — the
-		// failure is the server's (disk trouble), not the client's. A
-		// write/sync failure latches the log's fail-stop state; mirror it
-		// into degraded read-only serving.
-		s.checkWAL(err)
-		return pathhist.IngestStats{}, http.StatusInternalServerError,
-			fmt.Errorf("write-ahead log: %v", err)
-	}
-	st, err := s.eng.Extend(batch)
-	if err != nil {
-		// Validation mirrors Extend's admission checks, so this is a
-		// should-not-happen path — but the log must not keep a record the
-		// index refused.
-		if rbErr := log.RollbackLast(); rbErr != nil {
-			s.checkWAL(rbErr)
-			return st, http.StatusInternalServerError,
-				fmt.Errorf("%v (and rolling back its WAL record failed: %v)", err, rbErr)
-		}
-		return st, http.StatusUnprocessableEntity, err
-	}
-	return st, http.StatusOK, nil
-}
-
-// ReplayWAL applies every logged record the restored engine does not
-// already cover, in log order, and returns how many batches it applied.
-// Records are correlated on trajectory totals: a record whose end
-// (PrevTotal+Trajs) the engine already holds is skipped — the snapshot
-// covers it, and a crash between snapshot and log rotation leaves exactly
-// such records — and the first uncovered record must start at the engine's
-// current total. Anything else (a gap, a partial overlap) means the log
-// does not descend from the restored snapshot — a mispaired -wal-path /
-// snapshot-dir — and replay fails closed rather than serve a state no
-// client was ever acknowledged.
-func ReplayWAL(eng *pathhist.Engine, log *wal.WAL) (int, error) {
-	recs, err := log.Records()
-	if err != nil {
-		return 0, err
-	}
-	total := uint64(eng.Trajectories())
-	applied := 0
-	for i, rec := range recs {
-		end := rec.PrevTotal + uint64(rec.Trajs)
-		if end <= total {
-			continue // durably covered by the snapshot already
-		}
-		if rec.PrevTotal != total {
-			return applied, fmt.Errorf(
-				"ttserve: wal record %d spans trajectories %d..%d but the index holds %d: log does not match the restored snapshot",
-				i, rec.PrevTotal, end, total)
-		}
-		batch, err := pathhist.ReadStore(bytes.NewReader(rec.Batch))
-		if err != nil {
-			return applied, fmt.Errorf("ttserve: decoding wal record %d: %w", i, err)
-		}
-		if batch.Len() != int(rec.Trajs) {
-			return applied, fmt.Errorf("ttserve: wal record %d holds %d trajectories, header says %d",
-				i, batch.Len(), rec.Trajs)
-		}
-		if _, err := eng.Extend(batch); err != nil {
-			return applied, fmt.Errorf("ttserve: replaying wal record %d: %w", i, err)
-		}
-		total = end
-		applied++
-	}
-	return applied, nil
-}
-
-// compact triggers partition compaction: the engine merges the temporal
-// partitions accumulated by /extend batches back into few large ones and
-// publishes the result as a new epoch, off the serving path. Idempotent —
-// when nothing needs merging the response reports an unchanged layout.
-func (s *Server) compact(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		rejectJSON(w, http.StatusMethodNotAllowed, "POST to /compact to merge ingested partitions")
-		return
-	}
-	if s.draining.Load() {
-		s.unavailable(w, "server is draining")
-		return
-	}
-	if s.degraded.Load() {
-		// Compaction is safe for the in-memory index, but it advances the
-		// epoch and invites a snapshot of state the broken log no longer
-		// anchors; in fail-stop mode, do nothing but serve reads.
-		s.unavailable(w, "server is degraded (read-only) after a write-ahead log failure; restart to recover")
-		return
-	}
-	st, err := s.eng.Compact()
-	if err != nil {
-		rejectJSON(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	// The response reports the epoch of this compaction's own publication
-	// (from CompactionStats), not a re-read of engine state a concurrent
-	// extend may already have advanced.
-	_ = json.NewEncoder(w).Encode(CompactResponse{
-		PartitionsBefore: st.PartitionsBefore,
-		PartitionsAfter:  st.PartitionsAfter,
-		Runs:             st.Runs,
-		TrajsRebuilt:     st.TrajsRebuilt,
-		RecordsRebuilt:   st.RecordsRebuilt,
-		Epoch:            st.Epoch,
-		ElapsedMs:        float64(st.Elapsed.Microseconds()) / 1000,
-	})
 }
 
 // parseQuery decodes the /query parameters.

@@ -1,18 +1,25 @@
 package ttserve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"pathhist"
+	"pathhist/internal/sharded"
 )
 
-func testEngine(t *testing.T) (*pathhist.Engine, map[string]pathhist.EdgeID) {
-	t.Helper()
+// testOptions configure every engine over the testData dataset.
+var testOptions = pathhist.Options{Partition: pathhist.NoPartition, BucketSeconds: 1}
+
+// testData is the paper's example network with four trajectories on it.
+func testData() (*pathhist.Graph, map[string]pathhist.EdgeID, *pathhist.Store) {
 	g, ids := pathhist.PaperExampleNetwork()
 	s := pathhist.NewStore()
 	e := func(name string, at int64, tt int32) pathhist.Entry {
@@ -22,19 +29,130 @@ func testEngine(t *testing.T) (*pathhist.Engine, map[string]pathhist.EdgeID) {
 	s.Add(2, []pathhist.Entry{e("A", 2, 4), e("C", 6, 2), e("D", 8, 4), e("E", 12, 5)})
 	s.Add(2, []pathhist.Entry{e("A", 4, 3), e("B", 7, 3), e("F", 10, 6)})
 	s.Add(1, []pathhist.Entry{e("A", 6, 3), e("B", 9, 3), e("E", 12, 4)})
-	eng, err := pathhist.NewEngine(g, s, pathhist.Options{
-		Partition:     pathhist.NoPartition,
-		BucketSeconds: 1,
-	})
+	return g, ids, s
+}
+
+func testEngine(t *testing.T) (*pathhist.Engine, map[string]pathhist.EdgeID) {
+	t.Helper()
+	g, ids, s := testData()
+	eng, err := pathhist.NewEngine(g, s, testOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return eng, ids
 }
 
+// testFront is one of the two fronts over the testData dataset, for tables
+// that take the front as one more input.
+type testFront struct {
+	name       string
+	url        string
+	beginDrain func()
+	// epoch and trajectories are summed over the front's shards.
+	epoch        func() uint64
+	trajectories func() int
+}
+
+// bothFronts serves testData from a 1-shard Server and from a 2-shard
+// ShardedServer configured alike (each shard snapshots to its own directory
+// when cfg names one).
+func bothFronts(t *testing.T, cfg Config) []testFront {
+	t.Helper()
+	eng, _ := testEngine(t)
+	t.Cleanup(eng.Close)
+	single := NewServer(eng, cfg)
+
+	g, _, store := testData()
+	cluster, err := sharded.Build(g, store, sharded.Config{Shards: 2, Opts: testOptions})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.Close)
+	shards := make([]*Shard, cluster.NumShards())
+	for i := range shards {
+		sc := cfg
+		if cfg.SnapshotDir != "" {
+			sc.SnapshotDir = t.TempDir()
+		}
+		shards[i] = NewShard(cluster.Engine(i), sc)
+	}
+	front, err := NewShardedServer(cluster, shards, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(h http.Handler) string {
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	return []testFront{
+		{"single", serve(single), single.BeginDrain, eng.Epoch, eng.Trajectories},
+		{"sharded", serve(front), front.BeginDrain, func() (sum uint64) {
+			for _, st := range cluster.Status() {
+				sum += st.Epoch
+			}
+			return sum
+		}, cluster.Trajectories},
+	}
+}
+
+// refusals records, per front, what each refused request looked like, so a
+// table run on both fronts can require that the core they share refused
+// identically.
+type refusals map[string][]string
+
+// add notes resp — status, Allow, whether a Retry-After hint is present and
+// the JSON error body — and leaves the body readable. A 422's wording is the
+// engine's or the router's own, so only its presence is noted.
+func (r refusals) add(t *testing.T, front string, resp *http.Response) {
+	t.Helper()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(raw))
+	var e ErrorResponse
+	if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
+		t.Fatalf("%s: refusal body %q is not an {\"error\": ...} document (%v)", front, raw, err)
+	}
+	if resp.StatusCode == http.StatusUnprocessableEntity {
+		e.Error = "(front's own reason)"
+	}
+	r[front] = append(r[front], fmt.Sprintf("%d Allow=%q Retry-After=%v %s",
+		resp.StatusCode, resp.Header.Get("Allow"), resp.Header.Get("Retry-After") != "", e.Error))
+}
+
+// same requires every front to have refused the same way, request by
+// request.
+func (r refusals) same(t *testing.T) {
+	t.Helper()
+	if !reflect.DeepEqual(r["single"], r["sharded"]) {
+		t.Fatalf("the fronts refused differently:\nsingle  %q\nsharded %q", r["single"], r["sharded"])
+	}
+}
+
+// rejectsGET pins a mutating endpoint's method gate on both fronts: 405,
+// Allow: POST and the same JSON error.
+func rejectsGET(t *testing.T, path string, cfg Config) {
+	t.Helper()
+	seen := refusals{}
+	for _, f := range bothFronts(t, cfg) {
+		resp, err := http.Get(f.url + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen.add(t, f.name, resp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
+			t.Fatalf("%s: GET %s status = %d, Allow %q", f.name, path, resp.StatusCode, resp.Header.Get("Allow"))
+		}
+	}
+	seen.same(t)
+}
+
 func TestHealthz(t *testing.T) {
 	eng, _ := testEngine(t)
-	srv := httptest.NewServer(NewHandler(eng))
+	srv := httptest.NewServer(NewServer(eng, Config{}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
@@ -48,7 +166,7 @@ func TestHealthz(t *testing.T) {
 
 func TestQueryEndpoint(t *testing.T) {
 	eng, ids := testEngine(t)
-	srv := httptest.NewServer(NewHandler(eng))
+	srv := httptest.NewServer(NewServer(eng, Config{}))
 	defer srv.Close()
 	url := fmt.Sprintf("%s/query?path=%d,%d,%d&beta=2", srv.URL, ids["A"], ids["B"], ids["E"])
 	resp, err := http.Get(url)
@@ -84,7 +202,7 @@ func TestQueryEndpoint(t *testing.T) {
 
 func TestQueryEndpointUserAndTod(t *testing.T) {
 	eng, ids := testEngine(t)
-	srv := httptest.NewServer(NewHandler(eng))
+	srv := httptest.NewServer(NewServer(eng, Config{}))
 	defer srv.Close()
 	url := fmt.Sprintf("%s/query?path=%d&tod=00:00&window=900&beta=1&user=2", srv.URL, ids["A"])
 	resp, err := http.Get(url)
@@ -135,7 +253,7 @@ func TestToResponseEmptyHistogram(t *testing.T) {
 // TestQueryEndpointFromUntil: fixed intervals are expressible over HTTP.
 func TestQueryEndpointFromUntil(t *testing.T) {
 	eng, ids := testEngine(t)
-	srv := httptest.NewServer(NewHandler(eng))
+	srv := httptest.NewServer(NewServer(eng, Config{}))
 	defer srv.Close()
 	// [0, 6) covers only trajectory 0's A-B-E start (entry at t=0); the
 	// other full-path match enters A at t=6 and is excluded.
@@ -171,7 +289,7 @@ func TestQueryEndpointFromUntil(t *testing.T) {
 
 func TestQueryEndpointErrors(t *testing.T) {
 	eng, ids := testEngine(t)
-	srv := httptest.NewServer(NewHandler(eng))
+	srv := httptest.NewServer(NewServer(eng, Config{}))
 	defer srv.Close()
 	cases := []struct {
 		name string

@@ -46,9 +46,9 @@ func newShardedFixture(t *testing.T, n int, cfg Config) *shardedFixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(cluster.Close)
-	shards := make([]*Server, cluster.NumShards())
+	shards := make([]*Shard, cluster.NumShards())
 	for i := range shards {
-		shards[i] = NewServer(cluster.Engine(i), Config{EnableExtend: cfg.EnableExtend})
+		shards[i] = NewShard(cluster.Engine(i), Config{EnableExtend: cfg.EnableExtend})
 	}
 	front, err := NewShardedServer(cluster, shards, cfg)
 	if err != nil {
@@ -182,9 +182,9 @@ func TestShardedFrontExtend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	shards := make([]*Server, cluster.NumShards())
+	shards := make([]*Shard, cluster.NumShards())
 	for i := range shards {
-		shards[i] = NewServer(cluster.Engine(i), Config{EnableExtend: true})
+		shards[i] = NewShard(cluster.Engine(i), Config{EnableExtend: true})
 	}
 	front, err := NewShardedServer(cluster, shards, Config{EnableExtend: true})
 	if err != nil {
@@ -220,6 +220,26 @@ func TestShardedFrontExtend(t *testing.T) {
 	}
 	if ext.Shard < 0 || ext.Shard >= 4 || ext.ClusterTotal != ds.Store.Len() {
 		t.Fatalf("extend response: %+v (want cluster total %d)", ext, ds.Store.Len())
+	}
+
+	// The batch is booked where it was applied: the ingesting shard's
+	// counters are non-zero and the shards sum to the front's totals.
+	var st ShardedStats
+	if code := shardedGetJSON(t, fsrv.URL+"/statsz", &st); code != http.StatusOK {
+		t.Fatalf("statsz status %d", code)
+	}
+	if got := st.ShardStats[ext.Shard]; got.Extends != 1 || got.ExtendTrajectories != int64(batch.Len()) || got.LastExtendUnix == 0 {
+		t.Fatalf("shard %d ingest counters: extends %d, extend_trajectories %d, last_extend_unix %d; want 1, %d, non-zero",
+			ext.Shard, got.Extends, got.ExtendTrajectories, got.LastExtendUnix, batch.Len())
+	}
+	var extends, extendTrajs int64
+	for _, ss := range st.ShardStats {
+		extends += ss.Extends
+		extendTrajs += ss.ExtendTrajectories
+	}
+	if st.Extends != 1 || extends != st.Extends || extendTrajs != st.ExtendTrajectories || st.LastExtendUnix == 0 {
+		t.Fatalf("front totals extends %d / extend_trajectories %d, shards sum to %d / %d",
+			st.Extends, st.ExtendTrajectories, extends, extendTrajs)
 	}
 
 	// The batch's own edges now answer through the merged scan, exactly as
@@ -312,9 +332,9 @@ func TestShardedFrontDegradedIngestReroutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	shards := make([]*Server, 2)
+	shards := make([]*Shard, 2)
 	for i := range shards {
-		shards[i] = NewServer(cluster.Engine(i), Config{EnableExtend: true})
+		shards[i] = NewShard(cluster.Engine(i), Config{EnableExtend: true})
 	}
 	shards[0].enterDegraded(errors.New("simulated write-ahead log failure"))
 	front, err := NewShardedServer(cluster, shards, Config{EnableExtend: true})

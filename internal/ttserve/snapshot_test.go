@@ -22,16 +22,9 @@ func TestSnapshotEndpoint(t *testing.T) {
 	defer srv.Close()
 
 	// GET is rejected.
-	resp, err := http.Get(srv.URL + "/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /snapshot status = %d", resp.StatusCode)
-	}
+	rejectsGET(t, "/snapshot", Config{EnableExtend: true, SnapshotDir: t.TempDir()})
 
-	resp, err = http.Post(srv.URL+"/snapshot", "", nil)
+	resp, err := http.Post(srv.URL+"/snapshot", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
