@@ -23,7 +23,7 @@ import (
 	"pathhist/internal/query"
 	"pathhist/internal/snt"
 	"pathhist/internal/suffix"
-	"pathhist/internal/temporal"
+	"pathhist/internal/treeforest"
 	"pathhist/internal/wal"
 	"pathhist/internal/workload"
 )
@@ -62,7 +62,7 @@ func BenchmarkTable1EstimateTT(b *testing.B) {
 // cached serving path is measured by BenchmarkTripQueryParallel.
 func benchGridCell(b *testing.B, qt experiments.QueryType, pt query.Partitioner, sp query.Splitter, beta int) {
 	e := env(b)
-	ix := e.Index(temporal.CSS, 0, 0)
+	ix := e.Index(0, 0)
 	eng := query.NewEngine(ix, query.Config{Partitioner: pt, Splitter: sp, BucketWidth: 10,
 		DisableCache: true, DisableFullResultCache: true})
 	qs := e.Queries
@@ -122,20 +122,34 @@ func BenchmarkFig10IndexBuild(b *testing.B) {
 	e := env(b)
 	for _, cfg := range []struct {
 		name string
-		tree temporal.TreeKind
 		days int
 	}{
-		{"CSS_FULL", temporal.CSS, 0},
-		{"CSS_30d", temporal.CSS, 30},
-		{"BT_FULL", temporal.BPlus, 0},
+		{"FULL", 0},
+		{"30d", 30},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ix := snt.Build(e.DS.G, e.DS.Store, snt.Options{Tree: cfg.tree, PartitionDays: cfg.days})
+				ix := snt.Build(e.DS.G, e.DS.Store, snt.Options{PartitionDays: cfg.days})
 				if i == b.N-1 {
 					m := ix.Memory()
 					b.ReportMetric(float64(m.Total())/1024/1024, "MiB")
 					b.ReportMetric(float64(ix.NumPartitions()), "partitions")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFig10TreeForest measures rebuilding the paper's two tree layouts
+// from the served columns and reports their modelled size (Figure 10a).
+func BenchmarkFig10TreeForest(b *testing.B) {
+	ff := env(b).Index(0, 0).Frozen()
+	for _, kind := range []treeforest.Kind{treeforest.CSS, treeforest.BPlus} {
+		b.Run(kind.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f := treeforest.FromFrozen(ff, kind)
+				if i == b.N-1 {
+					b.ReportMetric(float64(f.SizeBytes(treeforest.PayloadBytesNoPartition))/1024/1024, "MiB")
 				}
 			}
 		})
@@ -160,7 +174,7 @@ func BenchmarkFig11aEstimator(b *testing.B) {
 	e := env(b)
 	for _, mode := range []card.Mode{card.ISA, card.CSSFast, card.CSSAcc} {
 		b.Run(mode.String(), func(b *testing.B) {
-			ix := e.Index(temporal.CSS, 0, 900)
+			ix := e.Index(0, 900)
 			est := card.New(ix, mode)
 			pt := query.Partitioner{Kind: query.ZoneKind}
 			var subs []query.SPQ
@@ -190,7 +204,7 @@ func BenchmarkFig11bEstimatorRuntime(b *testing.B) {
 		{"CSS_Acc", card.CSSAcc, 900},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			ix := e.Index(temporal.CSS, 0, cfg.tod)
+			ix := e.Index(0, cfg.tod)
 			var est *card.Estimator
 			if cfg.mode != card.Off {
 				est = card.New(ix, cfg.mode)
@@ -248,7 +262,7 @@ func BenchmarkAblationScanOrder(b *testing.B) {
 // measured.
 func BenchmarkThroughputParallel(b *testing.B) {
 	e := env(b)
-	ix := e.Index(temporal.CSS, 0, 0)
+	ix := e.Index(0, 0)
 	eng := query.NewEngine(ix, query.Config{
 		Partitioner: query.Partitioner{Kind: query.ZoneKind}, BucketWidth: 10,
 		DisableCache: true, DisableFullResultCache: true,
@@ -271,7 +285,7 @@ func BenchmarkThroughputParallel(b *testing.B) {
 // the seed implementation.
 func BenchmarkTripQuerySequential(b *testing.B) {
 	e := env(b)
-	ix := e.Index(temporal.CSS, 0, 0)
+	ix := e.Index(0, 0)
 	eng := query.NewEngine(ix, query.Config{
 		Partitioner: query.Partitioner{Kind: query.ZoneKind}, BucketWidth: 10,
 		Workers: 1, DisableCache: true, DisableFullResultCache: true,
@@ -293,7 +307,7 @@ func BenchmarkTripQuerySequential(b *testing.B) {
 // BenchmarkTripQuerySequential for the engine-level speedup.
 func BenchmarkTripQueryParallel(b *testing.B) {
 	e := env(b)
-	ix := e.Index(temporal.CSS, 0, 0)
+	ix := e.Index(0, 0)
 	eng := query.NewEngine(ix, query.Config{
 		Partitioner: query.Partitioner{Kind: query.ZoneKind}, BucketWidth: 10,
 	})
@@ -315,7 +329,7 @@ func BenchmarkTripQueryParallel(b *testing.B) {
 // partitioning, scans or convolution).
 func BenchmarkTripQueryFullCacheHit(b *testing.B) {
 	e := env(b)
-	ix := e.Index(temporal.CSS, 0, 0)
+	ix := e.Index(0, 0)
 	eng := query.NewEngine(ix, query.Config{
 		Partitioner: query.Partitioner{Kind: query.ZoneKind}, BucketWidth: 10,
 	})
@@ -462,7 +476,7 @@ func BenchmarkManyPartitions(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rebuilt := e.Index(temporal.CSS, 0, 0)
+	rebuilt := e.Index(0, 0)
 	for _, cfg := range []struct {
 		name string
 		ix   *snt.Index
@@ -556,7 +570,7 @@ func BenchmarkSuffixArraySAIS(b *testing.B) {
 
 func BenchmarkFMIndexBackwardSearch(b *testing.B) {
 	e := env(b)
-	ix := e.Index(temporal.CSS, 0, 0)
+	ix := e.Index(0, 0)
 	qs := e.Queries
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -566,7 +580,7 @@ func BenchmarkFMIndexBackwardSearch(b *testing.B) {
 
 func BenchmarkGetTravelTimes(b *testing.B) {
 	e := env(b)
-	ix := e.Index(temporal.CSS, 0, 0)
+	ix := e.Index(0, 0)
 	qs := e.Queries
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -584,7 +598,7 @@ func BenchmarkGetTravelTimes(b *testing.B) {
 // scans as BenchmarkGetTravelTimes over one held Scratch.
 func BenchmarkGetTravelTimesScratch(b *testing.B) {
 	e := env(b)
-	ix := e.Index(temporal.CSS, 0, 0)
+	ix := e.Index(0, 0)
 	qs := e.Queries
 	sc := snt.AcquireScratch()
 	defer snt.ReleaseScratch(sc)

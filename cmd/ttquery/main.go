@@ -27,8 +27,8 @@ import (
 	"time"
 
 	"pathhist"
-	"pathhist/internal/experiments"
 	"pathhist/internal/gps"
+	"pathhist/internal/workload"
 )
 
 func main() {
@@ -84,7 +84,7 @@ func main() {
 	var eng *pathhist.Engine
 	if *load != "" {
 		// The restart-persistence demo: restore a serving-ready engine from
-		// a snapshot instead of rebuilding suffix arrays and freezing trees.
+		// a snapshot instead of rebuilding suffix arrays and temporal columns.
 		started := time.Now()
 		how := "copied"
 		if *mmap {
@@ -177,7 +177,7 @@ func buildEngine(g *pathhist.Graph, store *pathhist.Store, opts pathhist.Options
 	}
 	// Keep roughly half as the base, spread the requested batches over the
 	// newest half's quiescent boundaries (sorts the store as a side effect).
-	cuts := experiments.IngestionCuts(store, extends)
+	cuts := workload.IngestionCuts(store, extends)
 	if cuts == nil {
 		return nil, fmt.Errorf("dataset has too few quiescent boundaries to simulate %d extends", extends)
 	}

@@ -117,7 +117,7 @@ func TestConcurrentEngineMatchesSequential(t *testing.T) {
 // TestCacheDisabledEngine checks the opt-out leaves counters at zero.
 func TestCacheDisabledEngine(t *testing.T) {
 	e := env(t)
-	eng, err := NewEngine(e.DS.G, e.DS.Store, Options{DisableCache: true, Tree: CSSTree})
+	eng, err := NewEngine(e.DS.G, e.DS.Store, Options{DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}

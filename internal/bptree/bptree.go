@@ -214,35 +214,11 @@ func (t *Tree[V]) MaxKey() (int64, bool) {
 
 // CountRange returns the number of entries with lo <= key < hi. For the
 // B+-tree this walks the leaves (the CSS-tree does it in O(log n); that
-// asymmetry is why the CSS estimator modes are exact, Section 4.4). Frozen
-// (post-Build) callers should use the columnar index's O(log n) offset
-// subtraction instead; this path remains for pre-freeze use only.
+// asymmetry is why the CSS estimator modes are exact, Section 4.4).
 func (t *Tree[V]) CountRange(lo, hi int64) int {
 	c := 0
 	t.AscendRange(lo, hi, func(int64, V) bool { c++; return true })
 	return c
-}
-
-// Export appends every entry to keys and vals in ascending key order and
-// returns the extended slices — the freeze export: one linear walk of the
-// leaf chain, instead of per-entry tree descents, to turn the tree into the
-// sorted arrays a frozen columnar index is built from.
-func (t *Tree[V]) Export(keys []int64, vals []V) ([]int64, []V) {
-	if cap(keys)-len(keys) < t.size {
-		grown := make([]int64, len(keys), len(keys)+t.size)
-		copy(grown, keys)
-		keys = grown
-	}
-	if cap(vals)-len(vals) < t.size {
-		grown := make([]V, len(vals), len(vals)+t.size)
-		copy(grown, vals)
-		vals = grown
-	}
-	for n := t.first; n != nil; n = n.next {
-		keys = append(keys, n.keys...)
-		vals = append(vals, n.vals...)
-	}
-	return keys, vals
 }
 
 // Stats describes the tree's shape for the memory model.

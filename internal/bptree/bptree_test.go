@@ -222,38 +222,3 @@ func TestDuplicateKeySpanningLeaves(t *testing.T) {
 		t.Errorf("descend [41,42) visited %d", n)
 	}
 }
-
-func TestExport(t *testing.T) {
-	// Random inserts (with duplicate keys) export in exactly ascending scan
-	// order — the freeze contract.
-	tr := New[int]()
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 2000; i++ {
-		tr.Insert(int64(rng.Intn(300)), i)
-	}
-	var wantK []int64
-	var wantV []int
-	tr.AscendRange(minInt64, maxInt64, func(k int64, v int) bool {
-		wantK = append(wantK, k)
-		wantV = append(wantV, v)
-		return true
-	})
-	keys, vals := tr.Export(nil, nil)
-	if len(keys) != tr.Len() || len(vals) != tr.Len() {
-		t.Fatalf("Export sizes %d/%d, want %d", len(keys), len(vals), tr.Len())
-	}
-	for i := range keys {
-		if keys[i] != wantK[i] || vals[i] != wantV[i] {
-			t.Fatalf("Export[%d] = (%d,%d), want (%d,%d)", i, keys[i], vals[i], wantK[i], wantV[i])
-		}
-	}
-	// Export appends after an existing prefix.
-	keys2, vals2 := tr.Export([]int64{-7}, []int{-7})
-	if len(keys2) != tr.Len()+1 || keys2[0] != -7 || vals2[0] != -7 || keys2[1] != wantK[0] {
-		t.Fatalf("Export with prefix: %d entries, head %d/%d", len(keys2), keys2[0], vals2[0])
-	}
-	// Empty tree exports nothing.
-	if k, _ := New[int]().Export(nil, nil); len(k) != 0 {
-		t.Fatalf("empty Export = %d entries", len(k))
-	}
-}

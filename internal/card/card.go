@@ -109,9 +109,9 @@ func (e *Estimator) selTf(e0 network.EdgeID, iv snt.Interval) float64 {
 	switch e.mode {
 	case CSSFast, CSSAcc:
 		// Exact range size in O(log n) — an offset subtraction on the
-		// frozen columnar index (Section 4.3.1's CSS-tree property, which
-		// freezing extends to every tree kind; the BT modes keep formula 3
-		// to reproduce the paper's estimator grid).
+		// frozen columns (Section 4.3.1's CSS-tree property). The BT modes
+		// below could count the same way; they keep formula 3 because the
+		// modes name the paper's formulas, not the container they run on.
 		return float64(phi.CountRange(iv.Start, iv.End)) / float64(phi.Len())
 	default:
 		// Formula (3): naive ratio over [F[e0]min, F[e0]max].

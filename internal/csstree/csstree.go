@@ -12,14 +12,12 @@ package csstree
 // of int64 keys, as in the Rao & Ross design.
 const fanout = 8
 
-// Tree is a CSS-tree multimap over int64 keys. Keys must be inserted in
-// non-decreasing order via Append (or supplied sorted to Build); Finish (or
-// any search after appends) rebuilds the directory.
+// Tree is a CSS-tree multimap over int64 keys, built once from sorted data
+// (the append-only trade-off of Section 4.3.1: no in-place insertion).
 type Tree[V any] struct {
 	keys   []int64
 	vals   []V
 	levels [][]int64 // levels[0] is closest to the data; each entry is the max key of a group below
-	dirty  bool
 }
 
 // Build constructs a tree over sorted (keys, vals). It panics if the slices
@@ -34,30 +32,12 @@ func Build[V any](keys []int64, vals []V) *Tree[V] {
 		}
 	}
 	t := &Tree[V]{keys: keys, vals: vals}
-	t.rebuild()
+	t.buildDirectory()
 	return t
 }
 
-// New returns an empty tree.
-func New[V any]() *Tree[V] { return &Tree[V]{} }
-
-// Append adds an entry whose key must be >= the current maximum (the
-// append-only trade-off of Section 4.3.1). The directory is rebuilt lazily.
-func (t *Tree[V]) Append(key int64, v V) {
-	if n := len(t.keys); n > 0 && key < t.keys[n-1] {
-		panic("csstree: Append with decreasing key")
-	}
-	t.keys = append(t.keys, key)
-	t.vals = append(t.vals, v)
-	t.dirty = true
-}
-
-// Finish rebuilds the directory after a batch of appends.
-func (t *Tree[V]) Finish() { t.rebuild() }
-
-func (t *Tree[V]) rebuild() {
-	t.dirty = false
-	t.levels = t.levels[:0]
+// buildDirectory constructs the directory bottom-up over the sorted keys.
+func (t *Tree[V]) buildDirectory() {
 	cur := t.keys
 	for len(cur) > fanout {
 		next := make([]int64, 0, (len(cur)+fanout-1)/fanout)
@@ -76,11 +56,6 @@ func (t *Tree[V]) rebuild() {
 // Len returns the number of entries.
 func (t *Tree[V]) Len() int { return len(t.keys) }
 
-// Export returns the tree's sorted key and value arrays — the freeze export
-// counterpart of bptree.Export. The returned slices alias the tree's
-// internal storage and must be treated as read-only.
-func (t *Tree[V]) Export() ([]int64, []V) { return t.keys, t.vals }
-
 // Key returns the i-th key in sorted order.
 func (t *Tree[V]) Key(i int) int64 { return t.keys[i] }
 
@@ -89,9 +64,6 @@ func (t *Tree[V]) Val(i int) V { return t.vals[i] }
 
 // LowerBound returns the first index whose key is >= key (Len() if none).
 func (t *Tree[V]) LowerBound(key int64) int {
-	if t.dirty {
-		t.rebuild()
-	}
 	n := len(t.keys)
 	if n == 0 {
 		return 0

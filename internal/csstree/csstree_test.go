@@ -8,8 +8,7 @@ import (
 )
 
 func TestEmpty(t *testing.T) {
-	tr := New[int]()
-	tr.Finish()
+	tr := Build[int](nil, nil)
 	if tr.Len() != 0 || tr.LowerBound(5) != 0 || tr.CountRange(0, 10) != 0 {
 		t.Error("empty tree misbehaves")
 	}
@@ -51,28 +50,6 @@ func TestSmallSorted(t *testing.T) {
 	if tr.Key(2) != 3 || tr.Val(2) != 31 {
 		t.Error("Key/Val accessor")
 	}
-}
-
-func TestAppendAndLazyRebuild(t *testing.T) {
-	tr := New[int]()
-	for i := 0; i < 1000; i++ {
-		tr.Append(int64(i/3), i)
-	}
-	// Search without explicit Finish must still be correct (lazy rebuild).
-	if got := tr.LowerBound(100); got != 300 {
-		t.Errorf("LowerBound(100) = %d, want 300", got)
-	}
-	tr.Append(999, -1)
-	tr.Finish()
-	if got := tr.CountRange(999, 1000); got != 1 {
-		t.Errorf("CountRange tail = %d", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("decreasing Append should panic")
-		}
-	}()
-	tr.Append(0, 0)
 }
 
 func TestScans(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"pathhist/internal/metrics"
 	"pathhist/internal/network"
 	"pathhist/internal/query"
-	"pathhist/internal/temporal"
 )
 
 // AblationRow is one configuration of an ablation sweep.
@@ -21,7 +20,7 @@ type AblationRow struct {
 
 // runNamedCell evaluates one explicit engine config over the query set.
 func (env *Env) runNamedCell(name string, qt QueryType, cfg query.Config, beta int) AblationRow {
-	ix := env.Index(temporal.CSS, 0, 0)
+	ix := env.Index(0, 0)
 	eng := query.NewEngine(ix, cfg)
 	g := env.DS.G
 	var row AblationRow

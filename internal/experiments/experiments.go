@@ -12,7 +12,6 @@ import (
 	"pathhist/internal/metrics"
 	"pathhist/internal/query"
 	"pathhist/internal/snt"
-	"pathhist/internal/temporal"
 	"pathhist/internal/traj"
 	"pathhist/internal/workload"
 )
@@ -55,7 +54,6 @@ type Env struct {
 }
 
 type indexKey struct {
-	tree      temporal.TreeKind
 	partDays  int
 	todBucket int
 }
@@ -75,13 +73,12 @@ func NewEnv(cfg workload.Config, frac float64, minLen int) *Env {
 }
 
 // Index returns (building and caching on demand) an index variant.
-func (env *Env) Index(tree temporal.TreeKind, partDays, todBucket int) *snt.Index {
-	k := indexKey{tree, partDays, todBucket}
+func (env *Env) Index(partDays, todBucket int) *snt.Index {
+	k := indexKey{partDays, todBucket}
 	if ix, ok := env.indexes[k]; ok {
 		return ix
 	}
 	ix := snt.Build(env.DS.G, env.DS.Store, snt.Options{
-		Tree:             tree,
 		PartitionDays:    partDays,
 		TodBucketSeconds: todBucket,
 	})
@@ -229,7 +226,7 @@ func DefaultGrids() []GridSpec {
 
 // RunGrid evaluates a grid on the default (FULL, CSS) index.
 func (env *Env) RunGrid(spec GridSpec) []GridPoint {
-	ix := env.Index(temporal.CSS, 0, 0)
+	ix := env.Index(0, 0)
 	var out []GridPoint
 	for _, pt := range spec.Partitioners {
 		for _, sp := range spec.Splitters {
@@ -252,7 +249,7 @@ type Baselines struct {
 
 // RunBaselines computes both baselines on the default index.
 func (env *Env) RunBaselines() Baselines {
-	ix := env.Index(temporal.CSS, 0, 0)
+	ix := env.Index(0, 0)
 	g := env.DS.G
 	var b Baselines
 	// Speed limits only.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pathhist/internal/query"
-	"pathhist/internal/temporal"
 	"pathhist/internal/workload"
 )
 
@@ -58,7 +57,7 @@ func TestSPQFor(t *testing.T) {
 
 func TestRunCellProducesSaneMetrics(t *testing.T) {
 	env := tinyEnv(t)
-	ix := env.Index(temporal.CSS, 0, 0)
+	ix := env.Index(0, 0)
 	p := env.RunCell(ix, TemporalFilters, query.Partitioner{Kind: query.ZoneKind}, query.SigmaR, 20, nil)
 	if p.Queries != len(env.Queries) {
 		t.Fatalf("queries = %d", p.Queries)
@@ -83,7 +82,7 @@ func TestRunCellProducesSaneMetrics(t *testing.T) {
 func TestBaselinesOrdering(t *testing.T) {
 	env := tinyEnv(t)
 	b := env.RunBaselines()
-	ix := env.Index(temporal.CSS, 0, 0)
+	ix := env.Index(0, 0)
 	online := env.RunCell(ix, TemporalFilters, query.Partitioner{Kind: query.ZoneKind}, query.SigmaR, 20, nil)
 	// Section 6.1: speed limits worst, per-segment-all better, online
 	// methods best.
@@ -100,7 +99,7 @@ func TestBaselinesOrdering(t *testing.T) {
 func TestPeriodicBeatsSPQOnly(t *testing.T) {
 	// Figure 5c: SPQ-only cannot observe time-of-day congestion.
 	env := tinyEnv(t)
-	ix := env.Index(temporal.CSS, 0, 0)
+	ix := env.Index(0, 0)
 	pt := query.Partitioner{Kind: query.ZoneKind}
 	periodic := env.RunCell(ix, TemporalFilters, pt, query.SigmaR, 20, nil)
 	fixed := env.RunCell(ix, SPQOnly, pt, query.SigmaR, 20, nil)
@@ -238,7 +237,7 @@ func TestRunEstimatorSweep(t *testing.T) {
 
 func TestIndexBuildTiming(t *testing.T) {
 	env := tinyEnv(t)
-	if d := env.IndexBuildTiming(temporal.CSS, 0); d <= 0 {
+	if d := env.IndexBuildTiming(0); d <= 0 {
 		t.Errorf("build timing = %v", d)
 	}
 }
@@ -249,8 +248,8 @@ func TestEnvHelpers(t *testing.T) {
 		t.Errorf("helpers: edges=%d pathlen=%v", env.EdgeCount(), env.NetworkPathLen())
 	}
 	// Index caching returns identical pointers.
-	a := env.Index(temporal.CSS, 0, 0)
-	b := env.Index(temporal.CSS, 0, 0)
+	a := env.Index(0, 0)
+	b := env.Index(0, 0)
 	if a != b {
 		t.Error("index not cached")
 	}

@@ -9,7 +9,7 @@ import (
 	"pathhist/internal/metrics"
 	"pathhist/internal/query"
 	"pathhist/internal/snt"
-	"pathhist/internal/temporal"
+	"pathhist/internal/treeforest"
 )
 
 // DefaultPartitionDays is the Figure 10/11 partition-size sweep: 7, 30, 90,
@@ -25,19 +25,21 @@ func partLabel(days int) string {
 }
 
 // MemoryRow is one bar group of Figure 10a plus the setup time of 10c.
-// ForestMiB is the construction-time tree layout of the configured kind
-// (the paper's per-layout comparison); FrozenMiB is the columnar layout the
-// index actually serves from after freezing.
+// ForestMiB is the modelled size of the paper's tree layout of the row's
+// kind, rebuilt from the served columns (treeforest.FromFrozen), and
+// TreeBuildSeconds the time that rebuild took; FrozenMiB is the columnar
+// layout the index actually builds and serves.
 type MemoryRow struct {
-	Label        string // partition size or "BT"
-	Partitions   int
-	CMiB         float64
-	WTMiB        float64
-	UserMiB      float64
-	ForestMiB    float64
-	FrozenMiB    float64
-	TotalMiB     float64
-	SetupSeconds float64
+	Label            string // partition size or "BT"
+	Partitions       int
+	CMiB             float64
+	WTMiB            float64
+	UserMiB          float64
+	ForestMiB        float64
+	TreeBuildSeconds float64
+	FrozenMiB        float64
+	TotalMiB         float64
+	SetupSeconds     float64
 }
 
 const mib = 1024 * 1024
@@ -47,25 +49,33 @@ const mib = 1024 * 1024
 // variant on a single partition ("BT").
 func (env *Env) RunMemory(partDays []int) []MemoryRow {
 	var rows []MemoryRow
-	emit := func(label string, tree temporal.TreeKind, days int) {
-		ix := env.Index(tree, days, 0)
+	emit := func(label string, kind treeforest.Kind, days int) {
+		ix := env.Index(days, 0)
 		m := ix.Memory()
+		payload := treeforest.PayloadBytes
+		if ix.NumPartitions() == 1 {
+			payload = treeforest.PayloadBytesNoPartition
+		}
+		startedAt := time.Now()
+		forest := treeforest.FromFrozen(ix.Frozen(), kind)
+		treeBuild := time.Since(startedAt)
 		rows = append(rows, MemoryRow{
-			Label:        label,
-			Partitions:   ix.NumPartitions(),
-			CMiB:         float64(m.CBytes) / mib,
-			WTMiB:        float64(m.WTBytes) / mib,
-			UserMiB:      float64(m.UserBytes) / mib,
-			ForestMiB:    float64(ix.Stats().TreeBytes) / mib,
-			FrozenMiB:    float64(m.ForestBytes) / mib,
-			TotalMiB:     float64(m.Total()) / mib,
-			SetupSeconds: ix.Stats().SetupTime.Seconds(),
+			Label:            label,
+			Partitions:       ix.NumPartitions(),
+			CMiB:             float64(m.CBytes) / mib,
+			WTMiB:            float64(m.WTBytes) / mib,
+			UserMiB:          float64(m.UserBytes) / mib,
+			ForestMiB:        float64(forest.SizeBytes(payload)) / mib,
+			TreeBuildSeconds: treeBuild.Seconds(),
+			FrozenMiB:        float64(m.ForestBytes) / mib,
+			TotalMiB:         float64(m.Total()) / mib,
+			SetupSeconds:     ix.Stats().SetupTime.Seconds(),
 		})
 	}
 	for _, d := range partDays {
-		emit(partLabel(d), temporal.CSS, d)
+		emit(partLabel(d), treeforest.CSS, d)
 	}
-	emit("BT", temporal.BPlus, 0)
+	emit("BT", treeforest.BPlus, 0)
 	return rows
 }
 
@@ -82,7 +92,7 @@ func (env *Env) RunTodMemory(partDays []int, bucketMinutes []int) []TodMemoryRow
 	var rows []TodMemoryRow
 	for _, d := range partDays {
 		for _, bm := range bucketMinutes {
-			ix := env.Index(temporal.CSS, d, bm*60)
+			ix := env.Index(d, bm*60)
 			rows = append(rows, TodMemoryRow{
 				Label:         partLabel(d),
 				BucketMinutes: bm,
@@ -106,8 +116,7 @@ type QErrorRow struct {
 // over sub-queries derived with πZ, σR and β=20 (Section 6.4 runs 5,000).
 func (env *Env) RunQError(maxSubQueries int) []QErrorRow {
 	// Derive sub-queries from the query set with πZ.
-	ixCSS := env.Index(temporal.CSS, 0, 900)
-	ixBT := env.Index(temporal.BPlus, 0, 900)
+	ix := env.Index(0, 900)
 	pt := query.Partitioner{Kind: query.ZoneKind}
 	var subs []query.SPQ
 	for _, q := range env.Queries {
@@ -118,30 +127,20 @@ func (env *Env) RunQError(maxSubQueries int) []QErrorRow {
 			break
 		}
 	}
-	modes := []struct {
-		mode card.Mode
-		ix   *snt.Index
-	}{
-		{card.ISA, ixCSS},
-		{card.BTFast, ixBT},
-		{card.CSSFast, ixCSS},
-		{card.BTAcc, ixBT},
-		{card.CSSAcc, ixCSS},
-	}
 	var rows []QErrorRow
-	for _, m := range modes {
-		est := card.New(m.ix, m.mode)
+	for _, mode := range []card.Mode{card.ISA, card.BTFast, card.CSSFast, card.BTAcc, card.CSSAcc} {
+		est := card.New(ix, mode)
 		var logQs []float64
 		for _, s := range subs {
 			bhat, ok := est.Estimate(s.Path, s.Interval, s.Filter)
 			if !ok {
 				continue
 			}
-			actual := float64(m.ix.CountMatches(s.Path, s.Interval, s.Filter, 0))
+			actual := float64(ix.CountMatches(s.Path, s.Interval, s.Filter, 0))
 			logQs = append(logQs, metrics.Log10(metrics.QError(bhat, actual)))
 		}
 		rows = append(rows, QErrorRow{
-			Mode:        m.mode.String(),
+			Mode:        mode.String(),
 			SubQueries:  len(logQs),
 			MeanLog10:   metrics.Mean(logQs),
 			MedianLog10: metrics.Percentile(logQs, 50),
@@ -160,29 +159,30 @@ type EstimatorRuntimeRow struct {
 }
 
 // RunEstimatorSweep reproduces Figures 11b and 11c: query runtime and
-// accuracy for each tree/estimator pairing across partition sizes, with πZ,
-// σR and β=20 (Section 6.4).
+// accuracy for each of the paper's tree/estimator pairings across partition
+// sizes, with πZ, σR and β=20 (Section 6.4). The CSS-* and BT-* rows run on
+// the same index — the pairings differ only in the estimator's formulas,
+// which is what the paper compares — so "BT" repeats "CSS" as a noise row.
 func (env *Env) RunEstimatorSweep(partDays []int) []EstimatorRuntimeRow {
 	type cfg struct {
 		name string
-		tree temporal.TreeKind
 		mode card.Mode
 		tod  int
 	}
 	cfgs := []cfg{
-		{"CSS", temporal.CSS, card.Off, 0},
-		{"CSS-Fast", temporal.CSS, card.CSSFast, 0},
-		{"CSS-Acc", temporal.CSS, card.CSSAcc, 900},
-		{"BT", temporal.BPlus, card.Off, 0},
-		{"BT-Fast", temporal.BPlus, card.BTFast, 0},
-		{"BT-Acc", temporal.BPlus, card.BTAcc, 900},
-		{"ISA", temporal.CSS, card.ISA, 0},
+		{"CSS", card.Off, 0},
+		{"CSS-Fast", card.CSSFast, 0},
+		{"CSS-Acc", card.CSSAcc, 900},
+		{"BT", card.Off, 0},
+		{"BT-Fast", card.BTFast, 0},
+		{"BT-Acc", card.BTAcc, 900},
+		{"ISA", card.ISA, 0},
 	}
 	pt := query.Partitioner{Kind: query.ZoneKind}
 	var rows []EstimatorRuntimeRow
 	for _, days := range partDays {
 		for _, c := range cfgs {
-			ix := env.Index(c.tree, days, c.tod)
+			ix := env.Index(days, c.tod)
 			var est *card.Estimator
 			if c.mode != card.Off {
 				est = card.New(ix, c.mode)
@@ -201,18 +201,18 @@ func (env *Env) RunEstimatorSweep(partDays []int) []EstimatorRuntimeRow {
 
 // IndexBuildTiming measures a cold build (used by Figure 10c and the
 // BenchmarkIndexBuild* benches).
-func (env *Env) IndexBuildTiming(tree temporal.TreeKind, partDays int) time.Duration {
-	ix := snt.Build(env.DS.G, env.DS.Store, snt.Options{Tree: tree, PartitionDays: partDays})
+func (env *Env) IndexBuildTiming(partDays int) time.Duration {
+	ix := snt.Build(env.DS.G, env.DS.Store, snt.Options{PartitionDays: partDays})
 	return ix.Stats().SetupTime
 }
 
 // FormatMemory renders Figure 10a/10c rows.
 func FormatMemory(rows []MemoryRow) string {
-	out := fmt.Sprintf("%-8s%12s%12s%12s%12s%12s%12s%12s%10s\n",
-		"part", "partitions", "C MiB", "WT MiB", "user MiB", "tree MiB", "frozen MiB", "total MiB", "setup s")
+	out := fmt.Sprintf("%-8s%12s%12s%12s%12s%12s%14s%12s%12s%10s\n",
+		"part", "partitions", "C MiB", "WT MiB", "user MiB", "tree MiB", "tree build s", "frozen MiB", "total MiB", "setup s")
 	for _, r := range rows {
-		out += fmt.Sprintf("%-8s%12d%12.2f%12.2f%12.2f%12.2f%12.2f%12.2f%10.2f\n",
-			r.Label, r.Partitions, r.CMiB, r.WTMiB, r.UserMiB, r.ForestMiB, r.FrozenMiB, r.TotalMiB, r.SetupSeconds)
+		out += fmt.Sprintf("%-8s%12d%12.2f%12.2f%12.2f%12.2f%14.3f%12.2f%12.2f%10.2f\n",
+			r.Label, r.Partitions, r.CMiB, r.WTMiB, r.UserMiB, r.ForestMiB, r.TreeBuildSeconds, r.FrozenMiB, r.TotalMiB, r.SetupSeconds)
 	}
 	return out
 }

@@ -39,8 +39,10 @@ var hostLittleEndian = func() bool {
 const Magic = "PHSNAP\x00\x01"
 
 // Version is the current snapshot format version. Readers reject any other
-// value: the format is versioned, not self-describing.
-const Version uint32 = 1
+// value: the format is versioned, not self-describing. Version 2 dropped
+// the tree kind and modelled tree size from the snt meta section; a version
+// 1 file is refused, not mis-parsed, and its index must be rebuilt.
+const Version uint32 = 2
 
 // Sentinel errors, one per failure mode (wrapped with positional detail).
 var (

@@ -115,6 +115,17 @@ func TestFailClosed(t *testing.T) {
 			t.Fatalf("err = %v, want ErrVersion", err)
 		}
 	})
+	t.Run("old version 1", func(t *testing.T) {
+		// A version-1 file has a longer snt meta section; both readers
+		// must refuse it at the header instead of mis-parsing it.
+		data := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(data[8:], 1)
+		for name, open := range map[string]func([]byte) (*Reader, error){"NewReader": NewReader, "NewMappedReader": NewMappedReader} {
+			if _, err := open(data); !errors.Is(err, ErrVersion) {
+				t.Fatalf("%s: err = %v, want ErrVersion", name, err)
+			}
+		}
+	})
 	t.Run("header crc", func(t *testing.T) {
 		data := append([]byte(nil), good...)
 		data[16] ^= 0x01 // epoch byte: covered by header CRC

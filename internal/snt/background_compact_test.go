@@ -3,8 +3,6 @@ package snt
 import (
 	"errors"
 	"testing"
-
-	"pathhist/internal/temporal"
 )
 
 // TestPrepareApplyAfterExtend is the differential at the heart of
@@ -14,7 +12,7 @@ import (
 // merged prefix, survivors, and the partitions ingested mid-flight all
 // correctly remapped.
 func TestPrepareApplyAfterExtend(t *testing.T) {
-	opts := Options{Tree: temporal.CSS, TodBucketSeconds: 900}
+	opts := Options{TodBucketSeconds: 900}
 	g, ids, s := synthStore(t, 24, 12)
 	s.SortByStart()
 	n := s.Len()

@@ -97,7 +97,7 @@ func assertSameResults(t *testing.T, ids map[string]network.EdgeID, a, b *Index,
 // same memory model.
 func TestCompactMatchesFullBuild(t *testing.T) {
 	for _, oldest := range []bool{false, true} {
-		opts := Options{Tree: temporal.CSS, TodBucketSeconds: 900, OldestFirst: oldest}
+		opts := Options{TodBucketSeconds: 900, OldestFirst: oldest}
 		g, ids, s := synthStore(t, 20, 15)
 		frag := fragmentedIndex(t, g, s, 7, opts)
 		if frag.NumPartitions() != 8 {

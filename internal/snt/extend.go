@@ -55,8 +55,8 @@ func (ix *Index) ValidateBatch(add *traj.Store) error {
 // batch-update path that temporal partitioning exists for (Section 4.3.2):
 // the FM-index does not support appends, so the batch gets its own
 // trajectory string, suffix array and wavelet tree, while the frozen
-// temporal columns absorb the new records append-only (like the CSS-tree
-// they replace).
+// temporal columns absorb the new records append-only (like the paper's
+// CSS-tree).
 //
 // Extend is copy-on-write: the receiver is never modified and remains a
 // fully consistent, queryable snapshot, so readers that hold it are
@@ -118,7 +118,7 @@ func (ix *Index) Extend(add *traj.Store) (*Index, error) {
 	_, isa, bwt := suffix.BuildAll(text, ix.alphabet)
 
 	// Collect the forest batch and the new per-partition ToD histograms.
-	fb := temporal.NewForestBuilder(ix.opts.Tree)
+	fb := temporal.NewForestBuilder()
 	var todNew []*hist.TodHistogram
 	if ix.tod != nil {
 		todNew = make([]*hist.TodHistogram, ix.g.NumEdges())

@@ -7,39 +7,15 @@ import (
 	"pathhist/internal/network"
 	"pathhist/internal/temporal"
 	"pathhist/internal/traj"
+	"pathhist/internal/treeforest"
 	"pathhist/internal/workload"
 )
-
-// mirrorForest rebuilds a live temporal tree forest carrying exactly the
-// records of the index's frozen columns (ForestBuilder.Finish sorts stably,
-// so tie order is preserved) — the pre-freeze data structure the fused scan
-// path replaced.
-func mirrorForest(ix *Index, kind temporal.TreeKind) *temporal.Forest {
-	fb := temporal.NewForestBuilder(kind)
-	ix.frozen.Each(func(e network.EdgeID, fx *temporal.FrozenIndex) {
-		for i := 0; i < fx.Len(); i++ {
-			w := int32(0)
-			if fx.W != nil {
-				w = fx.W[i]
-			}
-			fb.Add(e, fx.Ts[i], temporal.Record{
-				ISA:  fx.ISA[i],
-				Traj: fx.Traj[i],
-				TT:   fx.TT[i],
-				A:    fx.A[i],
-				Seq:  fx.Seq[i],
-				W:    w,
-			})
-		}
-	})
-	return fb.Finish()
-}
 
 // treeTravelTimes is the pre-freeze Procedure 3-5 implementation, verbatim:
 // per-day Ascend/Descend tree scans with per-record callbacks building a
 // (d, seq) map, then an ascending probe scan. It is the order oracle the
 // fused scans must match byte for byte.
-func treeTravelTimes(ix *Index, forest *temporal.Forest, p network.Path, iv Interval, f Filter, beta int) (xs []int, fallback bool) {
+func treeTravelTimes(ix *Index, forest *treeforest.Forest, p network.Path, iv Interval, f Filter, beta int) (xs []int, fallback bool) {
 	sc := AcquireScratch()
 	defer ReleaseScratch(sc)
 	ranges, total := ix.isaRanges(sc, p)
@@ -114,9 +90,10 @@ func treeTravelTimes(ix *Index, forest *temporal.Forest, p network.Path, iv Inte
 
 // TestFusedScansMatchTreeScans is the differential property test of the
 // frozen scan path: on a realistic generated workload, for every index
-// configuration (tree kind, partitioning, scan order), random sub-paths,
-// random fixed/periodic/wrapped intervals, random β cutoffs and random
-// filters, the fused GetTravelTimes reproduces the pre-freeze tree-scan
+// configuration (partitioning, scan order) and both of the paper's tree
+// layouts rebuilt from the served columns, random sub-paths, random
+// fixed/periodic/wrapped intervals, random β cutoffs and random filters,
+// the fused GetTravelTimes reproduces the pre-freeze tree-scan
 // implementation exactly — same samples in the same order, same fallback
 // flag. Run under -race in CI like every concurrency suite.
 func TestFusedScansMatchTreeScans(t *testing.T) {
@@ -130,13 +107,16 @@ func TestFusedScansMatchTreeScans(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 
 	for _, opts := range []Options{
-		{Tree: temporal.CSS},
-		{Tree: temporal.CSS, OldestFirst: true},
-		{Tree: temporal.BPlus, PartitionDays: 7},
-		{Tree: temporal.BPlus, PartitionDays: 5, OldestFirst: true},
+		{},
+		{OldestFirst: true},
+		{PartitionDays: 7},
+		{PartitionDays: 5, OldestFirst: true},
 	} {
 		ix := Build(ds.G, ds.Store, opts)
-		forest := mirrorForest(ix, opts.Tree)
+		forests := []*treeforest.Forest{
+			treeforest.FromFrozen(ix.frozen, treeforest.CSS),
+			treeforest.FromFrozen(ix.frozen, treeforest.BPlus),
+		}
 		tmin, tmax := ix.TimeRange()
 		for trial := 0; trial < 150; trial++ {
 			tr := ds.Store.Get(traj.ID(rng.Intn(ds.Store.Len())))
@@ -176,27 +156,30 @@ func TestFusedScansMatchTreeScans(t *testing.T) {
 			}
 
 			got, gotFb := ix.GetTravelTimes(p, iv, f, beta)
-			want, wantFb := treeTravelTimes(ix, forest, p, iv, f, beta)
-			if gotFb != wantFb {
-				t.Fatalf("opts %+v trial %d: fallback %v vs %v (path %v iv %v f %+v beta %d)",
-					opts, trial, gotFb, wantFb, p, iv, f, beta)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("opts %+v trial %d: %d vs %d samples (path %v iv %v f %+v beta %d)\n got %v\nwant %v",
-					opts, trial, len(got), len(want), p, iv, f, beta, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("opts %+v trial %d: sample order diverges at %d (path %v iv %v f %+v beta %d)\n got %v\nwant %v",
-						opts, trial, i, p, iv, f, beta, got, want)
+			for k, forest := range forests {
+				kind := treeforest.Kind(k)
+				want, wantFb := treeTravelTimes(ix, forest, p, iv, f, beta)
+				if gotFb != wantFb {
+					t.Fatalf("opts %+v %v trial %d: fallback %v vs %v (path %v iv %v f %+v beta %d)",
+						opts, kind, trial, gotFb, wantFb, p, iv, f, beta)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("opts %+v %v trial %d: %d vs %d samples (path %v iv %v f %+v beta %d)\n got %v\nwant %v",
+						opts, kind, trial, len(got), len(want), p, iv, f, beta, got, want)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("opts %+v %v trial %d: sample order diverges at %d (path %v iv %v f %+v beta %d)\n got %v\nwant %v",
+							opts, kind, trial, i, p, iv, f, beta, got, want)
+					}
 				}
 			}
 			// CountMatches rides the same fused path; every accepted first
 			// segment of a strict occurrence has exactly one probe partner,
-			// so the exhaustive count equals the sample count.
+			// so the exhaustive count equals the (tree-verified) sample count.
 			if beta == 0 && !gotFb {
-				if n := ix.CountMatches(p, iv, f, 0); n != len(want) {
-					t.Fatalf("opts %+v trial %d: CountMatches %d vs %d samples", opts, trial, n, len(want))
+				if n := ix.CountMatches(p, iv, f, 0); n != len(got) {
+					t.Fatalf("opts %+v trial %d: CountMatches %d vs %d samples", opts, trial, n, len(got))
 				}
 			}
 		}

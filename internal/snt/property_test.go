@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pathhist/internal/network"
-	"pathhist/internal/temporal"
 	"pathhist/internal/traj"
 	"pathhist/internal/workload"
 )
@@ -59,9 +58,9 @@ func TestRandomQueriesAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 
 	for _, opts := range []Options{
-		{Tree: temporal.CSS},
-		{Tree: temporal.BPlus, PartitionDays: 7},
-		{Tree: temporal.CSS, PartitionDays: 3, OldestFirst: true},
+		{},
+		{PartitionDays: 7},
+		{PartitionDays: 3, OldestFirst: true},
 	} {
 		ix := Build(ds.G, ds.Store, opts)
 		tmin, tmax := ix.TimeRange()

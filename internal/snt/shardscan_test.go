@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pathhist/internal/network"
-	"pathhist/internal/temporal"
 	"pathhist/internal/traj"
 	"pathhist/internal/workload"
 )
@@ -60,9 +59,9 @@ func TestScanCandidatesMatchesGetTravelTimes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 
 	for _, opts := range []Options{
-		{Tree: temporal.CSS},
-		{Tree: temporal.CSS, PartitionDays: 3},
-		{Tree: temporal.CSS, PartitionDays: 7, OldestFirst: true},
+		{},
+		{PartitionDays: 3},
+		{PartitionDays: 7, OldestFirst: true},
 	} {
 		ix := Build(ds.G, ds.Store, opts)
 		tmin, tmax := ix.TimeRange()

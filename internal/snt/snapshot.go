@@ -3,7 +3,7 @@
 // versioned, checksummed, 8-byte-aligned section format of
 // internal/snapio, so a process can restore a serving-ready index with one
 // sequential file read instead of replaying the whole build pipeline
-// (suffix arrays, BWTs, tree freezing). The build pipeline is untouched:
+// (suffix arrays, BWTs, per-segment sorts). The build pipeline is untouched:
 // WriteSnapshot reads the immutable index, ReadSnapshot constructs an
 // equivalent one, and the differential suite asserts the loaded index is
 // query-identical (exact sample order, columns, ToD histograms, memory
@@ -65,7 +65,6 @@ func (ix *Index) WriteSnapshot(w io.Writer, epoch uint64) (int64, error) {
 	sw.Begin(secMeta)
 	sw.U64(epoch) // repeated from the header: lets the loader detect a spliced header
 	sw.U64(uint64(len(ix.parts)))
-	sw.U64(uint64(ix.opts.Tree))
 	sw.I64(int64(ix.opts.PartitionDays))
 	sw.I64(int64(ix.opts.TodBucketSeconds))
 	sw.Bool(ix.opts.OldestFirst)
@@ -78,7 +77,6 @@ func (ix *Index) WriteSnapshot(w io.Writer, epoch uint64) (int64, error) {
 	sw.U64(uint64(ix.stats.Partitions))
 	sw.U64(uint64(ix.stats.Records))
 	sw.U64(uint64(ix.stats.Trajs))
-	sw.U64(uint64(ix.stats.TreeBytes))
 	sw.U64(uint64(len(ix.users)))
 	sw.U64(uint64(ix.g.NumEdges()))
 	sw.U64(uint64(ix.frozen.NumIndexes()))
@@ -449,7 +447,6 @@ func readMeta(sr *snapio.Reader) (snapMeta, error) {
 	}
 	m.epoch = sr.U64()
 	m.numParts = sr.Int()
-	m.opts.Tree = temporal.TreeKind(sr.Int())
 	m.opts.PartitionDays = int(sr.I64())
 	m.opts.TodBucketSeconds = int(sr.I64())
 	m.opts.OldestFirst = sr.Bool()
@@ -462,7 +459,6 @@ func readMeta(sr *snapio.Reader) (snapMeta, error) {
 	m.stats.Partitions = sr.Int()
 	m.stats.Records = sr.Int()
 	m.stats.Trajs = sr.Int()
-	m.stats.TreeBytes = sr.Int()
 	m.numUsers = sr.Int()
 	m.numEdges = sr.Int()
 	m.numForestIdx = sr.Int()

@@ -18,7 +18,7 @@ import (
 // histograms are enabled so every section kind appears in the file.
 func snapshotFixture(t testing.TB) (*network.Graph, map[string]network.EdgeID, *Index) {
 	t.Helper()
-	opts := Options{Tree: temporal.CSS, TodBucketSeconds: 900}
+	opts := Options{TodBucketSeconds: 900}
 	g, ids, s := synthStore(t, 20, 15)
 	s.SortByStart()
 	n := s.Len()
@@ -279,6 +279,18 @@ func TestSnapshotFailClosed(t *testing.T) {
 			t.Fatalf("err = %v, want ErrVersion", err)
 		}
 	})
+	t.Run("old version 1", func(t *testing.T) {
+		// Format 1 carried two more meta words (tree kind, tree bytes);
+		// the copying and the mapped loader both refuse it by version.
+		bad := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint32(bad[8:], 1)
+		if err := load(bad); !errors.Is(err, snapio.ErrVersion) {
+			t.Fatalf("copied: err = %v, want ErrVersion", err)
+		}
+		if _, _, err := ReadSnapshotMapped(g, bad); !errors.Is(err, snapio.ErrVersion) {
+			t.Fatalf("mapped: err = %v, want ErrVersion", err)
+		}
+	})
 	t.Run("bit flip per section", func(t *testing.T) {
 		// One flipped payload byte in every section must fail the CRC.
 		for i, off := range offs {
@@ -313,7 +325,7 @@ func TestSnapshotFailClosed(t *testing.T) {
 		// donor's trajectory ids and ISA positions index structures the
 		// host snapshot does not have — serving it would panic (or silently
 		// mis-answer) at query time, so the loader must refuse it.
-		opts := Options{Tree: temporal.CSS, TodBucketSeconds: 900}
+		opts := Options{TodBucketSeconds: 900}
 		g2, _, bigStore := synthStore(t, 40, 25) // more trajs than the fixture's
 		donor := snapshotBytes(t, Build(g2, bigStore, opts), 5)
 		host := append([]byte(nil), data...)

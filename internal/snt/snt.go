@@ -1,8 +1,8 @@
 // Package snt implements the paper's core contribution: the SNT-index of
 // Koide et al. extended for travel-time histogram retrieval (Section 4). It
 // combines per-partition spatial FM-indexes over the trajectory string with
-// a temporal tree forest whose leaves carry traversal times, aggregate
-// times and sequence numbers (Section 4.1.3), so that the traversal times of
+// a temporal forest whose records carry traversal times, aggregate times
+// and sequence numbers (Section 4.1.3), so that the traversal times of
 // all trajectories following a path can be retrieved with one scan of the
 // first segment's index and one scan of the last segment's index
 // (Procedures 3-5).
@@ -23,8 +23,6 @@ import (
 
 // Options configures index construction.
 type Options struct {
-	// Tree selects the temporal forest implementation (CSS by default).
-	Tree temporal.TreeKind
 	// PartitionDays is the temporal partition size of Section 4.3.2 in
 	// days; 0 builds a single partition (FULL).
 	PartitionDays int
@@ -55,10 +53,9 @@ type Index struct {
 	g     *network.Graph
 	opts  Options
 	parts []partition
-	// frozen is F in its immutable columnar layout (see temporal.Freeze);
-	// the temporal trees it was built from are dropped after construction.
-	// users is the associative container U mapping trajectory ids to user
-	// ids (Section 4.1.3).
+	// frozen is F in its immutable columnar layout
+	// (temporal.ForestBuilder.Freeze). users is the associative container U
+	// mapping trajectory ids to user ids (Section 4.1.3).
 	frozen *temporal.FrozenForest
 	users  []traj.UserID
 	// tod[w][e] is the time-of-day histogram of segment e in partition w
@@ -88,10 +85,6 @@ type BuildStats struct {
 	Partitions int
 	Records    int
 	Trajs      int
-	// TreeBytes is the modelled footprint of the construction-time temporal
-	// tree forest (per Options.Tree) just before it was frozen and dropped —
-	// the Figure 10a per-layout comparison, and the memory freezing releases.
-	TreeBytes int
 }
 
 // Build constructs the index over the trajectory store. The store is sorted
@@ -140,7 +133,7 @@ func Build(g *network.Graph, store *traj.Store, opts Options) *Index {
 		}
 	}
 
-	fb := temporal.NewForestBuilder(opts.Tree)
+	fb := temporal.NewForestBuilder()
 	records := 0
 	for w := 0; w < numParts; w++ {
 		// Build the partition's trajectory string T = P0 $ P1 $ ... $.
@@ -187,22 +180,12 @@ func Build(g *network.Graph, store *traj.Store, opts Options) *Index {
 			}
 		}
 	}
-	// Build the temporal trees (Section 4.1.2/4.3.1), then freeze them into
-	// the immutable columnar layout the scan path reads; the trees are only
-	// needed during construction and are dropped here.
-	forest := fb.Finish()
-	payload := temporal.PayloadBytes
-	if numParts == 1 {
-		payload = temporal.PayloadBytesNoPartition
-	}
-	treeBytes := forest.SizeBytes(payload)
-	ix.frozen = forest.Freeze()
+	ix.frozen = fb.Freeze()
 	ix.stats = BuildStats{
 		SetupTime:  time.Since(startedAt),
 		Partitions: numParts,
 		Records:    records,
 		Trajs:      store.Len(),
-		TreeBytes:  treeBytes,
 	}
 	return ix
 }
@@ -286,9 +269,10 @@ func (ix *Index) TodSelectivity(e network.EdgeID, iv Interval) (float64, bool) {
 
 // MemoryStats is the per-component memory model of Figure 10a/10b.
 // ForestBytes reports the frozen columnar footprint the index actually
-// serves from — smaller than the tree layouts it was built from, because
-// the columns carry no node headers, child pointers or slack capacity, and
-// the partition column is elided entirely for single-partition indexes.
+// serves from — smaller than the paper's tree layouts (internal/treeforest
+// models those), because the columns carry no node headers, child pointers
+// or slack capacity, and the partition column is elided entirely for
+// single-partition indexes.
 type MemoryStats struct {
 	CBytes      int // segment counters, all partitions
 	WTBytes     int // wavelet trees, all partitions
@@ -329,6 +313,6 @@ func (ix *Index) String() string {
 	if ix.compactedFrom > 0 {
 		parts = fmt.Sprintf("%d partitions (compacted from %d)", len(ix.parts), ix.compactedFrom)
 	}
-	return fmt.Sprintf("snt.Index{%s, %s, %d records, %d trajectories}",
-		ix.opts.Tree, parts, ix.stats.Records, ix.stats.Trajs)
+	return fmt.Sprintf("snt.Index{%s, %d records, %d trajectories}",
+		parts, ix.stats.Records, ix.stats.Trajs)
 }

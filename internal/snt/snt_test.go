@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pathhist/internal/network"
-	"pathhist/internal/temporal"
 	"pathhist/internal/traj"
 )
 
@@ -214,22 +213,6 @@ func TestScanOrderOptions(t *testing.T) {
 		}
 		if !oldest && xs[0] != 3 { // tr3's A traversal also takes 3
 			t.Errorf("newest-first picked %d", xs[0])
-		}
-	}
-}
-
-func TestBothTreesAgree(t *testing.T) {
-	ixCSS, ids := buildPaperIndex(t, Options{Tree: temporal.CSS})
-	ixBT, _ := buildPaperIndex(t, Options{Tree: temporal.BPlus})
-	paths := []network.Path{
-		path(ids, "A"), path(ids, "A", "B"), path(ids, "A", "B", "E"),
-		path(ids, "A", "C", "D", "E"), path(ids, "E"),
-	}
-	for _, p := range paths {
-		a, _ := ixCSS.GetTravelTimes(p, NewFixed(0, 100), NoFilter, 0)
-		b, _ := ixBT.GetTravelTimes(p, NewFixed(0, 100), NoFilter, 0)
-		if !equalInts(sortedCopy(a), sortedCopy(b)) {
-			t.Fatalf("trees disagree on %v: %v vs %v", p, a, b)
 		}
 	}
 }

@@ -1,17 +1,15 @@
-// Frozen columnar temporal indexes. After construction the temporal forest
-// is read-only (DESIGN.md §6), so the pointer-chasing trees pay for
-// flexibility nobody uses: every per-day range scan descends the tree and
-// invokes a per-record callback. Freezing converts each Φe into an immutable
-// struct-of-arrays layout — one sorted timestamp column plus parallel packed
-// record columns — built once from the tree leaves (which are then dropped).
-// Range bounds become two binary searches into one contiguous array, range
-// sizes become an O(log n) offset subtraction on every tree kind (the
-// CSS-tree asymmetry of Section 4.3.1, now universal), and scans become
-// tight loops over sequential memory with no callbacks.
+// Frozen columnar temporal indexes. Once published the temporal forest is
+// read-only (DESIGN.md §6), so each Φe is an immutable struct-of-arrays
+// layout — one sorted timestamp column plus parallel packed record columns —
+// written once by ForestBuilder.Freeze. Range bounds are two binary searches
+// into one contiguous array, range sizes an O(log n) offset subtraction (the
+// CSS-tree property of Section 4.3.1), and scans tight loops over sequential
+// memory with no callbacks.
 package temporal
 
 import (
 	"fmt"
+	"slices"
 
 	"pathhist/internal/network"
 	"pathhist/internal/traj"
@@ -19,10 +17,10 @@ import (
 
 // FrozenIndex is Φe in frozen columnar form. The exported columns share one
 // index space: record i is (Ts[i], Traj[i], Seq[i], W[i], ISA[i], A[i],
-// TT[i]), and Ts is sorted ascending with ties in the same stable order the
-// source tree stored them. All columns are immutable after freezing — a
-// FrozenIndex is never mutated; Extend produces a new snapshot by
-// copy-on-write — so any number of goroutines may read one concurrently.
+// TT[i]), and Ts is sorted ascending with ties in the order the records
+// were added. All columns are immutable after freezing — a FrozenIndex is
+// never mutated; Extend produces a new snapshot by copy-on-write — so any
+// number of goroutines may read one concurrently.
 //
 // W is nil while every record lives in partition 0 — the single-partition
 // layout the paper credits with the memory saving of dropping the partition
@@ -44,39 +42,6 @@ type FrozenIndex struct {
 	// FrozenIndex sharing these columns (snt compaction's Rewrite) must
 	// propagate the flag.
 	Mapped bool
-}
-
-// freezeIndex builds the columnar layout from sorted (ts, recs).
-func freezeIndex(ts []int64, recs []Record) *FrozenIndex {
-	n := len(ts)
-	fx := &FrozenIndex{
-		Ts:   make([]int64, n),
-		Traj: make([]traj.ID, n),
-		Seq:  make([]int32, n),
-		ISA:  make([]int32, n),
-		A:    make([]int32, n),
-		TT:   make([]int32, n),
-	}
-	copy(fx.Ts, ts)
-	hasW := false
-	for i := range recs {
-		r := &recs[i]
-		fx.Traj[i] = r.Traj
-		fx.Seq[i] = r.Seq
-		fx.ISA[i] = r.ISA
-		fx.A[i] = r.A
-		fx.TT[i] = r.TT
-		if r.W != 0 {
-			hasW = true
-		}
-	}
-	if hasW {
-		fx.W = make([]int32, n)
-		for i := range recs {
-			fx.W[i] = recs[i].W
-		}
-	}
-	return fx
 }
 
 // Len returns the number of traversal records.
@@ -109,8 +74,7 @@ func LowerBoundTs(ts []int64, t int64) int {
 func (fx *FrozenIndex) LowerBound(t int64) int { return LowerBoundTs(fx.Ts, t) }
 
 // CountRange returns, exactly and in O(log n), the number of records with
-// lo <= t < hi — the offset subtraction that replaces the B+-tree's O(n)
-// leaf walk once the index is frozen.
+// lo <= t < hi: an offset subtraction.
 func (fx *FrozenIndex) CountRange(lo, hi int64) int {
 	if hi <= lo {
 		return 0
@@ -120,8 +84,8 @@ func (fx *FrozenIndex) CountRange(lo, hi int64) int {
 
 // SizeBytes is the actual columnar footprint: the timestamp column, the
 // record columns that are materialised, and the slice headers. There is no
-// per-node overhead and no slack capacity — the saving over the tree
-// layouts.
+// per-node overhead and no slack capacity — the saving over the paper's
+// tree layouts (internal/treeforest models those).
 func (fx *FrozenIndex) SizeBytes() int {
 	const sliceHeader = 24
 	sz := 7*sliceHeader + len(fx.Ts)*8
@@ -130,17 +94,18 @@ func (fx *FrozenIndex) SizeBytes() int {
 }
 
 // extended returns a new FrozenIndex whose columns are the receiver's
-// followed by the sorted batch. The receiver is not modified: readers
-// holding it keep a consistent view forever. Column memory is shared where
-// append can reuse spare capacity — the batch's values land beyond the
-// receiver's visible length, which readers of the old snapshot never
-// index — so the amortised cost is O(batch), not O(history). The sharing
+// followed by the batch in ord's order (ts[ord[i]], recs[ord[i]]). The
+// receiver is not modified: readers holding it keep a consistent view
+// forever. Column memory is shared where append can reuse spare capacity —
+// the batch's values land beyond the receiver's visible length, which
+// readers of the old snapshot never index — so the amortised cost is
+// O(batch), not O(history). The sharing
 // makes extension chains strictly linear: extending the same snapshot
 // twice would write the same spare capacity twice. snt.Index enforces
 // linearity with its superseded flag; publication of the new snapshot to
 // concurrent readers must happen through an atomic pointer swap (or
 // equivalent happens-before edge).
-func (fx *FrozenIndex) extended(ts []int64, recs []Record) *FrozenIndex {
+func (fx *FrozenIndex) extended(ts []int64, recs []Record, ord []int32) *FrozenIndex {
 	if fx.Mapped {
 		// Detach-on-extend: mapped columns are read-only (append into
 		// their zero spare capacity would reallocate, but the rule is
@@ -150,7 +115,7 @@ func (fx *FrozenIndex) extended(ts []int64, recs []Record) *FrozenIndex {
 		fx = fx.detached(len(recs))
 	}
 	nfx := &FrozenIndex{
-		Ts:   append(fx.Ts, ts...),
+		Ts:   fx.Ts,
 		Traj: fx.Traj,
 		Seq:  fx.Seq,
 		W:    fx.W,
@@ -172,8 +137,9 @@ func (fx *FrozenIndex) extended(ts []int64, recs []Record) *FrozenIndex {
 			nfx.W = make([]int32, len(fx.Traj), len(fx.Traj)+len(recs))
 		}
 	}
-	for i := range recs {
-		r := &recs[i]
+	for _, o := range ord {
+		r := &recs[o]
+		nfx.Ts = append(nfx.Ts, ts[o])
 		nfx.Traj = append(nfx.Traj, r.Traj)
 		nfx.Seq = append(nfx.Seq, r.Seq)
 		nfx.ISA = append(nfx.ISA, r.ISA)
@@ -186,10 +152,11 @@ func (fx *FrozenIndex) extended(ts []int64, recs []Record) *FrozenIndex {
 	return nfx
 }
 
-// detached returns a heap-owned copy of a mapped index with spare capacity
-// for extra more records per column, so the extension appends that follow
-// land in owned memory. The receiver (and the mapping behind it) is not
-// touched.
+// detached returns a heap-owned copy of the index with spare capacity for
+// extra more records per column, so the extension appends that follow land
+// in owned memory and never reallocate. Extending a mapped index goes
+// through it; so does Freeze, from the empty index. The receiver (and any
+// mapping behind it) is not touched.
 func (fx *FrozenIndex) detached(extra int) *FrozenIndex {
 	n := len(fx.Ts)
 	d := &FrozenIndex{
@@ -210,18 +177,6 @@ func (fx *FrozenIndex) detached(extra int) *FrozenIndex {
 // data.
 type FrozenForest struct {
 	idx map[network.EdgeID]*FrozenIndex
-}
-
-// Freeze exports every segment tree into its frozen columnar layout. The
-// forest (and its trees) can be dropped afterwards — construction is the
-// only phase that needs them.
-func (f *Forest) Freeze() *FrozenForest {
-	ff := &FrozenForest{idx: make(map[network.EdgeID]*FrozenIndex, len(f.idx))}
-	for e, x := range f.idx {
-		ts, recs := x.Export()
-		ff.idx[e] = freezeIndex(ts, recs)
-	}
-	return ff
 }
 
 // Get returns the frozen Φe, or nil when the segment has no data.
@@ -281,23 +236,26 @@ func (f *FrozenForest) Rewrite(fn func(network.EdgeID, *FrozenIndex) *FrozenInde
 // for the column-sharing contract and its linear-chain requirement).
 // Untouched segments share their FrozenIndex with the new forest.
 func (f *FrozenForest) Extend(b *ForestBuilder) (*FrozenForest, error) {
-	batches := b.sortedBatches()
-	for _, sb := range batches {
-		if fx := f.idx[sb.e]; fx != nil && len(sb.ts) > 0 && sb.ts[0] < fx.MaxKey() {
-			return nil, fmt.Errorf("temporal: segment %d batch starts at %d before existing max %d",
-				sb.e, sb.ts[0], fx.MaxKey())
+	for e, ts := range b.ts {
+		if fx := f.idx[e]; fx != nil {
+			if first := slices.Min(ts); first < fx.MaxKey() {
+				return nil, fmt.Errorf("temporal: segment %d batch starts at %d before existing max %d",
+					e, first, fx.MaxKey())
+			}
 		}
 	}
-	nf := &FrozenForest{idx: make(map[network.EdgeID]*FrozenIndex, len(f.idx)+len(batches))}
+	nf := &FrozenForest{idx: make(map[network.EdgeID]*FrozenIndex, len(f.idx)+len(b.ts))}
 	for e, fx := range f.idx {
 		nf.idx[e] = fx
 	}
-	for _, sb := range batches {
-		fx := nf.idx[sb.e]
+	var ord []int32
+	for e, ts := range b.ts {
+		fx := nf.idx[e]
 		if fx == nil {
 			fx = &FrozenIndex{}
 		}
-		nf.idx[sb.e] = fx.extended(sb.ts, sb.recs)
+		ord = sortedOrder(ts, ord)
+		nf.idx[e] = fx.extended(ts, b.recs[e], ord)
 	}
 	return nf, nil
 }

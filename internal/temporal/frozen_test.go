@@ -2,6 +2,7 @@ package temporal
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pathhist/internal/network"
@@ -10,8 +11,8 @@ import (
 
 // randomBuilder fills a builder with records over nEdges segments; equal
 // timestamps are common (the tie order is part of the frozen contract).
-func randomBuilder(rng *rand.Rand, kind TreeKind, nEdges, nRecs int) *ForestBuilder {
-	b := NewForestBuilder(kind)
+func randomBuilder(rng *rand.Rand, nEdges, nRecs int) *ForestBuilder {
+	b := NewForestBuilder()
 	for i := 0; i < nRecs; i++ {
 		e := network.EdgeID(rng.Intn(nEdges))
 		t := int64(rng.Intn(nRecs / 2)) // dense keyspace forces duplicates
@@ -27,121 +28,92 @@ func randomBuilder(rng *rand.Rand, kind TreeKind, nEdges, nRecs int) *ForestBuil
 	return b
 }
 
-// TestFreezeMatchesTreeScans: for both tree kinds, the frozen columns hold
-// exactly the tree's entries in exactly the tree's ascending scan order
-// (including ties), and bounds/counts agree on random ranges.
-func TestFreezeMatchesTreeScans(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, kind := range []TreeKind{CSS, BPlus} {
-		f := randomBuilder(rng, kind, 7, 4000).Finish()
-		ff := f.Freeze()
-		if ff.NumIndexes() != f.NumIndexes() || ff.NumRecords() != f.NumRecords() {
-			t.Fatalf("%v: frozen shape %d/%d vs forest %d/%d", kind,
-				ff.NumIndexes(), ff.NumRecords(), f.NumIndexes(), f.NumRecords())
+// equalColumns reports whether two slices are equal and equally nil.
+func equalColumns[T comparable](a, b []T) bool {
+	return (a == nil) == (b == nil) && slices.Equal(a, b)
+}
+
+// TestFrozenExtendMatchesForestExtend: appending a newer batch to the
+// frozen columns yields the same layout as freezing one builder that holds
+// base and batch together — column for column, tie order and W elision
+// included. The batch skips segment 4 and opens segment 7, so untouched,
+// extended and brand-new segments are all compared; the rows cover a W
+// column that stays elided, one the batch materialises and one the base
+// already had.
+func TestFrozenExtendMatchesForestExtend(t *testing.T) {
+	for _, row := range []struct {
+		name           string
+		baseW, batchW  int32
+		wantWOnSegment map[network.EdgeID]bool
+	}{
+		{"stays elided", 0, 0, map[network.EdgeID]bool{}},
+		{"batch materialises", 0, 3, map[network.EdgeID]bool{0: true, 1: true, 2: true, 3: true, 7: true}},
+		{"base has W", 2, 3, map[network.EdgeID]bool{0: true, 1: true, 2: true, 3: true, 4: true, 7: true}},
+	} {
+		rng := rand.New(rand.NewSource(7))
+		base, both := NewForestBuilder(), NewForestBuilder()
+		for i := 0; i < 1000; i++ {
+			e := network.EdgeID(rng.Intn(5))
+			ts := int64(rng.Intn(500)) // dense keyspace forces duplicates
+			r := Record{ISA: int32(i), Traj: traj.ID(i % 97), TT: int32(1 + rng.Intn(300)),
+				A: int32(rng.Intn(10000)), Seq: int32(rng.Intn(40)), W: row.baseW}
+			base.Add(e, ts, r)
+			both.Add(e, ts, r)
 		}
-		ff.Each(func(e network.EdgeID, fx *FrozenIndex) {
-			x := f.Get(e)
-			if x == nil || x.Len() != fx.Len() {
-				t.Fatalf("%v edge %d: length mismatch", kind, e)
+		batch := NewForestBuilder()
+		for i := 0; i < 400; i++ {
+			e := network.EdgeID(rng.Intn(4))
+			if i%50 == 0 {
+				e = 7
 			}
-			// Full ascending enumeration must match the columns pairwise.
-			i := 0
-			x.Ascend(minInt64, maxInt64, func(ts int64, r Record) bool {
-				if fx.Ts[i] != ts || fx.Traj[i] != r.Traj || fx.Seq[i] != r.Seq ||
-					fx.ISA[i] != r.ISA || fx.A[i] != r.A || fx.TT[i] != r.TT {
-					t.Fatalf("%v edge %d offset %d: column mismatch", kind, e, i)
-				}
-				w := int32(0)
-				if fx.W != nil {
-					w = fx.W[i]
-				}
-				if w != r.W {
-					t.Fatalf("%v edge %d offset %d: W %d vs %d", kind, e, i, w, r.W)
-				}
-				i++
-				return true
-			})
-			if i != fx.Len() {
-				t.Fatalf("%v edge %d: enumerated %d of %d", kind, e, i, fx.Len())
+			ts := int64(3000 + rng.Intn(200)) // strictly after every base key, unsorted, with ties
+			r := Record{Traj: traj.ID(i), Seq: int32(i % 9), TT: 5, A: 10, W: row.batchW, ISA: int32(i)}
+			batch.Add(e, ts, r)
+			both.Add(e, ts, r)
+		}
+		ff := base.Freeze()
+		before := ff.NumRecords()
+		got, err := ff.Extend(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ff.NumRecords() != before {
+			t.Fatalf("%s: Extend mutated the source snapshot: %d records, had %d", row.name, ff.NumRecords(), before)
+		}
+		want := both.Freeze()
+		if want.NumRecords() != got.NumRecords() || want.NumIndexes() != got.NumIndexes() {
+			t.Fatalf("%s: shape %d/%d vs %d/%d", row.name, got.NumIndexes(), got.NumRecords(), want.NumIndexes(), want.NumRecords())
+		}
+		want.Each(func(e network.EdgeID, wx *FrozenIndex) {
+			fx := got.Get(e)
+			if fx == nil {
+				t.Fatalf("%s edge %d: missing after Extend", row.name, e)
 			}
-			if min, _ := x.MinKey(); min != fx.MinKey() {
-				t.Fatalf("%v edge %d: MinKey", kind, e)
+			if !equalColumns(fx.Ts, wx.Ts) || !equalColumns(fx.Traj, wx.Traj) || !equalColumns(fx.Seq, wx.Seq) ||
+				!equalColumns(fx.W, wx.W) || !equalColumns(fx.ISA, wx.ISA) || !equalColumns(fx.A, wx.A) ||
+				!equalColumns(fx.TT, wx.TT) {
+				t.Fatalf("%s edge %d: extended columns diverge from the one-shot freeze", row.name, e)
 			}
-			if max, _ := x.MaxKey(); max != fx.MaxKey() {
-				t.Fatalf("%v edge %d: MaxKey", kind, e)
+			if (wx.W != nil) != row.wantWOnSegment[e] {
+				t.Fatalf("%s edge %d: W materialised = %v", row.name, e, wx.W != nil)
 			}
-			for trial := 0; trial < 50; trial++ {
-				lo := int64(rng.Intn(2200)) - 100
-				hi := lo + int64(rng.Intn(500))
-				if got, want := fx.CountRange(lo, hi), x.CountRange(lo, hi); got != want {
-					t.Fatalf("%v edge %d: CountRange(%d,%d) = %d, want %d", kind, e, lo, hi, got, want)
-				}
-				if got := fx.LowerBound(lo); got < fx.Len() && fx.Ts[got] < lo ||
-					got > 0 && fx.Ts[got-1] >= lo {
-					t.Fatalf("%v edge %d: LowerBound(%d) = %d", kind, e, lo, got)
-				}
+			// Freeze allocates every column once at its final length.
+			if cap(wx.Ts) != len(wx.Ts) || cap(wx.Traj) != len(wx.Traj) || cap(wx.Seq) != len(wx.Seq) ||
+				cap(wx.W) != len(wx.W) || cap(wx.ISA) != len(wx.ISA) || cap(wx.A) != len(wx.A) ||
+				cap(wx.TT) != len(wx.TT) {
+				t.Fatalf("%s edge %d: frozen column with spare capacity", row.name, e)
 			}
 		})
 	}
-}
-
-const (
-	minInt64 = -1 << 63
-	maxInt64 = 1<<63 - 1
-)
-
-// TestFrozenExtendMatchesForestExtend: appending a sorted newer batch to
-// the frozen columns yields the same layout as extending the tree forest
-// and re-freezing it.
-func TestFrozenExtendMatchesForestExtend(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	base := randomBuilder(rng, CSS, 5, 1000)
-	f := base.Finish()
-	ff := f.Freeze()
-
-	batch := NewForestBuilder(CSS)
-	for i := 0; i < 400; i++ {
-		e := network.EdgeID(rng.Intn(5))
-		t := int64(3000 + rng.Intn(500)) // strictly after every base key
-		batch.Add(e, t, Record{Traj: traj.ID(i), Seq: int32(i % 9), TT: 5, A: 10, W: 3, ISA: int32(i)})
-	}
-	before := ff.NumRecords()
-	ext, err := ff.Extend(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ff.NumRecords() != before {
-		t.Fatalf("Extend mutated the source snapshot: %d records, had %d", ff.NumRecords(), before)
-	}
-	ff = ext
-	if err := f.Extend(batch); err != nil {
-		t.Fatal(err)
-	}
-	want := f.Freeze()
-	if want.NumRecords() != ff.NumRecords() {
-		t.Fatalf("records %d vs %d", ff.NumRecords(), want.NumRecords())
-	}
-	want.Each(func(e network.EdgeID, wx *FrozenIndex) {
-		fx := ff.Get(e)
-		if fx == nil || fx.Len() != wx.Len() {
-			t.Fatalf("edge %d: length mismatch", e)
-		}
-		for i := 0; i < wx.Len(); i++ {
-			if fx.Ts[i] != wx.Ts[i] || fx.Traj[i] != wx.Traj[i] || fx.Seq[i] != wx.Seq[i] ||
-				fx.W[i] != wx.W[i] || fx.A[i] != wx.A[i] || fx.TT[i] != wx.TT[i] {
-				t.Fatalf("edge %d offset %d: extended columns diverge", e, i)
-			}
-		}
-	})
 }
 
 // TestFrozenExtendRejectsOld: a batch starting before a segment's maximum
 // is rejected without mutating anything.
 func TestFrozenExtendRejectsOld(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	ff := randomBuilder(rng, CSS, 3, 300).Finish().Freeze()
+	ff := randomBuilder(rng, 3, 300).Freeze()
 	before := ff.NumRecords()
-	bad := NewForestBuilder(CSS)
+	bad := NewForestBuilder()
 	bad.Add(0, -1, Record{})
 	if ext, err := ff.Extend(bad); err == nil || ext != nil {
 		t.Fatal("stale batch accepted")
@@ -154,18 +126,18 @@ func TestFrozenExtendRejectsOld(t *testing.T) {
 // TestFrozenWColumnElision: single-partition forests drop the W column
 // entirely; it materialises as soon as a later partition appears.
 func TestFrozenWColumnElision(t *testing.T) {
-	b := NewForestBuilder(CSS)
+	b := NewForestBuilder()
 	for i := 0; i < 10; i++ {
 		b.Add(1, int64(i), Record{W: 0, Traj: traj.ID(i)})
 	}
-	ff := b.Finish().Freeze()
+	ff := b.Freeze()
 	fx := ff.Get(1)
 	if fx.W != nil {
 		t.Fatal("partition-0-only index materialised a W column")
 	}
 	withW := ff.SizeBytes()
 
-	batch := NewForestBuilder(CSS)
+	batch := NewForestBuilder()
 	batch.Add(1, 100, Record{W: 1})
 	ext, err := ff.Extend(batch)
 	if err != nil {
@@ -180,23 +152,5 @@ func TestFrozenWColumnElision(t *testing.T) {
 	}
 	if ext.SizeBytes() <= withW {
 		t.Fatal("materialised W column should grow the footprint")
-	}
-}
-
-// TestFrozenSmallerThanTrees asserts the memory claim the freeze exists
-// for: the columnar footprint undercuts the B+-tree layout (per-node
-// headers, child pointers, slack capacity) and does not exceed the CSS
-// layout it mirrors.
-func TestFrozenSmallerThanTrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	bt := randomBuilder(rng, BPlus, 4, 6000).Finish()
-	frozen := bt.Freeze().SizeBytes()
-	if tree := bt.SizeBytes(PayloadBytes); frozen >= tree {
-		t.Fatalf("frozen %d B not smaller than B+-tree model %d B", frozen, tree)
-	}
-	rng = rand.New(rand.NewSource(9))
-	css := randomBuilder(rng, CSS, 4, 6000).Finish()
-	if tree := css.SizeBytes(PayloadBytes); frozen > tree {
-		t.Fatalf("frozen %d B larger than CSS model %d B", frozen, tree)
 	}
 }

@@ -1,21 +1,21 @@
 // Package temporal implements the temporal indexes F = {Φe | e ∈ E} of the
-// SNT-index (Section 4.1.2): per-segment trees keyed by segment entry
-// timestamp. Leaves carry the paper's extended record (Section 4.1.3): the
-// ISA index, the trajectory id, the traversal time TT, the aggregate travel
-// time a from the trajectory's start, the sequence number seq, and the
-// temporal partition id w (Section 4.3.2).
+// SNT-index (Section 4.1.2): per-segment indexes keyed by segment entry
+// timestamp. Each entry carries the paper's extended record (Section
+// 4.1.3): the ISA index, the trajectory id, the traversal time TT, the
+// aggregate travel time a from the trajectory's start, the sequence number
+// seq, and the temporal partition id w (Section 4.3.2).
 //
-// Two interchangeable tree implementations back the forest: the in-memory
-// B+-tree (Section 4.1.2, "BT") and the append-only cache-sensitive search
-// tree (Section 4.3.1, "CSS").
+// The only layout built and served is the frozen columnar one (frozen.go):
+// ForestBuilder collects records in any order and Freeze sorts each segment
+// once and writes its columns. The paper's B+-tree and CSS-tree layouts are
+// reproduced from those columns by internal/treeforest, for the Figure 10
+// experiments and as a test oracle.
 package temporal
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 
-	"pathhist/internal/bptree"
-	"pathhist/internal/csstree"
 	"pathhist/internal/network"
 	"pathhist/internal/traj"
 )
@@ -30,146 +30,18 @@ type Record struct {
 	W    int32   // temporal partition identifier
 }
 
-// PayloadBytes is the modelled in-leaf payload size with the partition
-// field; PayloadBytesNoPartition models the single-partition layout the
-// paper mentions saves ~300 MiB ("if the partition feature is removed").
-const (
-	PayloadBytes            = 24
-	PayloadBytesNoPartition = 20
-)
-
-// TreeKind selects the forest implementation.
-type TreeKind int
-
-// The two temporal tree variants of the paper.
-const (
-	CSS TreeKind = iota // cache-sensitive search tree (default)
-	BPlus
-)
-
-func (k TreeKind) String() string {
-	if k == CSS {
-		return "CSS"
-	}
-	return "BT"
-}
-
-// Index is Φe, the temporal index of one segment.
-type Index struct {
-	kind TreeKind
-	css  *csstree.Tree[Record]
-	bt   *bptree.Tree[Record]
-}
-
-// build constructs Φe from records sorted by timestamp.
-func build(kind TreeKind, ts []int64, recs []Record) *Index {
-	x := &Index{kind: kind}
-	if kind == CSS {
-		x.css = csstree.Build(ts, recs)
-		return x
-	}
-	x.bt = bptree.New[Record]()
-	for i, t := range ts {
-		x.bt.Insert(t, recs[i])
-	}
-	return x
-}
-
-// Len returns the number of traversal records.
-func (x *Index) Len() int {
-	if x.kind == CSS {
-		return x.css.Len()
-	}
-	return x.bt.Len()
-}
-
-// Ascend scans records with lo <= t < hi in ascending time order.
-func (x *Index) Ascend(lo, hi int64, fn func(t int64, r Record) bool) {
-	if x.kind == CSS {
-		x.css.AscendRange(lo, hi, fn)
-		return
-	}
-	x.bt.AscendRange(lo, hi, fn)
-}
-
-// Descend scans records with lo <= t < hi in descending time order.
-func (x *Index) Descend(lo, hi int64, fn func(t int64, r Record) bool) {
-	if x.kind == CSS {
-		x.css.DescendRange(lo, hi, fn)
-		return
-	}
-	x.bt.DescendRange(lo, hi, fn)
-}
-
-// MinKey returns the earliest traversal time F[e]min of the segment.
-func (x *Index) MinKey() (int64, bool) {
-	if x.kind == CSS {
-		return x.css.MinKey()
-	}
-	return x.bt.MinKey()
-}
-
-// MaxKey returns the latest traversal time F[e]max of the segment.
-func (x *Index) MaxKey() (int64, bool) {
-	if x.kind == CSS {
-		return x.css.MaxKey()
-	}
-	return x.bt.MaxKey()
-}
-
-// CountRange returns the number of records with lo <= t < hi. For CSS trees
-// this is the O(log n) exact range size of Section 4.3.1; for B+-trees it
-// walks the range (which is why the paper's fast estimator modes use the
-// naive min/max formula (3) on BT).
-func (x *Index) CountRange(lo, hi int64) int {
-	if x.kind == CSS {
-		return x.css.CountRange(lo, hi)
-	}
-	return x.bt.CountRange(lo, hi)
-}
-
-// CountsExactlyInLogTime reports whether CountRange is O(log n) (CSS only;
-// frozen columnar indexes count exactly in O(log n) on every tree kind).
-func (x *Index) CountsExactlyInLogTime() bool { return x.kind == CSS }
-
-// Export returns the index's entries as sorted parallel (timestamp, record)
-// slices — the freeze export. For CSS trees the returned slices alias the
-// tree's storage and must be treated as read-only; for B+-trees they are
-// freshly built from one leaf-chain walk.
-func (x *Index) Export() ([]int64, []Record) {
-	if x.kind == CSS {
-		return x.css.Export()
-	}
-	return x.bt.Export(nil, nil)
-}
-
-// SizeBytes models the memory footprint given the per-record payload size.
-func (x *Index) SizeBytes(payloadBytes int) int {
-	if x.kind == CSS {
-		return x.css.SizeBytes(payloadBytes)
-	}
-	return x.bt.SizeBytes(payloadBytes)
-}
-
-// Forest is F: one temporal index per segment that has data.
-type Forest struct {
-	kind TreeKind
-	idx  map[network.EdgeID]*Index
-}
-
-// ForestBuilder accumulates traversal records and freezes them into a
-// Forest. Records may be added in any order; each segment's records are
-// sorted by entry timestamp at Finish (the batch build of Section 4.3.1).
+// ForestBuilder accumulates traversal records per segment, in any order.
+// Freeze turns them into a new FrozenForest; FrozenForest.Extend appends
+// them to an existing one. Either way each segment's records are sorted
+// stably by entry timestamp (the batch build of Section 4.3.1).
 type ForestBuilder struct {
-	kind TreeKind
 	ts   map[network.EdgeID][]int64
 	recs map[network.EdgeID][]Record
 }
 
-// NewForestBuilder returns an empty builder for the given tree kind.
-func NewForestBuilder(kind TreeKind) *ForestBuilder {
+// NewForestBuilder returns an empty builder.
+func NewForestBuilder() *ForestBuilder {
 	return &ForestBuilder{
-		kind: kind,
 		ts:   make(map[network.EdgeID][]int64),
 		recs: make(map[network.EdgeID][]Record),
 	}
@@ -181,126 +53,31 @@ func (b *ForestBuilder) Add(e network.EdgeID, t int64, r Record) {
 	b.recs[e] = append(b.recs[e], r)
 }
 
-// Finish builds the forest.
-func (b *ForestBuilder) Finish() *Forest {
-	f := &Forest{kind: b.kind, idx: make(map[network.EdgeID]*Index, len(b.ts))}
-	for _, sb := range b.sortedBatches() {
-		f.idx[sb.e] = build(b.kind, sb.ts, sb.recs)
+// sortedOrder returns the permutation that lists ts in ascending order with
+// equal timestamps in insertion order, reusing buf's memory. The sort is a
+// stable merge sort on purpose: records arrive trajectory by trajectory in
+// start-time order, so each segment's timestamps are nearly sorted already,
+// which insertion runs plus merges pass over in close to linear time.
+func sortedOrder(ts []int64, buf []int32) []int32 {
+	ord := slices.Grow(buf[:0], len(ts))[:len(ts)]
+	for i := range ord {
+		ord[i] = int32(i)
 	}
-	return f
+	slices.SortStableFunc(ord, func(a, b int32) int { return cmp.Compare(ts[a], ts[b]) })
+	return ord
 }
 
-// Kind returns the tree kind backing the forest.
-func (f *Forest) Kind() TreeKind { return f.kind }
-
-// sortedBatch is one segment's batch, jointly sorted by timestamp.
-type sortedBatch struct {
-	e    network.EdgeID
-	ts   []int64
-	recs []Record
-}
-
-// sortedBatches sorts each segment's accumulated (ts, recs) stably by
-// timestamp — the shared preparation step of Finish, Forest.Extend and
-// FrozenForest.Extend.
-func (b *ForestBuilder) sortedBatches() []sortedBatch {
-	var batches []sortedBatch
+// Freeze builds the frozen columnar forest: per segment, one sort of a
+// permutation, then the records are appended in that order to an empty
+// index whose columns already have their final capacity — each column is
+// allocated once, with len == cap. The builder is left untouched.
+func (b *ForestBuilder) Freeze() *FrozenForest {
+	ff := &FrozenForest{idx: make(map[network.EdgeID]*FrozenIndex, len(b.ts))}
+	var ord []int32
+	var empty FrozenIndex
 	for e, ts := range b.ts {
-		recs := b.recs[e]
-		ord := make([]int, len(ts))
-		for i := range ord {
-			ord[i] = i
-		}
-		sort.SliceStable(ord, func(i, j int) bool { return ts[ord[i]] < ts[ord[j]] })
-		st := make([]int64, len(ts))
-		sr := make([]Record, len(recs))
-		for i, o := range ord {
-			st[i] = ts[o]
-			sr[i] = recs[o]
-		}
-		batches = append(batches, sortedBatch{e: e, ts: st, recs: sr})
+		ord = sortedOrder(ts, ord)
+		ff.idx[e] = empty.detached(len(ts)).extended(ts, b.recs[e], ord)
 	}
-	return batches
-}
-
-// Extend appends a batch of newer records to the forest (the batch-update
-// path enabled by temporal partitioning, Section 4.3.2). Per segment, the
-// batch's records are sorted and appended; every new record must carry a
-// timestamp at or after the segment's current maximum (CSS trees are
-// append-only, Section 4.3.1).
-func (f *Forest) Extend(b *ForestBuilder) error {
-	if b.kind != f.kind {
-		return fmt.Errorf("temporal: extending %v forest with %v batch", f.kind, b.kind)
-	}
-	// Validate before mutating anything.
-	batches := b.sortedBatches()
-	for _, sb := range batches {
-		if x := f.idx[sb.e]; x != nil && len(sb.ts) > 0 {
-			if max, ok := x.MaxKey(); ok && sb.ts[0] < max {
-				return fmt.Errorf("temporal: segment %d batch starts at %d before existing max %d",
-					sb.e, sb.ts[0], max)
-			}
-		}
-	}
-	for _, sb := range batches {
-		x := f.idx[sb.e]
-		if x == nil {
-			x = newEmpty(f.kind)
-			f.idx[sb.e] = x
-		}
-		for i, t := range sb.ts {
-			x.append(t, sb.recs[i])
-		}
-		x.finish()
-	}
-	return nil
-}
-
-func newEmpty(kind TreeKind) *Index {
-	x := &Index{kind: kind}
-	if kind == CSS {
-		x.css = csstree.New[Record]()
-	} else {
-		x.bt = bptree.New[Record]()
-	}
-	return x
-}
-
-func (x *Index) append(t int64, r Record) {
-	if x.kind == CSS {
-		x.css.Append(t, r)
-		return
-	}
-	x.bt.Insert(t, r)
-}
-
-func (x *Index) finish() {
-	if x.kind == CSS {
-		x.css.Finish()
-	}
-}
-
-// Get returns Φe, or nil when the segment has no data.
-func (f *Forest) Get(e network.EdgeID) *Index { return f.idx[e] }
-
-// NumIndexes returns the number of segments with data.
-func (f *Forest) NumIndexes() int { return len(f.idx) }
-
-// NumRecords returns the total number of traversal records.
-func (f *Forest) NumRecords() int {
-	n := 0
-	for _, x := range f.idx {
-		n += x.Len()
-	}
-	return n
-}
-
-// SizeBytes models the forest's memory footprint.
-func (f *Forest) SizeBytes(payloadBytes int) int {
-	const perEntryMapOverhead = 48 // hash bucket + pointer per segment tree
-	sz := 0
-	for _, x := range f.idx {
-		sz += x.SizeBytes(payloadBytes) + perEntryMapOverhead
-	}
-	return sz
+	return ff
 }

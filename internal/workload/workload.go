@@ -236,3 +236,25 @@ func (d *Dataset) AvgQueryStats(qs []Query) (km float64, segments float64, secon
 	n := float64(len(qs))
 	return km / n, segments / n, seconds / n
 }
+
+// IngestionCuts picks up to nBatches quiescent split points in the newest
+// half of a store (sorting it as a side effect): the resulting batches
+// each start strictly after everything before them has ended — the Extend
+// precondition — and are spread evenly over the available boundaries. nil
+// means the store has too few boundaries to split at all.
+func IngestionCuts(s *traj.Store, nBatches int) []int {
+	cuts := s.QuiescentCuts()
+	if len(cuts) < 2 {
+		return nil
+	}
+	tail := cuts[len(cuts)/2:]
+	if nBatches < len(tail) {
+		stride := len(tail) / nBatches
+		picked := make([]int, 0, nBatches)
+		for i := 0; i < len(tail) && len(picked) < nBatches; i += stride {
+			picked = append(picked, tail[i])
+		}
+		tail = picked
+	}
+	return tail
+}

@@ -7,12 +7,12 @@
 // answers travel-time queries for arbitrary paths: the path is partitioned
 // into sub-paths (by road category, zone type, or fixed length), each
 // sub-path is answered with a strict path query against an extended
-// SNT-index (an FM-index over the trajectory string plus a temporal tree
-// forest holding traversal times), failing sub-queries are greedily relaxed
-// (interval widening, path splitting, predicate dropping, speed-limit
-// fallback), and the per-sub-path histograms are convolved into a histogram
-// for the full path. A cardinality estimator skips index scans for
-// sub-queries that cannot meet their sample-size requirement.
+// SNT-index (an FM-index over the trajectory string plus per-segment
+// time-sorted columns holding traversal times), failing sub-queries are
+// greedily relaxed (interval widening, path splitting, predicate dropping,
+// speed-limit fallback), and the per-sub-path histograms are convolved into
+// a histogram for the full path. A cardinality estimator skips index scans
+// for sub-queries that cannot meet their sample-size requirement.
 //
 // Quick start:
 //
@@ -42,7 +42,6 @@ import (
 	"pathhist/internal/query"
 	"pathhist/internal/snapio"
 	"pathhist/internal/snt"
-	"pathhist/internal/temporal"
 	"pathhist/internal/traj"
 )
 
@@ -97,15 +96,6 @@ func ReadStore(r io.Reader) (*Store, error) { return traj.ReadStore(r) }
 // name-to-edge mapping for segments "A".."F".
 func PaperExampleNetwork() (*Graph, map[string]EdgeID) { return network.PaperExample() }
 
-// TreeKind selects the temporal forest implementation.
-type TreeKind = temporal.TreeKind
-
-// Temporal tree kinds.
-const (
-	CSSTree   = temporal.CSS
-	BPlusTree = temporal.BPlus
-)
-
 // PartitionMethod selects the initial query partitioning π (Section 3.2).
 type PartitionMethod int
 
@@ -141,9 +131,6 @@ const (
 
 // Options configures an Engine.
 type Options struct {
-	// Tree selects the temporal index implementation (CSS by default; the
-	// paper finds it at least as fast as the B+-tree and smaller).
-	Tree TreeKind
 	// PartitionDays enables temporal index partitioning with the given
 	// partition size in days (0 = one partition).
 	PartitionDays int
@@ -156,8 +143,12 @@ type Options struct {
 	// LongestPrefixSplitting uses σL instead of the default (and per the
 	// paper both faster and more accurate) regular halving σR.
 	LongestPrefixSplitting bool
-	// Estimator enables cardinality estimation. EstimatorCSSFast pairs
-	// with CSSTree; EstimatorBTFast/BTAcc with BPlusTree.
+	// Estimator enables cardinality estimation. The modes name the
+	// paper's selectivity formulas, not a container: *Fast take the
+	// time-of-day selectivity as uniform (formula 1), *Acc from per-segment
+	// histograms (formula 2); BT* take the timeframe selectivity from the
+	// first segment's min/max entry times (formula 3), CSS* from an exact
+	// O(log n) range count. Every mode runs on the same index.
 	Estimator EstimatorMode
 	// BucketSeconds is the histogram bucket width h (default 10 s).
 	BucketSeconds int
@@ -256,7 +247,6 @@ func NewEngine(g *Graph, store *Store, opts Options) (*Engine, error) {
 		todBucket = 900
 	}
 	ix := snt.Build(g, store, snt.Options{
-		Tree:             opts.Tree,
 		PartitionDays:    opts.PartitionDays,
 		TodBucketSeconds: todBucket,
 		OldestFirst:      opts.OldestFirst,

@@ -113,7 +113,6 @@ func TestOptionsMatrix(t *testing.T) {
 	// results on the example data.
 	for _, opt := range []Options{
 		{},
-		{Tree: BPlusTree},
 		{Partition: ByCategory},
 		{Partition: ByZoneAndCategory},
 		{Partition: MainRoadUserFilters},
@@ -122,8 +121,8 @@ func TestOptionsMatrix(t *testing.T) {
 		{Estimator: EstimatorISA},
 		{Estimator: EstimatorCSSFast},
 		{Estimator: EstimatorCSSAcc},
-		{Tree: BPlusTree, Estimator: EstimatorBTFast},
-		{Tree: BPlusTree, Estimator: EstimatorBTAcc},
+		{Estimator: EstimatorBTFast},
+		{Estimator: EstimatorBTAcc},
 		{PartitionDays: 7},
 		{BucketSeconds: 5, IntervalSizes: []int64{600, 1200}},
 		{OldestFirst: true},
