@@ -12,11 +12,16 @@ import (
 // Result caching. Two caches share one sharded-LRU implementation, both
 // keyed by the strict-path-query tuple (path, interval, filter, β):
 //
-//   - the sub-result cache memoises completed sub-query scans (PR 1): entry
-//     values are the retrieved travel times and their histogram, including
-//     empty "negative" results — a periodic sub-query that fails its β
-//     requirement fails deterministically, and the Procedure 1 relaxation
-//     chain re-issues the same failing scans on every repeat of a query;
+//   - the sub-result cache memoises sub-query scans that retrieved samples:
+//     entry values are the travel times and their histogram. A scan that
+//     failed its β requirement is not stored — the time-of-day census
+//     (snt.Index.CannotReach, asked before this cache is) rejects most
+//     failing rungs in a few adds, less than a lookup costs, and the rest
+//     are recomputed. On the benchmark's route_cold mix storing them
+//     filled the LRU with 723 k empty entries per 6 000 requests, evicting
+//     the one kind of entry worth keeping: the terminal [0, tmax] results
+//     of ≈ 8 k samples each (terminal re-scans 41 257 → 3 699 once the
+//     failures stopped being stored);
 //   - the full-result cache memoises the final convolved histogram and
 //     final sub-queries of a whole TripQuery, so a repeated trip skips
 //     partitioning, scanning and convolution entirely.
@@ -47,10 +52,9 @@ const DefaultCacheCapacity = 4096
 // results.
 const DefaultFullCacheCapacity = 1024
 
-// subValue is the payload of one cached sub-result. The xs slice and
-// histogram are shared by every Result that hits the entry and must be
-// treated as immutable by all readers. A nil xs is a negative entry: the
-// scan completed and found nothing.
+// subValue is the payload of one cached sub-result: a non-empty sample set
+// and its histogram. Both are shared by every Result that hits the entry
+// and must be treated as immutable by all readers.
 type subValue struct {
 	xs       []int
 	hist     *hist.Histogram

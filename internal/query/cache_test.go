@@ -151,3 +151,41 @@ func TestCacheConcurrent(t *testing.T) {
 		t.Fatalf("no lookups recorded: %+v", st)
 	}
 }
+
+// TestSubCacheHoldsRetrievedSamplesOnly: a rung that fails its β requirement
+// is recomputed, not memoised — after a cold run every entry carries
+// samples and there is at most one per accepted sub-query, and the warm
+// re-run takes every accepted sub-query from the cache while its failing
+// rungs reach the index again.
+func TestSubCacheHoldsRetrievedSamplesOnly(t *testing.T) {
+	ix, qs := parEnv(t)
+	eng := NewEngine(ix, Config{Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10,
+		DisableFullResultCache: true, Workers: 1})
+	accepted, failed := 0, 0
+	for i, q := range qs {
+		before := eng.Cache().Entries
+		cold := eng.TripQuery(q)
+		coldFailed := cold.IndexScans + cold.CacheHits - len(cold.Subs)
+		if got := eng.Cache().Entries - before; got != len(cold.Subs)-cold.CacheHits {
+			t.Fatalf("query %d: %d new entries for %d accepted scans (%d rungs failed)",
+				i, got, len(cold.Subs)-cold.CacheHits, coldFailed)
+		}
+		warm := eng.TripQuery(q)
+		if warm.CacheHits != len(warm.Subs) || warm.IndexScans != coldFailed {
+			t.Fatalf("query %d warm: %d hits for %d subs, %d scans for %d failing rungs",
+				i, warm.CacheHits, len(warm.Subs), warm.IndexScans, coldFailed)
+		}
+		accepted += len(cold.Subs)
+		failed += coldFailed
+	}
+	if accepted == 0 || failed == 0 {
+		t.Fatalf("workload exercised %d accepted and %d failing rungs", accepted, failed)
+	}
+	for i := range eng.cache.shards {
+		for _, en := range eng.cache.shards[i].m {
+			if len(en.val.xs) == 0 || en.val.hist == nil {
+				t.Fatalf("entry without samples: path %v %v β=%d", en.path, en.iv, en.beta)
+			}
+		}
+	}
+}

@@ -562,6 +562,7 @@ func (r *Result) PredictedMean() float64 {
 // attempt answers one strict path query (its Interval the effective one)
 // against one index snapshot: cardinality estimation first (Procedure 6
 // semantics — never for terminal sub-queries, which have no β), then the
+// census rejection of a window that cannot hold β records, then the
 // sub-result cache (epoch-checked), then the Procedure 3-5 index scan.
 // Attempts are deterministic given the snapshot and cache state; with the
 // cache disabled they are fully deterministic, which is what makes
@@ -572,6 +573,11 @@ func (e *Engine) attempt(sn *snapshot, q SPQ, sc *snt.Scratch) Outcome {
 			return Outcome{Skipped: true}
 		}
 	}
+	if sn.ix.CannotReach(q.Path, q.Interval, q.Beta) {
+		// The census rejects the rung in a few adds; a failure is never
+		// cached (cache.go), so the lookup could only miss.
+		return Outcome{}
+	}
 	stale := false
 	if e.cache != nil {
 		v, ok, st := e.cache.get(q.Path, q.Interval, q.Filter, q.Beta, sn.epoch)
@@ -581,16 +587,11 @@ func (e *Engine) attempt(sn *snapshot, q SPQ, sc *snt.Scratch) Outcome {
 		stale = st
 	}
 	view, fallback := sn.ix.GetTravelTimesWith(sc, q.Path, q.Interval, q.Filter, q.Beta)
-	if sc.Canceled() {
-		// The scan may have been aborted mid-sweep (TripQueryCtx deadline):
-		// the view is partial and must not be cached or trusted — the caller
-		// is aborting the whole query, so return an inert outcome.
-		return Outcome{Stale: stale}
-	}
-	if len(view) == 0 {
-		if e.cache != nil {
-			e.cache.put(q.Path, q.Interval, q.Filter, q.Beta, sn.epoch, subValue{})
-		}
+	if sc.Canceled() || len(view) == 0 {
+		// A scan aborted mid-sweep (TripQueryCtx deadline) left a partial
+		// view that must not be cached or trusted — the caller is aborting
+		// the whole query. A scan that found nothing is not cached either
+		// (cache.go): the outcome is inert both ways.
 		return Outcome{Stale: stale}
 	}
 	xs := make([]int, len(view))

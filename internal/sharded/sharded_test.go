@@ -156,6 +156,88 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
+// TestShardedCensusOneShardEmpty pins the shard-side census rule: a shard may
+// skip a periodic window only when its bound is zero, never when it is
+// merely below β, because β is met by the sum over shards. The first stripe
+// holds morning trips only — its evening census is empty — and the evening
+// trips of the other two stripes reach β together but not alone; answers
+// must equal the unsharded engine's, at the first rung.
+func TestShardedCensusOneShardEmpty(t *testing.T) {
+	g, ids := network.PaperExample()
+	store := traj.NewStore()
+	rng := rand.New(rand.NewSource(5))
+	routes := [][]string{{"A", "B", "E"}, {"A", "C", "D", "E"}, {"A", "B", "F"}}
+	for d := int64(0); d < 30; d++ {
+		for k := 0; k < 20; k++ {
+			t0 := d*86400 + 7*3600 + rng.Int63n(2*3600)
+			if d >= 10 && k < 6 {
+				t0 = d*86400 + 18*3600 + rng.Int63n(1800) // evening, days 10+ only
+			}
+			var seq []traj.Entry
+			for _, name := range routes[rng.Intn(len(routes))] {
+				tt := int32(3 + rng.Intn(10))
+				seq = append(seq, traj.Entry{Edge: ids[name], T: t0, TT: tt})
+				t0 += int64(tt)
+			}
+			store.Add(traj.UserID(rng.Intn(4)), seq)
+		}
+	}
+	const beta = 100 // 60 evening trips per stripe of 10 days
+	evening := int64(18*3600 + 900)
+	for _, opts := range []pathhist.Options{
+		{DisableCache: true, DisableFullResultCache: true},
+		{DisableCache: true, DisableFullResultCache: true, LongestPrefixSplitting: true},
+	} {
+		ref, err := pathhist.NewEngine(g, copyStore(store), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Build(g, copyStore(store), Config{Shards: 3, Opts: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The premise, read off the shards' own indexes.
+		sum := 0
+		for i := 0; i < 3; i++ {
+			ix, _ := c.Engine(i).QueryEngine().Snapshot()
+			bound := ix.Frozen().Get(ids["A"]).TodBound(18*3600, 1800)
+			if (i == 0) != (bound == 0) || bound >= beta {
+				t.Fatalf("shard %d: evening bound %d", i, bound)
+			}
+			sum += bound
+		}
+		if sum < beta {
+			t.Fatalf("evening bounds sum to %d, below β", sum)
+		}
+		for _, q := range []pathhist.Query{
+			{Path: network.Path{ids["A"]}, Around: evening, WindowSeconds: 1800, Beta: beta},
+			{Path: network.Path{ids["A"], ids["B"], ids["E"]}, Around: evening, WindowSeconds: 1800, Beta: 30},
+			{Path: network.Path{ids["A"], ids["C"], ids["D"], ids["E"]}, Around: evening, WindowSeconds: 1800, Beta: beta},
+			{Path: network.Path{ids["A"]}, Around: evening, WindowSeconds: 1800, Beta: 20, FilterUser: true, User: 1},
+			{Path: network.Path{ids["A"], ids["B"]}, Around: 3 * 3600, WindowSeconds: 900, Beta: 5}, // empty on every shard
+		} {
+			want, err := ref.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.Query(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareShardedVsPublic(t, "census", 3, q, got, want)
+		}
+		// β was met by summing the two evening shards, at the asked window.
+		got, err := c.Query(context.Background(), pathhist.Query{Path: network.Path{ids["A"]}, Around: evening, WindowSeconds: 1800, Beta: beta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Subs) != 1 || len(got.Subs[0].X) != beta || got.IndexScans != 1 {
+			t.Fatalf("A at β=%d: %d subs, %d samples, %d scans", beta, len(got.Subs), len(got.Subs[0].X), got.IndexScans)
+		}
+		c.Close()
+	}
+}
+
 // compareShardedVsPublic compares a routed result against the public
 // pathhist result (which carries the same sub-query payload).
 func compareShardedVsPublic(t *testing.T, name string, n int, q pathhist.Query, got *Result, want *pathhist.Result) {

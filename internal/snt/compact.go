@@ -509,14 +509,7 @@ func (ix *Index) ApplyCompaction(p *PreparedCompaction) (*Index, CompactionStats
 		if !hasW {
 			nW = nil
 		}
-		// Ts/Traj/A/TT are shared with fx, which may view a read-only
-		// mapping — the flag must travel with the columns so a later
-		// Extend still detaches them.
-		return &temporal.FrozenIndex{
-			Ts: fx.Ts, Traj: fx.Traj, Seq: fx.Seq,
-			W: nW, ISA: nISA, A: fx.A, TT: fx.TT,
-			Mapped: fx.Mapped,
-		}
+		return fx.WithPartitioning(nW, nISA)
 	})
 
 	// Assemble the time-of-day histogram list from the pre-merged runs.

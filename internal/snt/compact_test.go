@@ -43,10 +43,32 @@ func fragmentedIndex(t testing.TB, g *network.Graph, s *traj.Store, nBatches int
 	return ix
 }
 
+// assertCensus requires every segment's time-of-day census to equal a
+// recount of its timestamp column (records per half-hour of the day, capped
+// at 255) — the invariant the census rejection of a periodic window rests
+// on, whichever of Build, Extend, compaction or a snapshot load made the
+// index.
+func assertCensus(t testing.TB, ix *Index, label string) {
+	t.Helper()
+	ix.frozen.Each(func(e network.EdgeID, fx *temporal.FrozenIndex) {
+		var want [temporal.CensusBuckets]uint8
+		for _, ts := range fx.Ts {
+			if b := &want[mod(ts, DaySeconds)/1800]; *b < 255 {
+				*b++
+			}
+		}
+		if got := fx.Census(); got != want {
+			t.Fatalf("%s: segment %d census %v, recount of Ts %v", label, e, got, want)
+		}
+	})
+}
+
 // queryGrid exercises paths × intervals × filters with exact-order
-// comparison between two indexes.
+// comparison between two indexes, both of which must carry a true census.
 func assertSameResults(t *testing.T, ids map[string]network.EdgeID, a, b *Index, label string) {
 	t.Helper()
+	assertCensus(t, a, label)
+	assertCensus(t, b, label)
 	paths := []network.Path{
 		path(ids, "A"), path(ids, "A", "B"), path(ids, "A", "B", "E"),
 		path(ids, "A", "C", "D", "E"), path(ids, "B", "E"), path(ids, "C", "D"),
@@ -132,6 +154,9 @@ func TestCompactMatchesFullBuild(t *testing.T) {
 			}
 			if got.W != nil {
 				t.Fatalf("edge %d: partition column not elided after full compaction", e)
+			}
+			if got.Census() != want.Census() {
+				t.Fatalf("edge %d: census %v vs scratch %v", e, got.Census(), want.Census())
 			}
 			for i := range want.Ts {
 				if got.Ts[i] != want.Ts[i] || got.Traj[i] != want.Traj[i] ||

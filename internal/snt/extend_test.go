@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pathhist/internal/network"
+	"pathhist/internal/temporal"
 	"pathhist/internal/traj"
 )
 
@@ -52,6 +53,15 @@ func TestExtendMatchesFullBuild(t *testing.T) {
 	if _, err := base.Extend(second); err == nil {
 		t.Fatal("superseded snapshot accepted a second Extend")
 	}
+
+	assertCensus(t, full, "full build")
+	assertCensus(t, base, "superseded base")
+	assertCensus(t, ext, "extended")
+	full.frozen.Each(func(e network.EdgeID, want *temporal.FrozenIndex) {
+		if got := ext.frozen.Get(e); got == nil || got.Census() != want.Census() {
+			t.Fatalf("segment %d: extended census differs from the full build's", e)
+		}
+	})
 
 	paths := []network.Path{
 		path(ids, "A"), path(ids, "A", "B"), path(ids, "A", "B", "E"),

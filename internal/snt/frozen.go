@@ -111,8 +111,8 @@ func forEachWindow(ts []int64, iv Interval, descending bool, fn func(st, en int)
 			en := cur
 			if ts[cur-1] >= lo+width {
 				// The newest remaining record sits in the gap above this
-				// window (rare after a day jump).
-				en = lowerBound(ts[:cur], lo+width)
+				// window; the window's end is at most a day's records away.
+				en = gallopBack(ts, cur, lo+width)
 				if en == 0 {
 					return // nothing older than this window
 				}
@@ -138,7 +138,7 @@ func forEachWindow(ts []int64, iv Interval, descending bool, fn func(st, en int)
 		st := cur
 		if ts[cur] < lo {
 			// The oldest remaining record sits in the gap below this window.
-			st = cur + lowerBound(ts[cur:], lo)
+			st = gallopFwd(ts, cur, lo)
 			if st == len(ts) {
 				return // nothing newer than this window
 			}

@@ -60,6 +60,12 @@ func (ix *Index) ScanCandidates(sc *Scratch, p network.Path, iv Interval, f Filt
 	if total == 0 {
 		return nil, false
 	}
+	if ix.todBound(p[0], iv) == 0 {
+		// No record of the first segment at this time of day. A shard may
+		// only reject on zero: its count is summed with the other shards'
+		// against a global β, so "fewer than β here" decides nothing.
+		return nil, true
+	}
 	if len(p) == 1 {
 		return ix.scanCandsSingle(sc, p[0], ranges, iv, f, beta), true
 	}

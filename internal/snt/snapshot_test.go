@@ -111,6 +111,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if (got.W == nil) != (want.W == nil) {
 			t.Fatalf("segment %d: W elision differs", e)
 		}
+		if got.Census() != want.Census() {
+			t.Fatalf("segment %d: census %v, writer's %v", e, got.Census(), want.Census())
+		}
 		for i := 0; i < want.Len(); i++ {
 			if got.Ts[i] != want.Ts[i] || got.Traj[i] != want.Traj[i] || got.Seq[i] != want.Seq[i] ||
 				got.ISA[i] != want.ISA[i] || got.A[i] != want.A[i] || got.TT[i] != want.TT[i] ||
@@ -171,26 +174,32 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotLoadedIndexIsLive(t *testing.T) {
 	g, ids, ix := snapshotFixture(t)
 	data := snapshotBytes(t, ix, 1)
-	loaded, _, err := ReadSnapshot(g, bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	_, tmax := ix.TimeRange()
-	batch := func() *Index {
-		s := sliceStoreShifted(t, ids, tmax+DaySeconds)
-		next, err := loaded.Extend(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return next
-	}
-	extLoaded := batch()
 	extWriter, err := ix.Extend(sliceStoreShifted(t, ids, tmax+DaySeconds))
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResults(t, ids, extWriter, extLoaded, "extended loaded vs extended writer")
+	// Through both readers: a mapped index detaches the columns it extends,
+	// and either way the census (recounted at load, not stored) must come
+	// out as the writer's.
+	for _, read := range []struct {
+		name string
+		load func() (*Index, uint64, error)
+	}{
+		{"copied", func() (*Index, uint64, error) { return ReadSnapshot(g, bytes.NewReader(data)) }},
+		{"mapped", func() (*Index, uint64, error) { return ReadSnapshotMapped(g, data) }},
+	} {
+		loaded, _, err := read.load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		extLoaded, err := loaded.Extend(sliceStoreShifted(t, ids, tmax+DaySeconds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResults(t, ids, extWriter, extLoaded, "extended "+read.name+" load vs extended writer")
+		assertCensus(t, loaded, read.name+" load after its Extend")
+	}
 }
 
 // sliceStoreShifted builds a small deterministic batch starting at t0.

@@ -1,6 +1,8 @@
 package snt
 
 import (
+	"math"
+
 	"pathhist/internal/fmindex"
 	"pathhist/internal/network"
 	"pathhist/internal/traj"
@@ -54,6 +56,33 @@ func (ix *Index) isaRanges(sc *Scratch, p network.Path) ([]Range, int64) {
 	return ranges, total
 }
 
+// todBound is an upper bound on the number of e's records inside the
+// interval, read off the segment's time-of-day census in a few adds
+// (temporal.FrozenIndex.TodBound) — hence on the count Procedure 3 can
+// admit, whatever the ISA ranges and the filter. Only a periodic window
+// narrower than a day over a segment with data is bounded; anything else
+// gets math.MaxInt.
+func (ix *Index) todBound(e network.EdgeID, iv Interval) int {
+	if iv.Kind == Periodic && iv.Width < DaySeconds {
+		if fx := ix.frozen.Get(e); fx != nil {
+			return fx.TodBound(iv.TodStart, iv.Width)
+		}
+	}
+	return math.MaxInt
+}
+
+// CannotReach reports whether the census alone proves that GetTravelTimes
+// answers (nil, false) for this sub-query: β is required and the periodic
+// window cannot hold β records of the first segment on all days together,
+// so the enumeration would end in Procedure 5 line 7-8's rejection. It
+// never fires for β ≤ 0, for fixed intervals, or for a segment without
+// data (whose single-segment answer is the speed-limit estimate). Callers
+// with something dearer than a few adds in front of the scan — the query
+// engine's cache lookup — ask it first.
+func (ix *Index) CannotReach(p network.Path, iv Interval, beta int) bool {
+	return beta > 0 && len(p) > 0 && ix.todBound(p[0], iv) < beta
+}
+
 // GetTravelTimes is Procedure 5: retrieve the travel times of up to beta
 // trajectories that traversed path p within interval iv and satisfy f. The
 // fallback flag is set when the speed-limit estimate was returned because a
@@ -63,7 +92,9 @@ func (ix *Index) isaRanges(sc *Scratch, p network.Path) ([]Range, int64) {
 //   - empty ISA range in every partition: no trajectory ever traversed p;
 //     single segments fall back to estimateTT, longer paths return nil;
 //   - periodic intervals require at least beta matches, otherwise nil
-//     (Procedure 5 line 7-8) so that the caller relaxes the sub-query;
+//     (Procedure 5 line 7-8) so that the caller relaxes the sub-query — and
+//     a window whose census bound is already below beta (CannotReach) gets
+//     that answer without a record being visited;
 //   - fixed intervals accept any non-empty match set regardless of beta.
 //
 // The returned slice is freshly allocated and owned by the caller. Hot
@@ -95,6 +126,9 @@ func (ix *Index) GetTravelTimesWith(sc *Scratch, p network.Path, iv Interval, f 
 			sc.xs = append(sc.xs[:0], ix.g.EstimateTTSeconds(p[0]))
 			return sc.xs, true
 		}
+		return nil, false
+	}
+	if ix.CannotReach(p, iv, beta) {
 		return nil, false
 	}
 	if len(p) == 1 {
@@ -133,7 +167,7 @@ func (ix *Index) CountMatchesWith(sc *Scratch, p network.Path, iv Interval, f Fi
 		return 0
 	}
 	ranges, total := ix.isaRanges(sc, p)
-	if total == 0 {
+	if total == 0 || ix.todBound(p[0], iv) == 0 {
 		return 0
 	}
 	ix.buildMap(sc, p[0], ranges, iv, f, limit)

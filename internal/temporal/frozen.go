@@ -9,6 +9,7 @@ package temporal
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"pathhist/internal/network"
@@ -38,10 +39,76 @@ type FrozenIndex struct {
 	// (zero-copy load, DESIGN.md §15) instead of owning heap memory.
 	// Reading is unaffected — the layout is identical — but writing
 	// through a mapped column faults, so extended detaches the columns to
-	// the heap before appending, and every code path that builds a new
-	// FrozenIndex sharing these columns (snt compaction's Rewrite) must
-	// propagate the flag.
+	// the heap before appending, and the flag travels with the columns into
+	// every FrozenIndex that shares them (WithPartitioning).
 	Mapped bool
+
+	// census is the time-of-day census: the number of records per
+	// censusBucketSeconds bucket of mod(Ts, day), saturating at
+	// censusSaturated ("at least that many"). It is derived from Ts alone —
+	// never serialised, recounted on snapshot load — and every constructor
+	// of a FrozenIndex in this package fills it; TodBound reads it. A zero
+	// census would read as "no records at any time of day", which is why
+	// FrozenIndex values are built only inside this package.
+	census [CensusBuckets]uint8
+}
+
+// The census resolution: 48 half-hour buckets, one byte each.
+const (
+	daySeconds          = 86400
+	CensusBuckets       = 48
+	censusBucketSeconds = daySeconds / CensusBuckets
+	censusSaturated     = math.MaxUint8
+)
+
+// censusAdd counts one record entering at t.
+func censusAdd(c *[CensusBuckets]uint8, t int64) {
+	r := t % daySeconds
+	if r < 0 {
+		r += daySeconds
+	}
+	if b := &c[r/censusBucketSeconds]; *b < censusSaturated {
+		*b++
+	}
+}
+
+// Census returns the time-of-day census (a copy).
+func (fx *FrozenIndex) Census() [CensusBuckets]uint8 { return fx.census }
+
+// TodBound returns an upper bound on the number of records whose time of
+// day lies in the periodic window [todStart, todStart+width) — todStart in
+// [0, day), the window wrapping midnight when it must — on any set of days:
+// the sum of the census buckets the window overlaps. Every record inside
+// the window lies in one of those buckets, so the bound is never below the
+// true count; it is math.MaxInt ("no bound") when an overlapped bucket is
+// saturated.
+func (fx *FrozenIndex) TodBound(todStart, width int64) int {
+	first := todStart / censusBucketSeconds
+	n := (todStart+width-1)/censusBucketSeconds - first + 1
+	if n > CensusBuckets {
+		n = CensusBuckets
+	}
+	sum := 0
+	for b := first; n > 0; b, n = b+1, n-1 {
+		c := fx.census[b%CensusBuckets]
+		if c == censusSaturated {
+			return math.MaxInt
+		}
+		sum += int(c)
+	}
+	return sum
+}
+
+// WithPartitioning returns a copy of the index with the partition and ISA
+// columns replaced (w nil = every record in partition 0) and everything
+// else — the other five columns, Mapped, the census — shared or carried
+// over: re-partitioning moves no timestamp. It is how snt compaction
+// republishes a segment.
+func (fx *FrozenIndex) WithPartitioning(w, isa []int32) *FrozenIndex {
+	nfx := new(FrozenIndex)
+	*nfx = *fx
+	nfx.W, nfx.ISA = w, isa
+	return nfx
 }
 
 // Len returns the number of traversal records.
@@ -83,12 +150,12 @@ func (fx *FrozenIndex) CountRange(lo, hi int64) int {
 }
 
 // SizeBytes is the actual columnar footprint: the timestamp column, the
-// record columns that are materialised, and the slice headers. There is no
-// per-node overhead and no slack capacity — the saving over the paper's
-// tree layouts (internal/treeforest models those).
+// record columns that are materialised, the slice headers and the census.
+// There is no per-node overhead and no slack capacity — the saving over the
+// paper's tree layouts (internal/treeforest models those).
 func (fx *FrozenIndex) SizeBytes() int {
 	const sliceHeader = 24
-	sz := 7*sliceHeader + len(fx.Ts)*8
+	sz := 7*sliceHeader + len(fx.census) + len(fx.Ts)*8
 	sz += (len(fx.Traj) + len(fx.Seq) + len(fx.W) + len(fx.ISA) + len(fx.A) + len(fx.TT)) * 4
 	return sz
 }
@@ -122,6 +189,8 @@ func (fx *FrozenIndex) extended(ts []int64, recs []Record, ord []int32) *FrozenI
 		ISA:  fx.ISA,
 		A:    fx.A,
 		TT:   fx.TT,
+
+		census: fx.census,
 	}
 	needW := fx.W != nil
 	if !needW {
@@ -140,6 +209,7 @@ func (fx *FrozenIndex) extended(ts []int64, recs []Record, ord []int32) *FrozenI
 	for _, o := range ord {
 		r := &recs[o]
 		nfx.Ts = append(nfx.Ts, ts[o])
+		censusAdd(&nfx.census, ts[o])
 		nfx.Traj = append(nfx.Traj, r.Traj)
 		nfx.Seq = append(nfx.Seq, r.Seq)
 		nfx.ISA = append(nfx.ISA, r.ISA)
@@ -166,6 +236,8 @@ func (fx *FrozenIndex) detached(extra int) *FrozenIndex {
 		ISA:  append(make([]int32, 0, n+extra), fx.ISA...),
 		A:    append(make([]int32, 0, n+extra), fx.A...),
 		TT:   append(make([]int32, 0, n+extra), fx.TT...),
+
+		census: fx.census,
 	}
 	if fx.W != nil {
 		d.W = append(make([]int32, 0, n+extra), fx.W...)

@@ -74,11 +74,19 @@ func DecodeSnapForest(r *snapio.Reader) (*FrozenForest, error) {
 			len(fx.ISA) != n || len(fx.A) != n || len(fx.TT) != n {
 			return nil, fmt.Errorf("temporal: segment %d: ragged snapshot columns (n=%d)", e, n)
 		}
+		// One pass over Ts checks the order and recounts the census, which
+		// is derived state and not part of the format (into a local, so the
+		// stores cannot alias the column the loop is reading).
+		ts := fx.Ts
+		var census [CensusBuckets]uint8
+		censusAdd(&census, ts[0])
 		for j := 1; j < n; j++ {
-			if fx.Ts[j] < fx.Ts[j-1] {
+			if ts[j] < ts[j-1] {
 				return nil, fmt.Errorf("temporal: segment %d: snapshot timestamps unsorted at %d", e, j)
 			}
+			censusAdd(&census, ts[j])
 		}
+		fx.census = census
 		if _, dup := f.idx[e]; dup {
 			return nil, fmt.Errorf("temporal: segment %d appears twice in snapshot", e)
 		}

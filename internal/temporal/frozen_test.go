@@ -94,6 +94,9 @@ func TestFrozenExtendMatchesForestExtend(t *testing.T) {
 				!equalColumns(fx.TT, wx.TT) {
 				t.Fatalf("%s edge %d: extended columns diverge from the one-shot freeze", row.name, e)
 			}
+			if recount := recountCensus(wx.Ts); fx.Census() != recount || wx.Census() != recount {
+				t.Fatalf("%s edge %d: census %v (extended) / %v (one-shot), recount of Ts %v", row.name, e, fx.Census(), wx.Census(), recount)
+			}
 			if (wx.W != nil) != row.wantWOnSegment[e] {
 				t.Fatalf("%s edge %d: W materialised = %v", row.name, e, wx.W != nil)
 			}
