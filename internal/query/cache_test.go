@@ -20,11 +20,10 @@ func TestCacheGetPut(t *testing.T) {
 	if _, ok, _ := c.get(p, iv, f, beta, 0); ok {
 		t.Fatal("hit on empty cache")
 	}
-	xs := []int{100, 110, 120}
-	hg := hist.FromSamples(xs, 10)
-	c.put(p, iv, f, beta, 0, subValue{xs: xs, hist: hg})
+	hg := hist.FromSamples([]int{100, 110, 120}, 10)
+	c.put(p, iv, f, beta, 0, subValue{n: 3, sum: 330, hist: hg})
 	v, ok, _ := c.get(p, iv, f, beta, 0)
-	if !ok || v.fallback || v.hist != hg || len(v.xs) != 3 {
+	if !ok || v.fallback || v.hist != hg || v.n != 3 || v.sum != 330 {
 		t.Fatalf("get = %+v %v", v, ok)
 	}
 	// Key sensitivity: every component participates.
@@ -52,7 +51,7 @@ func TestCacheGetPut(t *testing.T) {
 func TestCacheEpochInvalidation(t *testing.T) {
 	c := newSubCache(64)
 	p, iv, f, beta := testKey(1)
-	c.put(p, iv, f, beta, 3, subValue{xs: []int{7}, hist: hist.FromSamples([]int{7}, 10)})
+	c.put(p, iv, f, beta, 3, subValue{n: 1, sum: 7, hist: hist.FromSamples([]int{7}, 10)})
 	if _, ok, stale := c.get(p, iv, f, beta, 4); ok || !stale {
 		t.Fatalf("cross-epoch lookup: ok=%v stale=%v, want miss+stale", ok, stale)
 	}
@@ -61,8 +60,8 @@ func TestCacheEpochInvalidation(t *testing.T) {
 		t.Fatalf("second lookup: ok=%v stale=%v, want clean miss", ok, stale)
 	}
 	// Re-populated under the new epoch it serves hits again.
-	c.put(p, iv, f, beta, 4, subValue{xs: []int{9}, hist: hist.FromSamples([]int{9}, 10)})
-	if v, ok, _ := c.get(p, iv, f, beta, 4); !ok || v.xs[0] != 9 {
+	c.put(p, iv, f, beta, 4, subValue{n: 1, sum: 9, hist: hist.FromSamples([]int{9}, 10)})
+	if v, ok, _ := c.get(p, iv, f, beta, 4); !ok || v.n != 1 || v.sum != 9 {
 		t.Fatalf("post-invalidation hit = %+v %v", v, ok)
 	}
 	// An old-epoch reader must not see the new-epoch entry either.
@@ -81,7 +80,7 @@ func TestCacheEviction(t *testing.T) {
 	for i := 0; i < cacheShards*4; i++ {
 		p, iv, f, beta := testKey(i)
 		paths = append(paths, p)
-		c.put(p, iv, f, beta, 0, subValue{xs: []int{i}, hist: hist.FromSamples([]int{i + 1}, 10)})
+		c.put(p, iv, f, beta, 0, subValue{n: 1, sum: int64(i), hist: hist.FromSamples([]int{i + 1}, 10)})
 	}
 	if n := c.Len(); n > cacheShards {
 		t.Fatalf("cache holds %d entries, capacity %d", n, cacheShards)
@@ -92,8 +91,8 @@ func TestCacheEviction(t *testing.T) {
 		_, iv, f, beta := testKey(i)
 		if v, ok, _ := c.get(p, iv, f, beta, 0); ok {
 			found++
-			if len(v.xs) != 1 || v.xs[0] != i {
-				t.Fatalf("entry %d corrupted: %v", i, v.xs)
+			if v.n != 1 || v.sum != int64(i) {
+				t.Fatalf("entry %d corrupted: n %d sum %d", i, v.n, v.sum)
 			}
 		}
 	}
@@ -108,7 +107,7 @@ func TestCacheLRUOrder(t *testing.T) {
 	// LRU assertion; instead verify the weaker invariant directly per
 	// shard: a re-accessed entry survives a subsequent insert that evicts.
 	p0, iv, f, beta := testKey(0)
-	c.put(p0, iv, f, beta, 0, subValue{xs: []int{0}, hist: hist.FromSamples([]int{1}, 10)})
+	c.put(p0, iv, f, beta, 0, subValue{n: 1, sum: 0, hist: hist.FromSamples([]int{1}, 10)})
 	sh := c.shard(cacheHash(p0, iv, f, beta))
 	// Fill the same shard with synthetic entries until eviction happens,
 	// touching p0 before each insert so it stays most recently used.
@@ -118,7 +117,7 @@ func TestCacheLRUOrder(t *testing.T) {
 			continue
 		}
 		c.get(p0, iv, f, beta, 0)
-		c.put(p, piv, pf, pbeta, 0, subValue{xs: []int{i}, hist: hist.FromSamples([]int{i}, 10)})
+		c.put(p, piv, pf, pbeta, 0, subValue{n: 1, sum: int64(i), hist: hist.FromSamples([]int{i}, 10)})
 	}
 	if _, ok, _ := c.get(p0, iv, f, beta, 0); !ok {
 		t.Fatal("most-recently-used entry was evicted")
@@ -135,13 +134,13 @@ func TestCacheConcurrent(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				p, iv, f, beta := testKey(i % 100)
 				if v, ok, _ := c.get(p, iv, f, beta, 0); ok {
-					if len(v.xs) != 1 || v.xs[0] != i%100 {
-						t.Errorf("corrupt entry for key %d: %v", i%100, v.xs)
+					if v.n != 1 || v.sum != int64(i%100) {
+						t.Errorf("corrupt entry for key %d: n %d sum %d", i%100, v.n, v.sum)
 						return
 					}
 					continue
 				}
-				c.put(p, iv, f, beta, 0, subValue{xs: []int{i % 100}, hist: hist.FromSamples([]int{i%100 + 1}, 10)})
+				c.put(p, iv, f, beta, 0, subValue{n: 1, sum: int64(i % 100), hist: hist.FromSamples([]int{i%100 + 1}, 10)})
 			}
 		}(g)
 	}
@@ -183,7 +182,7 @@ func TestSubCacheHoldsRetrievedSamplesOnly(t *testing.T) {
 	}
 	for i := range eng.cache.shards {
 		for _, en := range eng.cache.shards[i].m {
-			if len(en.val.xs) == 0 || en.val.hist == nil {
+			if en.val.n == 0 || en.val.hist == nil {
 				t.Fatalf("entry without samples: path %v %v β=%d", en.path, en.iv, en.beta)
 			}
 		}

@@ -13,10 +13,11 @@ import (
 //
 // Two sources produce bit-identical Results when their answers agree, which
 // needs three guarantees (DESIGN.md §6): attempts are deterministic — the
-// same query asked twice of the same data yields the same samples, histogram
-// and fallback flag; counts are capped at β, so they cross β exactly when the
-// true cardinality does; and samples are admitted in the global scan order,
-// so a β cutoff keeps the same records whatever holds the data.
+// same query asked twice of the same data yields the same sample count,
+// sum, histogram and fallback flag; counts are capped at β, so they cross β
+// exactly when the true cardinality does; and samples are admitted in the
+// global scan order, so a β cutoff keeps the same records whatever holds
+// the data.
 //
 // An error from either function aborts the whole query: nothing accepted so
 // far is returned. That is the cancellation contract — a source whose scan
@@ -33,12 +34,14 @@ type Source struct {
 	TMax int64
 }
 
-// Outcome is a source's answer to one attempt: the retrieved samples with
-// their histogram, or nothing — an empty X sends the sub-query down the
-// relaxation ladder. X and Hist may be shared (caches, other Results); the
-// driver never mutates them.
+// Outcome is a source's answer to one attempt: the sufficient statistics
+// of the retrieved samples — their count, their exact sum and their
+// histogram — or nothing: N == 0 sends the sub-query down the relaxation
+// ladder. Hist may be shared (caches, other Results); the driver never
+// mutates it.
 type Outcome struct {
-	X        []int
+	N        int
+	Sum      int64
 	Hist     *hist.Histogram
 	Fallback bool // speed-limit estimate, no data at all
 	// How the answer came about, for the effort counters: an estimator skip
@@ -50,7 +53,23 @@ type Outcome struct {
 	Stale   bool
 }
 
-func (o *Outcome) success() bool { return !o.Skipped && len(o.X) > 0 }
+// OutcomeOf summarises retrieved samples into an outcome: their count, sum
+// and histogram of the given bucket width. It is the one place a source
+// turns samples into statistics; the samples are read, never retained, so
+// a scan's scratch view may be passed straight in. No samples make the
+// empty (failed) outcome.
+func OutcomeOf(samples []int, bucketWidth int, fallback bool) Outcome {
+	if len(samples) == 0 {
+		return Outcome{}
+	}
+	var sum int64
+	for _, x := range samples {
+		sum += int64(x)
+	}
+	return Outcome{N: len(samples), Sum: sum, Hist: hist.FromSamples(samples, bucketWidth), Fallback: fallback}
+}
+
+func (o *Outcome) success() bool { return !o.Skipped && o.N > 0 }
 
 // subQ is a pending sub-query in the processing queue. base is the
 // un-shifted interval; the effective interval applied to the source adds the
@@ -173,7 +192,8 @@ func (cfg *Config) run(src Source, initial []subQ) (Result, error) {
 			Path:     sub.path,
 			Interval: iv,
 			Filter:   sub.filter,
-			X:        o.X,
+			N:        o.N,
+			Sum:      o.Sum,
 			Hist:     o.Hist,
 			Fallback: o.Fallback,
 		})

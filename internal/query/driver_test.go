@@ -48,11 +48,7 @@ func (f *fakeSource) source() Source {
 			if err := f.ask("scan", q); err != nil {
 				return Outcome{}, err
 			}
-			xs := f.hit(q)
-			if len(xs) == 0 {
-				return Outcome{}, nil
-			}
-			return Outcome{X: xs, Hist: hist.FromSamples(xs, 10)}, nil
+			return OutcomeOf(f.hit(q), 10, false), nil
 		},
 		Count: func(q SPQ) (int, error) {
 			if err := f.ask("count", q); err != nil {
@@ -230,7 +226,7 @@ func TestDriverLadder(t *testing.T) {
 func TestDriverBooksOutcomeKinds(t *testing.T) {
 	answers := []Outcome{
 		{Skipped: true, Stale: true},
-		{X: []int{10}, Hist: hist.FromSamples([]int{10}, 10), Cached: true},
+		{N: 1, Sum: 10, Hist: hist.FromSamples([]int{10}, 10), Cached: true},
 	}
 	src := Source{Attempt: func(SPQ) (Outcome, error) {
 		o := answers[0]

@@ -10,7 +10,6 @@ import (
 
 	"pathhist/internal/card"
 	"pathhist/internal/hist"
-	"pathhist/internal/metrics"
 	"pathhist/internal/network"
 	"pathhist/internal/snt"
 	"pathhist/internal/traj"
@@ -490,20 +489,35 @@ func (e *Engine) Cache() CacheStats { return e.cache.Stats() }
 // FullCache reports the cumulative full-result cache statistics.
 func (e *Engine) FullCache() CacheStats { return e.full.Stats() }
 
-// SubResult is one completed sub-query with its retrieved travel times.
-// X and Hist may be shared with the engine's sub-result cache and with
-// other Results; treat both as immutable.
+// SubResult is one completed sub-query, summarised by the sufficient
+// statistics of its retrieved travel times: the sample count N, their exact
+// sum and their histogram. Hist may be shared with the engine's caches and
+// with other Results; treat it as immutable.
 type SubResult struct {
 	Path     network.Path
-	Interval snt.Interval // effective (shifted) interval that produced X
+	Interval snt.Interval // effective (shifted) interval that produced the samples
 	Filter   snt.Filter
-	X        []int
+	N        int   // number of retrieved samples
+	Sum      int64 // their sum in seconds
 	Hist     *hist.Histogram
 	Fallback bool // speed-limit estimate (no data at all)
 }
 
-// MeanX returns the exact sample mean X̄ of the sub-query (Section 5.3.1).
-func (s *SubResult) MeanX() float64 { return metrics.MeanInt(s.X) }
+// MeanX returns the exact sample mean X̄ of the sub-query (Section 5.3.1),
+// 0 for no samples, in O(1).
+//
+// It has the bits metrics.MeanInt would compute over the samples, which
+// adds float64(x) in order and divides by the count: every sample is an
+// integer and every partial sum stays below 2⁵³ (2²⁰ samples of a full day,
+// 86 399 s, sum to under 2³⁷), so each of those additions is exact, the
+// float sum equals float64(Sum), and the one rounding left is the division,
+// the same here as there.
+func (s *SubResult) MeanX() float64 {
+	if s.N == 0 {
+		return 0
+	}
+	return float64(s.Sum) / float64(s.N)
+}
 
 // Result is the outcome of a travel-time query.
 type Result struct {
@@ -582,7 +596,7 @@ func (e *Engine) attempt(sn *snapshot, q SPQ, sc *snt.Scratch) Outcome {
 	if e.cache != nil {
 		v, ok, st := e.cache.get(q.Path, q.Interval, q.Filter, q.Beta, sn.epoch)
 		if ok {
-			return Outcome{X: v.xs, Hist: v.hist, Fallback: v.fallback, Cached: true}
+			return Outcome{N: v.n, Sum: v.sum, Hist: v.hist, Fallback: v.fallback, Cached: true}
 		}
 		stale = st
 	}
@@ -594,13 +608,12 @@ func (e *Engine) attempt(sn *snapshot, q SPQ, sc *snt.Scratch) Outcome {
 		// (cache.go): the outcome is inert both ways.
 		return Outcome{Stale: stale}
 	}
-	xs := make([]int, len(view))
-	copy(xs, view)
-	hg := hist.FromSamples(xs, e.cfg.BucketWidth)
+	o := OutcomeOf(view, e.cfg.BucketWidth, fallback)
 	if e.cache != nil {
-		e.cache.put(q.Path, q.Interval, q.Filter, q.Beta, sn.epoch, subValue{xs: xs, hist: hg, fallback: fallback})
+		e.cache.put(q.Path, q.Interval, q.Filter, q.Beta, sn.epoch, subValue{n: o.N, sum: o.Sum, hist: o.Hist, fallback: fallback})
 	}
-	return Outcome{X: xs, Hist: hg, Fallback: fallback, Stale: stale}
+	o.Stale = stale
+	return o
 }
 
 // TripQuery is Procedure 6: partition, process with relaxation, convolve.
@@ -739,8 +752,8 @@ func (e *Engine) TripQueryCtx(ctx context.Context, q SPQ) (Result, error) {
 	if e.full != nil && !sc.Canceled() {
 		// Hist and Subs become shared with future hits; both are immutable
 		// from here on (the final histogram is never recycled, and Subs'
-		// samples/histograms are already shared through the sub-result
-		// cache contract). A query that raced its own cancellation to the
+		// histograms are already shared through the sub-result cache
+		// contract). A query that raced its own cancellation to the
 		// finish line is complete and correct, but its last scan may have
 		// been clipped — skip the memoisation rather than trust it.
 		e.full.put(q.Path, q.Interval, q.Filter, q.Beta, sn.epoch, fullValue{hist: res.Hist, subs: res.Subs})

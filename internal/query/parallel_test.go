@@ -51,19 +51,21 @@ func parEnv(t testing.TB) (*snt.Index, []SPQ) {
 	return parIx, parQueries
 }
 
-// sameHist compares two histograms bucket by bucket.
+// sameHist compares two histograms bucket by bucket, from the bucket
+// holding Min to the one holding Max.
 func sameHist(a, b interface {
 	Min() int
 	Max() int
 	Total() float64
+	NumSamples() int
 	BucketWidth() int
 	Count(int) float64
 }) error {
-	if a.Min() != b.Min() || a.Max() != b.Max() || a.Total() != b.Total() || a.BucketWidth() != b.BucketWidth() {
-		return fmt.Errorf("shape: min %d/%d max %d/%d total %v/%v",
-			a.Min(), b.Min(), a.Max(), b.Max(), a.Total(), b.Total())
+	if a.Min() != b.Min() || a.Max() != b.Max() || a.Total() != b.Total() || a.BucketWidth() != b.BucketWidth() || a.NumSamples() != b.NumSamples() {
+		return fmt.Errorf("shape: min %d/%d max %d/%d total %v/%v n %d/%d",
+			a.Min(), b.Min(), a.Max(), b.Max(), a.Total(), b.Total(), a.NumSamples(), b.NumSamples())
 	}
-	for x := a.Min(); x <= a.Max(); x += a.BucketWidth() {
+	for x := a.Min() / a.BucketWidth() * a.BucketWidth(); x <= a.Max(); x += a.BucketWidth() {
 		if a.Count(x) != b.Count(x) {
 			return fmt.Errorf("bucket at %d: %v vs %v", x, a.Count(x), b.Count(x))
 		}
@@ -72,8 +74,9 @@ func sameHist(a, b interface {
 }
 
 // sameResult compares the semantically defined parts of two results: the
-// final sub-queries (paths, effective intervals, filters, samples,
-// fallback flags) and the convolved histogram.
+// final sub-queries (paths, effective intervals, filters, sample counts and
+// sums, bucket-by-bucket histograms, fallback flags) and the convolved
+// histogram.
 func sameResult(a, b *Result) error {
 	if len(a.Subs) != len(b.Subs) {
 		return fmt.Errorf("sub count %d vs %d", len(a.Subs), len(b.Subs))
@@ -94,12 +97,15 @@ func sameResult(a, b *Result) error {
 		if sa.Filter != sb.Filter || sa.Fallback != sb.Fallback {
 			return fmt.Errorf("sub %d filter/fallback mismatch", i)
 		}
-		if len(sa.X) != len(sb.X) {
-			return fmt.Errorf("sub %d samples %d vs %d", i, len(sa.X), len(sb.X))
+		if sa.N != sb.N || sa.Sum != sb.Sum {
+			return fmt.Errorf("sub %d samples (n %d, sum %d) vs (n %d, sum %d)", i, sa.N, sa.Sum, sb.N, sb.Sum)
 		}
-		for j := range sa.X {
-			if sa.X[j] != sb.X[j] {
-				return fmt.Errorf("sub %d X[%d] %d vs %d", i, j, sa.X[j], sb.X[j])
+		if (sa.Hist == nil) != (sb.Hist == nil) {
+			return fmt.Errorf("sub %d hist nil mismatch", i)
+		}
+		if sa.Hist != nil {
+			if err := sameHist(sa.Hist, sb.Hist); err != nil {
+				return fmt.Errorf("sub %d hist: %w", i, err)
 			}
 		}
 	}

@@ -1,10 +1,11 @@
 package query
 
 import (
-	"sort"
+	"fmt"
 	"testing"
 
 	"pathhist/internal/card"
+	"pathhist/internal/hist"
 	"pathhist/internal/network"
 	"pathhist/internal/snt"
 	"pathhist/internal/traj"
@@ -144,6 +145,27 @@ func engine(t testing.TB, g *network.Graph, s *traj.Store, cfg Config) (*Engine,
 	return NewEngine(ix, cfg), ix
 }
 
+// sameSamples reports whether a sub-result summarises exactly the sample
+// multiset want: the same count and sum, and bucket for bucket the
+// histogram hist.FromSamples builds from want (with the unit buckets these
+// tests use, that histogram is the multiset itself).
+func sameSamples(s *SubResult, want ...int) error {
+	var sum int64
+	for _, x := range want {
+		sum += int64(x)
+	}
+	if s.N != len(want) || s.Sum != sum {
+		return fmt.Errorf("samples (n %d, sum %d), want (n %d, sum %d) of %v", s.N, s.Sum, len(want), sum, want)
+	}
+	if s.Hist == nil {
+		return fmt.Errorf("no histogram, want one of %v", want)
+	}
+	if err := sameHist(s.Hist, hist.FromSamples(want, s.Hist.BucketWidth())); err != nil {
+		return fmt.Errorf("histogram of %v: %w", want, err)
+	}
+	return nil
+}
+
 func TestTripQueryPaperExample(t *testing.T) {
 	g, ids, s := paperStore(t, false)
 	e, _ := engine(t, g, s, Config{Partitioner: Partitioner{Kind: None}})
@@ -156,10 +178,8 @@ func TestTripQueryPaperExample(t *testing.T) {
 	if len(res.Subs) != 1 {
 		t.Fatalf("subs = %d", len(res.Subs))
 	}
-	xs := append([]int(nil), res.Subs[0].X...)
-	sort.Ints(xs)
-	if len(xs) != 2 || xs[0] != 10 || xs[1] != 11 {
-		t.Fatalf("X = %v", xs)
+	if err := sameSamples(&res.Subs[0], 10, 11); err != nil {
+		t.Fatal(err)
 	}
 	// H = {[10,11): 1; [11,12): 1}.
 	if res.Hist.Count(10) != 1 || res.Hist.Count(11) != 1 {
@@ -219,8 +239,8 @@ func TestRelaxationSplitsToSegments(t *testing.T) {
 	var names []string
 	for _, sub := range res.Subs {
 		names = append(names, pathNames(ids, sub.Path))
-		if len(sub.X) < 3 {
-			t.Errorf("sub %s has only %d samples", pathNames(ids, sub.Path), len(sub.X))
+		if sub.N < 3 {
+			t.Errorf("sub %s has only %d samples", pathNames(ids, sub.Path), sub.N)
 		}
 	}
 	if !equalStrings(names, []string{"A", "B", "E"}) {
@@ -250,8 +270,8 @@ func TestEstimateFallbackTerminal(t *testing.T) {
 	if !last.Fallback {
 		t.Error("expected fallback flag")
 	}
-	if len(last.X) != 1 || last.X[0] != 36 {
-		t.Errorf("fallback X = %v, want {36}", last.X)
+	if err := sameSamples(&last, 36); err != nil {
+		t.Errorf("fallback: %v, want {36}", err)
 	}
 	// A segment with an empty ISA range falls back at the FM-index check
 	// (Procedure 5 line 2-4 + the estimateTT intent), so no terminal
@@ -277,8 +297,8 @@ func TestTerminalFixedIntervalReached(t *testing.T) {
 	if sub.Filter.HasPredicate() {
 		t.Error("user predicate should have been dropped")
 	}
-	if len(sub.X) != 1 || sub.X[0] != 6 || sub.Fallback {
-		t.Errorf("X = %v fallback=%v, want tr2's 6 s traversal", sub.X, sub.Fallback)
+	if err := sameSamples(&sub, 6); err != nil || sub.Fallback {
+		t.Errorf("samples: %v, fallback=%v, want tr2's 6 s traversal", err, sub.Fallback)
 	}
 }
 
@@ -380,8 +400,12 @@ func TestFixedIntervalQueryAcceptsUnderBeta(t *testing.T) {
 		Filter:   snt.NoFilter,
 		Beta:     50,
 	})
-	if len(res.Subs) != 1 || len(res.Subs[0].X) != 2 {
-		t.Fatalf("fixed under-beta: %d subs, X=%v", len(res.Subs), res.Subs[0].X)
+	if len(res.Subs) != 1 {
+		t.Fatalf("fixed under-beta: %d subs", len(res.Subs))
+	}
+	// tr1 and tr4 drive A,B,E in [0, 20): 3+4+4 and 3+3+4 seconds.
+	if err := sameSamples(&res.Subs[0], 10, 11); err != nil {
+		t.Fatalf("fixed under-beta: %v", err)
 	}
 }
 

@@ -29,10 +29,11 @@ type Result struct {
 	// stripes; with Partial true it is the exact answer over the surviving
 	// shards' data only.
 	Hist *hist.Histogram
-	// Subs are the final sub-queries in path order. For multi-segment
-	// sub-paths the samples are in merged candidate order, which differs
-	// from the unsharded engine's probe order — an equal multiset, so every
-	// derived statistic (histogram, mean, quantiles) is identical.
+	// Subs are the final sub-queries in path order, each summarised by the
+	// count, exact sum and histogram of its samples. The router gathers the
+	// samples in merged candidate order, which differs from the unsharded
+	// engine's probe order — an equal multiset, so every statistic is
+	// identical.
 	Subs []query.SubResult
 	// MeanSeconds is Σ X̄_j, the paper's point prediction.
 	MeanSeconds float64
@@ -210,8 +211,8 @@ type taggedCand struct {
 
 // scatterScan is the scatter source's attempt: scan every live shard's
 // candidates, merge them into the global scan order, apply the global β
-// cutoff and the Procedure 5 decision ladder, and reconstruct the
-// travel-time samples.
+// cutoff and the Procedure 5 decision ladder, and summarise the
+// reconstructed travel-time samples.
 func (c *Cluster) scatterScan(ctx context.Context, rs *runState, q query.SPQ) (query.Outcome, error) {
 	outs, err := c.scatter(ctx, rs, func(ix *snt.Index, sc *snt.Scratch) scanOut {
 		cands, anyData := ix.ScanCandidates(sc, q.Path, q.Interval, q.Filter, q.Beta)
@@ -221,10 +222,7 @@ func (c *Cluster) scatterScan(ctx context.Context, rs *runState, q query.SPQ) (q
 		return query.Outcome{}, err
 	}
 	xs, fallback := c.admit(outs, q)
-	if len(xs) == 0 {
-		return query.Outcome{}, nil
-	}
-	return query.Outcome{X: xs, Hist: hist.FromSamples(xs, c.ladder.BucketWidth), Fallback: fallback}, nil
+	return query.OutcomeOf(xs, c.ladder.BucketWidth, fallback), nil
 }
 
 // admit turns the shards' candidate lists into the attempt's samples (none
@@ -255,21 +253,12 @@ func (c *Cluster) admit(outs []scanOut, q query.SPQ) (xs []int, fallback bool) {
 	if q.Beta > 0 && len(merged) > q.Beta {
 		merged = merged[:q.Beta]
 	}
-	if len(q.Path) == 1 {
-		if len(merged) == 0 {
-			return []int{c.g.EstimateTTSeconds(q.Path[0])}, true
-		}
-		// The unsharded scan emits single-segment samples in ascending time
-		// order: the reverse of the newest-first merged order.
-		xs = make([]int, 0, len(merged))
-		for i := range merged {
-			xs = append(xs, int(merged[i].c.X))
-		}
-		if !c.cfg.Opts.OldestFirst {
-			slices.Reverse(xs)
-		}
-		return xs, false
+	if len(q.Path) == 1 && len(merged) == 0 {
+		return []int{c.g.EstimateTTSeconds(q.Path[0])}, true
 	}
+	// The samples come out in merged order, not the unsharded scan's (which
+	// emits single-segment samples oldest first). The order is immaterial:
+	// an outcome keeps only their count, exact sum and histogram.
 	for i := range merged {
 		if merged[i].c.HasX {
 			xs = append(xs, int(merged[i].c.X))

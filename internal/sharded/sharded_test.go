@@ -231,8 +231,8 @@ func TestShardedCensusOneShardEmpty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Subs) != 1 || len(got.Subs[0].X) != beta || got.IndexScans != 1 {
-			t.Fatalf("A at β=%d: %d subs, %d samples, %d scans", beta, len(got.Subs), len(got.Subs[0].X), got.IndexScans)
+		if len(got.Subs) != 1 || got.Subs[0].N != beta || got.IndexScans != 1 {
+			t.Fatalf("A at β=%d: %d subs, %d samples, %d scans", beta, len(got.Subs), got.Subs[0].N, got.IndexScans)
 		}
 		c.Close()
 	}
@@ -262,17 +262,18 @@ func compareShardedVsPublic(t *testing.T, name string, n int, q pathhist.Query, 
 		if gs.Fallback != ws.Fallback {
 			t.Fatalf("%s: sub %d fallback %v vs %v for %+v", tag, i, gs.Fallback, ws.Fallback, q)
 		}
-		if len(gs.X) != ws.Samples {
-			t.Fatalf("%s: sub %d %d samples vs %d for %+v", tag, i, len(gs.X), ws.Samples, q)
+		if gs.N != ws.Samples {
+			t.Fatalf("%s: sub %d %d samples vs %d for %+v", tag, i, gs.N, ws.Samples, q)
 		}
 		if !histsEqual(gs.Hist, ws.Histogram) {
 			t.Fatalf("%s: sub %d histogram mismatch for %+v", tag, i, q)
 		}
-		if diff := math.Abs(gs.MeanX() - ws.MeanTT); diff > 1e-6*(1+math.Abs(ws.MeanTT)) {
+		// With equal counts, equal mean bits mean equal exact sums.
+		if gs.MeanX() != ws.MeanTT {
 			t.Fatalf("%s: sub %d mean %v vs %v for %+v", tag, i, gs.MeanX(), ws.MeanTT, q)
 		}
 	}
-	if diff := math.Abs(got.MeanSeconds - want.MeanSeconds); diff > 1e-6*(1+math.Abs(want.MeanSeconds)) {
+	if got.MeanSeconds != want.MeanSeconds {
 		t.Fatalf("%s: mean %v vs %v for %+v", tag, got.MeanSeconds, want.MeanSeconds, q)
 	}
 }
@@ -613,5 +614,77 @@ func TestShardedIngestRouting(t *testing.T) {
 		return nil
 	}); !errors.Is(err, ErrNoIngestShard) {
 		t.Fatalf("err = %v, want ErrNoIngestShard", err)
+	}
+}
+
+// TestShardedSubStatsMatchUnsharded: the router summarises single-segment
+// samples gathered in the reverse of the unsharded scan's order, and
+// multi-segment ones in merged candidate order. The statistics must not
+// see the order: every final sub-query's count, exact sum, MeanX bits and
+// histogram equal the unsharded engine's, for periodic, fixed and
+// user-filtered single-segment queries (including terminal [0, tmax]
+// fallbacks) and for the longer paths of the differential mix.
+func TestShardedSubStatsMatchUnsharded(t *testing.T) {
+	ds := testDataset(t)
+	tmin, tmax := ds.Store.TimeRange()
+	opts := pathhist.Options{}
+	ref, err := pathhist.NewEngine(ds.G, copyStore(ds.Store), ShardOptions(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	_, refMax := ref.QueryEngine().Index().TimeRange()
+	var qs []pathhist.Query
+	for i := 0; i < 40; i++ {
+		e := ds.Store.Get(traj.ID((i * 53) % ds.Store.Len())).Path()[i%2]
+		single := network.Path{e}
+		qs = append(qs,
+			pathhist.Query{Path: single, Around: tmin + int64(i)*4111, Beta: 1 + i%25},
+			pathhist.Query{Path: single, From: tmin + int64(i)*7919, Beta: 5},
+			pathhist.Query{Path: single, Around: 17 * 3600, WindowSeconds: 900, Beta: 20, FilterUser: true, User: traj.UserID(i % 15)},
+		)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 40; i++ {
+		qs = append(qs, randomQuery(rng, ds, tmin, tmax))
+	}
+	for _, n := range []int{2, 4} {
+		c, err := Build(ds.G, copyStore(ds.Store), Config{Shards: n, Opts: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		singles := 0
+		for _, q := range qs {
+			spq, err := pathhist.StrictPathQuery(ds.G, q, refMax)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ref.QueryEngine().TripQuery(spq)
+			got, err := c.Query(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Subs) != len(want.Subs) {
+				t.Fatalf("N=%d %+v: %d subs vs %d", n, q, len(got.Subs), len(want.Subs))
+			}
+			for i := range got.Subs {
+				gs, ws := &got.Subs[i], &want.Subs[i]
+				if len(gs.Path) == 1 {
+					singles++
+				}
+				if gs.N != ws.N || gs.Sum != ws.Sum || gs.Fallback != ws.Fallback ||
+					math.Float64bits(gs.MeanX()) != math.Float64bits(ws.MeanX()) || !histsEqual(gs.Hist, ws.Hist) {
+					t.Fatalf("N=%d %+v sub %d: (n %d, sum %d, mean %v, fallback %v) vs unsharded (n %d, sum %d, mean %v, fallback %v)",
+						n, q, i, gs.N, gs.Sum, gs.MeanX(), gs.Fallback, ws.N, ws.Sum, ws.MeanX(), ws.Fallback)
+				}
+			}
+			if math.Float64bits(got.MeanSeconds) != math.Float64bits(want.PredictedMean()) {
+				t.Fatalf("N=%d %+v: mean %v vs %v", n, q, got.MeanSeconds, want.PredictedMean())
+			}
+		}
+		if singles == 0 {
+			t.Fatal("no single-segment sub-query was compared")
+		}
+		c.Close()
 	}
 }

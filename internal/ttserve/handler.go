@@ -30,8 +30,10 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -591,12 +593,13 @@ func (c *core) query(w http.ResponseWriter, r *http.Request) {
 		unavailableJSON(w, "server is draining")
 		return
 	}
-	q, err := parseQuery(r)
+	params := r.URL.Query()
+	q, err := parseQuery(params)
 	if err != nil {
 		rejectJSON(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	ctx, cancel, limit, err := requestDeadline(r, c.cfg.QueryTimeout)
+	ctx, cancel, limit, err := requestDeadline(r.Context(), params.Get("timeout"), c.cfg.QueryTimeout)
 	if err != nil {
 		rejectJSON(w, http.StatusBadRequest, err.Error())
 		return
@@ -626,14 +629,32 @@ func (c *core) query(w http.ResponseWriter, r *http.Request) {
 	// Encode before any header goes out: a result json cannot represent
 	// (non-finite histogram mass on a very long path) must be a 500 with a
 	// reason, never a 200 whose body stops at zero bytes.
-	var body bytes.Buffer
-	if err := json.NewEncoder(&body).Encode(resp); err != nil {
+	body := bodyPool.Get().(*bytes.Buffer)
+	defer putBody(body)
+	if err := json.NewEncoder(body).Encode(resp); err != nil {
 		c.counters.EncodeFailures.Add(1)
 		rejectJSON(w, http.StatusInternalServerError, fmt.Sprintf("encoding the answer: %v", err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(body.Bytes()) // a failed write means the client is gone
+}
+
+// bodyPool recycles the /query encode buffers: a buffer grown to one
+// answer's size serves the next answer without growing again. Write copies
+// the bytes out (into the connection's buffer) before a buffer is returned.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody caps what the pool keeps, so one outsized answer does not
+// pin its buffer for the life of the process.
+const maxPooledBody = 1 << 20
+
+func putBody(b *bytes.Buffer) {
+	if b.Cap() > maxPooledBody {
+		return
+	}
+	b.Reset()
+	bodyPool.Put(b)
 }
 
 // Server is the single-engine front: the core over one Shard, answering
@@ -761,12 +782,11 @@ func parseTimeout(raw string) (time.Duration, error) {
 }
 
 // requestDeadline resolves the effective deadline for a request: the
-// configured server limit, lowered (never raised) by a ?timeout= parameter.
-// It returns the derived context and its cancel func (both unchanged when
-// no limit applies).
-func requestDeadline(r *http.Request, limit time.Duration) (context.Context, context.CancelFunc, time.Duration, error) {
-	ctx := r.Context()
-	if raw := r.URL.Query().Get("timeout"); raw != "" {
+// configured server limit, lowered (never raised) by the raw ?timeout=
+// parameter. It returns the derived context and its cancel func (both
+// unchanged when no limit applies).
+func requestDeadline(ctx context.Context, raw string, limit time.Duration) (context.Context, context.CancelFunc, time.Duration, error) {
+	if raw != "" {
 		d, err := parseTimeout(raw)
 		if err != nil {
 			return ctx, nil, 0, err
@@ -783,9 +803,9 @@ func requestDeadline(r *http.Request, limit time.Duration) (context.Context, con
 }
 
 // parseQuery decodes the /query parameters.
-func parseQuery(r *http.Request) (pathhist.Query, error) {
+func parseQuery(params url.Values) (pathhist.Query, error) {
 	var q pathhist.Query
-	raw := r.URL.Query().Get("path")
+	raw := params.Get("path")
 	if raw == "" {
 		return q, fmt.Errorf("missing ?path=<edge,edge,...>")
 	}
@@ -796,9 +816,9 @@ func parseQuery(r *http.Request) (pathhist.Query, error) {
 		}
 		q.Path = append(q.Path, pathhist.EdgeID(id))
 	}
-	tod := r.URL.Query().Get("tod")
-	from, hasFrom := r.URL.Query().Get("from"), false
-	until, hasUntil := r.URL.Query().Get("until"), false
+	tod := params.Get("tod")
+	from, hasFrom := params.Get("from"), false
+	until, hasUntil := params.Get("until"), false
 	if tod != "" && (from != "" || until != "") {
 		return q, fmt.Errorf("tod is mutually exclusive with from/until")
 	}
@@ -832,7 +852,7 @@ func parseQuery(r *http.Request) (pathhist.Query, error) {
 	if hasFrom && hasUntil && q.Until <= q.From {
 		return q, fmt.Errorf("until (%d) must be greater than from (%d)", q.Until, q.From)
 	}
-	if ws := r.URL.Query().Get("window"); ws != "" {
+	if ws := params.Get("window"); ws != "" {
 		if tod == "" {
 			return q, fmt.Errorf("window requires tod")
 		}
@@ -842,14 +862,14 @@ func parseQuery(r *http.Request) (pathhist.Query, error) {
 		}
 		q.WindowSeconds = w
 	}
-	if bs := r.URL.Query().Get("beta"); bs != "" {
+	if bs := params.Get("beta"); bs != "" {
 		b, err := strconv.Atoi(bs)
 		if err != nil || b < 0 {
 			return q, fmt.Errorf("bad beta %q", bs)
 		}
 		q.Beta = b
 	}
-	if us := r.URL.Query().Get("user"); us != "" {
+	if us := params.Get("user"); us != "" {
 		u, err := strconv.Atoi(us)
 		if err != nil || u < 0 {
 			return q, fmt.Errorf("bad user %q", us)
@@ -870,13 +890,16 @@ func toResponse(res *pathhist.Result) Response {
 		FullCacheHit:  res.FullCacheHit,
 		Epoch:         res.Epoch,
 	}
-	for _, s := range res.Subs {
-		out.SubQueries = append(out.SubQueries, SubResponse{
+	if len(res.Subs) > 0 {
+		out.SubQueries = make([]SubResponse, len(res.Subs))
+	}
+	for i, s := range res.Subs {
+		out.SubQueries[i] = SubResponse{
 			Segments: len(s.Path),
 			Samples:  s.Samples,
 			MeanTT:   s.MeanTT,
 			Fallback: s.Fallback,
-		})
+		}
 	}
 	fillHistogram(&out, res.Histogram)
 	return out
@@ -897,6 +920,18 @@ func fillHistogram(out *Response, h *pathhist.Histogram) {
 	w := h.BucketWidth()
 	total := h.Total()
 	lo := h.Min() / w * w
+	n := 0
+	for b := lo; b <= h.Max(); b += w {
+		if h.Count(b) > 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		// NaN counts (an overflowed convolution) pass no m > 0 test; the
+		// field stays null, as it always has.
+		return
+	}
+	out.Histogram = make([]Bucket, 0, n)
 	for b := lo; b <= h.Max(); b += w {
 		if m := h.Count(b); m > 0 {
 			out.Histogram = append(out.Histogram, Bucket{

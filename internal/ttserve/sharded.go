@@ -103,14 +103,17 @@ func (s *ShardedServer) toShardedResponse(res *sharded.Result) ShardedResponse {
 	}
 	out.MeanSeconds = res.MeanSeconds
 	out.IndexScans = res.IndexScans
+	if len(res.Subs) > 0 {
+		out.SubQueries = make([]SubResponse, len(res.Subs))
+	}
 	for i := range res.Subs {
 		sub := &res.Subs[i]
-		out.SubQueries = append(out.SubQueries, SubResponse{
+		out.SubQueries[i] = SubResponse{
 			Segments: len(sub.Path),
-			Samples:  len(sub.X),
+			Samples:  sub.N,
 			MeanTT:   sub.MeanX(),
 			Fallback: sub.Fallback,
-		})
+		}
 	}
 	for _, st := range s.cluster.Status() {
 		out.Epoch += st.Epoch

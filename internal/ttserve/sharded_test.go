@@ -17,7 +17,7 @@ import (
 	"pathhist/internal/workload"
 )
 
-func shardedDataset(t *testing.T) *workload.Dataset {
+func shardedDataset(t testing.TB) *workload.Dataset {
 	t.Helper()
 	cfg := workload.SmallConfig()
 	cfg.Net.Cities = 3
@@ -160,6 +160,63 @@ func TestShardedFrontBitIdentity(t *testing.T) {
 					t.Fatalf("shards=%d %s bucket %d: %+v vs %+v", n, q, i, got.Histogram[i], want.Histogram[i])
 				}
 			}
+		}
+	}
+}
+
+// meanFields is the part of a /query body the mean is read from, kept as
+// the JSON text each front wrote.
+type meanFields struct {
+	MeanSeconds json.RawMessage `json:"mean_seconds"`
+	SubQueries  []struct {
+		Samples json.RawMessage `json:"samples"`
+		MeanTT  json.RawMessage `json:"mean_seconds"`
+	} `json:"sub_queries"`
+}
+
+// TestShardedFrontSampleCountsAndMeans: the router gathers single-segment
+// samples in the reverse of the unsharded scan's order; a sub-result keeps
+// only their count, exact sum and histogram, so the "samples" and
+// "mean_seconds" fields both fronts write must be the same text, for the
+// periodic, fixed, user-filtered and terminal sub-queries of single-segment
+// questions and for the longer paths of the differential mix.
+func TestShardedFrontSampleCountsAndMeans(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		f := newShardedFixture(t, n, Config{})
+		urls := f.queryURLs()
+		for i := 0; i < 20; i++ {
+			tr := f.ds.Store.Get(pathhist.TrajID((i * 29) % f.ds.Store.Len()))
+			seg := shardedPathParam(pathhist.Path(tr.Path()[:1]))
+			urls = append(urls,
+				fmt.Sprintf("/query?path=%s", seg),
+				fmt.Sprintf("/query?path=%s&tod=%02d:%02d&beta=%d", seg, (6+i)%24, (i*7)%60, 1+i%12),
+				fmt.Sprintf("/query?path=%s&user=%d&beta=3", seg, i%12),
+			)
+		}
+		subs := 0
+		for _, q := range urls {
+			var got, want meanFields
+			if code := shardedGetJSON(t, f.frontURL+q, &got); code != http.StatusOK {
+				t.Fatalf("shards=%d %s: front status %d", n, q, code)
+			}
+			if code := shardedGetJSON(t, f.single+q, &want); code != http.StatusOK {
+				t.Fatalf("shards=%d %s: control status %d", n, q, code)
+			}
+			if !bytes.Equal(got.MeanSeconds, want.MeanSeconds) || len(got.SubQueries) != len(want.SubQueries) {
+				t.Fatalf("shards=%d %s: mean %s with %d subs, control %s with %d", n, q,
+					got.MeanSeconds, len(got.SubQueries), want.MeanSeconds, len(want.SubQueries))
+			}
+			for i, gs := range got.SubQueries {
+				ws := want.SubQueries[i]
+				if !bytes.Equal(gs.Samples, ws.Samples) || !bytes.Equal(gs.MeanTT, ws.MeanTT) {
+					t.Fatalf("shards=%d %s sub %d: samples %s mean %s, control samples %s mean %s",
+						n, q, i, gs.Samples, gs.MeanTT, ws.Samples, ws.MeanTT)
+				}
+				subs++
+			}
+		}
+		if subs < len(urls) {
+			t.Fatalf("shards=%d: only %d sub-queries compared", n, subs)
 		}
 	}
 }

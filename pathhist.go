@@ -565,15 +565,16 @@ func (e *Engine) QueryCtx(ctx context.Context, q Query) (*Result, error) {
 		FullCacheHit:       res.FullCacheHit,
 		Epoch:              res.Epoch,
 	}
+	out.Subs = make([]SubEstimate, len(res.Subs))
 	for i := range res.Subs {
 		s := &res.Subs[i]
-		out.Subs = append(out.Subs, SubEstimate{
+		out.Subs[i] = SubEstimate{
 			Path:      s.Path,
 			MeanTT:    s.MeanX(),
-			Samples:   len(s.X),
+			Samples:   s.N,
 			Fallback:  s.Fallback,
 			Histogram: s.Hist,
-		})
+		}
 	}
 	return out, nil
 }
