@@ -95,6 +95,49 @@ func FromSamples(xs []int, h int) *Histogram {
 	return hg
 }
 
+// Union returns the histogram of the pooled samples of the given
+// sample-built histograms: FromSamples over the concatenation of their
+// samples, in any order. It is exact — bucket x/h holds the same integer
+// count either way, and integer-valued float sums below 2⁵³ do not round —
+// so it equals FromSamples bucket for bucket, in offset, length, min, max,
+// sample count and total. Nil parts hold no samples; all nil gives nil.
+// Bucket widths must match. The result is freshly allocated.
+func Union(hs ...*Histogram) *Histogram {
+	var lo, hi, h int
+	var first *Histogram
+	for _, hg := range hs {
+		if hg == nil {
+			continue
+		}
+		end := hg.offset + len(hg.counts)
+		if first == nil {
+			first, h, lo, hi = hg, hg.h, hg.offset, end
+			continue
+		}
+		if hg.h != h {
+			panic(fmt.Sprintf("hist: union of width %d with %d", h, hg.h))
+		}
+		lo, hi = min(lo, hg.offset), max(hi, end)
+	}
+	if first == nil {
+		return nil
+	}
+	out := newHist(h, lo, hi-lo)
+	out.min, out.max = first.min, first.max
+	for _, hg := range hs {
+		if hg == nil {
+			continue
+		}
+		out.min, out.max = min(out.min, hg.min), max(out.max, hg.max)
+		out.n += hg.n
+		out.total += hg.total
+		for i, c := range hg.counts {
+			out.counts[hg.offset-lo+i] += c
+		}
+	}
+	return out
+}
+
 // BucketWidth returns h.
 func (hg *Histogram) BucketWidth() int { return hg.h }
 

@@ -237,3 +237,50 @@ func TestTodHistogramWidths(t *testing.T) {
 	}()
 	NewTod(7)
 }
+
+// TestUnionEqualsFromSamples splits random sample sets into 1–5 parts —
+// empty and single-sample parts included — and checks that the union of
+// the parts' histograms is FromSamples of the whole, field for field.
+func TestUnionEqualsFromSamples(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, h := range []int{1, 10, 60} {
+		for trial := 0; trial < 300; trial++ {
+			xs := make([]int, 1+rng.Intn(200))
+			base, spread := rng.Intn(5000), 1+rng.Intn([]int{5, 300, 20000}[trial%3])
+			for i := range xs {
+				xs[i] = base + rng.Intn(spread)
+			}
+			parts := make([][]int, 1+rng.Intn(5))
+			rest, k0 := xs, 0
+			if trial%4 == 0 && len(parts) >= 3 {
+				// One part holds a single sample and the next none.
+				parts[0], rest, k0 = xs[:1], xs[1:], 2
+			}
+			for _, x := range rest {
+				k := k0 + rng.Intn(len(parts)-k0)
+				parts[k] = append(parts[k], x)
+			}
+			var hs []*Histogram
+			var cat []int
+			for _, p := range parts {
+				hs = append(hs, FromSamples(p, h))
+				cat = append(cat, p...)
+			}
+			want, got := FromSamples(cat, h), Union(hs...)
+			if got.h != want.h || got.offset != want.offset || len(got.counts) != len(want.counts) ||
+				got.min != want.min || got.max != want.max || got.n != want.n || got.total != want.total {
+				t.Fatalf("h=%d trial %d: union (off %d len %d min %d max %d n %d total %v) vs (off %d len %d min %d max %d n %d total %v)",
+					h, trial, got.offset, len(got.counts), got.min, got.max, got.n, got.total,
+					want.offset, len(want.counts), want.min, want.max, want.n, want.total)
+			}
+			for i := range want.counts {
+				if got.counts[i] != want.counts[i] {
+					t.Fatalf("h=%d trial %d: bucket %d: %v vs %v", h, trial, i, got.counts[i], want.counts[i])
+				}
+			}
+		}
+	}
+	if Union() != nil || Union(nil, nil) != nil {
+		t.Fatal("union of no samples is not nil")
+	}
+}

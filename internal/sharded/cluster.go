@@ -1,8 +1,9 @@
 // Package sharded is the scatter-gather serving layer (DESIGN.md §14): N
 // independent pathhist engines, each indexing a contiguous stripe of the
 // trajectory set, behind one query router that fans every sub-query out to
-// all shards and merges the per-shard candidate scans back into the exact
-// global scan order. With all shards healthy the merged answer is
+// all shards and merges the per-shard answers: candidate scans back into
+// the exact global scan order when a β cutoff applies, sample statistics
+// by summing when none does. With all shards healthy the merged answer is
 // bit-identical to a single engine over the union of the stripes; when a
 // shard is slow, failing, or down, the router hedges, sheds, and finally
 // degrades to a partial answer from the survivors instead of failing the
@@ -122,17 +123,19 @@ func ShardOptions(opts pathhist.Options) pathhist.Options {
 // snapshot (query.NewFollower), so a dispatch answers identically no matter
 // which replica serves it.
 type replica struct {
-	ri     int // replica index within the shard
-	eng    *pathhist.Engine
-	health *shardHealth
-	lat    *latencyRing
+	ri           int // replica index within the shard
+	eng          *pathhist.Engine
+	health       *shardHealth
+	lat          *latencyRing
+	attemptSites [6]string
 }
 
 // shard is one stripe's replica set plus the round-robin dispatch cursor.
 type shard struct {
-	idx      int
-	replicas []*replica
-	rr       atomic.Uint64 // round-robin replica cursor for dispatch
+	idx           int
+	replicas      []*replica
+	rr            atomic.Uint64 // round-robin replica cursor for dispatch
+	dispatchSites [2]string
 }
 
 // primary returns the shard's ingest-owning replica.
@@ -248,17 +251,18 @@ func New(g *network.Graph, engines []*pathhist.Engine, cfg Config) (*Cluster, er
 	cfg.Shards = len(engines)
 	c := &Cluster{g: g, cfg: cfg, ladder: pathhist.LadderConfig(cfg.Opts)}
 	for i, eng := range engines {
-		s := &shard{idx: i}
+		s := &shard{idx: i, dispatchSites: dispatchSites(i)}
 		for ri := 0; ri < cfg.ReplicasPerShard; ri++ {
 			re := eng
 			if ri > 0 {
 				re = eng.Replica()
 			}
 			s.replicas = append(s.replicas, &replica{
-				ri:     ri,
-				eng:    re,
-				health: &shardHealth{},
-				lat:    &latencyRing{},
+				ri:           ri,
+				eng:          re,
+				health:       &shardHealth{},
+				lat:          &latencyRing{},
+				attemptSites: attemptSites(i, ri),
 			})
 		}
 		c.shards = append(c.shards, s)

@@ -7,15 +7,19 @@ import (
 	"time"
 
 	"pathhist/internal/failpoint"
+	"pathhist/internal/hist"
 	"pathhist/internal/snt"
 )
 
-// scanOut is the result of one per-shard dispatch: a candidate scan (the
-// router's attempt path) or a capped cardinality count (the σL splitter).
+// scanOut is the result of one per-shard dispatch: a candidate scan (an
+// attempt with a β cutoff), the statistics of every matching sample (an
+// attempt without one), or a capped cardinality count (the σL splitter).
 type scanOut struct {
-	cands   []snt.Cand
-	anyData bool
-	count   int
+	cands   []snt.Cand      // candidate scan: the β-capped candidates
+	anyData bool            // candidate scan: the path occurs in the shard
+	n       int             // statistics: the sample count; σL: the count
+	sum     int64           // statistics: the samples' exact sum
+	hist    *hist.Histogram // statistics: the samples' histogram (nil for none)
 }
 
 // errShardShed marks a dispatch refused before issue because every replica's
@@ -39,12 +43,10 @@ var errShardShed = errors.New("sharded: shard shed by health state")
 // replicas of a shard share the primary's published snapshot pointer, so the
 // answer is bit-identical regardless of which replica serves it.
 func (c *Cluster) dispatch(ctx context.Context, s *shard, op func(context.Context) (scanOut, error)) (scanOut, error) {
-	suffix := "." + strconv.Itoa(s.idx)
-	if err := failpoint.Inject(failpoint.ShardDispatch); err != nil {
-		return c.dispatchFailed(s.primary(), false, err)
-	}
-	if err := failpoint.Inject(failpoint.ShardDispatch + suffix); err != nil {
-		return c.dispatchFailed(s.primary(), false, err)
+	for _, site := range s.dispatchSites {
+		if err := failpoint.Inject(site); err != nil {
+			return c.dispatchFailed(s.primary(), false, err)
+		}
 	}
 	first, probe, ok := s.pickReplica(time.Now(), nil)
 	if !ok {
@@ -55,21 +57,11 @@ func (c *Cluster) dispatch(ctx context.Context, s *shard, op func(context.Contex
 	bctx, cancel := context.WithTimeout(ctx, c.cfg.ShardBudget)
 	defer cancel()
 	start := time.Now()
-	type attemptRes struct {
-		out   scanOut
-		err   error
-		rep   *replica
-		probe bool
-		hedge bool
-	}
 	// Buffered so attempts outlasting the dispatch (budget exhausted, or the
 	// other attempt won) can deliver and exit without a receiver.
-	ch := make(chan attemptRes, 2)
-	attempt := func(r *replica, probe, hedge bool) {
-		out, err := c.attemptReplica(bctx, s, r, op)
-		ch <- attemptRes{out: out, err: err, rep: r, probe: probe, hedge: hedge}
-	}
-	go attempt(first, probe, false)
+	f := &flight{ctx: bctx, op: op, reps: [2]*replica{first}, done: make(chan uint8, 2)}
+	probes := [2]bool{probe}
+	go f.run(0)
 	timer := time.NewTimer(first.hedgeDelay(c.cfg.HedgeDelay))
 	defer timer.Stop()
 	pending, hedged := 1, false
@@ -87,26 +79,28 @@ func (c *Cluster) dispatch(ctx context.Context, s *shard, op func(context.Contex
 		if r != first {
 			c.cfg.Counters.CrossReplicaHedges.Add(1)
 		}
-		go attempt(r, hprobe, true)
+		f.reps[1], probes[1] = r, hprobe
+		go f.run(1)
 	}
 	var lastErr error
 	for {
 		select {
-		case r := <-ch:
+		case k := <-f.done:
 			pending--
-			if r.err == nil {
-				r.rep.lat.record(time.Since(start))
-				r.rep.health.success()
-				if r.hedge && pending > 0 {
+			res, rep := &f.res[k], f.reps[k]
+			if res.err == nil {
+				rep.lat.record(time.Since(start))
+				rep.health.success()
+				if k == 1 && pending > 0 {
 					c.cfg.Counters.HedgeWins.Add(1)
 				}
-				return r.out, nil
+				return res.out, nil
 			}
-			if !booked[r.rep] {
-				booked[r.rep] = true
-				r.rep.health.failure(r.probe, c.cfg.FailThreshold, c.cfg.ProbeInterval, time.Now())
+			if !booked[rep] {
+				booked[rep] = true
+				rep.health.failure(probes[k], c.cfg.FailThreshold, c.cfg.ProbeInterval, time.Now())
 			}
-			lastErr = r.err
+			lastErr = res.err
 			if !hedged {
 				// The first attempt failed before the hedge timer: retry
 				// immediately instead of waiting out the delay.
@@ -135,6 +129,26 @@ func (c *Cluster) dispatch(ctx context.Context, s *shard, op func(context.Contex
 	}
 }
 
+// flight is what one dispatch shares with its attempts. Attempt k (0 the
+// first, 1 the hedge) runs on reps[k], writes res[k] and then sends k, so
+// the channel carries one byte and the dispatcher reads a slot only after
+// its attempt is done with it.
+type flight struct {
+	ctx  context.Context
+	op   func(context.Context) (scanOut, error)
+	reps [2]*replica
+	res  [2]struct {
+		out scanOut
+		err error
+	}
+	done chan uint8
+}
+
+func (f *flight) run(k uint8) {
+	f.res[k].out, f.res[k].err = attemptReplica(f.ctx, f.reps[k], f.op)
+	f.done <- k
+}
+
 // dispatchFailed books a dispatch failure into the replica's health machine
 // and the counters and returns the error.
 func (c *Cluster) dispatchFailed(r *replica, probe bool, err error) (scanOut, error) {
@@ -143,35 +157,39 @@ func (c *Cluster) dispatchFailed(r *replica, probe bool, err error) (scanOut, er
 	return scanOut{}, err
 }
 
-// attemptReplica is one attempt of a dispatch: the shard.down and shard.slow
-// fault-injection sites fire here, inside the hedged region, so a
-// Times-limited injection fails (or delays) the first attempt and lets the
-// hedge succeed. Each site also has a per-replica form ("shard.slow.1.0" is
-// shard 1, replica 0), which is how tests pin a fault to one replica and
-// assert the cross-replica hedge rescues the dispatch.
-func (c *Cluster) attemptReplica(ctx context.Context, s *shard, r *replica, op func(context.Context) (scanOut, error)) (scanOut, error) {
-	suffix := "." + strconv.Itoa(s.idx)
-	rsuffix := suffix + "." + strconv.Itoa(r.ri)
-	if err := failpoint.Inject(failpoint.ShardSlow); err != nil {
-		return scanOut{}, err
-	}
-	if err := failpoint.Inject(failpoint.ShardSlow + suffix); err != nil {
-		return scanOut{}, err
-	}
-	if err := failpoint.Inject(failpoint.ShardSlow + rsuffix); err != nil {
-		return scanOut{}, err
-	}
-	if err := failpoint.Inject(failpoint.ShardDown); err != nil {
-		return scanOut{}, err
-	}
-	if err := failpoint.Inject(failpoint.ShardDown + suffix); err != nil {
-		return scanOut{}, err
-	}
-	if err := failpoint.Inject(failpoint.ShardDown + rsuffix); err != nil {
-		return scanOut{}, err
+// attemptReplica is one attempt of a dispatch: the shard.slow and
+// shard.down fault-injection sites fire here, inside the hedged region, so
+// a Times-limited injection fails (or delays) the first attempt and lets
+// the hedge succeed. Each site also has a per-shard form ("shard.down.1")
+// and a per-replica form ("shard.slow.1.0" is shard 1, replica 0), which is
+// how tests pin a fault to one replica and assert the cross-replica hedge
+// rescues the dispatch.
+func attemptReplica(ctx context.Context, r *replica, op func(context.Context) (scanOut, error)) (scanOut, error) {
+	for _, site := range r.attemptSites {
+		if err := failpoint.Inject(site); err != nil {
+			return scanOut{}, err
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return scanOut{}, err
 	}
 	return op(ctx)
+}
+
+// dispatchSites are the fault-injection sites at the top of shard si's
+// dispatches, and attemptSites those of each attempt on its replica ri, in
+// the order they fire: the bare name, then the shard's, then the
+// replica's. New builds them once, so a dispatch pays no string work while
+// no injection is enabled.
+func dispatchSites(si int) [2]string {
+	return [2]string{failpoint.ShardDispatch, failpoint.ShardDispatch + "." + strconv.Itoa(si)}
+}
+
+func attemptSites(si, ri int) [6]string {
+	shard := "." + strconv.Itoa(si)
+	rep := shard + "." + strconv.Itoa(ri)
+	return [6]string{
+		failpoint.ShardSlow, failpoint.ShardSlow + shard, failpoint.ShardSlow + rep,
+		failpoint.ShardDown, failpoint.ShardDown + shard, failpoint.ShardDown + rep,
+	}
 }

@@ -1,7 +1,6 @@
 package sharded
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -159,18 +158,31 @@ func (r *latencyRing) record(d time.Duration) {
 	r.mu.Unlock()
 }
 
-// p99 returns the 99th-percentile recorded latency, or 0 when the ring has
-// too little history to be meaningful.
+// p99 returns the 99th-percentile recorded latency — the (n−1)·99/100-th
+// entry of the sorted history — or 0 when the ring has too little history
+// to be meaningful. That entry is at most the third largest of a full
+// ring, so one pass keeps the k largest entries (k ≤ 3, ties kept) in
+// descending order instead of sorting a copy.
 func (r *latencyRing) p99() time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.n < 8 {
 		return 0
 	}
-	tmp := make([]time.Duration, r.n)
-	copy(tmp, r.buf[:r.n])
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	return tmp[(r.n-1)*99/100]
+	k := r.n - (r.n-1)*99/100
+	var top [3]time.Duration
+	for i, d := range r.buf[:r.n] {
+		j := min(i, k)
+		for ; j > 0 && top[j-1] < d; j-- {
+			if j < k {
+				top[j] = top[j-1]
+			}
+		}
+		if j < k {
+			top[j] = d
+		}
+	}
+	return top[k-1]
 }
 
 // hedgeDelay is the delay before a dispatch launches its hedged second

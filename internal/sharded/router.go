@@ -1,6 +1,7 @@
 package sharded
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -31,9 +32,9 @@ type Result struct {
 	Hist *hist.Histogram
 	// Subs are the final sub-queries in path order, each summarised by the
 	// count, exact sum and histogram of its samples. The router gathers the
-	// samples in merged candidate order, which differs from the unsharded
-	// engine's probe order — an equal multiset, so every statistic is
-	// identical.
+	// samples shard by shard (in merged candidate order under a β cutoff),
+	// which differs from the unsharded engine's probe order — an equal
+	// multiset, so every statistic is identical.
 	Subs []query.SubResult
 	// MeanSeconds is Σ X̄_j, the paper's point prediction.
 	MeanSeconds float64
@@ -75,12 +76,14 @@ func (f *shardFailure) Error() string {
 func (f *shardFailure) Unwrap() error { return f.err }
 
 // Query answers a travel-time query with the shared relaxation driver
-// (query.Run) over a scatter source: every attempt and every σL count fans
-// out to the live shards, and the per-shard candidates merge back into the
-// exact global scan order (see mergeCands). Shards only ever execute bounded
-// candidate scans and cardinality counts, so with every shard live the
-// produced histogram, sub-queries and point estimate are bit-identical to
-// the unsharded engine over the union of the stripes.
+// (query.Run) over a scatter source: every attempt the union census does
+// not reject and every σL count fans out to the live shards. Under a β
+// cutoff the per-shard candidates merge back into the exact global scan
+// order (see mergeCands); without one the shards' sample statistics add
+// up. Shards only ever execute bounded candidate scans, β-free scans and
+// cardinality counts, so with every shard live the produced histogram,
+// sub-queries and point estimate are bit-identical to the unsharded engine
+// over the union of the stripes.
 //
 // Fault handling: shards known down are excluded up front; a shard that
 // fails mid-flight (budget exhausted, fault injected, shed by a racing
@@ -209,11 +212,20 @@ type taggedCand struct {
 	c     snt.Cand
 }
 
-// scatterScan is the scatter source's attempt: scan every live shard's
-// candidates, merge them into the global scan order, apply the global β
-// cutoff and the Procedure 5 decision ladder, and summarise the
-// reconstructed travel-time samples.
+// scatterScan is the scatter source's attempt. A rung the union census
+// rejects is answered without a dispatch. Without a β cutoff every shard
+// summarises its own samples and the statistics add up (scatterStats);
+// with one, every live shard scans its β-capped candidates, and admit
+// applies the global β rule and the Procedure 5 decision ladder to them.
 func (c *Cluster) scatterScan(ctx context.Context, rs *runState, q query.SPQ) (query.Outcome, error) {
+	if snt.CannotReachAll(rs.ixs, q.Path, q.Interval, q.Beta) {
+		// The census sum bounds the global count and it is below β: every
+		// shard's scan together would fall short, so none is asked.
+		return query.Outcome{}, nil
+	}
+	if q.Beta <= 0 {
+		return c.scatterStats(ctx, rs, q)
+	}
 	outs, err := c.scatter(ctx, rs, func(ix *snt.Index, sc *snt.Scratch) scanOut {
 		cands, anyData := ix.ScanCandidates(sc, q.Path, q.Interval, q.Filter, q.Beta)
 		return scanOut{cands: cands, anyData: anyData}
@@ -225,8 +237,52 @@ func (c *Cluster) scatterScan(ctx context.Context, rs *runState, q query.SPQ) (q
 	return query.OutcomeOf(xs, c.ladder.BucketWidth, fallback), nil
 }
 
+// scatterStats answers an attempt without a β cutoff. No sample is cut, so
+// their order never matters and each shard returns only the statistics of
+// its own (query.OutcomeOf over its scan's scratch view); a shard's
+// speed-limit fallback counts as no samples. Counts and sums add, and the
+// histograms union exactly (hist.Union), so the merged outcome equals the
+// one built from every shard's samples together. No sample anywhere gives
+// the speed-limit fallback for a single segment and a failed attempt
+// otherwise — admit's answer for β ≤ 0.
+func (c *Cluster) scatterStats(ctx context.Context, rs *runState, q query.SPQ) (query.Outcome, error) {
+	outs, err := c.scatter(ctx, rs, func(ix *snt.Index, sc *snt.Scratch) scanOut {
+		xs, fallback := ix.GetTravelTimesWith(sc, q.Path, q.Interval, q.Filter, 0)
+		if fallback {
+			return scanOut{}
+		}
+		o := query.OutcomeOf(xs, c.ladder.BucketWidth, false)
+		return scanOut{n: o.N, sum: o.Sum, hist: o.Hist}
+	})
+	if err != nil {
+		return query.Outcome{}, err
+	}
+	var o query.Outcome
+	parts := make([]*hist.Histogram, 0, len(outs))
+	for _, out := range outs {
+		o.N += out.n
+		o.Sum += out.sum
+		if out.hist != nil {
+			parts = append(parts, out.hist)
+		}
+	}
+	if o.N == 0 {
+		if len(q.Path) == 1 {
+			return query.OutcomeOf([]int{c.g.EstimateTTSeconds(q.Path[0])}, c.ladder.BucketWidth, true), nil
+		}
+		return query.Outcome{}, nil
+	}
+	o.Hist = hist.Union(parts...)
+	for _, h := range parts {
+		// Built for this merge alone and unreachable after it.
+		h.Recycle()
+	}
+	return o, nil
+}
+
 // admit turns the shards' candidate lists into the attempt's samples (none
-// when the attempt fails) and the speed-limit fallback flag.
+// when the attempt fails) and the speed-limit fallback flag. It runs only
+// for β > 0.
 func (c *Cluster) admit(outs []scanOut, q query.SPQ) (xs []int, fallback bool) {
 	anyData := false
 	total := 0
@@ -249,32 +305,43 @@ func (c *Cluster) admit(outs []scanOut, q query.SPQ) (xs []int, fallback bool) {
 	if total < q.Beta && q.Interval.IsPeriodic() {
 		return nil, false
 	}
-	merged := mergeCands(outs, !c.cfg.Opts.OldestFirst)
-	if q.Beta > 0 && len(merged) > q.Beta {
-		merged = merged[:q.Beta]
-	}
-	if len(q.Path) == 1 && len(merged) == 0 {
+	if len(q.Path) == 1 && total == 0 {
 		return []int{c.g.EstimateTTSeconds(q.Path[0])}, true
 	}
-	// The samples come out in merged order, not the unsharded scan's (which
-	// emits single-segment samples oldest first). The order is immaterial:
-	// an outcome keeps only their count, exact sum and histogram.
-	for i := range merged {
-		if merged[i].c.HasX {
-			xs = append(xs, int(merged[i].c.X))
+	// The samples come out in shard order, or merged order under a cutoff,
+	// not the unsharded scan's (which emits single-segment samples oldest
+	// first). The order is immaterial: an outcome keeps only their count,
+	// exact sum and histogram. Only which candidates survive the cutoff
+	// depends on order, so the global order is rebuilt only when the cutoff
+	// drops some.
+	xs = make([]int, 0, min(total, q.Beta))
+	if total > q.Beta {
+		for _, tc := range mergeCands(outs, !c.cfg.Opts.OldestFirst)[:q.Beta] {
+			if tc.c.HasX {
+				xs = append(xs, int(tc.c.X))
+			}
+		}
+		return xs, false
+	}
+	for _, o := range outs {
+		for i := range o.cands {
+			if o.cands[i].HasX {
+				xs = append(xs, int(o.cands[i].X))
+			}
 		}
 	}
 	return xs, false
 }
 
 // mergeCands re-establishes the global scan order over per-shard candidate
-// lists. The global order of the equivalent unsharded index is (timestamp,
-// global trajectory id), descending for newest-first scans; stripes are
-// contiguous ascending id blocks and every ingested batch lands whole on
-// one shard strictly after all indexed data (RouteIngest), so equal
-// timestamps can only occur among base-stripe records — where global id
-// order is exactly (shard, local id) lexicographic — and the comparator
-// below is the global order.
+// lists. It runs only when a β cutoff applies — more than β candidates
+// came back — so it sorts at most live·β of them. The global order of the
+// equivalent unsharded index is (timestamp, global trajectory id),
+// descending for newest-first scans; stripes are contiguous ascending id
+// blocks and every ingested batch lands whole on one shard strictly after
+// all indexed data (RouteIngest), so equal timestamps can only occur among
+// base-stripe records — where global id order is exactly (shard, local id)
+// lexicographic — and the comparator below is the global order.
 func mergeCands(outs []scanOut, newestFirst bool) []taggedCand {
 	n := 0
 	for _, o := range outs {
@@ -286,18 +353,17 @@ func mergeCands(outs []scanOut, newestFirst bool) []taggedCand {
 			all = append(all, taggedCand{shard: si, c: cd})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := &all[i], &all[j]
+	slices.SortFunc(all, func(a, b taggedCand) int {
 		if newestFirst {
 			a, b = b, a
 		}
 		if a.c.Ts != b.c.Ts {
-			return a.c.Ts < b.c.Ts
+			return cmp.Compare(a.c.Ts, b.c.Ts)
 		}
 		if a.shard != b.shard {
-			return a.shard < b.shard
+			return cmp.Compare(a.shard, b.shard)
 		}
-		return a.c.Traj < b.c.Traj
+		return cmp.Compare(a.c.Traj, b.c.Traj)
 	})
 	return all
 }
@@ -307,11 +373,11 @@ func mergeCands(outs []scanOut, newestFirst bool) []taggedCand {
 // does, which is the only question the binary search asks.
 func (c *Cluster) scatterCount(ctx context.Context, rs *runState, q query.SPQ) (int, error) {
 	outs, err := c.scatter(ctx, rs, func(ix *snt.Index, sc *snt.Scratch) scanOut {
-		return scanOut{count: ix.CountMatchesWith(sc, q.Path, q.Interval, q.Filter, q.Beta)}
+		return scanOut{n: ix.CountMatchesWith(sc, q.Path, q.Interval, q.Filter, q.Beta)}
 	})
 	total := 0
 	for _, o := range outs {
-		total += o.count
+		total += o.n
 	}
 	return total, err
 }

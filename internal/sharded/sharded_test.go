@@ -15,6 +15,8 @@ import (
 	"pathhist/internal/hist"
 	"pathhist/internal/metrics"
 	"pathhist/internal/network"
+	"pathhist/internal/query"
+	"pathhist/internal/snt"
 	"pathhist/internal/traj"
 	"pathhist/internal/workload"
 )
@@ -233,6 +235,221 @@ func TestShardedCensusOneShardEmpty(t *testing.T) {
 		}
 		if len(got.Subs) != 1 || got.Subs[0].N != beta || got.IndexScans != 1 {
 			t.Fatalf("A at β=%d: %d subs, %d samples, %d scans", beta, len(got.Subs), got.Subs[0].N, got.IndexScans)
+		}
+		// The union census: the summed evening bound is exactly where the
+		// router stops dispatching, and it draws the line where the
+		// unsharded census does. A rejected rung costs no dispatch.
+		rs, refIx := pinAll(c), ref.QueryEngine().Index()
+		p, iv := network.Path{ids["A"]}, snt.PeriodicAround(evening, 1800)
+		for _, b := range []int{sum, sum + 1} {
+			rejected := snt.CannotReachAll(rs.ixs, p, iv, b)
+			if rejected != (b > sum) || rejected != refIx.CannotReach(p, iv, b) {
+				t.Fatalf("β=%d over bound sum %d: union rejects %v, unsharded %v", b, sum, rejected, refIx.CannotReach(p, iv, b))
+			}
+			o, dispatched := rung(t, c, rs, query.SPQ{Path: p, Interval: iv, Filter: snt.NoFilter, Beta: b})
+			if rejected && (o.N != 0 || dispatched != 0) || !rejected && (o.N != sum || dispatched != 3) {
+				t.Fatalf("β=%d: %d samples after %d dispatches", b, o.N, dispatched)
+			}
+		}
+		c.Close()
+	}
+
+	// A shard without the first segment adds 0 to the bound; with no shard
+	// holding it the rung is dispatched and falls back to the speed limit.
+	g, ids, store = segmentStripesStore()
+	ref, err := pathhist.NewEngine(g, copyStore(store), pathhist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	for _, n := range []int{3, 4} {
+		c, err := Build(g, copyStore(store), Config{Shards: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := pinAll(c)
+		if rs.ixs[0].Frozen().Get(ids["C"]) != nil {
+			t.Fatalf("N=%d: the first stripe holds C", n)
+		}
+		const cEvening = 120 // 6 trips a day on days 10–29, all inside [18:00, 18:30)
+		iv := snt.PeriodicAround(evening, 1800)
+		for _, b := range []int{cEvening, cEvening + 1} {
+			o, dispatched := rung(t, c, rs, query.SPQ{Path: network.Path{ids["C"]}, Interval: iv, Filter: snt.NoFilter, Beta: b})
+			if b > cEvening && (o.N != 0 || dispatched != 0) || b == cEvening && (o.N != cEvening || dispatched != int64(n)) {
+				t.Fatalf("N=%d C at β=%d: %d samples after %d dispatches", n, b, o.N, dispatched)
+			}
+		}
+		o, dispatched := rung(t, c, rs, query.SPQ{Path: network.Path{ids["E"]}, Interval: iv, Filter: snt.NoFilter, Beta: 5})
+		if !o.Fallback || o.N != 1 || dispatched != int64(n) {
+			t.Fatalf("N=%d E, held nowhere: fallback %v, %d samples after %d dispatches", n, o.Fallback, o.N, dispatched)
+		}
+		for _, q := range []pathhist.Query{
+			{Path: network.Path{ids["C"]}, Around: evening, WindowSeconds: 1800, Beta: cEvening + 1},
+			{Path: network.Path{ids["C"], ids["D"]}, Around: evening, WindowSeconds: 1800, Beta: 30},
+			{Path: network.Path{ids["E"]}, Around: evening, WindowSeconds: 1800, Beta: 5},
+		} {
+			want, err := ref.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.Query(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareShardedVsPublic(t, "segment-stripes", n, q, got, want)
+		}
+		c.Close()
+	}
+}
+
+// segmentStripesStore spreads segments unevenly over start time. Every day
+// has 20 morning trips on A→B until day 10, 14 after it; from day 10 on, 6
+// evening trips on C→D; on days 25–29, 2 evening trips on A→B; on days
+// 27–29, 2 night trips on F. Nothing uses E. Striped in start order over
+// three or four shards, the first stripe ends before day 10 and lacks C and
+// D; over one to four, F lies on the last stripe alone and E on none.
+func segmentStripesStore() (*network.Graph, map[string]network.EdgeID, *traj.Store) {
+	g, ids := network.PaperExample()
+	store := traj.NewStore()
+	rng := rand.New(rand.NewSource(8))
+	trip := func(t0 int64, route ...string) {
+		var seq []traj.Entry
+		for _, name := range route {
+			tt := int32(3 + rng.Intn(40))
+			seq = append(seq, traj.Entry{Edge: ids[name], T: t0, TT: tt})
+			t0 += int64(tt)
+		}
+		store.Add(traj.UserID(rng.Intn(4)), seq)
+	}
+	for d := int64(0); d < 30; d++ {
+		morning := 20
+		if d >= 10 {
+			morning = 14
+		}
+		for k := 0; k < morning; k++ {
+			trip(d*86400+7*3600+rng.Int63n(2*3600), "A", "B")
+		}
+		for k := 0; d >= 10 && k < 6; k++ {
+			trip(d*86400+18*3600+rng.Int63n(1700), "C", "D")
+		}
+		for k := 0; d >= 25 && k < 2; k++ {
+			trip(d*86400+18*3600+rng.Int63n(1700), "A", "B")
+		}
+		for k := 0; d >= 27 && k < 2; k++ {
+			trip(d*86400+3*3600+rng.Int63n(1700), "F")
+		}
+	}
+	return g, ids, store
+}
+
+// pinAll pins every shard's snapshot, as runOnce does for a live set of all
+// shards.
+func pinAll(c *Cluster) *runState {
+	rs := &runState{}
+	for i := range c.shards {
+		ix, _ := c.Engine(i).QueryEngine().Snapshot()
+		rs.live, rs.ixs = append(rs.live, i), append(rs.ixs, ix)
+		if _, tmax := ix.TimeRange(); i == 0 || tmax > rs.tmax {
+			rs.tmax = tmax
+		}
+	}
+	return rs
+}
+
+// rung runs one scatter attempt and returns it with the shard dispatches it
+// cost.
+func rung(t *testing.T, c *Cluster, rs *runState, q query.SPQ) (query.Outcome, int64) {
+	t.Helper()
+	d0 := c.Counters().ShardDispatches.Load()
+	o, err := c.scatterScan(context.Background(), rs, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o, c.Counters().ShardDispatches.Load() - d0
+}
+
+// TestShardedTerminalStatsMatchUnsharded pins the router's β ≤ 0 path,
+// where every shard returns only the count, sum and histogram of its own
+// samples: at one to four shards, each attempt's statistics equal the
+// unsharded scan's, for samples all on one shard (F), for shards that hold
+// the segment without a sample in the window (A in the evening), for a
+// segment held nowhere (E: the speed-limit fallback) and for paths with no
+// sample anywhere (a failed attempt). Whole queries that end in the
+// terminal [0, tmax] fallback match the estimator-off unsharded engine sub
+// for sub, MeanX bits included.
+func TestShardedTerminalStatsMatchUnsharded(t *testing.T) {
+	g, ids, store := segmentStripesStore()
+	ref, err := pathhist.NewEngine(g, copyStore(store), ShardOptions(pathhist.Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	refIx := ref.QueryEngine().Index()
+	_, refMax := refIx.TimeRange()
+	all := snt.NewFixed(0, refMax+1)
+	evening := snt.PeriodicAround(18*3600+900, 1800)
+	attempts := []query.SPQ{
+		{Path: network.Path{ids["F"]}, Interval: all},
+		{Path: network.Path{ids["A"]}, Interval: all},
+		{Path: network.Path{ids["A"]}, Interval: evening},
+		{Path: network.Path{ids["A"], ids["B"]}, Interval: evening},
+		{Path: network.Path{ids["C"], ids["D"]}, Interval: evening},
+		{Path: network.Path{ids["C"], ids["D"]}, Interval: snt.NewFixed(25*86400, refMax+1)},
+		{Path: network.Path{ids["E"]}, Interval: all},
+		{Path: network.Path{ids["A"], ids["B"]}, Interval: snt.PeriodicAround(3*3600, 900)},
+	}
+	queries := []pathhist.Query{
+		{Path: network.Path{ids["F"]}, Around: 12 * 3600, WindowSeconds: 900, Beta: 50},
+		{Path: network.Path{ids["A"]}, Around: 18*3600 + 900, WindowSeconds: 1800, Beta: 400},
+		{Path: network.Path{ids["C"], ids["D"]}, Around: 3 * 3600, WindowSeconds: 900, Beta: 30},
+	}
+	for n := 1; n <= 4; n++ {
+		c, err := Build(g, copyStore(store), Config{Shards: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := pinAll(c)
+		for _, q := range attempts {
+			q.Filter = snt.NoFilter
+			xs, fallback := refIx.GetTravelTimes(q.Path, q.Interval, q.Filter, 0)
+			want := query.OutcomeOf(xs, c.ladder.BucketWidth, fallback)
+			got, dispatched := rung(t, c, rs, q)
+			if dispatched != int64(n) {
+				t.Fatalf("N=%d %v: %d dispatches", n, q.Path, dispatched)
+			}
+			if got.N != want.N || got.Sum != want.Sum || got.Fallback != want.Fallback || !histsEqual(got.Hist, want.Hist) {
+				t.Fatalf("N=%d %v %v: (n %d, sum %d, fallback %v) vs unsharded (n %d, sum %d, fallback %v)",
+					n, q.Path, q.Interval, got.N, got.Sum, got.Fallback, want.N, want.Sum, want.Fallback)
+			}
+		}
+		terminal := 0
+		for _, q := range queries {
+			spq, err := pathhist.StrictPathQuery(g, q, refMax)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ref.QueryEngine().TripQuery(spq)
+			got, err := c.Query(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Subs) != len(want.Subs) {
+				t.Fatalf("N=%d %+v: %d subs vs %d", n, q, len(got.Subs), len(want.Subs))
+			}
+			for i := range got.Subs {
+				gs, ws := &got.Subs[i], &want.Subs[i]
+				if !gs.Interval.IsPeriodic() {
+					terminal++
+				}
+				if gs.N != ws.N || gs.Sum != ws.Sum || gs.Fallback != ws.Fallback || gs.Interval != ws.Interval ||
+					math.Float64bits(gs.MeanX()) != math.Float64bits(ws.MeanX()) || !histsEqual(gs.Hist, ws.Hist) {
+					t.Fatalf("N=%d %+v sub %d: (n %d, sum %d, mean %v) vs unsharded (n %d, sum %d, mean %v)",
+						n, q, i, gs.N, gs.Sum, gs.MeanX(), ws.N, ws.Sum, ws.MeanX())
+				}
+			}
+		}
+		if terminal < len(queries) {
+			t.Fatalf("N=%d: %d terminal subs, want one per query at least", n, terminal)
 		}
 		c.Close()
 	}

@@ -178,7 +178,7 @@ func TestRandomQueriesAgainstBruteForce(t *testing.T) {
 					capped = beta
 				}
 				if occurs && beta > 0 && iv.IsPeriodic() {
-					switch bound := ix.todBound(p[0], iv); {
+					switch bound, _ := ix.todBound(p[0], iv); {
 					case bound == 0:
 						empty++
 					case bound < beta:

@@ -7,13 +7,15 @@ import (
 
 // Sharded scatter-gather support (DESIGN.md §14). A sharded deployment
 // splits the trajectory store into contiguous-id stripes, builds one Index
-// per stripe, and answers a sub-query by merging the per-shard scans. The
-// merge must reproduce the single-index scan order bit for bit, so a shard
-// cannot return its travel-time samples alone: sample order erases the
-// (timestamp, trajectory) identity the global β cutoff is defined over.
-// ScanCandidates therefore returns the admitted first-segment records
-// themselves — in the shard's scan order, β-bounded — and the router
-// re-establishes the global order by k-way merge before applying β.
+// per stripe, and answers a sub-query by merging the per-shard scans. For
+// β > 0 the merge must reproduce the single-index scan order bit for bit,
+// so a shard cannot return its travel-time samples alone: sample order
+// erases the (timestamp, trajectory) identity the global β cutoff is
+// defined over. ScanCandidates therefore returns the admitted
+// first-segment records themselves — in the shard's scan order, β-bounded
+// — and the router re-establishes the global order before applying β.
+// Without a cutoff (β ≤ 0) every sample is kept, order is immaterial, and
+// a shard returns only the statistics of its GetTravelTimesWith samples.
 
 // Cand is one admitted first-segment candidate of a sharded scan: the
 // Procedure 3 record identity (entry timestamp, shard-local trajectory id,
@@ -60,7 +62,7 @@ func (ix *Index) ScanCandidates(sc *Scratch, p network.Path, iv Interval, f Filt
 	if total == 0 {
 		return nil, false
 	}
-	if ix.todBound(p[0], iv) == 0 {
+	if b, _ := ix.todBound(p[0], iv); b == 0 {
 		// No record of the first segment at this time of day. A shard may
 		// only reject on zero: its count is summed with the other shards'
 		// against a global β, so "fewer than β here" decides nothing.

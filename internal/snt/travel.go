@@ -59,16 +59,15 @@ func (ix *Index) isaRanges(sc *Scratch, p network.Path) ([]Range, int64) {
 // todBound is an upper bound on the number of e's records inside the
 // interval, read off the segment's time-of-day census in a few adds
 // (temporal.FrozenIndex.TodBound) — hence on the count Procedure 3 can
-// admit, whatever the ISA ranges and the filter. Only a periodic window
-// narrower than a day over a segment with data is bounded; anything else
-// gets math.MaxInt.
-func (ix *Index) todBound(e network.EdgeID, iv Interval) int {
-	if iv.Kind == Periodic && iv.Width < DaySeconds {
-		if fx := ix.frozen.Get(e); fx != nil {
-			return fx.TodBound(iv.TodStart, iv.Width)
-		}
+// admit, whatever the ISA ranges and the filter. held reports whether the
+// segment has data here at all. Only a periodic window narrower than a day
+// over a segment with data is bounded; anything else gets math.MaxInt.
+func (ix *Index) todBound(e network.EdgeID, iv Interval) (bound int, held bool) {
+	fx := ix.frozen.Get(e)
+	if fx != nil && iv.Kind == Periodic && iv.Width < DaySeconds {
+		return fx.TodBound(iv.TodStart, iv.Width), true
 	}
-	return math.MaxInt
+	return math.MaxInt, fx != nil
 }
 
 // CannotReach reports whether the census alone proves that GetTravelTimes
@@ -78,9 +77,37 @@ func (ix *Index) todBound(e network.EdgeID, iv Interval) int {
 // never fires for β ≤ 0, for fixed intervals, or for a segment without
 // data (whose single-segment answer is the speed-limit estimate). Callers
 // with something dearer than a few adds in front of the scan — the query
-// engine's cache lookup — ask it first.
+// engine's cache lookup — ask it first. It is CannotReachAll over one
+// index.
 func (ix *Index) CannotReach(p network.Path, iv Interval, beta int) bool {
-	return beta > 0 && len(p) > 0 && ix.todBound(p[0], iv) < beta
+	return CannotReachAll([]*Index{ix}, p, iv, beta)
+}
+
+// CannotReachAll is CannotReach over the union of several indexes — the
+// stripes of a sharded deployment: the summed census bounds of p's first
+// segment fall below β. Each index counts a subset of the records, so the
+// sum bounds the union's count; an index without the segment adds 0, and
+// one whose bound is unbounded (a saturated bucket) makes the sum
+// unbounded. When no index holds the segment at all it never fires, which
+// keeps the single-segment speed-limit fallback. The sum is never looser
+// than one index over the same records would give: a bucket below
+// saturation there is below it in every part, and the parts add up to it.
+func CannotReachAll(ixs []*Index, p network.Path, iv Interval, beta int) bool {
+	if beta <= 0 || len(p) == 0 {
+		return false
+	}
+	sum, held := 0, false
+	for _, ix := range ixs {
+		b, ok := ix.todBound(p[0], iv)
+		if !ok {
+			continue
+		}
+		if b >= beta-sum {
+			return false
+		}
+		sum, held = sum+b, true
+	}
+	return held
 }
 
 // GetTravelTimes is Procedure 5: retrieve the travel times of up to beta
@@ -167,7 +194,7 @@ func (ix *Index) CountMatchesWith(sc *Scratch, p network.Path, iv Interval, f Fi
 		return 0
 	}
 	ranges, total := ix.isaRanges(sc, p)
-	if total == 0 || ix.todBound(p[0], iv) == 0 {
+	if b, _ := ix.todBound(p[0], iv); total == 0 || b == 0 {
 		return 0
 	}
 	ix.buildMap(sc, p[0], ranges, iv, f, limit)
