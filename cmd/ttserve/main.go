@@ -22,12 +22,12 @@
 // generations down to -snapshot-keep. The listener applies
 // read/header/idle timeouts so one slow client cannot pin goroutines
 // forever. Refused at start-up: -shards < 1, -load-snapshot with
-// -shards > 1, -replicas-per-shard > 1 with -shards 1.
+// -shards > 1.
 //
 //	ttserve -data data -addr :8080 [-enable-extend] [-auto-compact 16]
 //	        [-snapshot-dir snapdir] [-snapshot-interval 5m] [-snapshot-keep 3]
 //	        [-load-snapshot snapdir/snapshot-…snt] [-disable-wal]
-//	        [-shards 4 [-replicas-per-shard 2]] [-mmap-snapshots]
+//	        [-shards 4] [-mmap-snapshots]
 //
 //	GET  /query?path=17,42,43&tod=08:15&window=900&beta=20[&user=3]
 //	GET  /query?path=17,42,43&from=1335830400&until=1335917000&beta=20
@@ -75,7 +75,6 @@ type config struct {
 	snapshotKeep      int
 	loadSnapshot      string
 	mmapSnapshots     bool
-	replicasPerShard  int
 	disableWAL        bool
 	maxWALMiB         int64
 	maxBacklog        int
@@ -123,9 +122,7 @@ func main() {
 	flag.StringVar(&cfg.loadSnapshot, "load-snapshot", "",
 		"restore the engine from this snapshot file instead of the newest one in -snapshot-dir (falls back to a build if the snapshot is unusable)")
 	flag.BoolVar(&cfg.mmapSnapshots, "mmap-snapshots", false,
-		"restore snapshots by memory-mapping the file read-only instead of copying it onto the heap (DESIGN.md §15): the index columns view the mapping zero-copy, restart cost stays flat as the index grows, and replicas share one physical copy")
-	flag.IntVar(&cfg.replicasPerShard, "replicas-per-shard", 1,
-		"query-engine replicas per shard (with -shards>1): replicas share the shard's published snapshot (and mapping, with -mmap-snapshots), the dispatcher load-balances across them and hedges to a different replica")
+		"restore snapshots by memory-mapping the file read-only instead of copying it onto the heap (DESIGN.md §15): the index columns view the mapping zero-copy, and restart cost stays flat as the index grows")
 	flag.BoolVar(&cfg.disableWAL, "disable-wal", false,
 		"skip the ingest write-ahead log: /extend acknowledges after publication only, and batches since the last snapshot are lost on a crash")
 	flag.Int64Var(&cfg.maxWALMiB, "max-wal-mib", 256,
@@ -178,8 +175,6 @@ func (cfg config) validate() error {
 		return fmt.Errorf("-shards %d: need at least one shard", cfg.shards)
 	case cfg.shards > 1 && cfg.loadSnapshot != "":
 		return errors.New("-load-snapshot names one engine's snapshot and cannot restore -shards > 1; each shard restores the newest snapshot in its shard-K directory")
-	case cfg.shards == 1 && cfg.replicasPerShard > 1:
-		return errors.New("-replicas-per-shard needs -shards > 1: the single engine already serves every request concurrently")
 	}
 	return nil
 }

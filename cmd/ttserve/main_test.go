@@ -187,9 +187,8 @@ func TestRunRejectsFlagCombinations(t *testing.T) {
 		cfg  config
 		want string
 	}{
-		"no shards":               {config{shards: 0}, "-shards 0"},
-		"load-snapshot, sharded":  {config{shards: 2, loadSnapshot: "snapshot.snt"}, "-load-snapshot"},
-		"replicas, single engine": {config{shards: 1, replicasPerShard: 2}, "-replicas-per-shard"},
+		"no shards":              {config{shards: 0}, "-shards 0"},
+		"load-snapshot, sharded": {config{shards: 2, loadSnapshot: "snapshot.snt"}, "-load-snapshot"},
 	} {
 		tc.cfg.addr, tc.cfg.data = ln.Addr().String(), t.TempDir()
 		err := run(context.Background(), tc.cfg)

@@ -163,7 +163,7 @@ func newFront(g *pathhist.Graph, opts pathhist.Options, cfg config, states []*sh
 		engines[k] = st.eng
 		shards[k] = ttserve.NewShard(st.eng, durable(st))
 	}
-	cluster, err := sharded.New(g, engines, sharded.Config{Opts: opts, ReplicasPerShard: cfg.replicasPerShard})
+	cluster, err := sharded.New(g, engines, sharded.Config{Opts: opts})
 	if err != nil {
 		return nil, err
 	}

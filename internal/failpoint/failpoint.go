@@ -65,13 +65,15 @@ type Injection struct {
 // (name + "." + strconv.Itoa(shard)), so a test can fail every shard or
 // exactly one.
 const (
-	// ShardDispatch fires at the top of every per-shard sub-query dispatch.
+	// ShardDispatch fires at the top of every per-shard sub-query dispatch,
+	// before the health check.
 	ShardDispatch = "shard.dispatch"
-	// ShardSlow fires in the same place; enable it with a Delay to simulate
-	// a slow shard without failing it (hedging coverage).
+	// ShardSlow fires at the start of each admitted dispatch attempt; enable
+	// it with a Delay to simulate a slow shard without failing it (slow-shard
+	// coverage: the dispatch waits it out within its budget).
 	ShardSlow = "shard.slow"
-	// ShardDown fires inside each dispatch attempt; enable it with an Err
-	// to simulate a shard that is hard down.
+	// ShardDown fires right after ShardSlow; enable it with an Err to
+	// simulate a shard that is hard down.
 	ShardDown = "shard.down"
 )
 

@@ -31,20 +31,17 @@ type ServerCounters struct {
 	// single-engine deployments.
 
 	// ShardDispatches counts per-shard sub-query dispatches issued by the
-	// query router (hedge attempts not included).
+	// query router.
 	ShardDispatches atomic.Int64
-	// HedgedDispatches counts dispatches whose p99-based hedge timer fired
-	// and launched a second attempt.
+	// HedgedDispatches is always zero: the router runs one attempt per
+	// dispatch and never hedges. It stays only because the benchmark
+	// harness still reads it (sharded.hedged_ratio).
 	HedgedDispatches atomic.Int64
-	// HedgeWins counts hedged dispatches where the second attempt finished
-	// first.
+	// HedgeWins is always zero, for the same reason as HedgedDispatches
+	// (sharded.hedge_win_ratio).
 	HedgeWins atomic.Int64
-	// CrossReplicaHedges counts hedged dispatches whose second attempt was
-	// sent to a different replica of the shard than the first (always zero
-	// with replica sets of one, where the hedge re-asks the same engine).
-	CrossReplicaHedges atomic.Int64
-	// ShardFailures counts dispatches that failed outright (fault injected,
-	// budget exhausted, or shard down) after any hedging.
+	// ShardFailures counts dispatches that failed (fault injected, budget
+	// exhausted, or shard down).
 	ShardFailures atomic.Int64
 	// ShardsShed counts dispatches skipped before issue because the shard's
 	// health state machine said the shard is down.
@@ -60,39 +57,37 @@ type ServerCounters struct {
 // ServerCounterValues is the plain-value snapshot of ServerCounters that
 // marshals into the /statsz response.
 type ServerCounterValues struct {
-	QueryTimeouts      int64 `json:"query_timeouts"`
-	CanceledRequests   int64 `json:"canceled_requests"`
-	PanicsRecovered    int64 `json:"panics_recovered"`
-	EncodeFailures     int64 `json:"encode_failures,omitempty"`
-	WALFailed          int64 `json:"wal_failed"`
-	DegradedMode       int64 `json:"degraded_mode"`
-	ShardDispatches    int64 `json:"shard_dispatches,omitempty"`
-	HedgedDispatches   int64 `json:"hedged_dispatches,omitempty"`
-	HedgeWins          int64 `json:"hedge_wins,omitempty"`
-	CrossReplicaHedges int64 `json:"cross_replica_hedges,omitempty"`
-	ShardFailures      int64 `json:"shard_failures,omitempty"`
-	ShardsShed         int64 `json:"shards_shed,omitempty"`
-	PartialResponses   int64 `json:"partial_responses,omitempty"`
-	IngestReroutes     int64 `json:"ingest_reroutes,omitempty"`
+	QueryTimeouts    int64 `json:"query_timeouts"`
+	CanceledRequests int64 `json:"canceled_requests"`
+	PanicsRecovered  int64 `json:"panics_recovered"`
+	EncodeFailures   int64 `json:"encode_failures,omitempty"`
+	WALFailed        int64 `json:"wal_failed"`
+	DegradedMode     int64 `json:"degraded_mode"`
+	ShardDispatches  int64 `json:"shard_dispatches,omitempty"`
+	HedgedDispatches int64 `json:"hedged_dispatches,omitempty"`
+	HedgeWins        int64 `json:"hedge_wins,omitempty"`
+	ShardFailures    int64 `json:"shard_failures,omitempty"`
+	ShardsShed       int64 `json:"shards_shed,omitempty"`
+	PartialResponses int64 `json:"partial_responses,omitempty"`
+	IngestReroutes   int64 `json:"ingest_reroutes,omitempty"`
 }
 
 // Snapshot reads every counter once. The values are individually atomic,
 // not a consistent cut — fine for monitoring.
 func (c *ServerCounters) Snapshot() ServerCounterValues {
 	return ServerCounterValues{
-		QueryTimeouts:      c.QueryTimeouts.Load(),
-		CanceledRequests:   c.CanceledRequests.Load(),
-		PanicsRecovered:    c.PanicsRecovered.Load(),
-		EncodeFailures:     c.EncodeFailures.Load(),
-		WALFailed:          c.WALFailed.Load(),
-		DegradedMode:       c.DegradedMode.Load(),
-		ShardDispatches:    c.ShardDispatches.Load(),
-		HedgedDispatches:   c.HedgedDispatches.Load(),
-		HedgeWins:          c.HedgeWins.Load(),
-		CrossReplicaHedges: c.CrossReplicaHedges.Load(),
-		ShardFailures:      c.ShardFailures.Load(),
-		ShardsShed:         c.ShardsShed.Load(),
-		PartialResponses:   c.PartialResponses.Load(),
-		IngestReroutes:     c.IngestReroutes.Load(),
+		QueryTimeouts:    c.QueryTimeouts.Load(),
+		CanceledRequests: c.CanceledRequests.Load(),
+		PanicsRecovered:  c.PanicsRecovered.Load(),
+		EncodeFailures:   c.EncodeFailures.Load(),
+		WALFailed:        c.WALFailed.Load(),
+		DegradedMode:     c.DegradedMode.Load(),
+		ShardDispatches:  c.ShardDispatches.Load(),
+		HedgedDispatches: c.HedgedDispatches.Load(),
+		HedgeWins:        c.HedgeWins.Load(),
+		ShardFailures:    c.ShardFailures.Load(),
+		ShardsShed:       c.ShardsShed.Load(),
+		PartialResponses: c.PartialResponses.Load(),
+		IngestReroutes:   c.IngestReroutes.Load(),
 	}
 }

@@ -182,7 +182,8 @@ var ErrFollower = errors.New("query: follower engine is read-only; write through
 // Replicas over a snapshot mapping cost no index memory at all: the columns
 // live once, in the shared mapping (or heap). Extend and Compact on a
 // follower fail with ErrFollower; Close is safe and only ever stops state
-// the follower owns (it has no background compactor).
+// the follower owns (it has no background compactor). It exists for
+// pathhist's Engine.Replica, a benchmark shim; serving code does not use it.
 func NewFollower(primary *Engine) *Engine {
 	cfg := primary.cfg
 	e := &Engine{cfg: cfg, snap: primary.snap, follower: true}

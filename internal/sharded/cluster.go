@@ -5,16 +5,15 @@
 // the exact global scan order when a β cutoff applies, sample statistics
 // by summing when none does. With all shards healthy the merged answer is
 // bit-identical to a single engine over the union of the stripes; when a
-// shard is slow, failing, or down, the router hedges, sheds, and finally
-// degrades to a partial answer from the survivors instead of failing the
-// whole query.
+// shard is failing or down, the router sheds it and degrades to a partial
+// answer from the survivors instead of failing the whole query.
 //
 // The fault-tolerance machinery lives in three places: a per-shard health
 // state machine (health.go) that keeps known-down shards out of the fan-out,
-// a dispatcher (dispatch.go) that carves a per-shard deadline budget from
-// the request context and hedges a second attempt after a p99-based delay,
-// and the router (router.go) that restarts a query without a shard that
-// failed mid-flight and reports the missing shards in the result.
+// a dispatcher (dispatch.go) that runs one attempt per shard under a
+// deadline budget carved from the request context, and the router
+// (router.go) that restarts a query without a shard that failed mid-flight
+// and reports the missing shards in the result.
 package sharded
 
 import (
@@ -22,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pathhist"
@@ -42,15 +40,6 @@ type Config struct {
 	// runs once, over merged scans, so per-shard skip decisions or cache
 	// hits would have nothing to attach to.
 	Opts pathhist.Options
-	// ShardBudget is the per-dispatch deadline carved from the request
-	// context (default 2s): a shard that cannot scan one sub-query within
-	// it is treated as failed for this query.
-	ShardBudget time.Duration
-	// HedgeDelay is the hedge timer used until a shard has enough latency
-	// history for a p99 estimate (default 25ms). The dispatcher launches a
-	// second attempt on the same shard when the first has not answered
-	// within the delay; the first answer wins.
-	HedgeDelay time.Duration
 	// MinCoverage is the fraction of shards that must participate for a
 	// query to be answered at all (default 0.5). Below the floor the router
 	// returns ErrInsufficientCoverage instead of a partial result.
@@ -61,16 +50,7 @@ type Config struct {
 	// FailThreshold is how many consecutive dispatch failures mark a shard
 	// down (default 3).
 	FailThreshold int
-	// ReplicasPerShard is how many query engines serve each shard (default
-	// 1). Replicas above the first are followers built with Engine.Replica:
-	// they share the primary's published snapshot pointer (and, under mmap
-	// loading, the one read-only file mapping), so every replica answers
-	// bit-identically at zero marginal index memory. The dispatcher
-	// load-balances attempts across a shard's replicas and sends the hedged
-	// second attempt to a different replica, and the health machine tracks
-	// each replica individually.
-	ReplicasPerShard int
-	// Counters receives the shard dispatch/hedge/shed/partial counters
+	// Counters receives the shard dispatch/failure/shed/partial counters
 	// (an internal set is used when nil).
 	Counters *metrics.ServerCounters
 }
@@ -78,12 +58,6 @@ type Config struct {
 func (cfg Config) normalized() Config {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
-	}
-	if cfg.ShardBudget <= 0 {
-		cfg.ShardBudget = 2 * time.Second
-	}
-	if cfg.HedgeDelay <= 0 {
-		cfg.HedgeDelay = 25 * time.Millisecond
 	}
 	if cfg.MinCoverage <= 0 {
 		cfg.MinCoverage = 0.5
@@ -93,9 +67,6 @@ func (cfg Config) normalized() Config {
 	}
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = 3
-	}
-	if cfg.ReplicasPerShard < 1 {
-		cfg.ReplicasPerShard = 1
 	}
 	if cfg.Counters == nil {
 		cfg.Counters = &metrics.ServerCounters{}
@@ -116,60 +87,14 @@ func ShardOptions(opts pathhist.Options) pathhist.Options {
 	return opts
 }
 
-// replica is one of a shard's query engines plus its individual
-// fault-tolerance state. replicas[0] of each shard is the primary — the only
-// replica that ingests (and, in the serving layer, owns the WAL and snapshot
-// directory); followers are read-only views over the primary's published
-// snapshot (query.NewFollower), so a dispatch answers identically no matter
-// which replica serves it.
-type replica struct {
-	ri           int // replica index within the shard
-	eng          *pathhist.Engine
-	health       *shardHealth
-	lat          *latencyRing
-	attemptSites [6]string
-}
-
-// shard is one stripe's replica set plus the round-robin dispatch cursor.
+// shard is one stripe's engine plus its fault-tolerance state.
 type shard struct {
 	idx           int
-	replicas      []*replica
-	rr            atomic.Uint64 // round-robin replica cursor for dispatch
+	eng           *pathhist.Engine
+	health        shardHealth
+	lat           latencyRing
 	dispatchSites [2]string
-}
-
-// primary returns the shard's ingest-owning replica.
-func (s *shard) primary() *replica { return s.replicas[0] }
-
-// participates reports whether any replica can serve a dispatch — the
-// router's pre-scatter check. A shard leaves the fan-out only when every
-// replica is shedding.
-func (s *shard) participates(now time.Time) bool {
-	for _, r := range s.replicas {
-		if r.health.participates(now) {
-			return true
-		}
-	}
-	return false
-}
-
-// pickReplica advances the round-robin cursor and returns the next replica
-// whose health machine admits a dispatch (skipping exclude, used by the
-// hedge to land on a different replica than the first attempt). The probe
-// flag is the admitting replica's recovery-probe marker.
-func (s *shard) pickReplica(now time.Time, exclude *replica) (rep *replica, probe, ok bool) {
-	n := len(s.replicas)
-	start := int(s.rr.Add(1) % uint64(n))
-	for off := 0; off < n; off++ {
-		r := s.replicas[(start+off)%n]
-		if r == exclude {
-			continue
-		}
-		if ok, probe := r.health.admit(now); ok {
-			return r, probe, true
-		}
-	}
-	return nil, false, false
+	attemptSites  [4]string
 }
 
 // Cluster is a set of per-stripe engines and the scatter-gather router over
@@ -251,21 +176,12 @@ func New(g *network.Graph, engines []*pathhist.Engine, cfg Config) (*Cluster, er
 	cfg.Shards = len(engines)
 	c := &Cluster{g: g, cfg: cfg, ladder: pathhist.LadderConfig(cfg.Opts)}
 	for i, eng := range engines {
-		s := &shard{idx: i, dispatchSites: dispatchSites(i)}
-		for ri := 0; ri < cfg.ReplicasPerShard; ri++ {
-			re := eng
-			if ri > 0 {
-				re = eng.Replica()
-			}
-			s.replicas = append(s.replicas, &replica{
-				ri:           ri,
-				eng:          re,
-				health:       &shardHealth{},
-				lat:          &latencyRing{},
-				attemptSites: attemptSites(i, ri),
-			})
-		}
-		c.shards = append(c.shards, s)
+		c.shards = append(c.shards, &shard{
+			idx:           i,
+			eng:           eng,
+			dispatchSites: dispatchSites(i),
+			attemptSites:  attemptSites(i),
+		})
 	}
 	c.ingestCond = sync.NewCond(&c.ingestMu)
 	c.ingestBusy = make([]bool, len(c.shards))
@@ -275,12 +191,9 @@ func New(g *network.Graph, engines []*pathhist.Engine, cfg Config) (*Cluster, er
 // NumShards returns the shard count.
 func (c *Cluster) NumShards() int { return len(c.shards) }
 
-// Engine returns shard i's primary engine (the serving layer wires each one
-// to its own WAL and snapshot directory).
-func (c *Cluster) Engine(i int) *pathhist.Engine { return c.shards[i].primary().eng }
-
-// ReplicasPerShard returns the configured replica-set size.
-func (c *Cluster) ReplicasPerShard() int { return c.cfg.ReplicasPerShard }
+// Engine returns shard i's engine (the serving layer wires each one to its
+// own WAL and snapshot directory).
+func (c *Cluster) Engine(i int) *pathhist.Engine { return c.shards[i].eng }
 
 // Counters returns the cluster's metrics sink.
 func (c *Cluster) Counters() *metrics.ServerCounters { return c.cfg.Counters }
@@ -289,81 +202,50 @@ func (c *Cluster) Counters() *metrics.ServerCounters { return c.cfg.Counters }
 func (c *Cluster) Trajectories() int {
 	n := 0
 	for _, s := range c.shards {
-		n += s.primary().eng.Trajectories()
+		n += s.eng.Trajectories()
 	}
 	return n
 }
 
 // Close closes every shard engine (stopping background compactors).
-// Follower replicas share the primary's snapshot and have no background
-// machinery of their own, so closing the primaries is enough.
 func (c *Cluster) Close() {
 	for _, s := range c.shards {
-		s.primary().eng.Close()
+		s.eng.Close()
 	}
 }
 
 // SetDegraded feeds shard i's serving-layer degraded latch (read-only mode
 // after a WAL failure) into its health state: a degraded shard still serves
 // reads, so the router keeps dispatching to it, but ingest routing avoids
-// it. The latch applies to every replica — the degraded condition (a failed
-// WAL) belongs to the shard's store, not to one view of it.
+// it.
 func (c *Cluster) SetDegraded(i int, degraded bool) {
-	for _, r := range c.shards[i].replicas {
-		r.health.setDegraded(degraded)
-	}
+	c.shards[i].health.setDegraded(degraded)
 }
 
-// ReplicaStatus is one replica's health snapshot for /statsz.
-type ReplicaStatus struct {
-	State       string        `json:"state"`
-	ConsecFails int           `json:"consecutive_failures,omitempty"`
-	P99         time.Duration `json:"-"`
-	P99Millis   float64       `json:"p99_ms"`
-}
-
-// ShardStatus is one shard's health snapshot for /statsz. The shard-level
-// fields carry the primary replica's state (the primary owns ingest and
-// durability, so its health is what operators page on); Replicas lists every
-// replica individually, present only when the replica set is larger than
-// one.
+// ShardStatus is one shard's health snapshot for /statsz.
 type ShardStatus struct {
-	State        string          `json:"state"`
-	ConsecFails  int             `json:"consecutive_failures,omitempty"`
-	P99          time.Duration   `json:"-"`
-	P99Millis    float64         `json:"p99_ms"`
-	Trajectories int             `json:"trajectories"`
-	Epoch        uint64          `json:"epoch"`
-	Replicas     []ReplicaStatus `json:"replicas,omitempty"`
+	State        string        `json:"state"`
+	ConsecFails  int           `json:"consecutive_failures,omitempty"`
+	P99          time.Duration `json:"-"`
+	P99Millis    float64       `json:"p99_ms"`
+	Trajectories int           `json:"trajectories"`
+	Epoch        uint64        `json:"epoch"`
 }
 
 // Status snapshots every shard's health, latency and index state.
 func (c *Cluster) Status() []ShardStatus {
 	out := make([]ShardStatus, len(c.shards))
 	for i, s := range c.shards {
-		p := s.primary()
-		st, fails := p.health.status()
-		p99 := p.lat.p99()
-		_, epoch := p.eng.QueryEngine().Snapshot()
+		st, fails := s.health.status()
+		p99 := s.lat.p99()
+		_, epoch := s.eng.QueryEngine().Snapshot()
 		out[i] = ShardStatus{
 			State:        st.String(),
 			ConsecFails:  fails,
 			P99:          p99,
 			P99Millis:    float64(p99) / float64(time.Millisecond),
-			Trajectories: p.eng.Trajectories(),
+			Trajectories: s.eng.Trajectories(),
 			Epoch:        epoch,
-		}
-		if len(s.replicas) > 1 {
-			for _, r := range s.replicas {
-				rst, rfails := r.health.status()
-				rp99 := r.lat.p99()
-				out[i].Replicas = append(out[i].Replicas, ReplicaStatus{
-					State:       rst.String(),
-					ConsecFails: rfails,
-					P99:         rp99,
-					P99Millis:   float64(rp99) / float64(time.Millisecond),
-				})
-			}
 		}
 	}
 	return out
@@ -432,7 +314,7 @@ func (c *Cluster) Extend(ctx context.Context, batch *traj.Store) (int, pathhist.
 	}
 	si, err := c.RouteIngest(batch, func(shard int) error {
 		var err error
-		st, err = c.shards[shard].primary().eng.ExtendCtx(ctx, batch)
+		st, err = c.shards[shard].eng.ExtendCtx(ctx, batch)
 		return err
 	})
 	return si, st, err
@@ -459,7 +341,7 @@ func (c *Cluster) validateGlobalLocked(batch *traj.Store) error {
 			minStart, c.pendingMax)
 	}
 	for _, s := range c.shards {
-		ix, _ := s.primary().eng.QueryEngine().Snapshot()
+		ix, _ := s.eng.QueryEngine().Snapshot()
 		if _, tmax := ix.TimeRange(); minStart <= tmax {
 			return fmt.Errorf("sharded: batch starts at %d, inside shard %d's indexed range ending %d",
 				minStart, s.idx, tmax)
@@ -480,9 +362,7 @@ func (c *Cluster) reserveIngestShardLocked() (int, error) {
 		rerouted := false
 		for off := 0; off < n; off++ {
 			si := (c.rr + off) % n
-			// Ingest goes through the primary only: followers are read-only
-			// views and return ErrFollower on Extend.
-			if !c.shards[si].primary().health.ingestable() {
+			if !c.shards[si].health.ingestable() {
 				rerouted = true
 				continue
 			}

@@ -63,8 +63,8 @@ func dispatchCluster(b *testing.B) *Cluster {
 }
 
 // BenchmarkDispatch is the dispatcher's own cost per call — failpoint
-// sites, replica pick, budget context, hedge timer, attempt goroutine and
-// result hand-off — around an op that does nothing.
+// sites, health admission, budget context, the inline attempt and the
+// latency record — around an op that does nothing.
 func BenchmarkDispatch(b *testing.B) {
 	c := dispatchCluster(b)
 	defer c.Close()

@@ -136,7 +136,7 @@ func (h *shardHealth) status() (State, int) {
 	return st, h.consecFails
 }
 
-// latencyRingSize is the per-shard latency history the p99 hedge delay is
+// latencyRingSize is the per-shard latency history the /statsz p99 is
 // computed over.
 const latencyRingSize = 128
 
@@ -183,14 +183,4 @@ func (r *latencyRing) p99() time.Duration {
 		}
 	}
 	return top[k-1]
-}
-
-// hedgeDelay is the delay before a dispatch launches its hedged second
-// attempt: the replica's observed p99 when the ring has history, the
-// configured default otherwise.
-func (r *replica) hedgeDelay(fallback time.Duration) time.Duration {
-	if d := r.lat.p99(); d > 0 {
-		return d
-	}
-	return fallback
 }

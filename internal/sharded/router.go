@@ -48,6 +48,10 @@ type Result struct {
 	// Restarts counts mid-query shard failures that forced the router to
 	// re-run the query without the failed shard.
 	Restarts int
+	// Epoch is the sum of the snapshot epochs the answer read, over the
+	// shards it covers: a cluster-wide publication counter, not a single
+	// index version.
+	Epoch uint64
 	// Elapsed is the wall-clock processing time.
 	Elapsed time.Duration
 }
@@ -57,9 +61,10 @@ type Result struct {
 // Extend cannot shear the query across epochs within a shard) and the
 // global time range they span.
 type runState struct {
-	live []int        // participating shard indexes, ascending
-	ixs  []*snt.Index // pinned snapshot per live entry
-	tmax int64
+	live  []int        // participating shard indexes, ascending
+	ixs   []*snt.Index // pinned snapshot per live entry
+	tmax  int64
+	epoch uint64 // sum of the pinned snapshots' epochs
 }
 
 // shardFailure marks a shard that failed mid-query; the router restarts the
@@ -102,7 +107,7 @@ func (c *Cluster) Query(ctx context.Context, q pathhist.Query) (*Result, error) 
 	var live, missing []int
 	now := time.Now()
 	for i, s := range c.shards {
-		if s.participates(now) {
+		if s.health.participates(now) {
 			live = append(live, i)
 		} else {
 			missing = append(missing, i)
@@ -146,11 +151,9 @@ func (c *Cluster) Query(ctx context.Context, q pathhist.Query) (*Result, error) 
 func (c *Cluster) runOnce(ctx context.Context, q pathhist.Query, live []int) (*Result, error) {
 	rs := &runState{live: live, ixs: make([]*snt.Index, len(live))}
 	for i, si := range live {
-		// Pinned from the primary; followers share the same published
-		// snapshot pointer, so the pin is valid for whichever replica the
-		// dispatcher picks.
-		ix, _ := c.shards[si].primary().eng.QueryEngine().Snapshot()
+		ix, epoch := c.shards[si].eng.QueryEngine().Snapshot()
 		rs.ixs[i] = ix
+		rs.epoch += epoch
 		if _, tmax := ix.TimeRange(); i == 0 || tmax > rs.tmax {
 			rs.tmax = tmax
 		}
@@ -167,15 +170,14 @@ func (c *Cluster) runOnce(ctx context.Context, q pathhist.Query, live []int) (*R
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Hist: res.Hist, Subs: res.Subs, MeanSeconds: res.PredictedMean(), IndexScans: res.IndexScans}, nil
+	return &Result{Hist: res.Hist, Subs: res.Subs, MeanSeconds: res.PredictedMean(), IndexScans: res.IndexScans, Epoch: rs.epoch}, nil
 }
 
 // scatter fans one op out to every live shard concurrently, each run on its
-// own scratch armed with the dispatch's context (a hedged second attempt is
-// a second run), and collects the per-shard outputs. A scan that observed
-// its cancel channel is clipped and reported as the context's error. The
-// first failing shard (lowest index, for determinism) surfaces as a
-// *shardFailure.
+// own scratch armed with the dispatch's context, and collects the per-shard
+// outputs. A scan that observed its cancel channel is clipped and reported
+// as the context's error. The first failing shard (lowest index, for
+// determinism) surfaces as a *shardFailure.
 func (c *Cluster) scatter(ctx context.Context, rs *runState, op func(ix *snt.Index, sc *snt.Scratch) scanOut) ([]scanOut, error) {
 	outs := make([]scanOut, len(rs.live))
 	errs := make([]error, len(rs.live))

@@ -637,7 +637,6 @@ func TestShardedOneShardDownPartial(t *testing.T) {
 		Shards:        4,
 		Counters:      counters,
 		ProbeInterval: 50 * time.Millisecond,
-		HedgeDelay:    5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -702,9 +701,11 @@ func TestShardedOneShardDownPartial(t *testing.T) {
 	}
 }
 
-// TestShardedHedging delays shard 1's first attempt far past the hedge
-// timer and verifies the hedged retry wins without the query failing or
-// degrading.
+// TestShardedHedging pins the one-attempt dispatch: a shard slowed for
+// one attempt (well inside the budget) is waited out — the answer is
+// complete and bit-identical, with no restart and no hedge — and a shard
+// failed for one attempt is not retried: the query restarts once without
+// it and answers partial, and the next query covers every shard again.
 func TestShardedHedging(t *testing.T) {
 	ds := testDataset(t)
 	tmin, tmax := ds.Store.TimeRange()
@@ -713,40 +714,59 @@ func TestShardedHedging(t *testing.T) {
 		t.Fatal(err)
 	}
 	counters := &metrics.ServerCounters{}
-	c, err := Build(ds.G, copyStore(ds.Store), Config{
-		Shards:     4,
-		Counters:   counters,
-		HedgeDelay: 5 * time.Millisecond,
-	})
+	c, err := Build(ds.G, copyStore(ds.Store), Config{Shards: 4, Counters: counters})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-
-	site := failpoint.ShardSlow + ".1"
-	failpoint.Enable(site, failpoint.Injection{Delay: 300 * time.Millisecond, Times: 1})
-	defer failpoint.Disable(site)
-
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(11))
+
+	slow := failpoint.ShardSlow + ".1"
+	failpoint.Enable(slow, failpoint.Injection{Delay: 300 * time.Millisecond, Times: 1})
+	defer failpoint.Disable(slow)
 	q := randomQuery(rng, ds, tmin, tmax)
 	want, err := ref.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Query(context.Background(), q)
+	got, err := c.Query(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if failpoint.Hits(slow) == 0 {
+		t.Fatal("the query never dispatched to shard 1")
+	}
 	if got.Partial || got.Restarts != 0 {
-		t.Fatalf("hedged query degraded: %+v", got)
+		t.Fatalf("slow-shard query degraded: %+v", got)
 	}
-	compareShardedVsPublic(t, "hedged", 4, q, got, want)
-	if n := counters.HedgedDispatches.Load(); n < 1 {
-		t.Fatalf("HedgedDispatches = %d, want >= 1", n)
+	compareShardedVsPublic(t, "slow", 4, q, got, want)
+	if h, w := counters.HedgedDispatches.Load(), counters.HedgeWins.Load(); h != 0 || w != 0 {
+		t.Fatalf("HedgedDispatches = %d, HedgeWins = %d, want 0 and 0", h, w)
 	}
-	if n := counters.HedgeWins.Load(); n < 1 {
-		t.Fatalf("HedgeWins = %d, want >= 1", n)
+
+	down := failpoint.ShardDown + ".2"
+	failpoint.Enable(down, failpoint.Injection{Err: errors.New("injected shard fault"), Times: 1})
+	defer failpoint.Disable(down)
+	got, err = c.Query(ctx, randomQuery(rng, ds, tmin, tmax))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got.Restarts != 1 || !got.Partial || len(got.Missing) != 1 || got.Missing[0] != 2 {
+		t.Fatalf("one failed attempt: restarts=%d partial=%v missing=%v, want one restart without shard 2",
+			got.Restarts, got.Partial, got.Missing)
+	}
+	q = randomQuery(rng, ds, tmin, tmax)
+	if want, err = ref.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = c.Query(ctx, q); err != nil {
+		t.Fatal(err)
+	}
+	if got.Partial || got.Restarts != 0 {
+		t.Fatalf("query after the spent fault degraded: %+v", got)
+	}
+	compareShardedVsPublic(t, "after-fault", 4, q, got, want)
 }
 
 // TestShardedCoverageFloor verifies the 503 path: with a coverage floor of
@@ -776,8 +796,9 @@ func TestShardedCoverageFloor(t *testing.T) {
 }
 
 // TestShardedIngestRouting verifies degraded shards are skipped by the
-// round-robin ingest router, reroutes are counted, stale batches are
-// rejected globally, and a fully unhealthy cluster refuses ingest.
+// round-robin ingest router, reroutes are counted, Status shows the latch on
+// that shard alone until it clears, stale batches are rejected globally,
+// and a fully unhealthy cluster refuses ingest.
 func TestShardedIngestRouting(t *testing.T) {
 	ds := testDataset(t)
 	cuts := ds.Store.QuiescentCuts()
@@ -799,6 +820,15 @@ func TestShardedIngestRouting(t *testing.T) {
 	}
 
 	c.SetDegraded(2, true)
+	for i, st := range c.Status() {
+		want := "ready"
+		if i == 2 {
+			want = "degraded"
+		}
+		if st.State != want {
+			t.Fatalf("shard %d state = %q, want %q", i, st.State, want)
+		}
+	}
 	bounds := append([]int{}, cuts[len(cuts)-4:]...)
 	bounds = append(bounds, ds.Store.Len())
 	before := make([]int, 4)
@@ -819,6 +849,10 @@ func TestShardedIngestRouting(t *testing.T) {
 	}
 	if counters.IngestReroutes.Load() == 0 {
 		t.Fatal("expected at least one ingest reroute")
+	}
+	c.SetDegraded(2, false)
+	if st := c.Status()[2].State; st != "ready" {
+		t.Fatalf("shard 2 state = %q after the latch cleared, want ready", st)
 	}
 	for i := 0; i < 4; i++ {
 		c.SetDegraded(i, true)

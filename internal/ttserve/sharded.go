@@ -74,8 +74,8 @@ func (s *ShardedServer) readyLine() string {
 
 // ShardedResponse is the JSON shape of a sharded /query answer: the
 // single-engine Response plus the partial-result contract. Epoch is the sum
-// of the shards' epochs — a cluster-wide publication counter, not a single
-// index version.
+// of the snapshot epochs the answer read, over the shards it covers — a
+// cluster-wide publication counter, not a single index version.
 type ShardedResponse struct {
 	Response
 	// Partial marks an answer computed without MissingShards' data; the
@@ -101,6 +101,7 @@ func (s *ShardedServer) toShardedResponse(res *sharded.Result) ShardedResponse {
 		MissingShards: res.Missing,
 		Restarts:      res.Restarts,
 	}
+	out.Epoch = res.Epoch
 	out.MeanSeconds = res.MeanSeconds
 	out.IndexScans = res.IndexScans
 	if len(res.Subs) > 0 {
@@ -114,9 +115,6 @@ func (s *ShardedServer) toShardedResponse(res *sharded.Result) ShardedResponse {
 			MeanTT:   sub.MeanX(),
 			Fallback: sub.Fallback,
 		}
-	}
-	for _, st := range s.cluster.Status() {
-		out.Epoch += st.Epoch
 	}
 	fillHistogram(&out.Response, res.Hist)
 	return out

@@ -370,6 +370,80 @@ func TestShardedFrontPartialDegradation(t *testing.T) {
 	}
 }
 
+// TestShardedFrontPartialEpoch: /query reports the epochs its answer read.
+// After a batch lands on shard 2 alone, a full answer counts that epoch; a
+// partial answer without shard 2 must not.
+func TestShardedFrontPartialEpoch(t *testing.T) {
+	ds := shardedDataset(t)
+	ds.Store.SortByStart()
+	cuts := ds.Store.QuiescentCuts()
+	if len(cuts) == 0 {
+		t.Skip("no quiescent cuts in the dataset")
+	}
+	cut := cuts[len(cuts)/2]
+	base, batch := ds.Store.Slice(0, cut), ds.Store.Slice(cut, ds.Store.Len())
+	cluster, err := sharded.Build(ds.G, base, sharded.Config{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	shards := make([]*Shard, cluster.NumShards())
+	for i := range shards {
+		shards[i] = NewShard(cluster.Engine(i), Config{EnableExtend: true})
+	}
+	front, err := NewShardedServer(cluster, shards, Config{EnableExtend: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsrv := httptest.NewServer(front)
+	defer fsrv.Close()
+
+	// Latch every other shard out of the ingest rotation so the batch lands
+	// on shard 2, then release them.
+	for _, i := range []int{0, 1, 3} {
+		cluster.SetDegraded(i, true)
+	}
+	var buf bytes.Buffer
+	if _, err := batch.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(fsrv.URL+"/extend", "application/octet-stream", bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ext ShardedExtendResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ext); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || ext.Shard != 2 || ext.Epoch != 1 {
+		t.Fatalf("extend: status %d, shard %d, epoch %d; want 200 on shard 2 at epoch 1", resp.StatusCode, ext.Shard, ext.Epoch)
+	}
+	for _, i := range []int{0, 1, 3} {
+		cluster.SetDegraded(i, false)
+	}
+
+	url := fmt.Sprintf("%s/query?path=%s&beta=50", fsrv.URL, shardedPathParam(pathhist.Path(batch.Get(0).Path()[:1])))
+	var full ShardedResponse
+	if code := shardedGetJSON(t, url, &full); code != http.StatusOK || full.Partial || full.Epoch != 1 {
+		t.Fatalf("full answer: status %d, partial %v, epoch %d; want 200, complete, epoch 1", code, full.Partial, full.Epoch)
+	}
+
+	site := failpoint.ShardDown + ".2"
+	failpoint.Enable(site, failpoint.Injection{Err: errors.New("injected shard fault")})
+	defer failpoint.Disable(site)
+	var partial ShardedResponse
+	if code := shardedGetJSON(t, url, &partial); code != http.StatusOK {
+		t.Fatalf("one-shard-down query status %d", code)
+	}
+	if !partial.Partial || len(partial.MissingShards) != 1 || partial.MissingShards[0] != 2 {
+		t.Fatalf("one-shard-down response: partial=%v missing=%v", partial.Partial, partial.MissingShards)
+	}
+	if partial.Epoch != 0 {
+		t.Fatalf("partial answer without shard 2 reports epoch %d, want 0", partial.Epoch)
+	}
+}
+
 // TestShardedFrontDegradedIngestReroutes: a shard already latched degraded
 // at construction never receives a batch — every extend routes to the
 // healthy shard.

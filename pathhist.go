@@ -360,6 +360,12 @@ func (e *Engine) Close() { e.qe.Close() }
 // of a mapped engine (LoadSnapshotFileMapped) shares the mapping and costs
 // no index memory; K replicas serve off one page cache. Extend and Compact
 // on a replica fail with query.ErrFollower; Close it independently.
+//
+// Replica is a benchmark shim: the benchmark's traced replay runs each
+// nesting level on its own replica, so every level meets the same cache
+// history. Serving code does not use it — a replica repeats its primary's
+// work on the same snapshot — and CI rejects a call outside tests under
+// cmd/, internal/ and examples/.
 func (e *Engine) Replica() *Engine {
 	return &Engine{g: e.g, qe: query.NewFollower(e.qe), mapping: e.mapping}
 }
