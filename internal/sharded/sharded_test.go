@@ -795,6 +795,53 @@ func TestShardedCoverageFloor(t *testing.T) {
 	}
 }
 
+// TestReplicaDegradedLatchAppliesToAll: the serving layer's degraded latch
+// (a shard-level WAL failure) belongs to the shard's store, so it shows on
+// that shard alone and applies to everything the shard serves: Status
+// reports it, reads still cover the shard bit-identically, and it clears.
+func TestReplicaDegradedLatchAppliesToAll(t *testing.T) {
+	ds := testDataset(t)
+	tmin, tmax := ds.Store.TimeRange()
+	ref, err := pathhist.NewEngine(ds.G, copyStore(ds.Store), pathhist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Build(ds.G, copyStore(ds.Store), Config{Shards: 2, Counters: &metrics.ServerCounters{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	c.SetDegraded(0, true)
+	for i, st := range c.Status() {
+		want := "ready"
+		if i == 0 {
+			want = "degraded"
+		}
+		if st.State != want {
+			t.Fatalf("shard %d state = %q, want %q", i, st.State, want)
+		}
+	}
+	q := randomQuery(rand.New(rand.NewSource(41)), ds, tmin, tmax)
+	want, err := ref.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Query(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Partial || got.Restarts != 0 {
+		t.Fatalf("read with shard 0 degraded: partial=%v restarts=%d missing=%v",
+			got.Partial, got.Restarts, got.Missing)
+	}
+	compareShardedVsPublic(t, "degraded", 2, q, got, want)
+	c.SetDegraded(0, false)
+	if st := c.Status()[0].State; st != "ready" {
+		t.Fatalf("latch did not clear: %q", st)
+	}
+}
+
 // TestShardedIngestRouting verifies degraded shards are skipped by the
 // round-robin ingest router, reroutes are counted, Status shows the latch on
 // that shard alone until it clears, stale batches are rejected globally,
