@@ -69,27 +69,33 @@ func (hg *Histogram) Recycle() {
 
 // FromSamples builds a histogram with bucket width h from travel-time
 // samples in seconds. It returns nil for an empty sample set.
-func FromSamples(xs []int, h int) *Histogram {
+func FromSamples(xs []int, h int) *Histogram { return fromSamples(xs, h) }
+
+// FromInt32 is FromSamples over an int32 column — a frozen traversal-time
+// column read in place, without widening it into an []int first.
+func FromInt32(xs []int32, h int) *Histogram { return fromSamples(xs, h) }
+
+func fromSamples[T int | int32](xs []T, h int) *Histogram {
 	if len(xs) == 0 {
 		return nil
 	}
 	if h <= 0 {
 		panic(fmt.Sprintf("hist: bucket width %d", h))
 	}
-	min, max := xs[0], xs[0]
+	min, max := int(xs[0]), int(xs[0])
 	for _, x := range xs[1:] {
-		if x < min {
-			min = x
+		if int(x) < min {
+			min = int(x)
 		}
-		if x > max {
-			max = x
+		if int(x) > max {
+			max = int(x)
 		}
 	}
 	lo, hi := min/h, max/h
 	hg := newHist(h, lo, hi-lo+1)
 	hg.min, hg.max, hg.n = min, max, len(xs)
 	for _, x := range xs {
-		hg.counts[x/h-lo]++
+		hg.counts[int(x)/h-lo]++
 		hg.total++
 	}
 	return hg

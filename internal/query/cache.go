@@ -15,16 +15,16 @@ import (
 //   - the sub-result cache memoises sub-query scans that retrieved samples:
 //     an entry holds their count, exact sum and histogram (subValue), never
 //     the samples themselves, so its size follows the histogram's span and
-//     not the sample count — a terminal entry is the same couple of hundred
-//     bytes whether ten or ten thousand records are behind it. A scan that
-//     failed its β requirement is not stored — the time-of-day census
-//     (snt.Index.CannotReach, asked before this cache is) rejects most
-//     failing rungs in a few adds, less than a lookup costs, and the rest
-//     are recomputed. On the benchmark's route_cold mix storing them
-//     filled the LRU with 723 k empty entries per 6 000 requests, evicting
-//     the one kind of entry worth keeping: the terminal [0, tmax] results
-//     of ≈ 8 k samples each (terminal re-scans 41 257 → 3 699 once the
-//     failures stopped being stored);
+//     not the sample count. A scan that failed its β requirement is not
+//     stored — the time-of-day census (snt.Index.CannotReach, asked before
+//     this cache is) rejects most failing rungs in a few adds, less than a
+//     lookup costs, and the rest are recomputed; on the benchmark's
+//     route_cold mix storing them filled the LRU with 723 k empty entries
+//     per 6 000 requests. The terminal [0, tmax] answers of a segment with
+//     data, ≈ 8 k samples each, are not kept here either: the index's own
+//     terminal-fallback memo (snt.Index.WholeSegment), asked just before
+//     this cache, holds one per segment for the snapshot's lifetime, so
+//     the LRU's slots go to the periodic rungs and multi-segment paths;
 //   - the full-result cache memoises the final convolved histogram and
 //     final sub-queries of a whole TripQuery, so a repeated trip skips
 //     partitioning, scanning and convolution entirely.
@@ -61,9 +61,10 @@ const DefaultFullCacheCapacity = 1024
 // entry and must be treated as immutable by all readers. An entry's size is
 // its histogram's — 8 bytes per bucket between the sample extremes plus a
 // 48-byte header (hist.SizeBytes) — and its key and linkage, whatever the
-// number of samples behind it. On the benchmark's default dataset a
-// terminal [0, tmax] result spans 4–11 buckets of 10 s, 80–136 bytes of
-// histogram for a median 5 843 samples, which as an []int were 46 KB.
+// number of samples behind it. The entries are the answers the terminal
+// memo does not give: accepted periodic rungs, multi-segment and
+// user-filtered rungs, speed-limit fallbacks, and terminal answers that
+// exclude a trajectory.
 type subValue struct {
 	n        int
 	sum      int64
@@ -238,6 +239,17 @@ func (c *spqCache[V]) get(p network.Path, iv snt.Interval, f snt.Filter, beta in
 		}
 	}
 	return
+}
+
+// book counts a lookup answered outside the LRU — a terminal-fallback memo
+// reuse (hit) or fill (miss) — so the cache statistics keep covering every
+// memoised answer.
+func (c *spqCache[V]) book(hit bool) {
+	if hit {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
 }
 
 // put stores a completed result computed against the given index epoch. The

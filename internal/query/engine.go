@@ -61,7 +61,9 @@ type Config struct {
 	// sequential Procedure 6, larger values cap the pool. The result is
 	// identical either way (see TripQuery).
 	Workers int
-	// DisableCache turns off the shared sub-result cache.
+	// DisableCache turns off the shared sub-result cache and the reads of
+	// the index's terminal-fallback memo (snt.Index.WholeSegment): no
+	// sub-query answer is memoised.
 	DisableCache bool
 	// CacheCapacity is the total number of cached sub-results
 	// (DefaultCacheCapacity when 0).
@@ -575,10 +577,18 @@ func (r *Result) PredictedMean() float64 {
 }
 
 // attempt answers one strict path query (its Interval the effective one)
-// against one index snapshot: cardinality estimation first (Procedure 6
-// semantics — never for terminal sub-queries, which have no β), then the
-// census rejection of a window that cannot hold β records, then the
-// sub-result cache (epoch-checked), then the Procedure 3-5 index scan.
+// against one index snapshot, asking in order:
+//
+//  1. the cardinality estimator (Procedure 6 semantics — never for
+//     terminal sub-queries, which have no β);
+//  2. the census rejection of a window that cannot hold β records;
+//  3. with the cache enabled, the snapshot's terminal-fallback memo
+//     (snt.Index.WholeSegment), which answers the whole-segment [0, tmax]
+//     rung: a fill books as an index scan and a cache miss, a reuse as a
+//     cache hit;
+//  4. with the cache enabled, the sub-result cache (epoch-checked);
+//  5. the Procedure 3-5 index scan.
+//
 // Attempts are deterministic given the snapshot and cache state; with the
 // cache disabled they are fully deterministic, which is what makes
 // speculative execution exact (see TripQuery).
@@ -595,6 +605,10 @@ func (e *Engine) attempt(sn *snapshot, q SPQ, sc *snt.Scratch) Outcome {
 	}
 	stale := false
 	if e.cache != nil {
+		if n, sum, h, filled, ok := sn.ix.WholeSegment(q.Path, q.Interval, q.Filter, q.Beta, e.cfg.BucketWidth); ok {
+			e.cache.book(!filled)
+			return Outcome{N: n, Sum: sum, Hist: h, Cached: !filled}
+		}
 		v, ok, st := e.cache.get(q.Path, q.Interval, q.Filter, q.Beta, sn.epoch)
 		if ok {
 			return Outcome{N: v.n, Sum: v.sum, Hist: v.hist, Fallback: v.fallback, Cached: true}

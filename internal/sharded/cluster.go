@@ -80,6 +80,8 @@ func (cfg Config) normalized() Config {
 // procedure decides on, and a skip would break bit-identity with the
 // unsharded engine) and both result caches are disabled (the router never
 // calls the shard's own TripQuery path, so they would only hold memory).
+// The terminal-fallback memo the router does read lives on the shard's
+// index (snt.Index.WholeSegment), not in these caches.
 func ShardOptions(opts pathhist.Options) pathhist.Options {
 	opts.Estimator = pathhist.EstimatorOff
 	opts.DisableCache = true

@@ -25,6 +25,7 @@ type scanOut struct {
 	n       int             // statistics: the sample count; σL: the count
 	sum     int64           // statistics: the samples' exact sum
 	hist    *hist.Histogram // statistics: the samples' histogram (nil for none)
+	shared  bool            // statistics: hist is the index memo's, never recycled
 }
 
 // errShardShed marks a dispatch refused before issue because the shard's

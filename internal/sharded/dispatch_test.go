@@ -9,7 +9,10 @@ import (
 
 	"pathhist"
 	"pathhist/internal/network"
+	"pathhist/internal/query"
+	"pathhist/internal/snt"
 	"pathhist/internal/traj"
+	"pathhist/internal/workload"
 )
 
 // p99BySort is latencyRing.p99's definition: the (n−1)·99/100-th entry of
@@ -76,5 +79,37 @@ func BenchmarkDispatch(b *testing.B) {
 		if _, err := c.dispatch(ctx, s, op); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTerminalScatter is one router attempt at the terminal [0, tmax]
+// rung on a four-shard cluster, cycling over every segment with data: one
+// dispatch per shard, each answered from the shard's terminal-fallback
+// memo after the first pass, then the union of the shard histograms.
+func BenchmarkTerminalScatter(b *testing.B) {
+	ds := workload.BuildDataset(workload.SmallConfig())
+	c, err := Build(ds.G, ds.Store, Config{Shards: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	rs := pinAll(c)
+	var qs []query.SPQ
+	for e := network.EdgeID(0); int(e) < ds.G.NumEdges(); e++ {
+		for _, ix := range rs.ixs {
+			if ix.Frozen().Get(e) != nil {
+				qs = append(qs, query.SPQ{Path: network.Path{e}, Interval: snt.NewFixed(0, rs.tmax+1), Filter: snt.NoFilter})
+				break
+			}
+		}
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if o, err := c.scatterScan(ctx, rs, qs[i%len(qs)]); err != nil || o.N == 0 {
+			b.Fatalf("terminal attempt: n %d, %v", o.N, err)
+		}
+		i++
 	}
 }

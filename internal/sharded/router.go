@@ -241,14 +241,24 @@ func (c *Cluster) scatterScan(ctx context.Context, rs *runState, q query.SPQ) (q
 
 // scatterStats answers an attempt without a β cutoff. No sample is cut, so
 // their order never matters and each shard returns only the statistics of
-// its own (query.OutcomeOf over its scan's scratch view); a shard's
-// speed-limit fallback counts as no samples. Counts and sums add, and the
-// histograms union exactly (hist.Union), so the merged outcome equals the
-// one built from every shard's samples together. No sample anywhere gives
-// the speed-limit fallback for a single segment and a failed attempt
-// otherwise — admit's answer for β ≤ 0.
+// its own samples; a shard's speed-limit fallback counts as no samples. The
+// terminal [0, tmax] rung over one segment, most of these attempts, is
+// answered from the shard index's terminal-fallback memo
+// (snt.Index.WholeSegment), so a shard reads a segment's column at most
+// once per snapshot; any other question, or a shard without the segment,
+// runs the scan and summarises its scratch view (query.OutcomeOf). Either
+// way the answer comes through the shard's dispatch, so failpoints, health,
+// the budget and the restart path see every shard. Counts and sums add,
+// and the histograms union exactly (hist.Union), so the merged outcome
+// equals the one built from every shard's samples together. Only the
+// histograms a scan built for this merge are recycled; a memo's stays with
+// its index. No sample anywhere gives the speed-limit fallback for a single
+// segment and a failed attempt otherwise — admit's answer for β ≤ 0.
 func (c *Cluster) scatterStats(ctx context.Context, rs *runState, q query.SPQ) (query.Outcome, error) {
 	outs, err := c.scatter(ctx, rs, func(ix *snt.Index, sc *snt.Scratch) scanOut {
+		if n, sum, h, _, ok := ix.WholeSegment(q.Path, q.Interval, q.Filter, q.Beta, c.ladder.BucketWidth); ok {
+			return scanOut{n: n, sum: sum, hist: h, shared: true}
+		}
 		xs, fallback := ix.GetTravelTimesWith(sc, q.Path, q.Interval, q.Filter, 0)
 		if fallback {
 			return scanOut{}
@@ -261,11 +271,15 @@ func (c *Cluster) scatterStats(ctx context.Context, rs *runState, q query.SPQ) (
 	}
 	var o query.Outcome
 	parts := make([]*hist.Histogram, 0, len(outs))
+	var built []*hist.Histogram
 	for _, out := range outs {
 		o.N += out.n
 		o.Sum += out.sum
 		if out.hist != nil {
 			parts = append(parts, out.hist)
+			if !out.shared {
+				built = append(built, out.hist)
+			}
 		}
 	}
 	if o.N == 0 {
@@ -275,8 +289,9 @@ func (c *Cluster) scatterStats(ctx context.Context, rs *runState, q query.SPQ) (
 		return query.Outcome{}, nil
 	}
 	o.Hist = hist.Union(parts...)
-	for _, h := range parts {
-		// Built for this merge alone and unreachable after it.
+	for _, h := range built {
+		// Built for this merge alone and unreachable after it. A memo
+		// histogram is not among them: it lives on in its index.
 		h.Recycle()
 	}
 	return o, nil

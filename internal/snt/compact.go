@@ -543,6 +543,7 @@ func (ix *Index) ApplyCompaction(p *PreparedCompaction) (*Index, CompactionStats
 		compactedFrom: len(ix.parts),
 	}
 	nix.stats.Partitions = numNew
+	nix.inheritWhole(ix, true)
 	stats.PartitionsAfter = numNew
 	stats.Runs = len(runs)
 	stats.TrajsRebuilt = p.trajs

@@ -191,6 +191,7 @@ func (ix *Index) Extend(add *traj.Store) (*Index, error) {
 	nix.stats.Partitions = len(nix.parts)
 	nix.stats.Records += records
 	nix.stats.Trajs += add.Len()
+	nix.inheritWhole(ix, false)
 	committed = true
 	return nix, nil
 }

@@ -71,6 +71,10 @@ type Index struct {
 	// produced this snapshot (0 when the snapshot was never compacted).
 	compactedFrom int
 
+	// whole is the terminal-fallback memo (whole.go), allocated on first
+	// use. Derived state: not counted in Memory, not written to snapshots.
+	whole atomic.Pointer[wholeMemo]
+
 	// superseded flips once this snapshot has been extended or compacted.
 	// Both share spare column/slice capacity with the snapshot they return,
 	// so snapshot chains must be linear: only the newest snapshot may be

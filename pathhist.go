@@ -167,7 +167,9 @@ type Options struct {
 	// 1 forces the paper's sequential Procedure 6. Results are identical
 	// either way; see DESIGN.md §6.
 	Workers int
-	// DisableCache turns off the engine's shared sub-result cache.
+	// DisableCache turns off the engine's shared sub-result cache and its
+	// reads of the index's terminal-fallback memo: no sub-query answer is
+	// memoised.
 	DisableCache bool
 	// CacheCapacity is the total number of cached sub-results (a default
 	// applies when 0).
