@@ -280,15 +280,14 @@ func BenchmarkThroughputParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkTripQuerySequential is the perf-trajectory baseline: the purely
-// sequential Procedure 6 with no sub-result cache — the processing model of
-// the seed implementation.
+// BenchmarkTripQuerySequential is the perf-trajectory baseline: Procedure 6
+// on one client with neither cache — every query is processed in full.
 func BenchmarkTripQuerySequential(b *testing.B) {
 	e := env(b)
 	ix := e.Index(0, 0)
 	eng := query.NewEngine(ix, query.Config{
 		Partitioner: query.Partitioner{Kind: query.ZoneKind}, BucketWidth: 10,
-		Workers: 1, DisableCache: true, DisableFullResultCache: true,
+		DisableCache: true, DisableFullResultCache: true,
 	})
 	qs := e.Queries
 	b.ReportAllocs()
@@ -300,8 +299,9 @@ func BenchmarkTripQuerySequential(b *testing.B) {
 }
 
 // BenchmarkTripQueryParallel is the production serving path: one shared
-// engine with speculative parallel sub-query execution and both caches,
-// driven by concurrent clients via b.RunParallel. Steady state is
+// engine with both caches, driven by concurrent clients via b.RunParallel
+// (the parallelism is across queries; each query runs Procedure 6
+// sequentially). Steady state is
 // dominated by full-result cache hits, which is precisely the serving
 // scenario the caches exist for; compare against
 // BenchmarkTripQuerySequential for the engine-level speedup.

@@ -45,11 +45,11 @@ func sameResults(a, b *Result) error {
 // traffic.
 func TestConcurrentEngineMatchesSequential(t *testing.T) {
 	e := env(t)
-	seq, err := NewEngine(e.DS.G, e.DS.Store, Options{Workers: 1, DisableCache: true})
+	seq, err := NewEngine(e.DS.G, e.DS.Store, Options{DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := NewEngine(e.DS.G, e.DS.Store, Options{Workers: 4})
+	shared, err := NewEngine(e.DS.G, e.DS.Store, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,17 +189,17 @@ func TestQueryDeadlineBounded(t *testing.T) {
 // TestCancellationLeaksNothing hammers a shared engine with queries whose
 // contexts are canceled at random moments, racing the scan (run under
 // -race in CI). Afterwards the process must be clean: the goroutine count
-// settles back (speculative workers exited), and a fresh uncanceled run of
+// settles back (the canceler goroutines exited), and a fresh uncanceled run of
 // every query still matches the sequential reference — a canceled query
 // freed its pooled scratch without poisoning it and never planted a
 // partial answer in a cache.
 func TestCancellationLeaksNothing(t *testing.T) {
 	e := env(t)
-	seq, err := NewEngine(e.DS.G, e.DS.Store, Options{Workers: 1, DisableCache: true})
+	seq, err := NewEngine(e.DS.G, e.DS.Store, Options{DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := NewEngine(e.DS.G, e.DS.Store, Options{Workers: 4})
+	shared, err := NewEngine(e.DS.G, e.DS.Store, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestCancellationLeaksNothing(t *testing.T) {
 	}
 	wg.Wait()
 	// Goroutines must settle back to the pre-hammer level (the canceler
-	// goroutines and any speculative workers exit on their own).
+	// goroutines exit on their own).
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= before {

@@ -70,7 +70,7 @@ func TestConcurrentQueryAndExtend(t *testing.T) {
 	if len(batches) < 2 {
 		t.Fatal("dataset has no quiescent split point")
 	}
-	eng, err := NewEngine(ds.G, batches[0], Options{Workers: 2})
+	eng, err := NewEngine(ds.G, batches[0], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestConcurrentQueryAndExtend(t *testing.T) {
 			fail("batch %d: epoch = %d, want %d", bi, got, want)
 		}
 		addAll(batch)
-		ref, err := NewEngine(ds.G, cumulative, Options{Workers: 1, DisableCache: true, DisableFullResultCache: true})
+		ref, err := NewEngine(ds.G, cumulative, Options{DisableCache: true, DisableFullResultCache: true})
 		if err != nil {
 			fail("batch %d: reference engine: %v", bi, err)
 		}

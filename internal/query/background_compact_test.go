@@ -123,7 +123,7 @@ func TestBackgroundCompaction(t *testing.T) {
 	// Differential: bit-identical to a from-scratch single-shot build.
 	ref := NewEngine(snt.Build(ds.G, ds.Store.Slice(0, ds.Store.Len()), snt.Options{}), Config{
 		Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10,
-		Workers: 1, DisableCache: true, DisableFullResultCache: true,
+		DisableCache: true, DisableFullResultCache: true,
 	})
 	for i, q := range queries {
 		got := eng.TripQuery(q)

@@ -326,14 +326,14 @@ func (c *spqCache[V]) Len() int {
 	return n
 }
 
-// CacheStats reports cumulative lookup traffic across all queries. The
-// counters measure the cache (every get, including speculative attempts
-// whose outcome the driver never asks for), so the hit ratio can read
-// higher than the per-Result CacheHits/CacheMisses, which book only
-// adopted outcomes. Invalidations counts cross-epoch entries dropped
-// lazily on lookup after an Extend (each is also a miss); Purges counts
-// stale-epoch entries removed eagerly by the sweep an epoch publication
-// triggers (those never surface as lookup traffic).
+// CacheStats reports cumulative lookup traffic across all queries. Every
+// lookup is one a query's driver asked for, so the sub-result cache's Hits
+// is the sum of the per-Result CacheHits. Its Misses can be fewer than the
+// summed CacheMisses: a Result books every index scan as a miss, including
+// windows the census rejects before any lookup. Invalidations counts
+// cross-epoch entries dropped lazily on lookup after an Extend (each is also
+// a miss); Purges counts stale-epoch entries removed eagerly by the sweep an
+// epoch publication triggers (those never surface as lookup traffic).
 type CacheStats struct {
 	Hits          int64
 	Misses        int64

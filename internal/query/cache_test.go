@@ -159,7 +159,7 @@ func TestCacheConcurrent(t *testing.T) {
 func TestSubCacheHoldsRetrievedSamplesOnly(t *testing.T) {
 	ix, qs := parEnv(t)
 	eng := NewEngine(ix, Config{Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10,
-		DisableFullResultCache: true, Workers: 1})
+		DisableFullResultCache: true})
 	accepted, failed := 0, 0
 	for i, q := range qs {
 		before := eng.Cache().Entries

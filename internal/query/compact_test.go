@@ -117,7 +117,7 @@ func TestEngineCompactPublishesEquivalentEpoch(t *testing.T) {
 	}
 	ref := NewEngine(snt.Build(ds.G, all, snt.Options{}),
 		Config{Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10,
-			Workers: 1, DisableCache: true, DisableFullResultCache: true})
+			DisableCache: true, DisableFullResultCache: true})
 	for i, q := range queries {
 		got := eng.TripQuery(q)
 		want := ref.TripQuery(q)

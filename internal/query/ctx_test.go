@@ -18,7 +18,7 @@ import (
 
 func TestTripQueryCtxAlreadyCanceled(t *testing.T) {
 	ix, qs := parEnv(t)
-	e := NewEngine(ix, Config{Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10, Workers: 4})
+	e := NewEngine(ix, Config{Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := e.TripQueryCtx(ctx, qs[0])
@@ -46,8 +46,8 @@ func TestTripQueryCtxExpiredDeadline(t *testing.T) {
 
 // TestTripQueryCtxRacingCancelNeverCorrupts fires the cancel concurrently
 // with the query, so over the workload the cancellation lands at every
-// possible point — before the snapshot load, mid-speculation, mid-scan,
-// after completion. Whatever the interleaving: an error means a zero
+// possible point — before the snapshot load, between sub-queries,
+// mid-scan, after completion. Whatever the interleaving: an error means a zero
 // Result, success means the exact uncanceled result, and the very next
 // uncanceled run of the same query must match the sequential reference
 // bit for bit (i.e. no partial scan ever reached the caches).
@@ -55,16 +55,16 @@ func TestTripQueryCtxRacingCancelNeverCorrupts(t *testing.T) {
 	ix, qs := parEnv(t)
 
 	seqCfg := Config{Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10,
-		Workers: 1, DisableCache: true, DisableFullResultCache: true}
+		DisableCache: true, DisableFullResultCache: true}
 	seq := NewEngine(ix, seqCfg)
 	want := make([]Result, len(qs))
 	for i, q := range qs {
 		want[i] = seq.TripQuery(q)
 	}
 
-	// Both caches enabled and speculation on: the configuration with the
-	// most state a partial scan could corrupt.
-	e := NewEngine(ix, Config{Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10, Workers: 4})
+	// Both caches enabled: the configuration with the most state a partial
+	// scan could corrupt.
+	e := NewEngine(ix, Config{Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10})
 	for round := 0; round < 3; round++ {
 		for i, q := range qs {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -95,13 +95,13 @@ func TestTripQueryCtxRacingCancelNeverCorrupts(t *testing.T) {
 	}
 }
 
-// TestTripQueryCtxNoGoroutineLeak cancels many speculative queries and
-// asserts the worker pool always drains: the goroutine count settles back
-// to its starting level.
+// TestTripQueryCtxNoGoroutineLeak cancels many queries and asserts nothing
+// a canceled query starts outlives it: the goroutine count settles back to
+// its starting level.
 func TestTripQueryCtxNoGoroutineLeak(t *testing.T) {
 	ix, qs := parEnv(t)
 	e := NewEngine(ix, Config{Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10,
-		Workers: 4, DisableCache: true, DisableFullResultCache: true})
+		DisableCache: true, DisableFullResultCache: true})
 	before := runtime.NumGoroutine()
 	for round := 0; round < 5; round++ {
 		for _, q := range qs {

@@ -3,7 +3,6 @@ package query
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,11 +55,6 @@ type Config struct {
 	// DisableShiftEnlarge turns off the Dai-et-al periodic interval
 	// adaptation of Section 4.2 (ablation support).
 	DisableShiftEnlarge bool
-	// Workers bounds the worker pool of the speculative parallel first
-	// pass of TripQuery: 0 uses GOMAXPROCS, 1 forces the purely
-	// sequential Procedure 6, larger values cap the pool. The result is
-	// identical either way (see TripQuery).
-	Workers int
 	// DisableCache turns off the shared sub-result cache and the reads of
 	// the index's terminal-fallback memo (snt.Index.WholeSegment): no
 	// sub-query answer is memoised.
@@ -590,8 +584,7 @@ func (r *Result) PredictedMean() float64 {
 //  5. the Procedure 3-5 index scan.
 //
 // Attempts are deterministic given the snapshot and cache state; with the
-// cache disabled they are fully deterministic, which is what makes
-// speculative execution exact (see TripQuery).
+// cache disabled they are fully deterministic.
 func (e *Engine) attempt(sn *snapshot, q SPQ, sc *snt.Scratch) Outcome {
 	if q.Beta > 0 && sn.est.Enabled() {
 		if bhat, ok := sn.est.Estimate(q.Path, q.Interval, q.Filter); ok && bhat < float64(q.Beta) {
@@ -639,33 +632,16 @@ func (e *Engine) attempt(sn *snapshot, q SPQ, sc *snt.Scratch) Outcome {
 // FullCacheHit. Entries are deterministic functions of the immutable
 // index, so a hit is bit-identical to recomputation.
 //
-// Processing runs in two passes. A speculative parallel first pass issues
-// every initial sub-query concurrently on a bounded worker pool, scanning
-// with the un-shifted base interval (the shift-and-enlarge offsets of
-// Section 4.2 depend on the preceding sub-queries' results and are unknown
-// at that point). The sequential pass is the shared driver (Run's loop)
-// over the engine's local source, which maintains the exact shift
-// accumulators of the sequential algorithm; the source answers an attempt
-// with the speculative outcome when the pre-pass asked exactly the same
-// question (always true for the first sub-query, and for every initial
-// sub-query of fixed-interval or shift-disabled queries) and scans
-// otherwise. The driver never learns the pre-pass exists: attempts are
-// deterministic, so an adopted outcome is the one a scan would have
-// produced, and the Subs and Hist are identical to the purely sequential
-// execution. With the cache disabled, IndexScans and EstimatorSkips are
-// identical too; with it enabled, scan and hit/miss counts can vary run to
-// run, because concurrent attempts race on shared cache entries (the
+// Processing is the shared driver (Run's loop) over the engine's local
+// source: the initial sub-queries are attempted one at a time in path order,
+// because the shift-and-enlarge offsets of Section 4.2 that set each
+// sub-query's window come from the results before it. Attempts are
+// deterministic, so Subs and Hist do not depend on cache state or on other
+// queries running concurrently; with the cache disabled, IndexScans and
+// EstimatorSkips do not either. With it enabled, concurrent queries race on
+// shared cache entries, so scan and hit/miss counts can vary run to run (the
 // retrieved values never differ — every entry is a deterministic function
 // of the immutable index).
-//
-// Speculation trades CPU for latency: on a periodic query with
-// shift-and-enlarge active, every accepted sub-query after the first
-// shifts its successors' windows, so their speculative base-interval
-// outcomes are discarded and re-scanned — extra parallel work, but the
-// sequential replay bounds wall-clock at the purely sequential cost, and
-// on warm repeats the speculative attempts resolve as cache hits. For
-// fixed intervals or DisableShiftEnlarge every speculative outcome
-// reconciles, and the pass is pure speedup.
 func (e *Engine) TripQuery(q SPQ) Result {
 	res, _ := e.TripQueryCtx(context.Background(), q)
 	return res
@@ -708,18 +684,6 @@ func (e *Engine) TripQueryCtx(ctx context.Context, q SPQ) (Result, error) {
 		// a private copy so no cached result ever aliases caller memory.
 		q.Path = append(network.Path(nil), q.Path...)
 	}
-	initial := e.cfg.initialSubs(sn.ix.Graph(), q)
-	var spec []Outcome
-	if w := e.workers(); w > 1 && len(initial) > 1 {
-		spec = e.speculate(sn, initial, w, done)
-		if done != nil {
-			if err := ctx.Err(); err != nil {
-				// Workers canceled mid-scan leave partial outcomes behind;
-				// none of them were cached, so dropping the slice is enough.
-				return Result{}, err
-			}
-		}
-	}
 	sc := snt.AcquireScratch()
 	defer snt.ReleaseScratch(sc) // also disarms the cancel channel
 	sc.SetCancel(done)
@@ -730,14 +694,6 @@ func (e *Engine) TripQueryCtx(ctx context.Context, q SPQ) (Result, error) {
 	// the context's error and the driver aborts the whole query.
 	res, err := e.cfg.run(Source{
 		Attempt: func(sub SPQ) (Outcome, error) {
-			for i := range spec {
-				if s := &initial[i]; samePath(sub.Path, s.path) && sub.Interval == s.base && sub.Beta == s.beta && sub.Filter == s.filter {
-					// The speculative attempt asked exactly this, and
-					// attempts are deterministic: adopt its outcome instead
-					// of re-scanning.
-					return spec[i], nil
-				}
-			}
 			o := e.attempt(sn, sub, sc)
 			if sc.Canceled() {
 				return Outcome{}, ctx.Err()
@@ -752,7 +708,7 @@ func (e *Engine) TripQueryCtx(ctx context.Context, q SPQ) (Result, error) {
 			return n, nil
 		},
 		TMax: tmax,
-	}, initial)
+	}, e.cfg.initialSubs(sn.ix.Graph(), q))
 	if err != nil {
 		return Result{}, err
 	}
@@ -775,55 +731,4 @@ func (e *Engine) TripQueryCtx(ctx context.Context, q SPQ) (Result, error) {
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-// samePath reports whether two sub-paths are the same slice of the query
-// path (sub-queries only ever re-slice it, so identity is equality).
-func samePath(a, b network.Path) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// workers resolves the speculative pool bound.
-func (e *Engine) workers() int {
-	if e.cfg.Workers > 0 {
-		return e.cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// speculate is the parallel first pass: attempt every initial sub-query
-// concurrently with its un-shifted base interval. Each worker holds one
-// scratch for its whole batch, armed with the query's cancel channel: on
-// cancellation the workers stop claiming sub-queries and abort their scans
-// at the next poll, so the pool drains promptly and no goroutine outlives
-// the deadline by more than one scan stride. The caller must discard the
-// outcomes when the context was canceled — they may be partial.
-func (e *Engine) speculate(sn *snapshot, initial []subQ, workers int, done <-chan struct{}) []Outcome {
-	if workers > len(initial) {
-		workers = len(initial)
-	}
-	out := make([]Outcome, len(initial))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := snt.AcquireScratch()
-			defer snt.ReleaseScratch(sc)
-			sc.SetCancel(done)
-			for {
-				if sc.Canceled() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(initial) {
-					return
-				}
-				out[i] = e.attempt(sn, initial[i].at(initial[i].base), sc)
-			}
-		}()
-	}
-	wg.Wait()
-	return out
 }

@@ -132,7 +132,7 @@ func TestEngineExtendPublishesNewEpoch(t *testing.T) {
 	}
 	ref := NewEngine(snt.Build(ds.G, all, snt.Options{}),
 		Config{Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10,
-			Workers: 1, DisableCache: true, DisableFullResultCache: true})
+			DisableCache: true, DisableFullResultCache: true})
 
 	invalidations := 0
 	for i, q := range queries {

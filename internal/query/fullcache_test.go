@@ -70,7 +70,7 @@ func TestFullResultCacheDisabled(t *testing.T) {
 func TestFullResultCacheConcurrent(t *testing.T) {
 	ix, qs := parEnv(t)
 	ref := NewEngine(ix, Config{Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10,
-		Workers: 1, DisableCache: true, DisableFullResultCache: true})
+		DisableCache: true, DisableFullResultCache: true})
 	want := make([]Result, len(qs))
 	for i, q := range qs {
 		want[i] = ref.TripQuery(q)

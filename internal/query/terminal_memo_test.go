@@ -41,11 +41,11 @@ func isTerminal(s *SubResult) bool {
 // Extend, against the cache-off engine over the extended index.
 func TestEngineTerminalMemo(t *testing.T) {
 	ix, batch, qs := nightQueries(t)
-	eng := NewEngine(ix, Config{Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10, DisableFullResultCache: true, Workers: 2})
+	eng := NewEngine(ix, Config{Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10, DisableFullResultCache: true})
 	defer eng.Close()
 	check := func(label string, warm bool) {
 		t.Helper()
-		ref := NewEngine(eng.Index(), Config{Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10, DisableCache: true, DisableFullResultCache: true, Workers: 1})
+		ref := NewEngine(eng.Index(), Config{Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10, DisableCache: true, DisableFullResultCache: true})
 		defer ref.Close()
 		terminals := 0
 		for i, q := range qs {
@@ -98,7 +98,7 @@ func TestEngineTerminalMemo(t *testing.T) {
 // cache on: after the first pass every attempt is a memoised answer.
 func BenchmarkTerminalAttempt(b *testing.B) {
 	ix, _, _ := nightQueries(b)
-	eng := NewEngine(ix, Config{Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10, Workers: 1})
+	eng := NewEngine(ix, Config{Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10})
 	defer eng.Close()
 	_, tmax := ix.TimeRange()
 	var qs []SPQ

@@ -162,11 +162,6 @@ type Options struct {
 	// zone of its first segment — e.g. a smaller sample-size requirement
 	// in rural zones (the extension suggested in the paper's outlook).
 	ZoneBetas map[Zone]int
-	// Workers bounds the per-query worker pool that executes a query's
-	// initial sub-queries speculatively in parallel: 0 uses GOMAXPROCS,
-	// 1 forces the paper's sequential Procedure 6. Results are identical
-	// either way; see DESIGN.md §6.
-	Workers int
 	// DisableCache turns off the engine's shared sub-result cache and its
 	// reads of the index's terminal-fallback memo: no sub-query answer is
 	// memoised.
@@ -189,11 +184,6 @@ type Options struct {
 	// FM-index backward search per sub-query. 0 disables auto-compaction;
 	// Engine.Compact remains available either way.
 	AutoCompactPartitions int
-	// MaxCompactedRecords caps one merged partition's traversal-record
-	// count, making compaction size-tiered (partitions at or above the cap
-	// are left alone). 0 merges without bound: compaction always yields a
-	// single partition.
-	MaxCompactedRecords int
 	// CompactInBackground moves auto-compaction off the ingest path: a
 	// triggering Extend returns as soon as its batch is published, and a
 	// background goroutine prepares the merge off the write lock (ingest
@@ -201,10 +191,6 @@ type Options struct {
 	// when ready. Engines with this set must be Closed to stop the
 	// goroutine. Requires AutoCompactPartitions > 0 to ever trigger.
 	CompactInBackground bool
-	// MaxCompactionRuns caps how many partition runs one background
-	// compaction cycle merges — the incremental-merge bound that keeps any
-	// single publication small. 0 merges all plannable runs at once.
-	MaxCompactionRuns int
 }
 
 // Engine answers travel-time queries over an indexed trajectory set.
@@ -299,16 +285,11 @@ func engineConfig(ix *snt.Index, opts Options) query.Config {
 	if opts.Estimator != card.Off {
 		cfg.Estimator = card.New(ix, opts.Estimator)
 	}
-	cfg.Workers = opts.Workers
 	cfg.DisableCache = opts.DisableCache
 	cfg.CacheCapacity = opts.CacheCapacity
 	cfg.DisableFullResultCache = opts.DisableFullResultCache
 	cfg.FullResultCacheCapacity = opts.FullResultCacheCapacity
-	cfg.Compaction = snt.CompactionPolicy{
-		TriggerPartitions: opts.AutoCompactPartitions,
-		MaxMergedRecords:  opts.MaxCompactedRecords,
-		MaxRuns:           opts.MaxCompactionRuns,
-	}
+	cfg.Compaction = snt.CompactionPolicy{TriggerPartitions: opts.AutoCompactPartitions}
 	cfg.CompactInBackground = opts.CompactInBackground
 	return cfg
 }
@@ -393,10 +374,9 @@ func (e *Engine) Epoch() uint64 { return e.qe.Epoch() }
 // CompactionStats reports what one compaction did.
 type CompactionStats = snt.CompactionStats
 
-// Compact merges the index's temporal partitions per the engine's
-// compaction policy (Options.MaxCompactedRecords; the manual call ignores
-// the auto-compaction threshold) and publishes the compacted index as a
-// new epoch. Queries never block: compaction runs off the serving path
+// Compact merges the index's temporal partitions into one (the manual call
+// ignores the auto-compaction threshold) and publishes the compacted index
+// as a new epoch. Queries never block: compaction runs off the serving path
 // against an immutable snapshot, and the compacted index answers every
 // query bit-identically to the fragmented one — only faster, because each
 // sub-query pays one FM-index backward search per partition. Stats with
