@@ -163,18 +163,10 @@ type frozenScan struct {
 	ranges []Range
 	rg0    Range // ranges[0], hoisted for the nil-W fast path
 	f      Filter
-	beta   int
-	minT   int64
-	maxT   int64
 }
 
-func newFrozenScan(ix *Index, fx *temporal.FrozenIndex, ranges []Range, f Filter, beta int) frozenScan {
-	return frozenScan{fx: fx, ws: fx.W, users: ix.users, ranges: ranges, rg0: ranges[0], f: f, beta: beta}
-}
-
-// admit is the Procedure 3 acceptance test, shared by the probe-table sweep
-// and the single-segment fast path: record i must fall in its partition's
-// ISA range and pass the filter.
+// admit is the Procedure 3 acceptance test: record i must fall in its
+// partition's ISA range and pass the filter.
 func (s *frozenScan) admit(i int) bool {
 	rg := s.rg0
 	if s.ws != nil {
@@ -193,111 +185,26 @@ func (s *frozenScan) admit(i int) bool {
 	return true
 }
 
-// sweep visits records [st, en) of one window — descending when descending
-// is set, ascending otherwise — inserting every admitted record into the
-// probe table. It reports whether the β requirement was met and the scan
-// must stop.
-func (s *frozenScan) sweep(sc *Scratch, st, en int, descending bool) bool {
-	fx := s.fx
-	i, step := st, 1
-	if descending {
-		i, step = en-1, -1
-	}
-	for n := en - st; n > 0; n, i = n-1, i+step {
-		if n&(cancelStride-1) == 0 && sc.Canceled() {
-			// Abort mid-window: report "stop scanning" so the enumeration
-			// ends; the caller sees Canceled() and discards the partial map.
-			return true
-		}
-		if !s.admit(i) {
-			continue
-		}
-		t := fx.Ts[i]
-		if sc.n == 0 || t < s.minT {
-			s.minT = t
-		}
-		if sc.n == 0 || t > s.maxT {
-			s.maxT = t
-		}
-		sc.insert(packKey(int32(fx.Traj[i]), fx.Seq[i]), fx.A[i]-fx.TT[i])
-		if s.beta > 0 && sc.n >= s.beta {
-			return true
-		}
-	}
-	return false
-}
+// The scan core. Every retrieval entry point — GetTravelTimesWith,
+// ScanCandidates, CountMatchesWith — is collect followed, for paths of two
+// or more segments, by join; each projects the same hits and matches onto
+// its own result.
 
-// buildMap is Procedure 3 over the frozen columns: visit the first segment's
-// records in scan order across the interval's windows, keep those whose ISA
-// index falls in the partition's range and which pass the filter, and map
-// (d, seq) to the antecedent aggregate a - TT in the scratch probe table.
-// The sequence number in the key guards against trajectories with circular
-// paths (Section 4.1.3). The scan stops once beta trajectories are found
-// (beta <= 0 scans exhaustively). It returns the scan bounds needed to
-// restrict the Procedure 4 scan.
-func (ix *Index) buildMap(sc *Scratch, e network.EdgeID, ranges []Range, iv Interval, f Filter, beta int) (minT, maxT int64) {
-	fx := ix.frozen.Get(e)
-	if fx == nil || fx.Len() == 0 {
-		sc.resetTable(beta)
-		return 0, 0
-	}
-	ts := fx.Ts
-	descending := !ix.opts.OldestFirst
-	if iv.Kind == Fixed || iv.Width >= DaySeconds {
-		// One contiguous window (forEachWindow's Fixed/tiling case),
-		// resolved here directly so its bounds also serve as the probe
-		// table pre-size: exhaustive scans size the table to the window's
-		// record count up front, avoiding the grow-and-rehash ladder the
-		// tree scans paid. The hint is capped — filters typically admit a
-		// fraction of a huge window, and pooled Scratch tables retain
-		// their capacity forever, so beyond the cap growing on demand is
-		// the better trade.
-		const maxPresizeHint = 1 << 15
-		st, en := 0, len(ts)
-		if iv.Kind == Fixed {
-			en = lowerBound(ts, iv.End)
-			st = lowerBound(ts[:en], iv.Start)
-		}
-		hint := beta
-		if beta <= 0 {
-			hint = en - st
-			if hint > maxPresizeHint {
-				hint = maxPresizeHint
-			}
-		}
-		sc.resetTable(hint)
-		s := newFrozenScan(ix, fx, ranges, f, beta)
-		if st < en {
-			s.sweep(sc, st, en, descending)
-		}
-		return s.minT, s.maxT
-	}
-	sc.resetTable(beta)
-	s := newFrozenScan(ix, fx, ranges, f, beta)
-	forEachWindow(ts, iv, descending, func(st, en int) bool {
-		if sc.Canceled() {
-			return false
-		}
-		return !s.sweep(sc, st, en, descending)
-	})
-	return s.minT, s.maxT
-}
-
-// scanSingle fuses Procedures 3-5 for single-segment paths: with l = 1 a
-// record can only match itself in the probe join, so the probe table and
-// the Procedure 4 re-scan collapse. Accepted records are collected in scan
-// order (respecting β early exit) and their traversal times emitted in
-// ascending time order — exactly the sample sequence the probe join would
-// have produced. It returns the samples (aliasing the scratch buffer, nil
-// when nothing matched) and the number of accepted records.
-func (ix *Index) scanSingle(sc *Scratch, e network.EdgeID, ranges []Range, iv Interval, f Filter, beta int) ([]int, int) {
-	sc.xs = sc.xs[:0]
+// collect is Procedure 3 over the frozen columns: visit segment e's records
+// in scan order across the interval's windows, keep those whose ISA index
+// falls in the partition's range and which pass the filter, and write
+// their column offsets to sc.hits in scan order, stopping once beta are
+// found (beta <= 0 scans exhaustively). Scan order is monotone in column
+// offset (descending unless OldestFirst), so the hits' time bounds are
+// their first and last entries' timestamps. It returns e's column (nil
+// when e has no records; sc.hits is then empty).
+func (ix *Index) collect(sc *Scratch, e network.EdgeID, ranges []Range, iv Interval, f Filter, beta int) *temporal.FrozenIndex {
 	sc.hits = sc.hits[:0]
 	fx := ix.frozen.Get(e)
 	if fx == nil || fx.Len() == 0 {
-		return nil, 0
+		return nil
 	}
-	s := newFrozenScan(ix, fx, ranges, f, beta)
+	s := frozenScan{fx: fx, ws: fx.W, users: ix.users, ranges: ranges, rg0: ranges[0], f: f}
 	descending := !ix.opts.OldestFirst
 	forEachWindow(fx.Ts, iv, descending, func(st, en int) bool {
 		if sc.Canceled() {
@@ -321,58 +228,47 @@ func (ix *Index) scanSingle(sc *Scratch, e network.EdgeID, ranges []Range, iv In
 		}
 		return true
 	})
-	if len(sc.hits) == 0 {
-		return nil, 0
-	}
-	// The emission sweep is bounded by the accepted hits, but β-free queries
-	// can accept the whole column — poll at the same stride as the admit
-	// loop. A cancelled emission returns the partial samples; the caller
-	// observes sc.Canceled() and discards them with a deadline error.
-	if descending {
-		for k := len(sc.hits) - 1; k >= 0; k-- {
-			if k&(cancelStride-1) == 0 && sc.Canceled() {
-				break
-			}
-			sc.xs = append(sc.xs, int(fx.TT[sc.hits[k]]))
-		}
-	} else {
-		for n, i := range sc.hits {
-			if n&(cancelStride-1) == 0 && sc.Canceled() {
-				break
-			}
-			sc.xs = append(sc.xs, int(fx.TT[i]))
-		}
-	}
-	return sc.xs, len(sc.hits)
+	return fx
 }
 
-// probeMap is Procedure 4 over the frozen columns: sweep the last segment's
-// records in ascending time order and, for every record whose (d, seq+1-l)
-// key is present in the probe table, emit the path travel time
-// a_{l-1} - (a_0 - TT_0). The sweep is restricted to the only timestamps a
+// join is Procedure 4 over the frozen columns for a path p of l >= 2
+// segments, after collect returned first: the hits enter the probe table as
+// (d, seq) → hit ordinal, and one ascending sweep of the last segment's
+// records calls emit(h, x) for every record whose (d, seq+1-l) key names
+// hit h, with the path travel time x = a_{l-1} - (a_0 - TT_0). The sequence
+// number in the key guards against trajectories with circular paths
+// (Section 4.1.3). The sweep is restricted to the only timestamps a
 // matching record can have: within [minT, maxT + maxTrajectoryDuration] of
-// the matched first segments. The samples are appended to the scratch
-// buffer, which is returned.
-func (ix *Index) probeMap(sc *Scratch, e network.EdgeID, l int, minT, maxT int64) []int {
-	sc.xs = sc.xs[:0]
-	if sc.n == 0 {
-		return nil
+// the hits. emit must not be stored (it is stack-allocated at every call
+// site to keep the scan path allocation-free).
+func (ix *Index) join(sc *Scratch, first *temporal.FrozenIndex, p network.Path, emit func(h int, x int32)) {
+	hits := sc.hits
+	last := ix.frozen.Get(p[len(p)-1])
+	if len(hits) == 0 || last == nil {
+		return
 	}
-	fx := ix.frozen.Get(e)
-	if fx == nil {
-		return nil
+	sc.resetTable(len(hits))
+	for k, i := range hits {
+		if k&(cancelStride-1) == cancelStride-1 && sc.Canceled() {
+			return
+		}
+		sc.insert(packKey(int32(first.Traj[i]), first.Seq[i]), int32(k))
 	}
-	ts := fx.Ts
-	en := lowerBound(ts, maxT+ix.maxTrajDur+1)
-	st := lowerBound(ts[:en], minT)
-	seqShift := 1 - int32(l)
+	lo, hi := hits[0], hits[len(hits)-1]
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	ts := last.Ts
+	en := lowerBound(ts, first.Ts[hi]+ix.maxTrajDur+1)
+	st := lowerBound(ts[:en], first.Ts[lo])
+	seqShift := 1 - int32(len(p))
 	for i := st; i < en; i++ {
 		if (i-st)&(cancelStride-1) == cancelStride-1 && sc.Canceled() {
-			break
+			return
 		}
-		if diff, ok := sc.lookup(packKey(int32(fx.Traj[i]), fx.Seq[i]+seqShift)); ok {
-			sc.xs = append(sc.xs, int(fx.A[i]-diff))
+		if h, ok := sc.lookup(packKey(int32(last.Traj[i]), last.Seq[i]+seqShift)); ok {
+			a := hits[h]
+			emit(int(h), last.A[i]-(first.A[a]-first.TT[a]))
 		}
 	}
-	return sc.xs
 }

@@ -3,20 +3,22 @@ package snt
 import "sync"
 
 // Scratch holds the reusable per-scan state of the Procedure 3/4 retrieval
-// path: the open-addressing probe table that replaces the (d, seq) map, the
-// travel-time sample buffer, and the symbol/range buffers of Procedure 2.
+// path: the admitted first-segment offsets, the open-addressing probe table
+// that replaces the (d, seq) map, the travel-time sample buffer, and the
+// symbol/range buffers of Procedure 2.
 // A Scratch belongs to exactly one goroutine at a time; the index itself is
 // immutable after Build, so any number of goroutines may scan concurrently
 // as long as each uses its own Scratch (see DESIGN.md §6).
 type Scratch struct {
-	// Open-addressing table mapping packed (d, seq) keys to a0 - TT0.
+	// Open-addressing table mapping packed (d, seq) keys to hit ordinals
+	// (indexes into hits).
 	// keys[i] == emptySlot marks a free slot; len(keys) is a power of two.
 	keys []uint64
 	vals []int32
 	n    int // occupied slots
 
-	xs     []int   // travel-time sample buffer (ProbeMap output)
-	hits   []int32 // accepted column offsets of the single-segment fast path
+	xs     []int   // travel-time sample buffer (GetTravelTimesWith output)
+	hits   []int32 // first-segment column offsets admitted by collect, in scan order
 	syms   []int32 // trajectory-string symbols of the query path
 	ranges []Range // per-partition ISA ranges
 
@@ -60,7 +62,7 @@ func (sc *Scratch) Canceled() bool {
 const emptySlot = ^uint64(0)
 
 // packKey packs a (trajectory id, sequence number) pair into one probe key.
-// Negative sequence numbers (ProbeMap looks up seq+1-l) pack to distinct
+// Negative sequence numbers (join looks up seq+1-l) pack to distinct
 // keys via the uint32 conversion.
 func packKey(d int32, seq int32) uint64 {
 	return uint64(uint32(d))<<32 | uint64(uint32(seq))
@@ -73,11 +75,14 @@ func hashKey(k uint64) uint64 {
 
 const minTableSize = 64
 
-// resetTable prepares the probe table for up to hint insertions (hint <= 0
-// sizes minimally; the table grows on demand).
+// resetTable prepares the probe table for hint insertions, sized to at
+// least 4·hint slots: the join's lookups are mostly misses, which under
+// linear probing scan to the next empty slot, and at load factor 1/4 they
+// stop after one or two probes (at 3/4, about eight). hint <= 0 sizes
+// minimally; insert grows the table on demand past load 3/4.
 func (sc *Scratch) resetTable(hint int) {
 	size := minTableSize
-	for hint > 0 && size*3 < hint*4 { // keep load factor under 3/4
+	for size < hint*4 {
 		size <<= 1
 	}
 	if cap(sc.keys) >= size {

@@ -6,7 +6,7 @@ import (
 )
 
 // TestScratchTableBasic exercises insert/lookup including negative
-// sequence numbers (ProbeMap looks up seq+1-l, which can be negative).
+// sequence numbers (join looks up seq+1-l, which can be negative).
 func TestScratchTableBasic(t *testing.T) {
 	var sc Scratch
 	sc.resetTable(4)

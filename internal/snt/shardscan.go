@@ -68,131 +68,24 @@ func (ix *Index) ScanCandidates(sc *Scratch, p network.Path, iv Interval, f Filt
 		// against a global β, so "fewer than β here" decides nothing.
 		return nil, true
 	}
-	if len(p) == 1 {
-		return ix.scanCandsSingle(sc, p[0], ranges, iv, f, beta), true
+	fx := ix.collect(sc, p[0], ranges, iv, f, beta)
+	if len(sc.hits) == 0 {
+		return nil, true
 	}
-	return ix.scanCandsMulti(sc, p, ranges, iv, f, beta), true
-}
-
-// scanCandsSingle mirrors scanSingle: with l = 1 the candidate is its own
-// probe match, so every admitted record carries its traversal time.
-func (ix *Index) scanCandsSingle(sc *Scratch, e network.EdgeID, ranges []Range, iv Interval, f Filter, beta int) []Cand {
-	fx := ix.frozen.Get(e)
-	if fx == nil || fx.Len() == 0 {
-		return nil
-	}
-	var cands []Cand
-	if beta > 0 {
-		cands = make([]Cand, 0, beta)
-	}
-	s := newFrozenScan(ix, fx, ranges, f, beta)
-	descending := !ix.opts.OldestFirst
-	forEachWindow(fx.Ts, iv, descending, func(st, en int) bool {
-		if sc.Canceled() {
-			return false
+	cands = make([]Cand, len(sc.hits))
+	for k, i := range sc.hits {
+		if k&(cancelStride-1) == cancelStride-1 && sc.Canceled() {
+			return cands, true
 		}
-		i, step := st, 1
-		if descending {
-			i, step = en-1, -1
-		}
-		for n := en - st; n > 0; n, i = n-1, i+step {
-			if n&(cancelStride-1) == 0 && sc.Canceled() {
-				return false
-			}
-			if !s.admit(i) {
-				continue
-			}
-			cands = append(cands, Cand{Ts: fx.Ts[i], Traj: fx.Traj[i], Seq: fx.Seq[i], X: fx.TT[i], HasX: true})
-			if beta > 0 && len(cands) >= beta {
-				return false
-			}
-		}
-		return true
-	})
-	return cands
-}
-
-// scanCandsMulti is buildMap + probeMap with candidate identity kept: the
-// probe table maps (d, seq) to the candidate's index in the result slice,
-// and the Procedure 4 sweep fills in X for the candidates it matches.
-func (ix *Index) scanCandsMulti(sc *Scratch, p network.Path, ranges []Range, iv Interval, f Filter, beta int) []Cand {
-	fx := ix.frozen.Get(p[0])
-	if fx == nil || fx.Len() == 0 {
-		return nil
-	}
-	ts := fx.Ts
-	descending := !ix.opts.OldestFirst
-	hint := beta
-	if beta <= 0 {
-		// Mirror buildMap's capped exhaustive-scan pre-size.
-		const maxPresizeHint = 1 << 15
-		hint = len(ts)
-		if hint > maxPresizeHint {
-			hint = maxPresizeHint
+		c := &cands[k]
+		*c = Cand{Ts: fx.Ts[i], Traj: fx.Traj[i], Seq: fx.Seq[i]}
+		if len(p) == 1 {
+			// With l = 1 the candidate is its own probe match.
+			c.X, c.HasX = fx.TT[i], true
 		}
 	}
-	sc.resetTable(hint)
-	var (
-		cands []Cand
-		diffs []int32 // a_0 - TT_0 per candidate, consumed by the probe join
-	)
-	if beta > 0 {
-		cands = make([]Cand, 0, beta)
-		diffs = make([]int32, 0, beta)
+	if len(p) > 1 {
+		ix.join(sc, fx, p, func(h int, x int32) { cands[h].X, cands[h].HasX = x, true })
 	}
-	s := newFrozenScan(ix, fx, ranges, f, beta)
-	var minT, maxT int64
-	forEachWindow(ts, iv, descending, func(st, en int) bool {
-		if sc.Canceled() {
-			return false
-		}
-		i, step := st, 1
-		if descending {
-			i, step = en-1, -1
-		}
-		for n := en - st; n > 0; n, i = n-1, i+step {
-			if n&(cancelStride-1) == 0 && sc.Canceled() {
-				return false
-			}
-			if !s.admit(i) {
-				continue
-			}
-			t := fx.Ts[i]
-			if len(cands) == 0 || t < minT {
-				minT = t
-			}
-			if len(cands) == 0 || t > maxT {
-				maxT = t
-			}
-			sc.insert(packKey(int32(fx.Traj[i]), fx.Seq[i]), int32(len(cands)))
-			cands = append(cands, Cand{Ts: t, Traj: fx.Traj[i], Seq: fx.Seq[i]})
-			diffs = append(diffs, fx.A[i]-fx.TT[i])
-			if beta > 0 && len(cands) >= beta {
-				return false
-			}
-		}
-		return true
-	})
-	if len(cands) == 0 {
-		return nil
-	}
-	last := ix.frozen.Get(p[len(p)-1])
-	if last == nil {
-		return cands
-	}
-	lts := last.Ts
-	en := lowerBound(lts, maxT+ix.maxTrajDur+1)
-	st := lowerBound(lts[:en], minT)
-	seqShift := 1 - int32(len(p))
-	for i := st; i < en; i++ {
-		if (i-st)&(cancelStride-1) == cancelStride-1 && sc.Canceled() {
-			break
-		}
-		if idx, ok := sc.lookup(packKey(int32(last.Traj[i]), last.Seq[i]+seqShift)); ok {
-			c := &cands[idx]
-			c.X = last.A[i] - diffs[idx]
-			c.HasX = true
-		}
-	}
-	return cands
+	return cands, true
 }

@@ -24,8 +24,9 @@ func reconstructFromCands(ix *Index, p network.Path, cands []Cand, anyData bool,
 		return nil, false
 	}
 	if len(p) == 1 {
-		// scanSingle emits samples in ascending time order: the reverse of
-		// a descending scan's candidate order, the same order otherwise.
+		// A single segment's samples come out in ascending time order: the
+		// reverse of a descending scan's candidate order, the same order
+		// otherwise.
 		if len(cands) == 0 {
 			return []int{ix.g.EstimateTTSeconds(p[0])}, true
 		}

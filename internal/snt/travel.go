@@ -158,24 +158,39 @@ func (ix *Index) GetTravelTimesWith(sc *Scratch, p network.Path, iv Interval, f 
 	if ix.CannotReach(p, iv, beta) {
 		return nil, false
 	}
-	if len(p) == 1 {
-		// Single-segment fast path: no probe table, no Procedure 4 re-scan.
-		xs, n := ix.scanSingle(sc, p[0], ranges, iv, f, beta)
-		if n < beta && iv.IsPeriodic() {
-			return nil, false
-		}
-		if len(xs) == 0 {
-			sc.xs = append(sc.xs[:0], ix.g.EstimateTTSeconds(p[0]))
-			return sc.xs, true
-		}
-		return xs, false
-	}
-	minT, maxT := ix.buildMap(sc, p[0], ranges, iv, f, beta)
-	if sc.n < beta && iv.IsPeriodic() {
+	fx := ix.collect(sc, p[0], ranges, iv, f, beta)
+	hits := sc.hits
+	if len(hits) < beta && iv.IsPeriodic() {
 		return nil, false
 	}
-	xs = ix.probeMap(sc, p[len(p)-1], len(p), minT, maxT)
-	return xs, false
+	sc.xs = sc.xs[:0]
+	if len(p) > 1 {
+		// Samples come out in the join's sweep order.
+		ix.join(sc, fx, p, func(_ int, x int32) { sc.xs = append(sc.xs, int(x)) })
+		return sc.xs, false
+	}
+	if len(hits) == 0 {
+		sc.xs = append(sc.xs, ix.g.EstimateTTSeconds(p[0]))
+		return sc.xs, true
+	}
+	// With l = 1 a record can only match itself, so the hits are the
+	// matches and the join collapses: their traversal times are emitted in
+	// ascending time order — exactly the sequence the join's ascending
+	// sweep would produce. β-free queries can accept the whole column, so
+	// the emission polls at the admit loop's stride; a cancelled emission
+	// returns partial samples, which the caller discards.
+	descending := !ix.opts.OldestFirst
+	for n := range hits {
+		if n&(cancelStride-1) == 0 && sc.Canceled() {
+			break
+		}
+		k := n
+		if descending {
+			k = len(hits) - 1 - n
+		}
+		sc.xs = append(sc.xs, int(fx.TT[hits[k]]))
+	}
+	return sc.xs, false
 }
 
 // CountMatches returns |T^P| for the sub-query, scanning at most limit
@@ -197,6 +212,6 @@ func (ix *Index) CountMatchesWith(sc *Scratch, p network.Path, iv Interval, f Fi
 	if b, _ := ix.todBound(p[0], iv); total == 0 || b == 0 {
 		return 0
 	}
-	ix.buildMap(sc, p[0], ranges, iv, f, limit)
-	return sc.n
+	ix.collect(sc, p[0], ranges, iv, f, limit)
+	return len(sc.hits)
 }

@@ -810,7 +810,7 @@ func parseQuery(params url.Values) (pathhist.Query, error) {
 		return q, fmt.Errorf("missing ?path=<edge,edge,...>")
 	}
 	for _, tok := range strings.Split(raw, ",") {
-		id, err := strconv.Atoi(strings.TrimSpace(tok))
+		id, err := strconv.ParseInt(strings.TrimSpace(tok), 10, 32)
 		if err != nil || id < 0 {
 			return q, fmt.Errorf("bad edge id %q", tok)
 		}
@@ -870,7 +870,7 @@ func parseQuery(params url.Values) (pathhist.Query, error) {
 		q.Beta = b
 	}
 	if us := params.Get("user"); us != "" {
-		u, err := strconv.Atoi(us)
+		u, err := strconv.ParseInt(us, 10, 32)
 		if err != nil || u < 0 {
 			return q, fmt.Errorf("bad user %q", us)
 		}

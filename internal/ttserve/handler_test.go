@@ -299,12 +299,15 @@ func TestQueryEndpointErrors(t *testing.T) {
 		{"missing path", "/query", http.StatusBadRequest},
 		{"bad edge", "/query?path=abc", http.StatusBadRequest},
 		{"negative edge", "/query?path=-3", http.StatusBadRequest},
+		// Beyond int32: must not wrap around onto a valid id.
+		{"edge out of range", fmt.Sprintf("/query?path=%d", int64(ids["A"])+1<<32), http.StatusBadRequest},
 		{"bad tod", fmt.Sprintf("/query?path=%d&tod=25:99", ids["A"]), http.StatusBadRequest},
 		{"bad tod format", fmt.Sprintf("/query?path=%d&tod=8am", ids["A"]), http.StatusBadRequest},
 		{"bad window", fmt.Sprintf("/query?path=%d&window=-5", ids["A"]), http.StatusBadRequest},
 		{"window without tod", fmt.Sprintf("/query?path=%d&window=900", ids["A"]), http.StatusBadRequest},
 		{"bad beta", fmt.Sprintf("/query?path=%d&beta=x", ids["A"]), http.StatusBadRequest},
 		{"bad user", fmt.Sprintf("/query?path=%d&user=-2", ids["A"]), http.StatusBadRequest},
+		{"user out of range", fmt.Sprintf("/query?path=%d&user=4294967301", ids["A"]), http.StatusBadRequest},
 		{"bad from", fmt.Sprintf("/query?path=%d&from=x", ids["A"]), http.StatusBadRequest},
 		{"bad until", fmt.Sprintf("/query?path=%d&until=-4", ids["A"]), http.StatusBadRequest},
 		{"until before from", fmt.Sprintf("/query?path=%d&from=100&until=50", ids["A"]), http.StatusBadRequest},

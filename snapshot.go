@@ -211,6 +211,25 @@ func (e *Engine) Snapshot(w io.Writer) (SnapshotStats, error) {
 // possible; writing the same epoch twice harmlessly replaces the file with
 // identical bytes.
 func (e *Engine) SnapshotFileIn(dir string) (SnapshotStats, error) {
+	return e.snapshotAtomic(dir, func(epoch uint64) string { return filepath.Join(dir, SnapshotName(epoch)) })
+}
+
+// SnapshotFile writes the snapshot to path atomically: the bytes go to a
+// temporary file in the same directory, which is fsynced and then renamed
+// over the target (with a directory fsync), so a crash mid-write can never
+// leave a half-written file where a later load would look for a snapshot —
+// either the old file survives or the new one is complete. The returned
+// stats' Path is path.
+func (e *Engine) SnapshotFile(path string) (SnapshotStats, error) {
+	return e.snapshotAtomic(filepath.Dir(path), func(uint64) string { return path })
+}
+
+// snapshotAtomic is the publication sequence of SnapshotFile and
+// SnapshotFileIn: write the published snapshot to a temporary file in dir,
+// fsync and close it, rename it to target(epoch of the captured snapshot),
+// and fsync dir so the rename survives a crash. Any failure removes the
+// temporary file; the target is only ever touched by the rename.
+func (e *Engine) snapshotAtomic(dir string, target func(epoch uint64) string) (SnapshotStats, error) {
 	tmp, err := os.CreateTemp(dir, ".snapshot-*.tmp")
 	if err != nil {
 		return SnapshotStats{}, fmt.Errorf("pathhist: snapshot temp file: %w", err)
@@ -238,7 +257,7 @@ func (e *Engine) SnapshotFileIn(dir string) (SnapshotStats, error) {
 	if err := tmp.Close(); err != nil {
 		return fail(fmt.Errorf("pathhist: closing snapshot: %w", err))
 	}
-	path := filepath.Join(dir, SnapshotName(st.Epoch))
+	path := target(st.Epoch)
 	if err := failpoint.Inject(FailpointSnapshotRename); err != nil {
 		os.Remove(tmpName)
 		return SnapshotStats{}, fmt.Errorf("pathhist: publishing snapshot: %w", err)
@@ -253,58 +272,6 @@ func (e *Engine) SnapshotFileIn(dir string) (SnapshotStats, error) {
 		return SnapshotStats{}, fmt.Errorf("pathhist: persisting snapshot publication: %w", err)
 	}
 	st.Path = path
-	return st, nil
-}
-
-// SnapshotFile writes the snapshot to path atomically: the bytes go to a
-// temporary file in the same directory, which is fsynced and then renamed
-// over the target (with a directory fsync), so a crash mid-write can never
-// leave a half-written file where a later load would look for a snapshot —
-// either the old file survives or the new one is complete.
-func (e *Engine) SnapshotFile(path string) (SnapshotStats, error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".snapshot-*.tmp")
-	if err != nil {
-		return SnapshotStats{}, fmt.Errorf("pathhist: snapshot temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	// Any failure from here on removes the temp file; the target is only
-	// ever touched by the final rename.
-	fail := func(err error) (SnapshotStats, error) {
-		//lint:ignore syncerr fail closure: the primary snapshot error wins and the temp file is removed
-		tmp.Close()
-		os.Remove(tmpName)
-		return SnapshotStats{}, err
-	}
-	if err := failpoint.Inject(FailpointSnapshotWrite); err != nil {
-		return fail(fmt.Errorf("pathhist: writing snapshot: %w", err))
-	}
-	st, err := e.Snapshot(tmp)
-	if err != nil {
-		return fail(fmt.Errorf("pathhist: writing snapshot: %w", err))
-	}
-	if err := failpoint.Inject(FailpointSnapshotSync); err != nil {
-		return fail(fmt.Errorf("pathhist: syncing snapshot: %w", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(fmt.Errorf("pathhist: syncing snapshot: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		return fail(fmt.Errorf("pathhist: closing snapshot: %w", err))
-	}
-	if err := failpoint.Inject(FailpointSnapshotRename); err != nil {
-		os.Remove(tmpName)
-		return SnapshotStats{}, fmt.Errorf("pathhist: publishing snapshot: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return SnapshotStats{}, fmt.Errorf("pathhist: publishing snapshot: %w", err)
-	}
-	// Persist the rename itself: fsync the directory so the publication
-	// survives a crash right after SnapshotFile returns.
-	if err := syncDir(dir); err != nil {
-		return SnapshotStats{}, fmt.Errorf("pathhist: persisting snapshot publication: %w", err)
-	}
 	return st, nil
 }
 

@@ -133,6 +133,9 @@ func TestSnapshotFileAtomic(t *testing.T) {
 	if err != nil || fi.Size() != st.Bytes {
 		t.Fatalf("snapshot file: %v, size %d want %d", err, fi.Size(), st.Bytes)
 	}
+	if st.Path != path {
+		t.Fatalf("stats Path %q, want %q", st.Path, path)
+	}
 	// Overwrite: a second snapshot replaces the first atomically.
 	if _, err := eng.SnapshotFile(path); err != nil {
 		t.Fatal(err)
