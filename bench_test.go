@@ -7,6 +7,7 @@ package pathhist
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"path/filepath"
@@ -611,6 +612,32 @@ func BenchmarkGetTravelTimesScratch(b *testing.B) {
 			sub = sub[:4]
 		}
 		_, _ = ix.GetTravelTimesWith(sc, sub, snt.PeriodicAround(q.T0, 900), snt.NoFilter, 20)
+	}
+}
+
+// BenchmarkGetTravelTimesPartitioned is BenchmarkGetTravelTimesScratch over
+// 7-day temporal partitions, where the admit test reads each record's
+// partition through its trajectory: at the usual β = 20 and exhaustive
+// (β = 0), where every record of the window is admitted or refused.
+func BenchmarkGetTravelTimesPartitioned(b *testing.B) {
+	e := env(b)
+	ix := e.Index(7, 0)
+	qs := e.Queries
+	for _, beta := range []int{20, 0} {
+		b.Run(fmt.Sprintf("beta%d", beta), func(b *testing.B) {
+			sc := snt.AcquireScratch()
+			defer snt.ReleaseScratch(sc)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := qs[i%len(qs)]
+				sub := q.Path
+				if len(sub) > 4 {
+					sub = sub[:4]
+				}
+				_, _ = ix.GetTravelTimesWith(sc, sub, snt.PeriodicAround(q.T0, 900), snt.NoFilter, beta)
+			}
+		})
 	}
 }
 

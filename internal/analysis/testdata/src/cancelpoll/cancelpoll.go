@@ -54,7 +54,7 @@ func suppressed(sc *snt.Scratch, fx *temporal.FrozenIndex) int64 {
 	var s int64
 	//lint:ignore cancelpoll fixture: demonstrates that a justified suppression is honored
 	for i := range fx.Ts {
-		s += int64(fx.W[i])
+		s += int64(fx.A[i])
 	}
 	return s
 }

@@ -21,7 +21,7 @@ func build(ts []int64, tt []int32) *temporal.FrozenIndex {
 func mutate(fx *temporal.FrozenIndex, tt []int32) {
 	fx.Ts[0] = 99              // want `write to published frozen FrozenIndex.Ts`
 	fx.Seq = nil               // want `write to published frozen FrozenIndex.Seq`
-	fx.W[0]++                  // want `write to published frozen FrozenIndex.W`
+	fx.ISA[0]++                // want `write to published frozen FrozenIndex.ISA`
 	copy(fx.TT, tt)            // want `write to published frozen FrozenIndex.TT`
 	col := fx.A                // alias of a published column
 	col[0] = 1                 // want `write to published frozen column \(via alias col\)`

@@ -38,9 +38,9 @@ const FailpointPrepareRun = "compact.prepare.run"
 // degrades linearly with ingest count. Compact is the cure: it merges runs
 // of adjacent partitions back into single large ones, rebuilding everything
 // a partition owns — trajectory string, suffix array, FM-index (wavelet
-// tree + segment counters), per-partition time-of-day histograms, and the
-// per-record partition ids and ISA positions in the frozen temporal
-// columns — so the result is indistinguishable from an index built from
+// tree + segment counters), per-partition time-of-day histograms, the ISA
+// positions in the frozen temporal columns and the per-trajectory partition
+// lookup — so the result is indistinguishable from an index built from
 // scratch with the merged layout.
 //
 // The merged trajectory strings are reconstructed from the frozen columns
@@ -100,15 +100,6 @@ func (p CompactionPolicy) withDefaults() CompactionPolicy {
 
 // run is a half-open partition-id range [lo, hi) selected for merging.
 type mergeRun struct{ lo, hi int }
-
-// frozenPartW reads a record's partition id, treating an elided partition
-// column as all-zeros.
-func frozenPartW(fx *temporal.FrozenIndex, i int) int32 {
-	if fx.W == nil {
-		return 0
-	}
-	return fx.W[i]
-}
 
 // plan selects the runs of adjacent partitions to merge. parts carries the
 // per-partition record counts Build/Extend maintain.
@@ -178,7 +169,6 @@ type PreparedCompaction struct {
 	baseFM    []*fmindex.Index // identity of those partitions, for staleness detection
 	runs      []mergeRun
 	runOf     []int
-	newW      []int32
 	numNew    int // partitions the first old partitions collapse into
 	runBase   []int
 	runLens   [][]int32
@@ -228,9 +218,9 @@ func (ix *Index) PrepareCompactionStop(policy CompactionPolicy, stop <-chan stru
 		return nil, ErrCompactionAborted
 	}
 
-	// Partition-id remapping and per-run trajectory-id bases. Partitions
-	// cover contiguous id ranges in partition order, so the run [lo, hi)
-	// owns ids [trajStart[lo], trajStart[hi]).
+	// Run membership and per-run trajectory-id bases. Partitions cover
+	// contiguous id ranges in partition order, so the run [lo, hi) owns ids
+	// [trajStart[lo], trajStart[hi]).
 	old := len(ix.parts)
 	trajStart := make([]int, old+1)
 	for w := range ix.parts {
@@ -240,29 +230,13 @@ func (ix *Index) PrepareCompactionStop(policy CompactionPolicy, stop <-chan stru
 	for w := range runOf {
 		runOf[w] = -1
 	}
-	newW := make([]int32, old) // old partition id -> new partition id
-	next := 0
-	for w := 0; w < old; {
-		r := -1
-		for i := range runs {
-			if runs[i].lo == w {
-				r = i
-				break
-			}
+	numNew := old // each run of k partitions collapses into one
+	for r, ru := range runs {
+		for v := ru.lo; v < ru.hi; v++ {
+			runOf[v] = r
 		}
-		if r >= 0 {
-			for v := runs[r].lo; v < runs[r].hi; v++ {
-				runOf[v] = r
-				newW[v] = int32(next)
-			}
-			w = runs[r].hi
-		} else {
-			newW[w] = int32(next)
-			w++
-		}
-		next++
+		numNew -= ru.hi - ru.lo - 1
 	}
-	numNew := next
 
 	// Reconstruct the merged runs' trajectory strings from the frozen
 	// columns. Pass 1 sizes each trajectory (its segment count is its
@@ -276,7 +250,7 @@ func (ix *Index) PrepareCompactionStop(policy CompactionPolicy, stop <-chan stru
 	}
 	ix.frozen.Each(func(_ network.EdgeID, fx *temporal.FrozenIndex) {
 		for i, n := 0, fx.Len(); i < n; i++ {
-			r := runOf[frozenPartW(fx, i)]
+			r := runOf[ix.partOf(fx.Traj[i])]
 			if r < 0 {
 				continue
 			}
@@ -309,7 +283,7 @@ func (ix *Index) PrepareCompactionStop(policy CompactionPolicy, stop <-chan stru
 	ix.frozen.Each(func(e network.EdgeID, fx *temporal.FrozenIndex) {
 		sym := int32(e) + fmindex.MinEdgeSymbol
 		for i, n := 0, fx.Len(); i < n; i++ {
-			r := runOf[frozenPartW(fx, i)]
+			r := runOf[ix.partOf(fx.Traj[i])]
 			if r < 0 {
 				continue
 			}
@@ -379,7 +353,6 @@ func (ix *Index) PrepareCompactionStop(policy CompactionPolicy, stop <-chan stru
 		baseFM:    baseFM,
 		runs:      runs,
 		runOf:     runOf,
-		newW:      newW,
 		numNew:    numNew,
 		runBase:   runBase,
 		runLens:   runLens,
@@ -430,19 +403,8 @@ func (ix *Index) ApplyCompaction(p *PreparedCompaction) (*Index, CompactionStats
 
 	old := p.old
 	numNew := p.numNew + (len(ix.parts) - old)
-	runs, runOf, newW := p.runs, p.runOf, p.newW
+	runs, runOf := p.runs, p.runOf
 	runBase, runStarts, runISA := p.runBase, p.runStarts, p.runISA
-
-	// mapW maps an old partition id to its new one: prepared partitions via
-	// the planned remap, later-ingested partitions shift down by the
-	// merge's net partition reduction.
-	shift := int32(old - p.numNew)
-	mapW := func(w int32) int32 {
-		if int(w) < old {
-			return newW[w]
-		}
-		return w - shift
-	}
 
 	// Assemble the new partition list: merged runs collapse to one entry,
 	// unmerged partitions carry over (their FM-indexes are shared), and
@@ -463,53 +425,29 @@ func (ix *Index) ApplyCompaction(p *PreparedCompaction) (*Index, CompactionStats
 	}
 	parts = append(parts, ix.parts[old:]...)
 
-	// Rewrite the frozen columns: merged records get their new ISA
-	// position, every record gets its new partition id, and the partition
-	// column is elided when it would be all zeros (always true after full
-	// compaction — the single-partition layout of the paper). Segments
-	// whose records need no change share their index with the receiver.
-	// Records ingested since the preparation (partition id >= old) only
-	// have their partition id remapped — their ISA is already final.
+	// Rewrite the ISA column of every segment holding records of a merged
+	// run; the other segments share their index with the receiver. Records
+	// ingested since the preparation (partition id >= old) keep their ISA,
+	// and no record carries its partition: the new lookup is derived from
+	// the new partition list.
 	frozen := ix.frozen.Rewrite(func(_ network.EdgeID, fx *temporal.FrozenIndex) *temporal.FrozenIndex {
-		n := fx.Len()
-		dirty := false
-		for i := 0; i < n; i++ {
-			w := frozenPartW(fx, i)
-			if (int(w) < old && runOf[w] >= 0) || mapW(w) != w {
-				dirty = true
-				break
+		var nISA []int32
+		for i, d := range fx.Traj {
+			w := ix.partOf(d)
+			if int(w) >= old || runOf[w] < 0 {
+				continue
 			}
+			if nISA == nil {
+				nISA = make([]int32, len(fx.ISA))
+				copy(nISA, fx.ISA)
+			}
+			r := runOf[w]
+			nISA[i] = runISA[r][runStarts[r][int(d)-runBase[r]]+fx.Seq[i]]
 		}
-		if !dirty {
+		if nISA == nil {
 			return fx
 		}
-		nISA := make([]int32, n)
-		copy(nISA, fx.ISA)
-		var nW []int32
-		if numNew > 1 {
-			nW = make([]int32, n)
-		}
-		hasW := false
-		for i := 0; i < n; i++ {
-			w := frozenPartW(fx, i)
-			if int(w) < old {
-				if r := runOf[w]; r >= 0 {
-					d := int(fx.Traj[i]) - runBase[r]
-					nISA[i] = runISA[r][runStarts[r][d]+fx.Seq[i]]
-				}
-			}
-			if nW != nil {
-				m := mapW(w)
-				nW[i] = m
-				if m != 0 {
-					hasW = true
-				}
-			}
-		}
-		if !hasW {
-			nW = nil
-		}
-		return fx.WithPartitioning(nW, nISA)
+		return fx.WithISA(nISA)
 	})
 
 	// Assemble the time-of-day histogram list from the pre-merged runs.
@@ -534,6 +472,7 @@ func (ix *Index) ApplyCompaction(p *PreparedCompaction) (*Index, CompactionStats
 		parts:         parts,
 		frozen:        frozen,
 		users:         ix.users,
+		part:          partLookup(parts),
 		tod:           tod,
 		tmin:          ix.tmin,
 		tmax:          ix.tmax,

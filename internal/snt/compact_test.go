@@ -145,15 +145,15 @@ func TestCompactMatchesFullBuild(t *testing.T) {
 		assertSameResults(t, ids, scratch, compacted, "compacted vs from-scratch")
 
 		// The frozen columns are bit-identical to the from-scratch build's:
-		// same timestamps and payloads, rewritten ISA positions, and the
-		// partition column elided (single-partition layout).
+		// same timestamps and payloads, rewritten ISA positions; and the
+		// partition lookup is gone (single-partition layout).
+		if compacted.part != nil {
+			t.Fatalf("partition lookup of %d trajectories kept after full compaction", len(compacted.part))
+		}
 		scratch.Frozen().Each(func(e network.EdgeID, want *temporal.FrozenIndex) {
 			got := compacted.Frozen().Get(e)
 			if got == nil || got.Len() != want.Len() {
 				t.Fatalf("edge %d: column length mismatch", e)
-			}
-			if got.W != nil {
-				t.Fatalf("edge %d: partition column not elided after full compaction", e)
 			}
 			if got.Census() != want.Census() {
 				t.Fatalf("edge %d: census %v vs scratch %v", e, got.Census(), want.Census())
@@ -267,9 +267,9 @@ func TestCompactPolicyTiers(t *testing.T) {
 }
 
 // TestCompactSurvivorsAndRemap builds a big/small/big/small layout so that
-// merged runs sit next to surviving large partitions: the survivors' records
-// must get remapped partition ids while sharing everything else, and the
-// merged runs must collapse around them.
+// merged runs sit next to surviving large partitions: the survivors'
+// trajectories must get remapped partition ids while sharing everything
+// else, and the merged runs must collapse around them.
 func TestCompactSurvivorsAndRemap(t *testing.T) {
 	g, ids, s := synthStore(t, 32, 12)
 	s.SortByStart()

@@ -137,7 +137,6 @@ func (ix *Index) Extend(add *traj.Store) (*Index, error) {
 				TT:   e.TT,
 				A:    agg,
 				Seq:  int32(seq),
-				W:    int32(w),
 			})
 			if todNew != nil {
 				h := todNew[e.Edge]
@@ -162,9 +161,10 @@ func (ix *Index) Extend(add *traj.Store) (*Index, error) {
 	}
 
 	// Assemble the new snapshot. parts and tod are copied outright (they are
-	// tiny); users grows by plain append — any shared spare capacity is
-	// written only beyond the receiver's visible length, which the
-	// superseded flag keeps single-writer.
+	// tiny); users and part grow by plain append — any shared spare
+	// capacity is written only beyond the receiver's visible length, which
+	// the superseded flag keeps single-writer. The first Extend materialises
+	// part with the all-zero prefix of the single partition it leaves.
 	newPart := partition{
 		fm:      fmindex.FromBWT(bwt, ix.alphabet),
 		trajs:   add.Len(),
@@ -176,14 +176,19 @@ func (ix *Index) Extend(add *traj.Store) (*Index, error) {
 		parts:      append(ix.parts[:len(ix.parts):len(ix.parts)], newPart),
 		frozen:     frozen,
 		users:      ix.users,
+		part:       ix.part,
 		tmin:       ix.tmin,
 		tmax:       newMax,
 		maxTrajDur: maxDur,
 		alphabet:   ix.alphabet,
 		stats:      ix.stats,
 	}
+	if nix.part == nil {
+		nix.part = make([]int32, len(ix.users), len(ix.users)+add.Len())
+	}
 	for i := range add.All() {
 		nix.users = append(nix.users, add.All()[i].User)
+		nix.part = append(nix.part, int32(w))
 	}
 	if ix.tod != nil {
 		nix.tod = append(ix.tod[:len(ix.tod):len(ix.tod)], todNew)

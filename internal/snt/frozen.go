@@ -158,24 +158,24 @@ func forEachWindow(ts []int64, iv Interval, descending bool, fn func(st, en int)
 // stack frame so the per-window sweeps share it without per-record closures.
 type frozenScan struct {
 	fx     *temporal.FrozenIndex
-	ws     []int32 // fx.W (nil = all partition 0)
+	part   []int32 // Index.part (nil = all partition 0)
 	users  []traj.UserID
 	ranges []Range
-	rg0    Range // ranges[0], hoisted for the nil-W fast path
+	rg0    Range // ranges[0], hoisted for the one-partition fast path
 	f      Filter
 }
 
 // admit is the Procedure 3 acceptance test: record i must fall in its
-// partition's ISA range and pass the filter.
+// trajectory's partition's ISA range and pass the filter.
 func (s *frozenScan) admit(i int) bool {
+	d := s.fx.Traj[i]
 	rg := s.rg0
-	if s.ws != nil {
-		rg = s.ranges[s.ws[i]]
+	if s.part != nil {
+		rg = s.ranges[s.part[d]]
 	}
 	if isa := int64(s.fx.ISA[i]); isa < rg.St || isa >= rg.Ed {
 		return false
 	}
-	d := s.fx.Traj[i]
 	if d == s.f.ExcludeTraj {
 		return false
 	}
@@ -204,7 +204,7 @@ func (ix *Index) collect(sc *Scratch, e network.EdgeID, ranges []Range, iv Inter
 	if fx == nil || fx.Len() == 0 {
 		return nil
 	}
-	s := frozenScan{fx: fx, ws: fx.W, users: ix.users, ranges: ranges, rg0: ranges[0], f: f}
+	s := frozenScan{fx: fx, part: ix.part, users: ix.users, ranges: ranges, rg0: ranges[0], f: f}
 	descending := !ix.opts.OldestFirst
 	forEachWindow(fx.Ts, iv, descending, func(st, en int) bool {
 		if sc.Canceled() {

@@ -1,6 +1,7 @@
 package snt
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -33,7 +34,7 @@ func treeTravelTimes(ix *Index, forest *treeforest.Forest, p network.Path, iv In
 	var minT, maxT int64
 	if phi := forest.Get(p[0]); phi != nil {
 		visit := func(t int64, r temporal.Record) bool {
-			rg := ranges[r.W]
+			rg := ranges[oraclePart(ix, r.Traj)]
 			if int64(r.ISA) < rg.St || int64(r.ISA) >= rg.Ed {
 				return true
 			}
@@ -86,6 +87,20 @@ func treeTravelTimes(ix *Index, forest *treeforest.Forest, p network.Path, iv In
 		return []int{ix.g.EstimateTTSeconds(p[0])}, true
 	}
 	return xs, false
+}
+
+// oraclePart finds trajectory d's temporal partition by a linear search
+// over the partitions' trajectory-id ranges — independent of Index.part, so
+// the suites built on treeTravelTimes check that lookup.
+func oraclePart(ix *Index, d traj.ID) int {
+	lo := 0
+	for w, p := range ix.parts {
+		if int(d) < lo+p.trajs {
+			return w
+		}
+		lo += p.trajs
+	}
+	panic(fmt.Sprintf("trajectory %d outside the %d partitions' id ranges", d, len(ix.parts)))
 }
 
 // TestFusedScansMatchTreeScans is the differential property test of the

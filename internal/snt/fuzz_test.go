@@ -1,6 +1,7 @@
 package snt
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -14,10 +15,11 @@ import (
 // images. The loader's contract is fail-closed: truncations, bit flips,
 // hostile section lengths and cross-section disagreements must all come
 // back as errors — never a panic, never a huge allocation, and never a
-// half-populated index. Anything it does accept must serve a query and
-// re-snapshot without crashing.
+// half-populated index. The copying and the zero-copy loader must reach
+// the same verdict on every input, and anything they accept must answer
+// the basic scan identically and re-snapshot to identical bytes.
 func FuzzReadSnapshotBytes(f *testing.F) {
-	g, _, ix := snapshotFixture(f)
+	g, ids, ix := snapshotFixture(f)
 	seed := snapshotBytes(f, ix, 42)
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2]) // truncated mid-section
@@ -26,19 +28,40 @@ func FuzzReadSnapshotBytes(f *testing.F) {
 	corrupt := append([]byte(nil), seed...)
 	corrupt[len(corrupt)/3] ^= 0x40 // checksum-breaking bit flip
 	f.Add(corrupt)
+	paths := []network.Path{path(ids, "A"), path(ids, "A", "B", "E"), path(ids, "A", "C", "D", "E")}
+	intervals := []Interval{NewFixed(0, 40*DaySeconds), PeriodicAround(10*3600, 3600)}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		re, epoch, err := ReadSnapshotBytes(g, data)
+		mre, mepoch, merr := ReadSnapshotMapped(g, data)
+		if (err == nil) != (merr == nil) {
+			t.Fatalf("copying loader: %v; zero-copy loader: %v", err, merr)
+		}
 		if err != nil {
 			return
 		}
-		// An accepted snapshot is a live index: it answers the basic scan
-		// and writes itself back out at the same epoch.
+		if mepoch != epoch {
+			t.Fatalf("epoch %d copied, %d mapped", epoch, mepoch)
+		}
 		st := re.Stats()
 		if st.Trajs < 0 || st.Records < 0 {
 			t.Fatalf("accepted snapshot with negative stats: %+v", st)
 		}
-		_ = snapshotBytes(t, re, epoch)
+		for _, p := range paths {
+			for _, iv := range intervals {
+				xs, fb := re.GetTravelTimes(p, iv, NoFilter, 0)
+				mxs, mfb := mre.GetTravelTimes(p, iv, NoFilter, 0)
+				if fb != mfb || !equalInts(xs, mxs) {
+					t.Fatalf("%v %v: copied %v fallback %v, mapped %v fallback %v", p, iv, xs, fb, mxs, mfb)
+				}
+				if n, mn := re.CountMatches(p, iv, NoFilter, 5), mre.CountMatches(p, iv, NoFilter, 5); n != mn {
+					t.Fatalf("%v %v: CountMatches copied %d, mapped %d", p, iv, n, mn)
+				}
+			}
+		}
+		if !bytes.Equal(snapshotBytes(t, re, epoch), snapshotBytes(t, mre, epoch)) {
+			t.Fatal("copied and mapped loads re-snapshot to different bytes")
+		}
 	})
 }
 

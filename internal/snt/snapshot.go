@@ -256,8 +256,12 @@ func readSnapshot(g *network.Graph, sr *snapio.Reader, data []byte) (*Index, uin
 
 	// Partition sections: the count must match the header exactly — a
 	// partition section where the forest is expected (or vice versa) is a
-	// disagreement, not a format error.
+	// disagreement, not a format error — and their trajectory counts must
+	// cover the users container exactly, because the per-trajectory
+	// partition lookup is derived from them and the scan indexes it with
+	// every record's trajectory id.
 	ix.parts = make([]partition, 0, meta.numParts)
+	trajsSeen := 0
 	for i := 0; i < meta.numParts; i++ {
 		kind, err := sr.Next()
 		if err != nil {
@@ -272,6 +276,11 @@ func readSnapshot(g *network.Graph, sr *snapio.Reader, data []byte) (*Index, uin
 		if err := sr.Err(); err != nil {
 			return nil, 0, err
 		}
+		if trajs < 0 || trajs > len(ix.users)-trajsSeen {
+			return nil, 0, fmt.Errorf("%w: partition %d declares %d trajectories, %d of %d users left",
+				ErrSnapshotMismatch, i, trajs, len(ix.users)-trajsSeen, len(ix.users))
+		}
+		trajsSeen += trajs
 		fm, err := fmindex.DecodeSnap(sr)
 		if err != nil {
 			return nil, 0, fmt.Errorf("snt: partition %d: %w", i, err)
@@ -282,6 +291,11 @@ func readSnapshot(g *network.Graph, sr *snapio.Reader, data []byte) (*Index, uin
 		}
 		ix.parts = append(ix.parts, partition{fm: fm, trajs: trajs, records: records})
 	}
+	if trajsSeen != len(ix.users) {
+		return nil, 0, fmt.Errorf("%w: partitions hold %d trajectories, users container %d",
+			ErrSnapshotMismatch, trajsSeen, len(ix.users))
+	}
+	ix.part = partLookup(ix.parts)
 
 	// Forest section.
 	if err := expectSection(sr, secForest); err != nil {
@@ -323,16 +337,14 @@ func readSnapshot(g *network.Graph, sr *snapio.Reader, data []byte) (*Index, uin
 
 // validateSnapshotColumns cross-checks every frozen record against the
 // structures its fields index at query time: the segment must belong to
-// the graph, W selects a partition (the scan path indexes a
-// ranges-per-partition slice with it), Traj indexes the users container,
-// Seq is a non-negative sequence position, and ISA must lie inside its
-// partition's ISA space [0, |T_w|). Per-section CRCs cannot catch a
-// forest section spliced in from a *different valid snapshot* — every
-// section checksums clean — so this is the semantic check that refuses to
-// serve one instead of panicking (or silently mis-answering) at query
-// time.
+// the graph, Traj indexes the users container and the partition lookup,
+// Seq is a non-negative sequence position, and ISA must lie inside the ISA
+// space [0, |T_w|) of the partition w its trajectory belongs to.
+// Per-section CRCs cannot catch a forest section spliced in from a
+// *different valid snapshot* — every section checksums clean — so this is
+// the semantic check that refuses to serve one instead of panicking (or
+// silently mis-answering) at query time.
 func (ix *Index) validateSnapshotColumns() error {
-	numParts := len(ix.parts)
 	numUsers := len(ix.users)
 	numEdges := ix.g.NumEdges()
 	// ISA bounds per partition, hoisted out of the record loop: the loop
@@ -340,7 +352,7 @@ func (ix *Index) validateSnapshotColumns() error {
 	// stay branch-light — an unsigned compare folds each negative and upper
 	// bound into one test, and the detailed per-record diagnostic loop runs
 	// only after the fast scan has found a violation.
-	fmLen := make([]uint32, numParts)
+	fmLen := make([]uint32, len(ix.parts))
 	for w := range ix.parts {
 		fmLen[w] = uint32(ix.parts[w].fm.Len())
 	}
@@ -354,24 +366,17 @@ func (ix *Index) validateSnapshotColumns() error {
 				ErrSnapshotMismatch, e, numEdges)
 			return
 		}
-		if frozenColumnsValid(fx, fmLen, uint32(numUsers)) {
+		if frozenColumnsValid(fx, ix.part, fmLen, uint32(numUsers)) {
 			return
 		}
 		for i := 0; i < fx.Len(); i++ {
-			w := 0
-			if fx.W != nil {
-				w = int(fx.W[i])
-			}
-			if w < 0 || w >= numParts {
-				bad = fmt.Errorf("%w: segment %d record %d in partition %d of %d",
-					ErrSnapshotMismatch, e, i, w, numParts)
-				return
-			}
-			if d := int(fx.Traj[i]); d < 0 || d >= numUsers {
+			d := fx.Traj[i]
+			if d < 0 || int(d) >= numUsers {
 				bad = fmt.Errorf("%w: segment %d record %d names trajectory %d of %d",
 					ErrSnapshotMismatch, e, i, d, numUsers)
 				return
 			}
+			w := ix.partOf(d)
 			if isa := int(fx.ISA[i]); isa < 0 || isa >= ix.parts[w].fm.Len() {
 				bad = fmt.Errorf("%w: segment %d record %d ISA %d outside partition %d's %d positions",
 					ErrSnapshotMismatch, e, i, isa, w, ix.parts[w].fm.Len())
@@ -388,21 +393,21 @@ func (ix *Index) validateSnapshotColumns() error {
 }
 
 // frozenColumnsValid is the fast scan behind validateSnapshotColumns: true
-// iff every record's W/Traj/ISA/Seq passes the semantic bounds. The unsigned
-// casts check "negative or too large" in one compare per field, and the
-// W-elided path keeps constant bounds so the loop carries no per-iteration
-// loads beyond the columns themselves.
-func frozenColumnsValid(fx *temporal.FrozenIndex, fmLen []uint32, numUsers uint32) bool {
+// iff every record's Traj/ISA/Seq passes the semantic bounds, with part the
+// index's partition lookup (nil = one partition; its ids are in range by
+// construction). The unsigned casts check "negative or too large" in one
+// compare per field, and the one-partition path keeps constant bounds so
+// the loop carries no per-iteration loads beyond the columns themselves.
+func frozenColumnsValid(fx *temporal.FrozenIndex, part []int32, fmLen []uint32, numUsers uint32) bool {
 	ids := fx.Traj
 	n := len(ids)
-	if len(fx.Seq) != n || len(fx.ISA) != n || (fx.W != nil && len(fx.W) != n) {
+	if len(fx.Seq) != n || len(fx.ISA) != n {
 		return false // ragged columns; the diagnostic loop pins the record
 	}
 	// Equal-length reslices let the compiler drop the per-iteration bounds
 	// checks inside the scans below.
 	seq, isa := fx.Seq[:n], fx.ISA[:n]
-	if fx.W == nil {
-		// Single-partition form: every record lives in partition 0.
+	if part == nil {
 		if len(fmLen) == 0 {
 			return n == 0
 		}
@@ -414,11 +419,9 @@ func frozenColumnsValid(fx *temporal.FrozenIndex, fmLen []uint32, numUsers uint3
 		}
 		return true
 	}
-	ws := fx.W[:n]
-	nParts := uint32(len(fmLen))
 	for i := range ids {
-		w := uint32(ws[i])
-		if w >= nParts || uint32(ids[i]) >= numUsers || uint32(isa[i]) >= fmLen[w] || seq[i] < 0 {
+		d := uint32(ids[i])
+		if d >= numUsers || uint32(isa[i]) >= fmLen[part[d]] || seq[i] < 0 {
 			return false
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"slices"
 	"testing"
 
 	"pathhist/internal/network"
@@ -102,22 +103,24 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Frozen columns, bit for bit (including W elision state).
+	// The partition lookup is derived at load, not stored: it must come
+	// back equal, nil-ness included.
+	if (loaded.part == nil) != (ix.part == nil) || !slices.Equal(loaded.part, ix.part) {
+		t.Fatalf("partition lookup %v, writer's %v", loaded.part, ix.part)
+	}
+
+	// Frozen columns, bit for bit.
 	ix.frozen.Each(func(e network.EdgeID, want *temporal.FrozenIndex) {
 		got := loaded.frozen.Get(e)
 		if got == nil || got.Len() != want.Len() {
 			t.Fatalf("segment %d: missing or wrong length", e)
-		}
-		if (got.W == nil) != (want.W == nil) {
-			t.Fatalf("segment %d: W elision differs", e)
 		}
 		if got.Census() != want.Census() {
 			t.Fatalf("segment %d: census %v, writer's %v", e, got.Census(), want.Census())
 		}
 		for i := 0; i < want.Len(); i++ {
 			if got.Ts[i] != want.Ts[i] || got.Traj[i] != want.Traj[i] || got.Seq[i] != want.Seq[i] ||
-				got.ISA[i] != want.ISA[i] || got.A[i] != want.A[i] || got.TT[i] != want.TT[i] ||
-				(want.W != nil && got.W[i] != want.W[i]) {
+				got.ISA[i] != want.ISA[i] || got.A[i] != want.A[i] || got.TT[i] != want.TT[i] {
 				t.Fatalf("segment %d record %d differs", e, i)
 			}
 		}
@@ -300,6 +303,19 @@ func TestSnapshotFailClosed(t *testing.T) {
 			t.Fatalf("mapped: err = %v, want ErrVersion", err)
 		}
 	})
+	t.Run("old version 2", func(t *testing.T) {
+		// Format 2 stored a per-record partition column (and its presence
+		// flag) in every forest segment; format 3 derives the partition
+		// from the trajectory id. Both loaders refuse a format-2 file.
+		bad := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint32(bad[8:], 2)
+		if err := load(bad); !errors.Is(err, snapio.ErrVersion) {
+			t.Fatalf("copied: err = %v, want ErrVersion", err)
+		}
+		if _, _, err := ReadSnapshotMapped(g, bad); !errors.Is(err, snapio.ErrVersion) {
+			t.Fatalf("mapped: err = %v, want ErrVersion", err)
+		}
+	})
 	t.Run("bit flip per section", func(t *testing.T) {
 		// One flipped payload byte in every section must fail the CRC.
 		for i, off := range offs {
@@ -346,6 +362,72 @@ func TestSnapshotFailClosed(t *testing.T) {
 		err := load(spliced)
 		if !errors.Is(err, ErrSnapshotMismatch) {
 			t.Fatalf("err = %v, want ErrSnapshotMismatch", err)
+		}
+	})
+	// The rows below write checksum-clean snapshots of a doctored copy of
+	// the fixture: every section verifies, only the cross-section meaning
+	// is wrong.
+	doctored := func(t *testing.T, doctor func(*Index)) []byte {
+		t.Helper()
+		cp, _, err := ReadSnapshotBytes(g, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doctor(cp)
+		return snapshotBytes(t, cp, 5)
+	}
+	t.Run("partition trajectory counts disagree with users", func(t *testing.T) {
+		// The partition lookup is derived from the partitions' trajectory
+		// counts; counts that do not cover the users container exactly
+		// would leave it short (a scan indexing past its end) or shift
+		// every partition boundary.
+		if ix.NumPartitions() < 2 {
+			t.Fatalf("fixture has %d partitions, the row needs two", ix.NumPartitions())
+		}
+		for _, delta := range []int{-1, +1} {
+			bad := doctored(t, func(cp *Index) { cp.parts[0].trajs += delta })
+			if err := load(bad); !errors.Is(err, ErrSnapshotMismatch) {
+				t.Fatalf("trajs%+d: err = %v, want ErrSnapshotMismatch", delta, err)
+			}
+			if _, _, err := ReadSnapshotMapped(g, bad); !errors.Is(err, ErrSnapshotMismatch) {
+				t.Fatalf("trajs%+d mapped: err = %v, want ErrSnapshotMismatch", delta, err)
+			}
+		}
+	})
+	t.Run("ISA outside its trajectory's partition", func(t *testing.T) {
+		// One record's ISA is set just past the FM length of the partition
+		// its trajectory belongs to, yet inside a larger partition's: only
+		// a bound taken through the record's own trajectory refuses it.
+		small, large := 0, 1
+		if ix.parts[small].fm.Len() > ix.parts[large].fm.Len() {
+			small, large = large, small
+		}
+		bound := ix.parts[small].fm.Len()
+		if bound >= ix.parts[large].fm.Len() {
+			t.Fatalf("fixture partitions have equal FM lengths %d", bound)
+		}
+		bad := doctored(t, func(cp *Index) {
+			done := false
+			cp.frozen = cp.frozen.Rewrite(func(_ network.EdgeID, fx *temporal.FrozenIndex) *temporal.FrozenIndex {
+				for i, d := range fx.Traj {
+					if !done && cp.partOf(d) == int32(small) {
+						isa := append([]int32(nil), fx.ISA...)
+						isa[i] = int32(bound)
+						done = true
+						return fx.WithISA(isa)
+					}
+				}
+				return fx
+			})
+			if !done {
+				t.Fatalf("no record in partition %d", small)
+			}
+		})
+		if err := load(bad); !errors.Is(err, ErrSnapshotMismatch) {
+			t.Fatalf("err = %v, want ErrSnapshotMismatch", err)
+		}
+		if _, _, err := ReadSnapshotMapped(g, bad); !errors.Is(err, ErrSnapshotMismatch) {
+			t.Fatalf("mapped: err = %v, want ErrSnapshotMismatch", err)
 		}
 	})
 	t.Run("wrong network", func(t *testing.T) {

@@ -55,9 +55,13 @@ type Index struct {
 	parts []partition
 	// frozen is F in its immutable columnar layout
 	// (temporal.ForestBuilder.Freeze). users is the associative container U
-	// mapping trajectory ids to user ids (Section 4.1.3).
+	// mapping trajectory ids to user ids (Section 4.1.3). part maps a
+	// trajectory id to its temporal partition — the paper's per-record w,
+	// which follows from the trajectory because partitions own whole
+	// trajectories — and is nil while the index has one partition.
 	frozen *temporal.FrozenForest
 	users  []traj.UserID
+	part   []int32
 	// tod[w][e] is the time-of-day histogram of segment e in partition w
 	// (nil when the segment has no data in the partition).
 	tod [][]*hist.TodHistogram
@@ -157,7 +161,7 @@ func Build(g *network.Graph, store *traj.Store, opts Options) *Index {
 			records: len(text) - len(members[w]),
 		})
 		// Temporal records: one per segment traversal, carrying the ISA of
-		// the occurrence position, trajectory id, TT, aggregate a, seq, w.
+		// the occurrence position, trajectory id, TT, aggregate a and seq.
 		for mi, id := range members[w] {
 			tr := store.Get(id)
 			var agg int32
@@ -170,7 +174,6 @@ func Build(g *network.Graph, store *traj.Store, opts Options) *Index {
 					TT:   e.TT,
 					A:    agg,
 					Seq:  int32(seq),
-					W:    int32(w),
 				})
 				if ix.tod != nil {
 					h := ix.tod[w][e.Edge]
@@ -185,6 +188,7 @@ func Build(g *network.Graph, store *traj.Store, opts Options) *Index {
 		}
 	}
 	ix.frozen = fb.Freeze()
+	ix.part = partLookup(ix.parts)
 	ix.stats = BuildStats{
 		SetupTime:  time.Since(startedAt),
 		Partitions: numParts,
@@ -192,6 +196,35 @@ func Build(g *network.Graph, store *traj.Store, opts Options) *Index {
 		Trajs:      store.Len(),
 	}
 	return ix
+}
+
+// partLookup returns the per-trajectory partition ids of a partition list,
+// or nil when it holds a single partition. Partitions own contiguous
+// trajectory-id ranges in partition order, so the lookup is the partitions'
+// trajectory counts run-length expanded.
+func partLookup(parts []partition) []int32 {
+	if len(parts) <= 1 {
+		return nil
+	}
+	n := 0
+	for _, p := range parts {
+		n += p.trajs
+	}
+	part := make([]int32, 0, n)
+	for w, p := range parts {
+		for k := 0; k < p.trajs; k++ {
+			part = append(part, int32(w))
+		}
+	}
+	return part
+}
+
+// partOf returns the temporal partition of trajectory d.
+func (ix *Index) partOf(d traj.ID) int32 {
+	if ix.part == nil {
+		return 0
+	}
+	return ix.part[d]
 }
 
 // Stats returns the build statistics.
@@ -275,13 +308,13 @@ func (ix *Index) TodSelectivity(e network.EdgeID, iv Interval) (float64, bool) {
 // ForestBytes reports the frozen columnar footprint the index actually
 // serves from — smaller than the paper's tree layouts (internal/treeforest
 // models those), because the columns carry no node headers, child pointers
-// or slack capacity, and the partition column is elided entirely for
-// single-partition indexes.
+// or slack capacity, and the records carry no partition field: the
+// partition costs one id per trajectory, none for a single partition.
 type MemoryStats struct {
 	CBytes      int // segment counters, all partitions
 	WTBytes     int // wavelet trees, all partitions
 	UserBytes   int // the associative container U
-	ForestBytes int // frozen columnar temporal forest
+	ForestBytes int // frozen columnar temporal forest plus the per-trajectory partition lookup
 	TodBytes    int // time-of-day histograms (Figure 10b)
 }
 
@@ -299,7 +332,7 @@ func (ix *Index) Memory() MemoryStats {
 		m.WTBytes += p.fm.WTSizeBytes()
 	}
 	m.UserBytes = 24 + len(ix.users)*4
-	m.ForestBytes = ix.frozen.SizeBytes()
+	m.ForestBytes = ix.frozen.SizeBytes() + 24 + len(ix.part)*4
 	for _, per := range ix.tod {
 		for _, h := range per {
 			if h != nil {

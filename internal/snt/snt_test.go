@@ -343,6 +343,72 @@ func TestTodSelectivity(t *testing.T) {
 	}
 }
 
+// TestPartLookupFollowsTrajectory: a record's partition is its
+// trajectory's, through a lookup that is nil while the index has one
+// partition, is materialised by the first Extend without touching the
+// source snapshot, follows every partition-count change, and costs exactly
+// one id per trajectory in the memory model.
+func TestPartLookupFollowsTrajectory(t *testing.T) {
+	g, _, s := synthStore(t, 20, 15)
+	s.SortByStart()
+	n := s.Len()
+	check := func(ix *Index, label string) {
+		t.Helper()
+		if ix.NumPartitions() == 1 {
+			if ix.part != nil {
+				t.Fatalf("%s: one partition but a lookup of %d trajectories", label, len(ix.part))
+			}
+			return
+		}
+		if len(ix.part) != len(ix.users) {
+			t.Fatalf("%s: lookup covers %d of %d trajectories", label, len(ix.part), len(ix.users))
+		}
+		for d := range ix.part {
+			if w := oraclePart(ix, traj.ID(d)); int(ix.part[d]) != w {
+				t.Fatalf("%s: trajectory %d in partition %d, its id range says %d", label, d, ix.part[d], w)
+			}
+		}
+	}
+
+	ix := Build(g, sliceStore(s, 0, n/2), Options{})
+	check(ix, "build")
+	before := ix.Memory().ForestBytes
+	ext, err := ix.Extend(sliceStore(s, n/2, 3*n/4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(ext, "first extend")
+	if ix.part != nil {
+		t.Fatal("Extend materialised the lookup on the source snapshot")
+	}
+	growth := ext.Memory().ForestBytes - ext.frozen.SizeBytes() - (before - ix.frozen.SizeBytes())
+	if growth != 4*len(ext.users) {
+		t.Fatalf("lookup counted as %d B, want 4 B x %d trajectories", growth, len(ext.users))
+	}
+	ext2, err := ext.Extend(sliceStore(s, 3*n/4, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(ext2, "second extend")
+	full, _, err := ext2.Compact(CompactionPolicy{TriggerPartitions: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(full, "full compaction")
+
+	_, _, s2 := synthStore(t, 20, 15)
+	weekly := Build(g, s2, Options{PartitionDays: 7})
+	check(weekly, "PartitionDays build")
+	partial, _, err := weekly.Compact(CompactionPolicy{TriggerPartitions: -1, MaxMergedRecords: weekly.stats.Records * 3 / 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if partial.NumPartitions() < 2 || partial.NumPartitions() >= weekly.NumPartitions() {
+		t.Fatalf("partial compaction: %d -> %d partitions", weekly.NumPartitions(), partial.NumPartitions())
+	}
+	check(partial, "partial compaction")
+}
+
 func TestMemoryModel(t *testing.T) {
 	g, _, s := synthStore(t, 60, 10)
 	full := Build(g, s, Options{TodBucketSeconds: 600})
@@ -362,7 +428,7 @@ func TestMemoryModel(t *testing.T) {
 		t.Error("user container unaffected by partitioning")
 	}
 	if mw.ForestBytes <= mf.ForestBytes {
-		t.Errorf("partition field should grow leaves: %d vs %d", mw.ForestBytes, mf.ForestBytes)
+		t.Errorf("partition lookup should cost memory: %d vs %d", mw.ForestBytes, mf.ForestBytes)
 	}
 	if mw.TodBytes <= mf.TodBytes {
 		t.Errorf("per-partition ToD histograms should cost more: %d vs %d", mw.TodBytes, mf.TodBytes)

@@ -91,8 +91,8 @@ func (ix *Index) wholeSlots() []atomic.Pointer[wholeEntry] {
 
 // inheritWhole seeds ix's memo, before ix is published, with the filled
 // slots of parent, the snapshot it succeeds: every slot when all is set
-// (compaction rewrites partition ids and ISA positions, never a segment's
-// records), otherwise only those of segments whose frozen column ix shares
+// (compaction rewrites ISA positions and the partition lookup, never a
+// segment's records), otherwise only those of segments whose frozen column ix shares
 // with parent (an Extend batch touched none of their records). Fills racing
 // on parent after the copy are simply not inherited.
 func (ix *Index) inheritWhole(parent *Index, all bool) {

@@ -80,7 +80,7 @@ func snapRoundTrip(t *testing.T, ff *FrozenForest, mapped bool) *FrozenForest {
 // TestCensusMaintained: every way a FrozenIndex comes into being leaves its
 // census equal to a recount of its timestamp column — Freeze, Extend
 // (untouched, extended and brand-new segments), both snapshot readers,
-// Extend of a mapped index (detach) and WithPartitioning.
+// Extend of a mapped index (detach) and WithISA.
 func TestCensusMaintained(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ff := spreadBuilder(rng, []network.EdgeID{0, 1, 2}, 300, -3, 40).Freeze()
@@ -119,9 +119,9 @@ func TestCensusMaintained(t *testing.T) {
 	}
 
 	re := ext.Rewrite(func(_ network.EdgeID, fx *FrozenIndex) *FrozenIndex {
-		return fx.WithPartitioning(make([]int32, fx.Len()), append([]int32(nil), fx.ISA...))
+		return fx.WithISA(append([]int32(nil), fx.ISA...))
 	})
-	checkCensus(t, "WithPartitioning", re)
+	checkCensus(t, "WithISA", re)
 }
 
 // TestCensusSaturates: a bucket pushed past 255 by a batch stays 255, reads
@@ -226,7 +226,7 @@ func TestSizeBytesCountsCensus(t *testing.T) {
 	const sliceHeader, mapEntry = 24, 48
 	want := 0
 	ff.Each(func(_ network.EdgeID, fx *FrozenIndex) {
-		columns := 7*sliceHeader + fx.Len()*(8+5*4) // Ts + Traj, Seq, ISA, A, TT; W elided
+		columns := 6*sliceHeader + fx.Len()*(8+5*4) // Ts + Traj, Seq, ISA, A, TT
 		if got := fx.SizeBytes(); got != columns+48 {
 			t.Fatalf("SizeBytes = %d, want columns %d + 48", got, columns)
 		}

@@ -17,20 +17,19 @@ import (
 )
 
 // FrozenIndex is Φe in frozen columnar form. The exported columns share one
-// index space: record i is (Ts[i], Traj[i], Seq[i], W[i], ISA[i], A[i],
-// TT[i]), and Ts is sorted ascending with ties in the order the records
-// were added. All columns are immutable after freezing — a FrozenIndex is
-// never mutated; Extend produces a new snapshot by copy-on-write — so any
-// number of goroutines may read one concurrently.
+// index space: record i is (Ts[i], Traj[i], Seq[i], ISA[i], A[i], TT[i]),
+// and Ts is sorted ascending with ties in the order the records were added.
+// All columns are immutable after freezing — a FrozenIndex is never
+// mutated; Extend produces a new snapshot by copy-on-write — so any number
+// of goroutines may read one concurrently.
 //
-// W is nil while every record lives in partition 0 — the single-partition
-// layout the paper credits with the memory saving of dropping the partition
-// feature. Readers must treat a nil W column as all zeros.
+// There is no partition column: temporal partitions own whole trajectories
+// (Section 4.3.2), so a record's partition follows from Traj[i] through the
+// owning index's per-trajectory lookup (snt).
 type FrozenIndex struct {
 	Ts   []int64
 	Traj []traj.ID
 	Seq  []int32
-	W    []int32
 	ISA  []int32
 	A    []int32
 	TT   []int32
@@ -40,7 +39,7 @@ type FrozenIndex struct {
 	// Reading is unaffected — the layout is identical — but writing
 	// through a mapped column faults, so extended detaches the columns to
 	// the heap before appending, and the flag travels with the columns into
-	// every FrozenIndex that shares them (WithPartitioning).
+	// every FrozenIndex that shares them (WithISA).
 	Mapped bool
 
 	// census is the time-of-day census: the number of records per
@@ -99,15 +98,14 @@ func (fx *FrozenIndex) TodBound(todStart, width int64) int {
 	return sum
 }
 
-// WithPartitioning returns a copy of the index with the partition and ISA
-// columns replaced (w nil = every record in partition 0) and everything
-// else — the other five columns, Mapped, the census — shared or carried
-// over: re-partitioning moves no timestamp. It is how snt compaction
-// republishes a segment.
-func (fx *FrozenIndex) WithPartitioning(w, isa []int32) *FrozenIndex {
+// WithISA returns a copy of the index with the ISA column replaced and
+// everything else — the other five columns, Mapped, the census — shared or
+// carried over: re-partitioning moves no timestamp. It is how snt
+// compaction republishes a segment.
+func (fx *FrozenIndex) WithISA(isa []int32) *FrozenIndex {
 	nfx := new(FrozenIndex)
 	*nfx = *fx
-	nfx.W, nfx.ISA = w, isa
+	nfx.ISA = isa
 	return nfx
 }
 
@@ -150,13 +148,13 @@ func (fx *FrozenIndex) CountRange(lo, hi int64) int {
 }
 
 // SizeBytes is the actual columnar footprint: the timestamp column, the
-// record columns that are materialised, the slice headers and the census.
+// record columns, the slice headers and the census.
 // There is no per-node overhead and no slack capacity — the saving over the
 // paper's tree layouts (internal/treeforest models those).
 func (fx *FrozenIndex) SizeBytes() int {
 	const sliceHeader = 24
-	sz := 7*sliceHeader + len(fx.census) + len(fx.Ts)*8
-	sz += (len(fx.Traj) + len(fx.Seq) + len(fx.W) + len(fx.ISA) + len(fx.A) + len(fx.TT)) * 4
+	sz := 6*sliceHeader + len(fx.census) + len(fx.Ts)*8
+	sz += (len(fx.Traj) + len(fx.Seq) + len(fx.ISA) + len(fx.A) + len(fx.TT)) * 4
 	return sz
 }
 
@@ -185,26 +183,11 @@ func (fx *FrozenIndex) extended(ts []int64, recs []Record, ord []int32) *FrozenI
 		Ts:   fx.Ts,
 		Traj: fx.Traj,
 		Seq:  fx.Seq,
-		W:    fx.W,
 		ISA:  fx.ISA,
 		A:    fx.A,
 		TT:   fx.TT,
 
 		census: fx.census,
-	}
-	needW := fx.W != nil
-	if !needW {
-		for i := range recs {
-			if recs[i].W != 0 {
-				needW = true
-				break
-			}
-		}
-		if needW {
-			// First record outside partition 0: materialise the elided
-			// column with an all-zero prefix for the existing records.
-			nfx.W = make([]int32, len(fx.Traj), len(fx.Traj)+len(recs))
-		}
 	}
 	for _, o := range ord {
 		r := &recs[o]
@@ -215,9 +198,6 @@ func (fx *FrozenIndex) extended(ts []int64, recs []Record, ord []int32) *FrozenI
 		nfx.ISA = append(nfx.ISA, r.ISA)
 		nfx.A = append(nfx.A, r.A)
 		nfx.TT = append(nfx.TT, r.TT)
-		if needW {
-			nfx.W = append(nfx.W, r.W)
-		}
 	}
 	return nfx
 }
@@ -229,7 +209,7 @@ func (fx *FrozenIndex) extended(ts []int64, recs []Record, ord []int32) *FrozenI
 // mapping behind it) is not touched.
 func (fx *FrozenIndex) detached(extra int) *FrozenIndex {
 	n := len(fx.Ts)
-	d := &FrozenIndex{
+	return &FrozenIndex{
 		Ts:   append(make([]int64, 0, n+extra), fx.Ts...),
 		Traj: append(make([]traj.ID, 0, n+extra), fx.Traj...),
 		Seq:  append(make([]int32, 0, n+extra), fx.Seq...),
@@ -239,10 +219,6 @@ func (fx *FrozenIndex) detached(extra int) *FrozenIndex {
 
 		census: fx.census,
 	}
-	if fx.W != nil {
-		d.W = append(make([]int32, 0, n+extra), fx.W...)
-	}
-	return d
 }
 
 // FrozenForest is F frozen: one immutable columnar index per segment with
@@ -286,9 +262,9 @@ func (f *FrozenForest) SizeBytes() int {
 // Rewrite returns a new forest in which every segment's index is replaced
 // by fn's result; returning the input index unchanged shares it between the
 // forests. The receiver is never modified — this is the copy-on-write
-// primitive partition compaction uses to republish per-record partition ids
-// and ISA positions (snt.Index.Compact) without touching segments whose
-// records all lie outside the merged partitions. fn must return a
+// primitive partition compaction uses to republish ISA positions
+// (snt.Index.Compact) without touching segments whose records all lie
+// outside the merged partitions. fn must return a
 // non-nil index and must not mutate the input index or its columns.
 func (f *FrozenForest) Rewrite(fn func(network.EdgeID, *FrozenIndex) *FrozenIndex) *FrozenForest {
 	nf := &FrozenForest{idx: make(map[network.EdgeID]*FrozenIndex, len(f.idx))}

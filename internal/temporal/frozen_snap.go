@@ -1,9 +1,8 @@
 // Snapshot serialization of the frozen columnar forest (DESIGN.md §10).
 // Each segment's FrozenIndex is written as its raw columns — Ts, Traj, Seq,
-// optional W, ISA, A, TT — in ascending segment-id order, so snapshots of
-// the same forest are byte-identical and loading is a straight column copy
-// with no re-sorting or tree rebuilding. The single-partition W elision is
-// preserved: a nil W column is written as absent and restored as nil.
+// ISA, A, TT — in ascending segment-id order, so snapshots of the same
+// forest are byte-identical and loading is a straight column copy with no
+// re-sorting or tree rebuilding.
 package temporal
 
 import (
@@ -26,13 +25,9 @@ func (f *FrozenForest) EncodeSnap(w *snapio.Writer) {
 	for _, e := range edges {
 		fx := f.idx[e]
 		w.I64(int64(e))
-		w.Bool(fx.W != nil)
 		w.I64s(fx.Ts)
 		snapio.WriteI32s(w, fx.Traj)
 		w.I32s(fx.Seq)
-		if fx.W != nil {
-			w.I32s(fx.W)
-		}
 		w.I32s(fx.ISA)
 		w.I32s(fx.A)
 		w.I32s(fx.TT)
@@ -53,16 +48,12 @@ func DecodeSnapForest(r *snapio.Reader) (*FrozenForest, error) {
 	f := &FrozenForest{idx: make(map[network.EdgeID]*FrozenIndex, numIdx)}
 	for i := 0; i < numIdx; i++ {
 		e := network.EdgeID(r.I64())
-		hasW := r.Bool()
 		// In zero-copy mode the columns below alias the reader's mapping;
 		// Mapped makes extension detach them before appending.
 		fx := &FrozenIndex{Mapped: r.ZeroCopy()}
 		fx.Ts = r.I64s()
 		fx.Traj = snapio.ReadI32s[traj.ID](r)
 		fx.Seq = r.I32s()
-		if hasW {
-			fx.W = r.I32s()
-		}
 		fx.ISA = r.I32s()
 		fx.A = r.I32s()
 		fx.TT = r.I32s()
@@ -70,8 +61,8 @@ func DecodeSnapForest(r *snapio.Reader) (*FrozenForest, error) {
 			return nil, fmt.Errorf("temporal: segment %d: %w", e, err)
 		}
 		n := len(fx.Ts)
-		if n == 0 || len(fx.Traj) != n || len(fx.Seq) != n || (hasW && len(fx.W) != n) ||
-			len(fx.ISA) != n || len(fx.A) != n || len(fx.TT) != n {
+		if n == 0 || len(fx.Traj) != n || len(fx.Seq) != n || len(fx.ISA) != n ||
+			len(fx.A) != n || len(fx.TT) != n {
 			return nil, fmt.Errorf("temporal: segment %d: ragged snapshot columns (n=%d)", e, n)
 		}
 		// One pass over Ts checks the order and recounts the census, which

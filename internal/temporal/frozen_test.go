@@ -22,7 +22,6 @@ func randomBuilder(rng *rand.Rand, nEdges, nRecs int) *ForestBuilder {
 			TT:   int32(1 + rng.Intn(300)),
 			A:    int32(rng.Intn(10000)),
 			Seq:  int32(rng.Intn(40)),
-			W:    int32(rng.Intn(3)),
 		})
 	}
 	return b
@@ -35,79 +34,62 @@ func equalColumns[T comparable](a, b []T) bool {
 
 // TestFrozenExtendMatchesForestExtend: appending a newer batch to the
 // frozen columns yields the same layout as freezing one builder that holds
-// base and batch together — column for column, tie order and W elision
-// included. The batch skips segment 4 and opens segment 7, so untouched,
-// extended and brand-new segments are all compared; the rows cover a W
-// column that stays elided, one the batch materialises and one the base
-// already had.
+// base and batch together — column for column, tie order included. The
+// batch skips segment 4 and opens segment 7, so untouched, extended and
+// brand-new segments are all compared.
 func TestFrozenExtendMatchesForestExtend(t *testing.T) {
-	for _, row := range []struct {
-		name           string
-		baseW, batchW  int32
-		wantWOnSegment map[network.EdgeID]bool
-	}{
-		{"stays elided", 0, 0, map[network.EdgeID]bool{}},
-		{"batch materialises", 0, 3, map[network.EdgeID]bool{0: true, 1: true, 2: true, 3: true, 7: true}},
-		{"base has W", 2, 3, map[network.EdgeID]bool{0: true, 1: true, 2: true, 3: true, 4: true, 7: true}},
-	} {
-		rng := rand.New(rand.NewSource(7))
-		base, both := NewForestBuilder(), NewForestBuilder()
-		for i := 0; i < 1000; i++ {
-			e := network.EdgeID(rng.Intn(5))
-			ts := int64(rng.Intn(500)) // dense keyspace forces duplicates
-			r := Record{ISA: int32(i), Traj: traj.ID(i % 97), TT: int32(1 + rng.Intn(300)),
-				A: int32(rng.Intn(10000)), Seq: int32(rng.Intn(40)), W: row.baseW}
-			base.Add(e, ts, r)
-			both.Add(e, ts, r)
-		}
-		batch := NewForestBuilder()
-		for i := 0; i < 400; i++ {
-			e := network.EdgeID(rng.Intn(4))
-			if i%50 == 0 {
-				e = 7
-			}
-			ts := int64(3000 + rng.Intn(200)) // strictly after every base key, unsorted, with ties
-			r := Record{Traj: traj.ID(i), Seq: int32(i % 9), TT: 5, A: 10, W: row.batchW, ISA: int32(i)}
-			batch.Add(e, ts, r)
-			both.Add(e, ts, r)
-		}
-		ff := base.Freeze()
-		before := ff.NumRecords()
-		got, err := ff.Extend(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ff.NumRecords() != before {
-			t.Fatalf("%s: Extend mutated the source snapshot: %d records, had %d", row.name, ff.NumRecords(), before)
-		}
-		want := both.Freeze()
-		if want.NumRecords() != got.NumRecords() || want.NumIndexes() != got.NumIndexes() {
-			t.Fatalf("%s: shape %d/%d vs %d/%d", row.name, got.NumIndexes(), got.NumRecords(), want.NumIndexes(), want.NumRecords())
-		}
-		want.Each(func(e network.EdgeID, wx *FrozenIndex) {
-			fx := got.Get(e)
-			if fx == nil {
-				t.Fatalf("%s edge %d: missing after Extend", row.name, e)
-			}
-			if !equalColumns(fx.Ts, wx.Ts) || !equalColumns(fx.Traj, wx.Traj) || !equalColumns(fx.Seq, wx.Seq) ||
-				!equalColumns(fx.W, wx.W) || !equalColumns(fx.ISA, wx.ISA) || !equalColumns(fx.A, wx.A) ||
-				!equalColumns(fx.TT, wx.TT) {
-				t.Fatalf("%s edge %d: extended columns diverge from the one-shot freeze", row.name, e)
-			}
-			if recount := recountCensus(wx.Ts); fx.Census() != recount || wx.Census() != recount {
-				t.Fatalf("%s edge %d: census %v (extended) / %v (one-shot), recount of Ts %v", row.name, e, fx.Census(), wx.Census(), recount)
-			}
-			if (wx.W != nil) != row.wantWOnSegment[e] {
-				t.Fatalf("%s edge %d: W materialised = %v", row.name, e, wx.W != nil)
-			}
-			// Freeze allocates every column once at its final length.
-			if cap(wx.Ts) != len(wx.Ts) || cap(wx.Traj) != len(wx.Traj) || cap(wx.Seq) != len(wx.Seq) ||
-				cap(wx.W) != len(wx.W) || cap(wx.ISA) != len(wx.ISA) || cap(wx.A) != len(wx.A) ||
-				cap(wx.TT) != len(wx.TT) {
-				t.Fatalf("%s edge %d: frozen column with spare capacity", row.name, e)
-			}
-		})
+	rng := rand.New(rand.NewSource(7))
+	base, both := NewForestBuilder(), NewForestBuilder()
+	for i := 0; i < 1000; i++ {
+		e := network.EdgeID(rng.Intn(5))
+		ts := int64(rng.Intn(500)) // dense keyspace forces duplicates
+		r := Record{ISA: int32(i), Traj: traj.ID(i % 97), TT: int32(1 + rng.Intn(300)),
+			A: int32(rng.Intn(10000)), Seq: int32(rng.Intn(40))}
+		base.Add(e, ts, r)
+		both.Add(e, ts, r)
 	}
+	batch := NewForestBuilder()
+	for i := 0; i < 400; i++ {
+		e := network.EdgeID(rng.Intn(4))
+		if i%50 == 0 {
+			e = 7
+		}
+		ts := int64(3000 + rng.Intn(200)) // strictly after every base key, unsorted, with ties
+		r := Record{Traj: traj.ID(i), Seq: int32(i % 9), TT: 5, A: 10, ISA: int32(i)}
+		batch.Add(e, ts, r)
+		both.Add(e, ts, r)
+	}
+	ff := base.Freeze()
+	before := ff.NumRecords()
+	got, err := ff.Extend(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ff.NumRecords() != before {
+		t.Fatalf("Extend mutated the source snapshot: %d records, had %d", ff.NumRecords(), before)
+	}
+	want := both.Freeze()
+	if want.NumRecords() != got.NumRecords() || want.NumIndexes() != got.NumIndexes() {
+		t.Fatalf("shape %d/%d vs %d/%d", got.NumIndexes(), got.NumRecords(), want.NumIndexes(), want.NumRecords())
+	}
+	want.Each(func(e network.EdgeID, wx *FrozenIndex) {
+		fx := got.Get(e)
+		if fx == nil {
+			t.Fatalf("edge %d: missing after Extend", e)
+		}
+		if !equalColumns(fx.Ts, wx.Ts) || !equalColumns(fx.Traj, wx.Traj) || !equalColumns(fx.Seq, wx.Seq) ||
+			!equalColumns(fx.ISA, wx.ISA) || !equalColumns(fx.A, wx.A) || !equalColumns(fx.TT, wx.TT) {
+			t.Fatalf("edge %d: extended columns diverge from the one-shot freeze", e)
+		}
+		if recount := recountCensus(wx.Ts); fx.Census() != recount || wx.Census() != recount {
+			t.Fatalf("edge %d: census %v (extended) / %v (one-shot), recount of Ts %v", e, fx.Census(), wx.Census(), recount)
+		}
+		// Freeze allocates every column once at its final length.
+		if cap(wx.Ts) != len(wx.Ts) || cap(wx.Traj) != len(wx.Traj) || cap(wx.Seq) != len(wx.Seq) ||
+			cap(wx.ISA) != len(wx.ISA) || cap(wx.A) != len(wx.A) || cap(wx.TT) != len(wx.TT) {
+			t.Fatalf("edge %d: frozen column with spare capacity", e)
+		}
+	})
 }
 
 // TestFrozenExtendRejectsOld: a batch starting before a segment's maximum
@@ -123,37 +105,5 @@ func TestFrozenExtendRejectsOld(t *testing.T) {
 	}
 	if ff.NumRecords() != before {
 		t.Fatal("failed Extend mutated the frozen forest")
-	}
-}
-
-// TestFrozenWColumnElision: single-partition forests drop the W column
-// entirely; it materialises as soon as a later partition appears.
-func TestFrozenWColumnElision(t *testing.T) {
-	b := NewForestBuilder()
-	for i := 0; i < 10; i++ {
-		b.Add(1, int64(i), Record{W: 0, Traj: traj.ID(i)})
-	}
-	ff := b.Freeze()
-	fx := ff.Get(1)
-	if fx.W != nil {
-		t.Fatal("partition-0-only index materialised a W column")
-	}
-	withW := ff.SizeBytes()
-
-	batch := NewForestBuilder()
-	batch.Add(1, 100, Record{W: 1})
-	ext, err := ff.Extend(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ff.Get(1).W != nil {
-		t.Fatal("Extend materialised W on the source snapshot")
-	}
-	fx = ext.Get(1)
-	if len(fx.W) != 11 || fx.W[9] != 0 || fx.W[10] != 1 {
-		t.Fatalf("W column after extend = %v", fx.W)
-	}
-	if ext.SizeBytes() <= withW {
-		t.Fatal("materialised W column should grow the footprint")
 	}
 }

@@ -2,8 +2,10 @@
 // SNT-index (Section 4.1.2): per-segment indexes keyed by segment entry
 // timestamp. Each entry carries the paper's extended record (Section
 // 4.1.3): the ISA index, the trajectory id, the traversal time TT, the
-// aggregate travel time a from the trajectory's start, the sequence number
-// seq, and the temporal partition id w (Section 4.3.2).
+// aggregate travel time a from the trajectory's start and the sequence
+// number seq. The paper's temporal partition id w (Section 4.3.2) is not
+// stored per record: partitions own whole trajectories, so snt derives it
+// from the trajectory id.
 //
 // The only layout built and served is the frozen columnar one (frozen.go):
 // ForestBuilder collects records in any order and Freeze sorts each segment
@@ -22,12 +24,11 @@ import (
 
 // Record is the extended leaf payload (t maps to this tuple).
 type Record struct {
-	ISA  int32   // ISA index of this occurrence within partition W's FM-index
+	ISA  int32   // ISA index of this occurrence within its trajectory's partition's FM-index
 	Traj traj.ID // trajectory identifier d
 	TT   int32   // traversal time of the segment in seconds
 	A    int32   // sum of travel times from trajectory start through this segment
 	Seq  int32   // sequence number of the segment within the trajectory
-	W    int32   // temporal partition identifier
 }
 
 // ForestBuilder accumulates traversal records per segment, in any order.

@@ -1,7 +1,7 @@
 // The paper's tree layouts as oracle for the frozen columns: these tests
 // build internal/treeforest forests from frozen columns and check the two
 // against each other. They live here because what they pin is this
-// package's layout (order, ties, W elision, footprint); treeforest itself
+// package's layout (order, ties, footprint); treeforest itself
 // is a thin dispatch over internal/bptree and internal/csstree, which have
 // their own suites.
 package temporal_test
@@ -29,7 +29,7 @@ func buildBoth(t *testing.T, n int) (css, bt *treeforest.Index, fc, fb *treefore
 	b := temporal.NewForestBuilder()
 	for i := 0; i < n; i++ {
 		ts := int64(rng.Intn(100000))
-		b.Add(1, ts, temporal.Record{ISA: int32(i), Traj: 0, TT: 10, A: 10, Seq: 0, W: 0})
+		b.Add(1, ts, temporal.Record{ISA: int32(i), Traj: 0, TT: 10, A: 10, Seq: 0})
 	}
 	ff := b.Freeze()
 	fc, fb = treeforest.FromFrozen(ff, treeforest.CSS), treeforest.FromFrozen(ff, treeforest.BPlus)
@@ -49,7 +49,6 @@ func randomFrozen(rng *rand.Rand, nEdges, nRecs int) *temporal.FrozenForest {
 			TT:   int32(1 + rng.Intn(300)),
 			A:    int32(rng.Intn(10000)),
 			Seq:  int32(rng.Intn(40)),
-			W:    int32(rng.Intn(3)),
 		})
 	}
 	return b.Freeze()
@@ -169,13 +168,6 @@ func TestFreezeMatchesTreeScans(t *testing.T) {
 				if fx.Ts[i] != ts || fx.Traj[i] != r.Traj || fx.Seq[i] != r.Seq ||
 					fx.ISA[i] != r.ISA || fx.A[i] != r.A || fx.TT[i] != r.TT {
 					t.Fatalf("%v edge %d offset %d: column mismatch", kind, e, i)
-				}
-				w := int32(0)
-				if fx.W != nil {
-					w = fx.W[i]
-				}
-				if w != r.W {
-					t.Fatalf("%v edge %d offset %d: W %d vs %d", kind, e, i, w, r.W)
 				}
 				i++
 				return true

@@ -76,9 +76,6 @@ func FromFrozen(ff *temporal.FrozenForest, kind Kind) *Forest {
 		recs := make([]temporal.Record, fx.Len())
 		for i := range recs {
 			recs[i] = temporal.Record{ISA: fx.ISA[i], Traj: fx.Traj[i], TT: fx.TT[i], A: fx.A[i], Seq: fx.Seq[i]}
-			if fx.W != nil {
-				recs[i].W = fx.W[i]
-			}
 		}
 		if kind == CSS {
 			f.idx[e] = &Index{csstree.Build(fx.Ts, recs)}
