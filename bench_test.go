@@ -63,7 +63,7 @@ func BenchmarkTable1EstimateTT(b *testing.B) {
 // cached serving path is measured by BenchmarkTripQueryParallel.
 func benchGridCell(b *testing.B, qt experiments.QueryType, pt query.Partitioner, sp query.Splitter, beta int) {
 	e := env(b)
-	ix := e.Index(0, 0)
+	ix := e.Index(0)
 	eng := query.NewEngine(ix, query.Config{Partitioner: pt, Splitter: sp, BucketWidth: 10,
 		DisableCache: true, DisableFullResultCache: true})
 	qs := e.Queries
@@ -144,7 +144,7 @@ func BenchmarkFig10IndexBuild(b *testing.B) {
 // BenchmarkFig10TreeForest measures rebuilding the paper's two tree layouts
 // from the served columns and reports their modelled size (Figure 10a).
 func BenchmarkFig10TreeForest(b *testing.B) {
-	ff := env(b).Index(0, 0).Frozen()
+	ff := env(b).Index(0).Frozen()
 	for _, kind := range []treeforest.Kind{treeforest.CSS, treeforest.BPlus} {
 		b.Run(kind.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -157,14 +157,15 @@ func BenchmarkFig10TreeForest(b *testing.B) {
 	}
 }
 
-// BenchmarkFig10bTodHistograms measures ToD histogram build cost and size
-// (Figure 10b).
+// BenchmarkFig10bTodHistograms measures the cost and size of deriving the
+// 1-minute time-of-day histograms from one prebuilt index (Figure 10b).
 func BenchmarkFig10bTodHistograms(b *testing.B) {
-	e := env(b)
+	ix := env(b).Index(0)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix := snt.Build(e.DS.G, e.DS.Store, snt.Options{TodBucketSeconds: 60})
+		hs := ix.TodHistograms(60)
 		if i == b.N-1 {
-			b.ReportMetric(float64(ix.Memory().TodBytes)/1024/1024, "MiB")
+			b.ReportMetric(float64(experiments.TodBytes(hs))/1024/1024, "MiB")
 		}
 	}
 }
@@ -175,7 +176,7 @@ func BenchmarkFig11aEstimator(b *testing.B) {
 	e := env(b)
 	for _, mode := range []card.Mode{card.ISA, card.CSSFast, card.CSSAcc} {
 		b.Run(mode.String(), func(b *testing.B) {
-			ix := e.Index(0, 900)
+			ix := e.Index(0)
 			est := card.New(ix, mode)
 			pt := query.Partitioner{Kind: query.ZoneKind}
 			var subs []query.SPQ
@@ -198,14 +199,13 @@ func BenchmarkFig11bEstimatorRuntime(b *testing.B) {
 	for _, cfg := range []struct {
 		name string
 		mode card.Mode
-		tod  int
 	}{
-		{"CSS_off", card.Off, 0},
-		{"CSS_Fast", card.CSSFast, 0},
-		{"CSS_Acc", card.CSSAcc, 900},
+		{"CSS_off", card.Off},
+		{"CSS_Fast", card.CSSFast},
+		{"CSS_Acc", card.CSSAcc},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			ix := e.Index(0, cfg.tod)
+			ix := e.Index(0)
 			var est *card.Estimator
 			if cfg.mode != card.Off {
 				est = card.New(ix, cfg.mode)
@@ -263,7 +263,7 @@ func BenchmarkAblationScanOrder(b *testing.B) {
 // measured.
 func BenchmarkThroughputParallel(b *testing.B) {
 	e := env(b)
-	ix := e.Index(0, 0)
+	ix := e.Index(0)
 	eng := query.NewEngine(ix, query.Config{
 		Partitioner: query.Partitioner{Kind: query.ZoneKind}, BucketWidth: 10,
 		DisableCache: true, DisableFullResultCache: true,
@@ -285,7 +285,7 @@ func BenchmarkThroughputParallel(b *testing.B) {
 // on one client with neither cache — every query is processed in full.
 func BenchmarkTripQuerySequential(b *testing.B) {
 	e := env(b)
-	ix := e.Index(0, 0)
+	ix := e.Index(0)
 	eng := query.NewEngine(ix, query.Config{
 		Partitioner: query.Partitioner{Kind: query.ZoneKind}, BucketWidth: 10,
 		DisableCache: true, DisableFullResultCache: true,
@@ -308,7 +308,7 @@ func BenchmarkTripQuerySequential(b *testing.B) {
 // BenchmarkTripQuerySequential for the engine-level speedup.
 func BenchmarkTripQueryParallel(b *testing.B) {
 	e := env(b)
-	ix := e.Index(0, 0)
+	ix := e.Index(0)
 	eng := query.NewEngine(ix, query.Config{
 		Partitioner: query.Partitioner{Kind: query.ZoneKind}, BucketWidth: 10,
 	})
@@ -330,7 +330,7 @@ func BenchmarkTripQueryParallel(b *testing.B) {
 // partitioning, scans or convolution).
 func BenchmarkTripQueryFullCacheHit(b *testing.B) {
 	e := env(b)
-	ix := e.Index(0, 0)
+	ix := e.Index(0)
 	eng := query.NewEngine(ix, query.Config{
 		Partitioner: query.Partitioner{Kind: query.ZoneKind}, BucketWidth: 10,
 	})
@@ -477,7 +477,7 @@ func BenchmarkManyPartitions(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rebuilt := e.Index(0, 0)
+	rebuilt := e.Index(0)
 	for _, cfg := range []struct {
 		name string
 		ix   *snt.Index
@@ -571,7 +571,7 @@ func BenchmarkSuffixArraySAIS(b *testing.B) {
 
 func BenchmarkFMIndexBackwardSearch(b *testing.B) {
 	e := env(b)
-	ix := e.Index(0, 0)
+	ix := e.Index(0)
 	qs := e.Queries
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -581,7 +581,7 @@ func BenchmarkFMIndexBackwardSearch(b *testing.B) {
 
 func BenchmarkGetTravelTimes(b *testing.B) {
 	e := env(b)
-	ix := e.Index(0, 0)
+	ix := e.Index(0)
 	qs := e.Queries
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -599,7 +599,7 @@ func BenchmarkGetTravelTimes(b *testing.B) {
 // scans as BenchmarkGetTravelTimes over one held Scratch.
 func BenchmarkGetTravelTimesScratch(b *testing.B) {
 	e := env(b)
-	ix := e.Index(0, 0)
+	ix := e.Index(0)
 	qs := e.Queries
 	sc := snt.AcquireScratch()
 	defer snt.ReleaseScratch(sc)
@@ -621,7 +621,7 @@ func BenchmarkGetTravelTimesScratch(b *testing.B) {
 // (β = 0), where every record of the window is admitted or refused.
 func BenchmarkGetTravelTimesPartitioned(b *testing.B) {
 	e := env(b)
-	ix := e.Index(7, 0)
+	ix := e.Index(7)
 	qs := e.Queries
 	for _, beta := range []int{20, 0} {
 		b.Run(fmt.Sprintf("beta%d", beta), func(b *testing.B) {

@@ -13,6 +13,7 @@
 package card
 
 import (
+	"pathhist/internal/hist"
 	"pathhist/internal/network"
 	"pathhist/internal/snt"
 )
@@ -48,15 +49,28 @@ func (m Mode) String() string {
 // Selinger et al. (Section 4.4).
 const SelU = 0.1
 
+// todBucketSeconds is the bucket width of the time-of-day histograms the
+// Acc modes read: 15 minutes, the granularity of the paper's introduction.
+const todBucketSeconds = 900
+
 // Estimator estimates SPQ cardinalities against an SNT-index.
 type Estimator struct {
 	ix   *snt.Index
 	mode Mode
+	// tod holds the per-partition per-segment time-of-day histograms H_e
+	// of formula (2), derived from the index once; nil outside the Acc
+	// modes.
+	tod [][]*hist.TodHistogram
 }
 
-// New returns an estimator in the given mode.
+// New returns an estimator in the given mode. The Acc modes derive their
+// time-of-day histograms here, in one pass over the index's records.
 func New(ix *snt.Index, mode Mode) *Estimator {
-	return &Estimator{ix: ix, mode: mode}
+	e := &Estimator{ix: ix, mode: mode}
+	if mode == BTAcc || mode == CSSAcc {
+		e.tod = ix.TodHistograms(todBucketSeconds)
+	}
+	return e
 }
 
 // Mode returns the configured mode.
@@ -87,13 +101,34 @@ func (e *Estimator) selTod(e0 network.EdgeID, iv snt.Interval) float64 {
 	if !iv.IsPeriodic() {
 		return 1
 	}
-	if e.mode == BTAcc || e.mode == CSSAcc {
-		if sel, ok := e.ix.TodSelectivity(e0, iv); ok {
-			return sel
-		}
-		// Histograms unavailable for the segment: fall back to formula 1.
+	if sel, ok := e.todSelectivity(e0, iv); ok {
+		return sel
 	}
+	// Formula (1), also the Acc modes' answer on a segment without data.
 	return float64(iv.Alpha()) / float64(snt.DaySeconds)
+}
+
+// todSelectivity is formula (2): the fraction of the segment's entry events
+// whose time-of-day falls in the periodic window, summed over the
+// partitions in order. ok is false outside the Acc modes, for a fixed
+// interval, and for a segment without records.
+func (e *Estimator) todSelectivity(e0 network.EdgeID, iv snt.Interval) (float64, bool) {
+	if e.tod == nil || !iv.IsPeriodic() {
+		return 0, false
+	}
+	var in, total float64
+	for _, per := range e.tod {
+		h := per[e0]
+		if h == nil {
+			continue
+		}
+		in += h.MassRange(iv.TodStart, iv.TodStart+iv.Width)
+		total += float64(h.Total())
+	}
+	if total == 0 {
+		return 0, false
+	}
+	return in / total, true
 }
 
 // selTf is the timeframe selectivity of a fixed predicate.

@@ -82,7 +82,7 @@ func TestISAMode(t *testing.T) {
 }
 
 func TestUserPredicateSelectivity(t *testing.T) {
-	ix, ids, _ := buildSkewedIndex(t, snt.Options{TodBucketSeconds: 900})
+	ix, ids, _ := buildSkewedIndex(t, snt.Options{})
 	e := New(ix, CSSAcc)
 	p := network.Path{ids["A"]}
 	iv := snt.NewPeriodic(8*3600, 1800)
@@ -94,7 +94,7 @@ func TestUserPredicateSelectivity(t *testing.T) {
 }
 
 func TestAccBeatsFastOnSkewedToD(t *testing.T) {
-	ix, ids, _ := buildSkewedIndex(t, snt.Options{TodBucketSeconds: 900})
+	ix, ids, _ := buildSkewedIndex(t, snt.Options{})
 	p := network.Path{ids["A"], ids["B"]}
 	// Window on the morning peak: uniform assumption underestimates badly.
 	iv := snt.NewPeriodic(8*3600, 1800)
@@ -170,12 +170,48 @@ func TestMissingSegmentSelectivity(t *testing.T) {
 }
 
 func TestAccFallsBackWithoutHistograms(t *testing.T) {
-	ix, ids, _ := buildSkewedIndex(t, snt.Options{}) // no ToD histograms
-	p := network.Path{ids["A"]}
+	ix, ids, _ := buildSkewedIndex(t, snt.Options{})
 	iv := snt.NewPeriodic(8*3600, 1800)
-	acc, _ := New(ix, BTAcc).Estimate(p, iv, snt.NoFilter)
-	fast, _ := New(ix, BTFast).Estimate(p, iv, snt.NoFilter)
-	if acc != fast {
-		t.Errorf("without histograms Acc should equal Fast: %v vs %v", acc, fast)
+	// Segment F has no records, so no histogram is derived for it: the Acc
+	// modes fall back to formula (1), the Fast modes' answer.
+	acc, fast := New(ix, BTAcc), New(ix, BTFast)
+	if a, f := acc.selTod(ids["F"], iv), fast.selTod(ids["F"], iv); a != f {
+		t.Errorf("without a histogram Acc should equal Fast: %v vs %v", a, f)
+	}
+	// Segment A has one, and the skewed departures move it off formula (1).
+	if a, f := acc.selTod(ids["A"], iv), fast.selTod(ids["A"], iv); a == f {
+		t.Errorf("with a histogram Acc should leave formula (1): both %v", a)
+	}
+}
+
+// TestTodSelectivity checks formula (2) over the histograms the Acc modes
+// derive, summed over weekly partitions.
+func TestTodSelectivity(t *testing.T) {
+	ix, ids, _ := buildSkewedIndex(t, snt.Options{PartitionDays: 7})
+	if ix.NumPartitions() < 2 {
+		t.Fatalf("%d partitions, want several", ix.NumPartitions())
+	}
+	e := New(ix, CSSAcc)
+	// All trips start 08:00-08:30 or 16:00-16:30, so a full-day window has
+	// selectivity 1, a night window 0 and a 06:00-18:00 window 1.
+	sel, ok := e.todSelectivity(ids["A"], snt.NewPeriodic(0, snt.DaySeconds))
+	if !ok || sel < 0.999 {
+		t.Errorf("full-day selectivity = %v ok=%v", sel, ok)
+	}
+	sel, ok = e.todSelectivity(ids["A"], snt.NewPeriodic(1*3600, 3600))
+	if !ok || sel != 0 {
+		t.Errorf("night selectivity = %v", sel)
+	}
+	day, ok := e.todSelectivity(ids["A"], snt.NewPeriodic(6*3600, 12*3600))
+	if !ok || day < 0.9 {
+		t.Errorf("day selectivity = %v", day)
+	}
+	// A Fast estimator derives no histograms and reports !ok.
+	if _, ok := New(ix, CSSFast).todSelectivity(ids["A"], snt.NewPeriodic(0, 3600)); ok {
+		t.Error("selectivity should be unavailable outside the Acc modes")
+	}
+	// Fixed intervals report !ok.
+	if _, ok := e.todSelectivity(ids["A"], snt.NewFixed(0, 10)); ok {
+		t.Error("fixed interval has no ToD selectivity")
 	}
 }

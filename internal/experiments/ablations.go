@@ -20,7 +20,7 @@ type AblationRow struct {
 
 // runNamedCell evaluates one explicit engine config over the query set.
 func (env *Env) runNamedCell(name string, qt QueryType, cfg query.Config, beta int) AblationRow {
-	ix := env.Index(0, 0)
+	ix := env.Index(0)
 	eng := query.NewEngine(ix, cfg)
 	g := env.DS.G
 	var row AblationRow

@@ -50,12 +50,7 @@ const (
 type Env struct {
 	DS      *workload.Dataset
 	Queries []workload.Query
-	indexes map[indexKey]*snt.Index
-}
-
-type indexKey struct {
-	partDays  int
-	todBucket int
+	indexes map[int]*snt.Index // by partition size in days
 }
 
 // NewEnv builds the dataset and derives the query set (frac defaults to the
@@ -68,21 +63,18 @@ func NewEnv(cfg workload.Config, frac float64, minLen int) *Env {
 	return &Env{
 		DS:      ds,
 		Queries: ds.MakeQueries(frac, minLen, cfg.Seed+1),
-		indexes: make(map[indexKey]*snt.Index),
+		indexes: make(map[int]*snt.Index),
 	}
 }
 
-// Index returns (building and caching on demand) an index variant.
-func (env *Env) Index(partDays, todBucket int) *snt.Index {
-	k := indexKey{partDays, todBucket}
-	if ix, ok := env.indexes[k]; ok {
+// Index returns (building and caching on demand) the index with the given
+// temporal partition size in days (0 = FULL).
+func (env *Env) Index(partDays int) *snt.Index {
+	if ix, ok := env.indexes[partDays]; ok {
 		return ix
 	}
-	ix := snt.Build(env.DS.G, env.DS.Store, snt.Options{
-		PartitionDays:    partDays,
-		TodBucketSeconds: todBucket,
-	})
-	env.indexes[k] = ix
+	ix := snt.Build(env.DS.G, env.DS.Store, snt.Options{PartitionDays: partDays})
+	env.indexes[partDays] = ix
 	return ix
 }
 
@@ -226,7 +218,7 @@ func DefaultGrids() []GridSpec {
 
 // RunGrid evaluates a grid on the default (FULL, CSS) index.
 func (env *Env) RunGrid(spec GridSpec) []GridPoint {
-	ix := env.Index(0, 0)
+	ix := env.Index(0)
 	var out []GridPoint
 	for _, pt := range spec.Partitioners {
 		for _, sp := range spec.Splitters {
@@ -249,7 +241,7 @@ type Baselines struct {
 
 // RunBaselines computes both baselines on the default index.
 func (env *Env) RunBaselines() Baselines {
-	ix := env.Index(0, 0)
+	ix := env.Index(0)
 	g := env.DS.G
 	var b Baselines
 	// Speed limits only.

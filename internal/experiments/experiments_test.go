@@ -57,7 +57,7 @@ func TestSPQFor(t *testing.T) {
 
 func TestRunCellProducesSaneMetrics(t *testing.T) {
 	env := tinyEnv(t)
-	ix := env.Index(0, 0)
+	ix := env.Index(0)
 	p := env.RunCell(ix, TemporalFilters, query.Partitioner{Kind: query.ZoneKind}, query.SigmaR, 20, nil)
 	if p.Queries != len(env.Queries) {
 		t.Fatalf("queries = %d", p.Queries)
@@ -82,7 +82,7 @@ func TestRunCellProducesSaneMetrics(t *testing.T) {
 func TestBaselinesOrdering(t *testing.T) {
 	env := tinyEnv(t)
 	b := env.RunBaselines()
-	ix := env.Index(0, 0)
+	ix := env.Index(0)
 	online := env.RunCell(ix, TemporalFilters, query.Partitioner{Kind: query.ZoneKind}, query.SigmaR, 20, nil)
 	// Section 6.1: speed limits worst, per-segment-all better, online
 	// methods best.
@@ -99,7 +99,7 @@ func TestBaselinesOrdering(t *testing.T) {
 func TestPeriodicBeatsSPQOnly(t *testing.T) {
 	// Figure 5c: SPQ-only cannot observe time-of-day congestion.
 	env := tinyEnv(t)
-	ix := env.Index(0, 0)
+	ix := env.Index(0)
 	pt := query.Partitioner{Kind: query.ZoneKind}
 	periodic := env.RunCell(ix, TemporalFilters, pt, query.SigmaR, 20, nil)
 	fixed := env.RunCell(ix, SPQOnly, pt, query.SigmaR, 20, nil)
@@ -248,8 +248,8 @@ func TestEnvHelpers(t *testing.T) {
 		t.Errorf("helpers: edges=%d pathlen=%v", env.EdgeCount(), env.NetworkPathLen())
 	}
 	// Index caching returns identical pointers.
-	a := env.Index(0, 0)
-	b := env.Index(0, 0)
+	a := env.Index(0)
+	b := env.Index(0)
 	if a != b {
 		t.Error("index not cached")
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pathhist/internal/card"
+	"pathhist/internal/hist"
 	"pathhist/internal/metrics"
 	"pathhist/internal/query"
 	"pathhist/internal/snt"
@@ -50,7 +51,7 @@ const mib = 1024 * 1024
 func (env *Env) RunMemory(partDays []int) []MemoryRow {
 	var rows []MemoryRow
 	emit := func(label string, kind treeforest.Kind, days int) {
-		ix := env.Index(days, 0)
+		ix := env.Index(days)
 		m := ix.Memory()
 		payload := treeforest.PayloadBytes
 		if ix.NumPartitions() == 1 {
@@ -87,20 +88,35 @@ type TodMemoryRow struct {
 }
 
 // RunTodMemory reproduces Figure 10b: time-of-day histogram memory per
-// partition size for bucket widths of 1, 5 and 10 minutes.
+// partition size for bucket widths of 1, 5 and 10 minutes. The index stores
+// no histograms; each width is derived from the partition size's index and
+// measured as the estimator would hold it.
 func (env *Env) RunTodMemory(partDays []int, bucketMinutes []int) []TodMemoryRow {
 	var rows []TodMemoryRow
 	for _, d := range partDays {
+		ix := env.Index(d)
 		for _, bm := range bucketMinutes {
-			ix := env.Index(d, bm*60)
 			rows = append(rows, TodMemoryRow{
 				Label:         partLabel(d),
 				BucketMinutes: bm,
-				MiB:           float64(ix.Memory().TodBytes) / mib,
+				MiB:           float64(TodBytes(ix.TodHistograms(bm*60))) / mib,
 			})
 		}
 	}
 	return rows
+}
+
+// TodBytes is the modelled memory of a set of time-of-day histograms.
+func TodBytes(hs [][]*hist.TodHistogram) int {
+	n := 0
+	for _, per := range hs {
+		for _, h := range per {
+			if h != nil {
+				n += h.SizeBytes()
+			}
+		}
+	}
+	return n
 }
 
 // QErrorRow is one box of Figure 11a.
@@ -116,7 +132,7 @@ type QErrorRow struct {
 // over sub-queries derived with πZ, σR and β=20 (Section 6.4 runs 5,000).
 func (env *Env) RunQError(maxSubQueries int) []QErrorRow {
 	// Derive sub-queries from the query set with πZ.
-	ix := env.Index(0, 900)
+	ix := env.Index(0)
 	pt := query.Partitioner{Kind: query.ZoneKind}
 	var subs []query.SPQ
 	for _, q := range env.Queries {
@@ -167,22 +183,21 @@ func (env *Env) RunEstimatorSweep(partDays []int) []EstimatorRuntimeRow {
 	type cfg struct {
 		name string
 		mode card.Mode
-		tod  int
 	}
 	cfgs := []cfg{
-		{"CSS", card.Off, 0},
-		{"CSS-Fast", card.CSSFast, 0},
-		{"CSS-Acc", card.CSSAcc, 900},
-		{"BT", card.Off, 0},
-		{"BT-Fast", card.BTFast, 0},
-		{"BT-Acc", card.BTAcc, 900},
-		{"ISA", card.ISA, 0},
+		{"CSS", card.Off},
+		{"CSS-Fast", card.CSSFast},
+		{"CSS-Acc", card.CSSAcc},
+		{"BT", card.Off},
+		{"BT-Fast", card.BTFast},
+		{"BT-Acc", card.BTAcc},
+		{"ISA", card.ISA},
 	}
 	pt := query.Partitioner{Kind: query.ZoneKind}
 	var rows []EstimatorRuntimeRow
 	for _, days := range partDays {
 		for _, c := range cfgs {
-			ix := env.Index(days, c.tod)
+			ix := env.Index(days)
 			var est *card.Estimator
 			if c.mode != card.Off {
 				est = card.New(ix, c.mode)

@@ -371,30 +371,6 @@ func (h *TodHistogram) massLinear(s, e int64) float64 {
 // Width returns the bucket width in seconds.
 func (h *TodHistogram) Width() int { return h.width }
 
-// Clone returns an independent copy of the histogram.
-func (h *TodHistogram) Clone() *TodHistogram {
-	out := &TodHistogram{width: h.width, counts: make([]uint32, len(h.counts)), total: h.total}
-	copy(out.counts, h.counts)
-	return out
-}
-
-// AddAll merges another histogram's counts into the receiver. Bucket widths
-// must match. Counts are integers, so merging per-partition histograms is
-// exactly the histogram a single build over the union would have produced —
-// the property partition compaction relies on.
-func (h *TodHistogram) AddAll(o *TodHistogram) {
-	if o == nil {
-		return
-	}
-	if o.width != h.width {
-		panic(fmt.Sprintf("hist: merging time-of-day widths %d and %d", h.width, o.width))
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.total += o.total
-}
-
 // SizeBytes models the memory footprint (Figure 10b).
 func (h *TodHistogram) SizeBytes() int {
 	return 32 + len(h.counts)*4

@@ -41,9 +41,10 @@ const Magic = "PHSNAP\x00\x01"
 // Version is the current snapshot format version. Readers reject any other
 // value: the format is versioned, not self-describing. Version 2 dropped
 // the tree kind and modelled tree size from the snt meta section; version 3
-// dropped the per-record partition column from every forest segment. An
-// older file is refused, not mis-parsed, and its index must be rebuilt.
-const Version uint32 = 3
+// dropped the per-record partition column from every forest segment;
+// version 4 dropped the time-of-day histogram section and its meta fields.
+// An older file is refused, not mis-parsed, and its index must be rebuilt.
+const Version uint32 = 4
 
 // Sentinel errors, one per failure mode (wrapped with positional detail).
 var (

@@ -12,7 +12,7 @@ import (
 // merged prefix, survivors, and the partitions ingested mid-flight all
 // correctly remapped.
 func TestPrepareApplyAfterExtend(t *testing.T) {
-	opts := Options{TodBucketSeconds: 900}
+	opts := Options{}
 	g, ids, s := synthStore(t, 24, 12)
 	s.SortByStart()
 	n := s.Len()
@@ -85,8 +85,8 @@ func TestPrepareApplyAfterExtend(t *testing.T) {
 	}
 	assertSameResults(t, ids, syncC, applied, "apply-after-extend vs compact-then-extend")
 	for _, name := range []string{"A", "B", "E"} {
-		sa, oka := syncC.TodSelectivity(ids[name], NewPeriodic(8*3600, 3600))
-		sb, okb := applied.TodSelectivity(ids[name], NewPeriodic(8*3600, 3600))
+		sa, oka := todSel(syncC, ids[name], NewPeriodic(8*3600, 3600))
+		sb, okb := todSel(applied, ids[name], NewPeriodic(8*3600, 3600))
 		if oka != okb || !approxEq(sa, sb) {
 			t.Fatalf("ToD selectivity differs on %s: %v vs %v", name, sa, sb)
 		}
@@ -138,7 +138,7 @@ func TestApplyCompactionStale(t *testing.T) {
 // identically.
 func TestCompactMaxRunsChunks(t *testing.T) {
 	g, ids, s := synthStore(t, 24, 12)
-	frag := fragmentedIndex(t, g, s, 11, Options{TodBucketSeconds: 900})
+	frag := fragmentedIndex(t, g, s, 11, Options{})
 	if frag.NumPartitions() != 12 {
 		t.Fatalf("partitions = %d", frag.NumPartitions())
 	}
@@ -171,7 +171,7 @@ func TestCompactMaxRunsChunks(t *testing.T) {
 	// Convergence target: what the unbounded-runs policy produces at once.
 	full := policy
 	full.MaxRuns = 0
-	want, _, err := fragmentedIndex(t, g, s, 11, Options{TodBucketSeconds: 900}).Compact(full)
+	want, _, err := fragmentedIndex(t, g, s, 11, Options{}).Compact(full)
 	if err != nil {
 		t.Fatal(err)
 	}

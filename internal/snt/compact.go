@@ -7,7 +7,6 @@ import (
 
 	"pathhist/internal/failpoint"
 	"pathhist/internal/fmindex"
-	"pathhist/internal/hist"
 	"pathhist/internal/network"
 	"pathhist/internal/suffix"
 	"pathhist/internal/temporal"
@@ -38,9 +37,8 @@ const FailpointPrepareRun = "compact.prepare.run"
 // degrades linearly with ingest count. Compact is the cure: it merges runs
 // of adjacent partitions back into single large ones, rebuilding everything
 // a partition owns — trajectory string, suffix array, FM-index (wavelet
-// tree + segment counters), per-partition time-of-day histograms, the ISA
-// positions in the frozen temporal columns and the per-trajectory partition
-// lookup — so the result is indistinguishable from an index built from
+// tree + segment counters), the ISA positions in the frozen temporal
+// columns and the per-trajectory partition lookup — so the result is indistinguishable from an index built from
 // scratch with the merged layout.
 //
 // The merged trajectory strings are reconstructed from the frozen columns
@@ -157,9 +155,8 @@ type CompactionStats struct {
 }
 
 // PreparedCompaction is the heavy, read-only half of a compaction: merged
-// trajectory strings reconstructed, suffix structures and FM-indexes built,
-// time-of-day histograms merged — everything except the cheap final
-// assembly that ApplyCompaction performs. Because all of it is derived from
+// trajectory strings reconstructed, suffix structures and FM-indexes
+// built — everything except the cheap final assembly that ApplyCompaction performs. Because all of it is derived from
 // partitions that are immutable once published (Extend only ever appends
 // new partitions), a preparation stays valid while ingestion continues: it
 // can be built off the write lock against one snapshot and applied later to
@@ -176,7 +173,6 @@ type PreparedCompaction struct {
 	runISA    [][]int32
 	runFM     []*fmindex.Index
 	filled    []int
-	todMerged [][]*hist.TodHistogram // per-run, nil when the index has no tod
 	trajs     int
 	records   int
 	prepared  time.Duration
@@ -319,31 +315,6 @@ func (ix *Index) PrepareCompactionStop(policy CompactionPolicy, stop <-chan stru
 		runFM[r] = fmindex.FromBWT(bwt, ix.alphabet)
 	}
 
-	// Merge each run's per-partition time-of-day histograms now (integer
-	// bucket counts merge exactly, so the result equals a from-scratch
-	// build's); the full per-partition list is assembled at apply time,
-	// when the final layout is known.
-	var todMerged [][]*hist.TodHistogram
-	if ix.tod != nil {
-		todMerged = make([][]*hist.TodHistogram, len(runs))
-		for r := range runs {
-			merged := make([]*hist.TodHistogram, ix.g.NumEdges())
-			for v := runs[r].lo; v < runs[r].hi; v++ {
-				for e, h := range ix.tod[v] {
-					if h == nil {
-						continue
-					}
-					if merged[e] == nil {
-						merged[e] = h.Clone()
-					} else {
-						merged[e].AddAll(h)
-					}
-				}
-			}
-			todMerged[r] = merged
-		}
-	}
-
 	baseFM := make([]*fmindex.Index, old)
 	for w := range ix.parts {
 		baseFM[w] = ix.parts[w].fm
@@ -360,7 +331,6 @@ func (ix *Index) PrepareCompactionStop(policy CompactionPolicy, stop <-chan stru
 		runISA:    runISA,
 		runFM:     runFM,
 		filled:    filled,
-		todMerged: todMerged,
 		trajs:     trajsRebuilt,
 		records:   recordsRebuilt,
 		prepared:  time.Since(startedAt),
@@ -450,22 +420,6 @@ func (ix *Index) ApplyCompaction(p *PreparedCompaction) (*Index, CompactionStats
 		return fx.WithISA(nISA)
 	})
 
-	// Assemble the time-of-day histogram list from the pre-merged runs.
-	var tod [][]*hist.TodHistogram
-	if ix.tod != nil {
-		tod = make([][]*hist.TodHistogram, 0, numNew)
-		for w := 0; w < old; {
-			if r := runOf[w]; r >= 0 {
-				tod = append(tod, p.todMerged[r])
-				w = runs[r].hi
-				continue
-			}
-			tod = append(tod, ix.tod[w])
-			w++
-		}
-		tod = append(tod, ix.tod[old:]...)
-	}
-
 	nix := &Index{
 		g:             ix.g,
 		opts:          ix.opts,
@@ -473,7 +427,6 @@ func (ix *Index) ApplyCompaction(p *PreparedCompaction) (*Index, CompactionStats
 		frozen:        frozen,
 		users:         ix.users,
 		part:          partLookup(parts),
-		tod:           tod,
 		tmin:          ix.tmin,
 		tmax:          ix.tmax,
 		maxTrajDur:    ix.maxTrajDur,

@@ -119,7 +119,7 @@ func assertSameResults(t *testing.T, ids map[string]network.EdgeID, a, b *Index,
 // same memory model.
 func TestCompactMatchesFullBuild(t *testing.T) {
 	for _, oldest := range []bool{false, true} {
-		opts := Options{TodBucketSeconds: 900, OldestFirst: oldest}
+		opts := Options{OldestFirst: oldest}
 		g, ids, s := synthStore(t, 20, 15)
 		frag := fragmentedIndex(t, g, s, 7, opts)
 		if frag.NumPartitions() != 8 {
@@ -180,8 +180,8 @@ func TestCompactMatchesFullBuild(t *testing.T) {
 
 		// ToD selectivities match the from-scratch build exactly.
 		for _, name := range []string{"A", "B", "E"} {
-			sa, oka := scratch.TodSelectivity(ids[name], NewPeriodic(7*3600, 7200))
-			sb, okb := compacted.TodSelectivity(ids[name], NewPeriodic(7*3600, 7200))
+			sa, oka := todSel(scratch, ids[name], NewPeriodic(7*3600, 7200))
+			sb, okb := todSel(compacted, ids[name], NewPeriodic(7*3600, 7200))
 			if oka != okb || sa != sb {
 				t.Fatalf("ToD selectivity differs on %s: %v/%v vs %v/%v", name, sa, oka, sb, okb)
 			}
@@ -228,7 +228,7 @@ func TestCompactSupersedesSource(t *testing.T) {
 // survive, runs are cut at the record cap, and the trigger gates planning.
 func TestCompactPolicyTiers(t *testing.T) {
 	g, ids, s := synthStore(t, 24, 12)
-	frag := fragmentedIndex(t, g, s, 11, Options{TodBucketSeconds: 900})
+	frag := fragmentedIndex(t, g, s, 11, Options{})
 	if frag.NumPartitions() != 12 {
 		t.Fatalf("partitions = %d", frag.NumPartitions())
 	}
@@ -286,7 +286,7 @@ func TestCompactSurvivorsAndRemap(t *testing.T) {
 		cuts = append(cuts, cuts[len(cuts)-1]+rest/3)
 	}
 	cuts = append(cuts, n)
-	ix := Build(g, sliceStore(s, cuts[0], cuts[1]), Options{TodBucketSeconds: 900})
+	ix := Build(g, sliceStore(s, cuts[0], cuts[1]), Options{})
 	for c := 1; c+1 < len(cuts); c++ {
 		next, err := ix.Extend(sliceStore(s, cuts[c], cuts[c+1]))
 		if err != nil {
@@ -326,8 +326,8 @@ func TestCompactSurvivorsAndRemap(t *testing.T) {
 	}
 	assertSameResults(t, ids, ix, compacted, "survivors")
 	for _, name := range []string{"A", "E"} {
-		sa, oka := ix.TodSelectivity(ids[name], NewPeriodic(8*3600, 3600))
-		sb, okb := compacted.TodSelectivity(ids[name], NewPeriodic(8*3600, 3600))
+		sa, oka := todSel(ix, ids[name], NewPeriodic(8*3600, 3600))
+		sb, okb := todSel(compacted, ids[name], NewPeriodic(8*3600, 3600))
 		if oka != okb || !approxEq(sa, sb) {
 			t.Fatalf("ToD selectivity differs on %s: %v vs %v", name, sa, sb)
 		}

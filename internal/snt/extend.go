@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"pathhist/internal/fmindex"
-	"pathhist/internal/hist"
 	"pathhist/internal/suffix"
 	"pathhist/internal/temporal"
 	"pathhist/internal/traj"
@@ -117,12 +116,8 @@ func (ix *Index) Extend(add *traj.Store) (*Index, error) {
 	}
 	_, isa, bwt := suffix.BuildAll(text, ix.alphabet)
 
-	// Collect the forest batch and the new per-partition ToD histograms.
+	// Collect the forest batch.
 	fb := temporal.NewForestBuilder()
-	var todNew []*hist.TodHistogram
-	if ix.tod != nil {
-		todNew = make([]*hist.TodHistogram, ix.g.NumEdges())
-	}
 	records := 0
 	newMax := ix.tmax
 	maxDur := ix.maxTrajDur
@@ -138,14 +133,6 @@ func (ix *Index) Extend(add *traj.Store) (*Index, error) {
 				A:    agg,
 				Seq:  int32(seq),
 			})
-			if todNew != nil {
-				h := todNew[e.Edge]
-				if h == nil {
-					h = hist.NewTod(ix.opts.TodBucketSeconds)
-					todNew[e.Edge] = h
-				}
-				h.Add(e.T)
-			}
 			if end := e.T + int64(e.TT); end > newMax {
 				newMax = end
 			}
@@ -160,10 +147,10 @@ func (ix *Index) Extend(add *traj.Store) (*Index, error) {
 		return nil, err
 	}
 
-	// Assemble the new snapshot. parts and tod are copied outright (they are
-	// tiny); users and part grow by plain append — any shared spare
-	// capacity is written only beyond the receiver's visible length, which
-	// the superseded flag keeps single-writer. The first Extend materialises
+	// Assemble the new snapshot. parts is copied outright (it is tiny);
+	// users and part grow by plain append — any shared spare capacity is
+	// written only beyond the receiver's visible length, which the
+	// superseded flag keeps single-writer. The first Extend materialises
 	// part with the all-zero prefix of the single partition it leaves.
 	newPart := partition{
 		fm:      fmindex.FromBWT(bwt, ix.alphabet),
@@ -189,9 +176,6 @@ func (ix *Index) Extend(add *traj.Store) (*Index, error) {
 	for i := range add.All() {
 		nix.users = append(nix.users, add.All()[i].User)
 		nix.part = append(nix.part, int32(w))
-	}
-	if ix.tod != nil {
-		nix.tod = append(ix.tod[:len(ix.tod):len(ix.tod)], todNew)
 	}
 	nix.stats.Partitions = len(nix.parts)
 	nix.stats.Records += records

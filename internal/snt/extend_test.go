@@ -27,7 +27,7 @@ func splitStore(s *traj.Store) (*traj.Store, *traj.Store) {
 
 func TestExtendMatchesFullBuild(t *testing.T) {
 	g, ids, s := synthStore(t, 20, 15)
-	full := Build(g, s, Options{TodBucketSeconds: 900})
+	full := Build(g, s, Options{})
 
 	_, _, s2 := synthStore(t, 20, 15)
 	first, second := splitStore(s2)
@@ -36,7 +36,7 @@ func TestExtendMatchesFullBuild(t *testing.T) {
 	// synthStore trips never span days, so requiring strictly later
 	// start works unless two trips share a timestamp. Shift the batch
 	// check by rebuilding only when valid.
-	base := Build(g, first, Options{TodBucketSeconds: 900})
+	base := Build(g, first, Options{})
 	ext, err := base.Extend(second)
 	if err != nil {
 		t.Fatalf("Extend: %v", err)
@@ -87,8 +87,8 @@ func TestExtendMatchesFullBuild(t *testing.T) {
 			t.Fatalf("PathCount differs on %v", p)
 		}
 	}
-	sf, okf := full.TodSelectivity(ids["A"], NewPeriodic(7*3600, 7200))
-	se, oke := ext.TodSelectivity(ids["A"], NewPeriodic(7*3600, 7200))
+	sf, okf := todSel(full, ids["A"], NewPeriodic(7*3600, 7200))
+	se, oke := todSel(ext, ids["A"], NewPeriodic(7*3600, 7200))
 	if okf != oke || (okf && (sf-se > 1e-9 || se-sf > 1e-9)) {
 		t.Fatalf("ToD selectivity differs: %v/%v vs %v/%v", sf, okf, se, oke)
 	}

@@ -6,8 +6,8 @@
 // (suffix arrays, BWTs, per-segment sorts). The build pipeline is untouched:
 // WriteSnapshot reads the immutable index, ReadSnapshot constructs an
 // equivalent one, and the differential suite asserts the loaded index is
-// query-identical (exact sample order, columns, ToD histograms, memory
-// model) to the one that wrote it.
+// query-identical (exact sample order, columns, memory model) to the one
+// that wrote it.
 //
 // Epoch semantics: the index itself is epoch-free — epochs belong to the
 // serving layer (query.Engine) — but the snapshot carries the epoch it was
@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"pathhist/internal/fmindex"
-	"pathhist/internal/hist"
 	"pathhist/internal/network"
 	"pathhist/internal/snapio"
 	"pathhist/internal/temporal"
@@ -30,14 +29,13 @@ import (
 )
 
 // Section kinds of the snt snapshot layout, in their mandatory file order:
-// one meta, one users, one partition section per temporal partition, one
-// forest, and (when ToD histograms are enabled) one tod section.
+// one meta, one users, one partition section per temporal partition, and
+// one forest.
 const (
 	secMeta      uint32 = 1
 	secUsers     uint32 = 2
 	secPartition uint32 = 3
 	secForest    uint32 = 4
-	secTod       uint32 = 5
 )
 
 // ErrSnapshotMismatch marks internal disagreements in a structurally valid
@@ -52,9 +50,6 @@ var ErrSnapshotMismatch = errors.New("snt: snapshot internal mismatch")
 // the number of bytes written.
 func (ix *Index) WriteSnapshot(w io.Writer, epoch uint64) (int64, error) {
 	sections := 2 + len(ix.parts) + 1 // meta, users, partitions, forest
-	if ix.tod != nil {
-		sections++
-	}
 	sw := snapio.NewWriter(w)
 	sw.WriteHeader(snapio.Header{
 		Epoch:      epoch,
@@ -66,7 +61,6 @@ func (ix *Index) WriteSnapshot(w io.Writer, epoch uint64) (int64, error) {
 	sw.U64(epoch) // repeated from the header: lets the loader detect a spliced header
 	sw.U64(uint64(len(ix.parts)))
 	sw.I64(int64(ix.opts.PartitionDays))
-	sw.I64(int64(ix.opts.TodBucketSeconds))
 	sw.Bool(ix.opts.OldestFirst)
 	sw.I64(ix.tmin)
 	sw.I64(ix.tmax)
@@ -80,7 +74,6 @@ func (ix *Index) WriteSnapshot(w io.Writer, epoch uint64) (int64, error) {
 	sw.U64(uint64(len(ix.users)))
 	sw.U64(uint64(ix.g.NumEdges()))
 	sw.U64(uint64(ix.frozen.NumIndexes()))
-	sw.Bool(ix.tod != nil)
 	sw.End()
 
 	sw.Begin(secUsers)
@@ -99,27 +92,6 @@ func (ix *Index) WriteSnapshot(w io.Writer, epoch uint64) (int64, error) {
 	sw.Begin(secForest)
 	ix.frozen.EncodeSnap(sw)
 	sw.End()
-
-	if ix.tod != nil {
-		sw.Begin(secTod)
-		sw.U64(uint64(len(ix.tod)))
-		for _, per := range ix.tod {
-			n := 0
-			for _, h := range per {
-				if h != nil {
-					n++
-				}
-			}
-			sw.U64(uint64(n))
-			for e, h := range per {
-				if h != nil {
-					sw.U64(uint64(e))
-					h.EncodeSnap(sw)
-				}
-			}
-		}
-		sw.End()
-	}
 
 	if err := sw.Close(); err != nil {
 		return sw.Written(), err
@@ -140,7 +112,6 @@ type snapMeta struct {
 	numUsers      int
 	numEdges      int
 	numForestIdx  int
-	hasTod        bool
 }
 
 // ReadSnapshot restores an index written by WriteSnapshot against the same
@@ -314,18 +285,6 @@ func readSnapshot(g *network.Graph, sr *snapio.Reader, data []byte) (*Index, uin
 		return nil, 0, err
 	}
 
-	// ToD section (presence must match the meta flag).
-	if meta.hasTod {
-		if err := expectSection(sr, secTod); err != nil {
-			return nil, 0, err
-		}
-		tod, err := readTod(sr, meta.numParts, g.NumEdges())
-		if err != nil {
-			return nil, 0, err
-		}
-		ix.tod = tod
-	}
-
 	if _, err := sr.Next(); err != io.EOF {
 		if err == nil {
 			return nil, 0, fmt.Errorf("%w: unexpected extra section", ErrSnapshotMismatch)
@@ -451,7 +410,6 @@ func readMeta(sr *snapio.Reader) (snapMeta, error) {
 	m.epoch = sr.U64()
 	m.numParts = sr.Int()
 	m.opts.PartitionDays = int(sr.I64())
-	m.opts.TodBucketSeconds = int(sr.I64())
 	m.opts.OldestFirst = sr.Bool()
 	m.tmin = sr.I64()
 	m.tmax = sr.I64()
@@ -465,7 +423,6 @@ func readMeta(sr *snapio.Reader) (snapMeta, error) {
 	m.numUsers = sr.Int()
 	m.numEdges = sr.Int()
 	m.numForestIdx = sr.Int()
-	m.hasTod = sr.Bool()
 	if err := sr.Err(); err != nil {
 		return m, err
 	}
@@ -473,47 +430,4 @@ func readMeta(sr *snapio.Reader) (snapMeta, error) {
 		return m, fmt.Errorf("%w: meta declares %d partitions", ErrSnapshotMismatch, m.numParts)
 	}
 	return m, nil
-}
-
-// readTod decodes the per-partition per-segment ToD histograms.
-func readTod(sr *snapio.Reader, numParts, numEdges int) ([][]*hist.TodHistogram, error) {
-	gotParts := sr.Int()
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	if gotParts != numParts {
-		return nil, fmt.Errorf("%w: tod section holds %d partitions, index has %d",
-			ErrSnapshotMismatch, gotParts, numParts)
-	}
-	tod := make([][]*hist.TodHistogram, numParts)
-	for w := range tod {
-		tod[w] = make([]*hist.TodHistogram, numEdges)
-		n := sr.Int()
-		if err := sr.Err(); err != nil {
-			return nil, err
-		}
-		if n > numEdges {
-			return nil, fmt.Errorf("%w: tod partition %d declares %d segments of %d",
-				ErrSnapshotMismatch, w, n, numEdges)
-		}
-		for i := 0; i < n; i++ {
-			e := sr.Int()
-			if err := sr.Err(); err != nil {
-				return nil, err
-			}
-			if e < 0 || e >= numEdges {
-				return nil, fmt.Errorf("%w: tod partition %d references edge %d of %d",
-					ErrSnapshotMismatch, w, e, numEdges)
-			}
-			h, err := hist.DecodeSnapTod(sr)
-			if err != nil {
-				return nil, fmt.Errorf("snt: tod partition %d edge %d: %w", w, e, err)
-			}
-			if tod[w][e] != nil {
-				return nil, fmt.Errorf("%w: tod partition %d edge %d appears twice", ErrSnapshotMismatch, w, e)
-			}
-			tod[w][e] = h
-		}
-	}
-	return tod, nil
 }

@@ -15,11 +15,10 @@ import (
 )
 
 // snapshotFixture builds the lifecycle the tentpole promises to preserve:
-// build, extend twice, compact — then the index is snapshotted. ToD
-// histograms are enabled so every section kind appears in the file.
+// build, extend twice, compact — then the index is snapshotted.
 func snapshotFixture(t testing.TB) (*network.Graph, map[string]network.EdgeID, *Index) {
 	t.Helper()
-	opts := Options{TodBucketSeconds: 900}
+	opts := Options{}
 	g, ids, s := synthStore(t, 20, 15)
 	s.SortByStart()
 	n := s.Len()
@@ -126,38 +125,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	})
 
-	// ToD histograms: same mass in every bucket of every partition.
-	if len(loaded.tod) != len(ix.tod) {
-		t.Fatalf("tod partitions = %d, want %d", len(loaded.tod), len(ix.tod))
-	}
-	for w := range ix.tod {
-		for e := range ix.tod[w] {
-			want, got := ix.tod[w][e], loaded.tod[w][e]
-			if (want == nil) != (got == nil) {
-				t.Fatalf("tod[%d][%d] presence differs", w, e)
-			}
-			if want == nil {
-				continue
-			}
-			if got.Total() != want.Total() || got.Width() != want.Width() {
-				t.Fatalf("tod[%d][%d] = total %d width %d, want %d/%d",
-					w, e, got.Total(), got.Width(), want.Total(), want.Width())
-			}
-			for b := int64(0); b < DaySeconds; b += int64(want.Width()) {
-				if got.MassRange(b, b+int64(want.Width())) != want.MassRange(b, b+int64(want.Width())) {
-					t.Fatalf("tod[%d][%d] bucket at %d differs", w, e, b)
-				}
-			}
-		}
-	}
-
-	// TodSelectivity feeds the Acc estimators; spot-check it end to end.
+	// Formula (2) over the histograms derived from the loaded columns feeds
+	// the Acc estimators; spot-check it end to end (the store-recount
+	// oracle in tod_test.go checks every bucket).
 	iv := PeriodicAround(10*3600, 3600)
 	for name, e := range ids {
-		sw, okW := ix.TodSelectivity(e, iv)
-		sl, okL := loaded.TodSelectivity(e, iv)
+		sw, okW := todSel(ix, e, iv)
+		sl, okL := todSel(loaded, e, iv)
 		if okW != okL || sw != sl {
-			t.Fatalf("TodSelectivity(%s) = %v/%v, want %v/%v", name, sl, okL, sw, okW)
+			t.Fatalf("ToD selectivity(%s) = %v/%v, want %v/%v", name, sl, okL, sw, okW)
 		}
 	}
 
@@ -263,7 +239,7 @@ func TestSnapshotFailClosed(t *testing.T) {
 	g, _, ix := snapshotFixture(t)
 	data := snapshotBytes(t, ix, 5)
 	offs := sectionPayloadOffsets(t, data)
-	if len(offs) != 2+ix.NumPartitions()+1+1 {
+	if len(offs) != 2+ix.NumPartitions()+1 {
 		t.Fatalf("unexpected section count %d", len(offs))
 	}
 
@@ -316,6 +292,20 @@ func TestSnapshotFailClosed(t *testing.T) {
 			t.Fatalf("mapped: err = %v, want ErrVersion", err)
 		}
 	})
+	t.Run("old version 3", func(t *testing.T) {
+		// Format 3 stored per-partition time-of-day histograms in a
+		// trailing section (and their bucket width and presence flag in the
+		// meta section); format 4 derives them. Both loaders refuse a
+		// format-3 file.
+		bad := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint32(bad[8:], 3)
+		if err := load(bad); !errors.Is(err, snapio.ErrVersion) {
+			t.Fatalf("copied: err = %v, want ErrVersion", err)
+		}
+		if _, _, err := ReadSnapshotMapped(g, bad); !errors.Is(err, snapio.ErrVersion) {
+			t.Fatalf("mapped: err = %v, want ErrVersion", err)
+		}
+	})
 	t.Run("bit flip per section", func(t *testing.T) {
 		// One flipped payload byte in every section must fail the CRC.
 		for i, off := range offs {
@@ -350,14 +340,19 @@ func TestSnapshotFailClosed(t *testing.T) {
 		// donor's trajectory ids and ISA positions index structures the
 		// host snapshot does not have — serving it would panic (or silently
 		// mis-answer) at query time, so the loader must refuse it.
-		opts := Options{TodBucketSeconds: 900}
+		opts := Options{}
 		g2, _, bigStore := synthStore(t, 40, 25) // more trajs than the fixture's
 		donor := snapshotBytes(t, Build(g2, bigStore, opts), 5)
 		host := append([]byte(nil), data...)
 		hs, ds := sections(t, host), sections(t, donor)
-		forestIdx := len(hs) - 2 // meta, users, partitions..., forest, tod
+		forestIdx := len(hs) - 1 // meta, users, partitions..., forest
+		for _, sec := range [][]byte{host[hs[forestIdx][0]:], donor[ds[len(ds)-1][0]:]} {
+			if kind := binary.LittleEndian.Uint32(sec); kind != secForest {
+				t.Fatalf("last section is kind %d, not the forest", kind)
+			}
+		}
 		spliced := append([]byte(nil), host[:hs[forestIdx][0]]...)
-		spliced = append(spliced, donor[ds[len(ds)-2][0]:ds[len(ds)-2][1]]...)
+		spliced = append(spliced, donor[ds[len(ds)-1][0]:ds[len(ds)-1][1]]...)
 		spliced = append(spliced, host[hs[forestIdx][1]:]...)
 		err := load(spliced)
 		if !errors.Is(err, ErrSnapshotMismatch) {

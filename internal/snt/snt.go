@@ -26,10 +26,6 @@ type Options struct {
 	// PartitionDays is the temporal partition size of Section 4.3.2 in
 	// days; 0 builds a single partition (FULL).
 	PartitionDays int
-	// TodBucketSeconds enables per-segment per-partition time-of-day
-	// histograms with the given bucket width (needed by the Acc estimator
-	// modes and Figure 10b); 0 disables them.
-	TodBucketSeconds int
 	// OldestFirst scans temporal indexes forward in time instead of the
 	// default newest-first order (DESIGN.md §4, decision 4).
 	OldestFirst bool
@@ -62,9 +58,6 @@ type Index struct {
 	frozen *temporal.FrozenForest
 	users  []traj.UserID
 	part   []int32
-	// tod[w][e] is the time-of-day histogram of segment e in partition w
-	// (nil when the segment has no data in the partition).
-	tod [][]*hist.TodHistogram
 
 	tmin, tmax int64
 	maxTrajDur int64
@@ -134,12 +127,6 @@ func Build(g *network.Graph, store *traj.Store, opts Options) *Index {
 			ix.maxTrajDur = d
 		}
 	}
-	if opts.TodBucketSeconds > 0 {
-		ix.tod = make([][]*hist.TodHistogram, numParts)
-		for w := range ix.tod {
-			ix.tod[w] = make([]*hist.TodHistogram, g.NumEdges())
-		}
-	}
 
 	fb := temporal.NewForestBuilder()
 	records := 0
@@ -175,14 +162,6 @@ func Build(g *network.Graph, store *traj.Store, opts Options) *Index {
 					A:    agg,
 					Seq:  int32(seq),
 				})
-				if ix.tod != nil {
-					h := ix.tod[w][e.Edge]
-					if h == nil {
-						h = hist.NewTod(opts.TodBucketSeconds)
-						ix.tod[w][e.Edge] = h
-					}
-					h.Add(e.T)
-				}
 				records++
 			}
 		}
@@ -281,27 +260,27 @@ func (ix *Index) PathCount(p network.Path) int64 {
 	return c
 }
 
-// TodSelectivity returns formula (2): the fraction of segment-entry events
-// of the path's first segment whose time-of-day falls in the periodic
-// window, from the per-partition time-of-day histograms. ok is false when
-// histograms are disabled or the segment has no data.
-func (ix *Index) TodSelectivity(e network.EdgeID, iv Interval) (float64, bool) {
-	if ix.tod == nil || !iv.IsPeriodic() {
-		return 0, false
+// TodHistograms derives the per-segment time-of-day histograms H_e of
+// formula (2) (Section 4.4) at the given bucket width: hs[w][e] counts the
+// entry times (Ts) of segment e's records whose trajectories lie in
+// partition w, and is nil when there are none. It makes one pass over every
+// record and stores nothing; the caller (an Acc estimator, Figure 10b)
+// keeps the result.
+func (ix *Index) TodHistograms(width int) [][]*hist.TodHistogram {
+	hs := make([][]*hist.TodHistogram, len(ix.parts))
+	for w := range hs {
+		hs[w] = make([]*hist.TodHistogram, ix.g.NumEdges())
 	}
-	var in, total float64
-	for w := range ix.tod {
-		h := ix.tod[w][e]
-		if h == nil {
-			continue
+	ix.frozen.Each(func(e network.EdgeID, fx *temporal.FrozenIndex) {
+		for i, d := range fx.Traj {
+			per := hs[ix.partOf(d)]
+			if per[e] == nil {
+				per[e] = hist.NewTod(width)
+			}
+			per[e].Add(fx.Ts[i])
 		}
-		in += h.MassRange(iv.TodStart, iv.TodStart+iv.Width)
-		total += float64(h.Total())
-	}
-	if total == 0 {
-		return 0, false
-	}
-	return in / total, true
+	})
+	return hs
 }
 
 // MemoryStats is the per-component memory model of Figure 10a/10b.
@@ -315,11 +294,9 @@ type MemoryStats struct {
 	WTBytes     int // wavelet trees, all partitions
 	UserBytes   int // the associative container U
 	ForestBytes int // frozen columnar temporal forest plus the per-trajectory partition lookup
-	TodBytes    int // time-of-day histograms (Figure 10b)
 }
 
-// Total returns the summed index memory excluding the ToD histograms (the
-// paper plots them separately).
+// Total returns the summed index memory.
 func (m MemoryStats) Total() int {
 	return m.CBytes + m.WTBytes + m.UserBytes + m.ForestBytes
 }
@@ -333,13 +310,6 @@ func (ix *Index) Memory() MemoryStats {
 	}
 	m.UserBytes = 24 + len(ix.users)*4
 	m.ForestBytes = ix.frozen.SizeBytes() + 24 + len(ix.part)*4
-	for _, per := range ix.tod {
-		for _, h := range per {
-			if h != nil {
-				m.TodBytes += h.SizeBytes()
-			}
-		}
-	}
 	return m
 }
 

@@ -315,34 +315,6 @@ func TestGroundTruthAgainstDur(t *testing.T) {
 	}
 }
 
-func TestTodSelectivity(t *testing.T) {
-	g, ids, s := synthStore(t, 20, 20)
-	ix := Build(g, s, Options{TodBucketSeconds: 900, PartitionDays: 7})
-	// All trips start 06:00-18:00, so a full-day window has selectivity 1
-	// and a night window 0.
-	sel, ok := ix.TodSelectivity(ids["A"], NewPeriodic(0, DaySeconds))
-	if !ok || sel < 0.999 {
-		t.Errorf("full-day selectivity = %v ok=%v", sel, ok)
-	}
-	sel, ok = ix.TodSelectivity(ids["A"], NewPeriodic(1*3600, 3600))
-	if !ok || sel != 0 {
-		t.Errorf("night selectivity = %v", sel)
-	}
-	day, ok := ix.TodSelectivity(ids["A"], NewPeriodic(6*3600, 12*3600))
-	if !ok || day < 0.9 {
-		t.Errorf("day selectivity = %v", day)
-	}
-	// Disabled histograms report !ok.
-	plain := Build(g, s, Options{})
-	if _, ok := plain.TodSelectivity(ids["A"], NewPeriodic(0, 3600)); ok {
-		t.Error("selectivity should be unavailable without ToD histograms")
-	}
-	// Fixed intervals report !ok.
-	if _, ok := ix.TodSelectivity(ids["A"], NewFixed(0, 10)); ok {
-		t.Error("fixed interval has no ToD selectivity")
-	}
-}
-
 // TestPartLookupFollowsTrajectory: a record's partition is its
 // trajectory's, through a lookup that is nil while the index has one
 // partition, is materialised by the first Extend without touching the
@@ -411,9 +383,9 @@ func TestPartLookupFollowsTrajectory(t *testing.T) {
 
 func TestMemoryModel(t *testing.T) {
 	g, _, s := synthStore(t, 60, 10)
-	full := Build(g, s, Options{TodBucketSeconds: 600})
+	full := Build(g, s, Options{})
 	_, _, s2 := synthStore(t, 60, 10)
-	weekly := Build(g, s2, Options{PartitionDays: 7, TodBucketSeconds: 600})
+	weekly := Build(g, s2, Options{PartitionDays: 7})
 	mf, mw := full.Memory(), weekly.Memory()
 	if mw.CBytes <= mf.CBytes {
 		t.Errorf("C should grow with partitions: %d vs %d", mw.CBytes, mf.CBytes)
@@ -430,8 +402,19 @@ func TestMemoryModel(t *testing.T) {
 	if mw.ForestBytes <= mf.ForestBytes {
 		t.Errorf("partition lookup should cost memory: %d vs %d", mw.ForestBytes, mf.ForestBytes)
 	}
-	if mw.TodBytes <= mf.TodBytes {
-		t.Errorf("per-partition ToD histograms should cost more: %d vs %d", mw.TodBytes, mf.TodBytes)
+	todBytes := func(ix *Index) int {
+		n := 0
+		for _, per := range ix.TodHistograms(600) {
+			for _, h := range per {
+				if h != nil {
+					n += h.SizeBytes()
+				}
+			}
+		}
+		return n
+	}
+	if tw, tf := todBytes(weekly), todBytes(full); tw <= tf {
+		t.Errorf("per-partition ToD histograms should cost more: %d vs %d", tw, tf)
 	}
 	if mf.Total() <= 0 {
 		t.Error("total")

@@ -230,14 +230,9 @@ func NewEngine(g *Graph, store *Store, opts Options) (*Engine, error) {
 	if store.Len() == 0 {
 		return nil, errors.New("pathhist: empty trajectory store")
 	}
-	todBucket := 0
-	if opts.Estimator == card.BTAcc || opts.Estimator == card.CSSAcc {
-		todBucket = 900
-	}
 	ix := snt.Build(g, store, snt.Options{
-		PartitionDays:    opts.PartitionDays,
-		TodBucketSeconds: todBucket,
-		OldestFirst:      opts.OldestFirst,
+		PartitionDays: opts.PartitionDays,
+		OldestFirst:   opts.OldestFirst,
 	})
 	return &Engine{g: g, qe: query.NewEngineAt(ix, engineConfig(ix, opts), 0)}, nil
 }

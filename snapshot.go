@@ -283,7 +283,8 @@ func (e *Engine) snapshotAtomic(dir string, target func(epoch uint64) string) (S
 // Options play the same role as in NewEngine — partitioning, estimator,
 // caches, compaction policy are serving-time choices, not part of the
 // persisted index — and the cardinality estimator is rebuilt against the
-// restored index. Loading fails closed on any corruption (see
+// restored index: the Acc modes derive their time-of-day histograms from
+// it, so the estimator the writer ran does not matter. Loading fails closed on any corruption (see
 // snt.ReadSnapshot); nothing is partially served.
 func LoadSnapshot(g *Graph, r io.Reader, opts Options) (*Engine, error) {
 	if g == nil {

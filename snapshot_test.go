@@ -2,6 +2,7 @@ package pathhist
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -249,4 +250,76 @@ func TestSnapshotWhileServing(t *testing.T) {
 			t.Fatalf("snapshot %d: query: %v", i, err)
 		}
 	}
+}
+
+// TestLoadedAccEstimatorMatchesBuilt: the estimator is a serving-time
+// choice, not part of the persisted index. An engine snapshotted under
+// CSSFast and restored under CSSAcc — through the copying and the mapped
+// loader — answers every query exactly like a freshly built CSSAcc engine,
+// because formula (2)'s histograms are derived from the restored index
+// rather than read from the file. Caches are off so every answer is
+// computed.
+func TestLoadedAccEstimatorMatchesBuilt(t *testing.T) {
+	cfg := workload.SmallConfig()
+	ds := workload.BuildDataset(cfg)
+	qs := ds.MakeQueries(0.05, 5, cfg.Seed+1)
+	opts := func(mode EstimatorMode) Options {
+		return Options{Partition: ByZone, Estimator: mode, DisableCache: true, DisableFullResultCache: true}
+	}
+	fast, err := NewEngine(ds.G, ds.Store, opts(EstimatorCSSFast))
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := NewEngine(ds.G, ds.Store, opts(EstimatorCSSAcc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := fast.SnapshotFileIn(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(st.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied, err := LoadSnapshot(ds.G, bytes.NewReader(data), opts(EstimatorCSSAcc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := LoadSnapshotFileMapped(ds.G, st.Path, opts(EstimatorCSSAcc))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ask := func(eng *Engine, q workload.Query) *Result {
+		t.Helper()
+		res, err := eng.Query(Query{Path: q.Path, Around: q.T0, Beta: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	fastSkips, accSkips := 0, 0
+	for _, q := range qs {
+		want := ask(built, q)
+		accSkips += want.EstimatorSkips
+		fastSkips += ask(fast, q).EstimatorSkips
+		for _, r := range []struct {
+			name string
+			eng  *Engine
+		}{{"copied", copied}, {"mapped", mapped}} {
+			got := ask(r.eng, q)
+			if math.Float64bits(got.MeanSeconds) != math.Float64bits(want.MeanSeconds) ||
+				got.IndexScans != want.IndexScans || got.EstimatorSkips != want.EstimatorSkips {
+				t.Fatalf("%s CSSAcc load on %v: mean %v, %d scans, %d skips; built CSSAcc: %v, %d, %d",
+					r.name, q.Path, got.MeanSeconds, got.IndexScans, got.EstimatorSkips,
+					want.MeanSeconds, want.IndexScans, want.EstimatorSkips)
+			}
+		}
+	}
+	// Formula (2) must actually be in play, or the comparison shows nothing.
+	if accSkips == fastSkips {
+		t.Fatalf("CSSAcc and CSSFast skip the same %d sub-queries over %d queries", accSkips, len(qs))
+	}
+	t.Logf("%d queries: CSSAcc skipped %d sub-queries, CSSFast %d", len(qs), accSkips, fastSkips)
 }
