@@ -62,24 +62,23 @@ import (
 // full lifecycle — listen, recover, serve, drain, final snapshot — is
 // testable.
 type config struct {
-	data              string
-	addr              string
-	shards            int
-	enableExtend      bool
-	maxExtendMiB      int64
-	maxTrajs          int
-	autoCompact       int
-	compactBackground bool
-	snapshotDir       string
-	snapshotInterval  time.Duration
-	snapshotKeep      int
-	loadSnapshot      string
-	mmapSnapshots     bool
-	disableWAL        bool
-	maxWALMiB         int64
-	maxBacklog        int
-	queryTimeout      time.Duration
-	extendTimeout     time.Duration
+	data             string
+	addr             string
+	shards           int
+	enableExtend     bool
+	maxExtendMiB     int64
+	maxTrajs         int
+	autoCompact      int
+	snapshotDir      string
+	snapshotInterval time.Duration
+	snapshotKeep     int
+	loadSnapshot     string
+	mmapSnapshots    bool
+	disableWAL       bool
+	maxWALMiB        int64
+	maxBacklog       int
+	queryTimeout     time.Duration
+	extendTimeout    time.Duration
 
 	// started, when non-nil, receives the bound listener address once the
 	// server is recovered and serving (used by the lifecycle tests; nil in
@@ -111,8 +110,6 @@ func main() {
 		"largest accepted /extend batch in trajectories (0 = unlimited); larger batches get 413")
 	flag.IntVar(&cfg.autoCompact, "auto-compact", 16,
 		"merge ingested partitions once this many accumulate (0 = manual /compact only)")
-	flag.BoolVar(&cfg.compactBackground, "compact-background", true,
-		"run auto-compaction merges in a background goroutine instead of inside the triggering /extend request")
 	flag.StringVar(&cfg.snapshotDir, "snapshot-dir", "",
 		"directory for index snapshots and the ingest write-ahead log: enables POST /snapshot (with -enable-extend), periodic and shutdown snapshots, and crash recovery")
 	flag.DurationVar(&cfg.snapshotInterval, "snapshot-interval", 0,
@@ -253,7 +250,6 @@ func run(ctx context.Context, cfg config) error {
 		Partition:             pathhist.ByZone,
 		Estimator:             pathhist.EstimatorCSSFast,
 		AutoCompactPartitions: cfg.autoCompact,
-		CompactInBackground:   cfg.compactBackground,
 	}
 	// Recovery opens each shard's write-ahead log, replays what its
 	// snapshot does not cover, and only then is the shard recovered. Replay
@@ -278,9 +274,6 @@ func run(ctx context.Context, cfg config) error {
 		mode = "live ingestion on POST /extend"
 		if cfg.autoCompact > 0 {
 			mode += fmt.Sprintf(", auto-compaction at %d partitions", cfg.autoCompact)
-			if cfg.compactBackground {
-				mode += " (background)"
-			}
 		}
 		if walEnabled {
 			mode += ", write-ahead logged"

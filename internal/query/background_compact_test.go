@@ -30,7 +30,7 @@ func ingestBatches(s *traj.Store) (*traj.Store, []*traj.Store) {
 }
 
 // TestBackgroundCompaction is the engine-level contract for the off-lock
-// merge path: with CompactInBackground set, triggering Extends return
+// merge path: with a compaction trigger set, triggering Extends return
 // without merging, the background goroutine publishes compacted epochs on
 // its own, queries run concurrently throughout (under -race this is the
 // reader/preparer/applier interleaving proof), and once the dust settles
@@ -42,10 +42,9 @@ func TestBackgroundCompaction(t *testing.T) {
 		t.Skipf("dataset yields only %d quiescent batches", len(batches))
 	}
 	eng := NewEngine(snt.Build(ds.G, base, snt.Options{}), Config{
-		Partitioner:         Partitioner{Kind: ZoneKind},
-		BucketWidth:         10,
-		Compaction:          snt.CompactionPolicy{TriggerPartitions: 3},
-		CompactInBackground: true,
+		Partitioner: Partitioner{Kind: ZoneKind},
+		BucketWidth: 10,
+		Compaction:  snt.CompactionPolicy{TriggerPartitions: 3},
 	})
 	defer eng.Close()
 
@@ -155,10 +154,9 @@ func TestBackgroundCompactionRebase(t *testing.T) {
 		t.Skipf("dataset yields only %d quiescent batches", len(batches))
 	}
 	eng := NewEngine(snt.Build(ds.G, base, snt.Options{}), Config{
-		Partitioner:         Partitioner{Kind: ZoneKind},
-		BucketWidth:         10,
-		Compaction:          snt.CompactionPolicy{TriggerPartitions: 2, MinRun: 2},
-		CompactInBackground: true,
+		Partitioner: Partitioner{Kind: ZoneKind},
+		BucketWidth: 10,
+		Compaction:  snt.CompactionPolicy{TriggerPartitions: 2},
 	})
 	defer eng.Close()
 	if len(batches) > 8 {
@@ -168,8 +166,8 @@ func TestBackgroundCompactionRebase(t *testing.T) {
 		if _, err := eng.Extend(batch); err != nil {
 			t.Fatalf("extend %d: %v", b, err)
 		}
-		// Race a manual (synchronous, in-lock) compaction against the
-		// background cycle the Extend just kicked.
+		// Race a manual compaction against the background cycle the
+		// Extend just kicked.
 		if _, err := eng.Compact(); err != nil {
 			t.Fatalf("manual compact %d: %v", b, err)
 		}

@@ -48,11 +48,11 @@ import (
 // cacheShards must be a power of two.
 const cacheShards = 16
 
-// DefaultCacheCapacity is the default total number of cached sub-results.
+// DefaultCacheCapacity is the total number of sub-results an engine caches.
 const DefaultCacheCapacity = 4096
 
-// DefaultFullCacheCapacity is the default total number of cached full
-// results.
+// DefaultFullCacheCapacity is the total number of full results an engine
+// caches.
 const DefaultFullCacheCapacity = 1024
 
 // subValue is the payload of one cached sub-result: the sufficient
@@ -151,10 +151,7 @@ type spqCache[V any] struct {
 }
 
 // newSPQCache returns a cache holding up to capacity entries in total.
-func newSPQCache[V any](capacity, defaultCapacity int) *spqCache[V] {
-	if capacity <= 0 {
-		capacity = defaultCapacity
-	}
+func newSPQCache[V any](capacity int) *spqCache[V] {
 	per := (capacity + cacheShards - 1) / cacheShards
 	c := &spqCache[V]{}
 	for i := range c.shards {
@@ -162,14 +159,6 @@ func newSPQCache[V any](capacity, defaultCapacity int) *spqCache[V] {
 		c.shards[i].capacity = per
 	}
 	return c
-}
-
-func newSubCache(capacity int) *spqCache[subValue] {
-	return newSPQCache[subValue](capacity, DefaultCacheCapacity)
-}
-
-func newFullCache(capacity int) *spqCache[fullValue] {
-	return newSPQCache[fullValue](capacity, DefaultFullCacheCapacity)
 }
 
 // cacheHash is FNV-1a over the full query key.

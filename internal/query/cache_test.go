@@ -15,7 +15,7 @@ func testKey(i int) (network.Path, snt.Interval, snt.Filter, int) {
 }
 
 func TestCacheGetPut(t *testing.T) {
-	c := newSubCache(64)
+	c := newSPQCache[subValue](64)
 	p, iv, f, beta := testKey(1)
 	if _, ok, _ := c.get(p, iv, f, beta, 0); ok {
 		t.Fatal("hit on empty cache")
@@ -49,7 +49,7 @@ func TestCacheGetPut(t *testing.T) {
 // served at another; the mismatching lookup drops it lazily and counts an
 // invalidation.
 func TestCacheEpochInvalidation(t *testing.T) {
-	c := newSubCache(64)
+	c := newSPQCache[subValue](64)
 	p, iv, f, beta := testKey(1)
 	c.put(p, iv, f, beta, 3, subValue{n: 1, sum: 7, hist: hist.FromSamples([]int{7}, 10)})
 	if _, ok, stale := c.get(p, iv, f, beta, 4); ok || !stale {
@@ -75,7 +75,7 @@ func TestCacheEpochInvalidation(t *testing.T) {
 }
 
 func TestCacheEviction(t *testing.T) {
-	c := newSubCache(cacheShards) // one entry per shard
+	c := newSPQCache[subValue](cacheShards) // one entry per shard
 	var paths []network.Path
 	for i := 0; i < cacheShards*4; i++ {
 		p, iv, f, beta := testKey(i)
@@ -102,7 +102,7 @@ func TestCacheEviction(t *testing.T) {
 }
 
 func TestCacheLRUOrder(t *testing.T) {
-	c := newSubCache(cacheShards * 2) // two entries per shard
+	c := newSPQCache[subValue](cacheShards * 2) // two entries per shard
 	// Three keys that land in the same shard would be needed for a strict
 	// LRU assertion; instead verify the weaker invariant directly per
 	// shard: a re-accessed entry survives a subsequent insert that evicts.
@@ -125,7 +125,7 @@ func TestCacheLRUOrder(t *testing.T) {
 }
 
 func TestCacheConcurrent(t *testing.T) {
-	c := newSubCache(256)
+	c := newSPQCache[subValue](256)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

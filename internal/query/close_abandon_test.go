@@ -31,7 +31,6 @@ func TestCloseAbandonsBackgroundPrepare(t *testing.T) {
 			TriggerPartitions: len(batches) + 1,
 			MaxMergedRecords:  capRecords,
 		},
-		CompactInBackground: true,
 	})
 	defer eng.Close()
 

@@ -3,7 +3,9 @@ package query
 import (
 	"sync"
 	"testing"
+	"time"
 
+	"pathhist/internal/failpoint"
 	"pathhist/internal/snt"
 	"pathhist/internal/traj"
 	"pathhist/internal/workload"
@@ -136,8 +138,9 @@ func TestEngineCompactPublishesEquivalentEpoch(t *testing.T) {
 	}
 }
 
-// TestEngineAutoCompaction: with a trigger configured, Extend keeps the
-// partition count bounded by compacting behind the ingest publication.
+// TestEngineAutoCompaction: with a trigger configured, the background
+// compactor brings the partition count back under it after the ingest, and
+// no trajectory is lost on the way.
 func TestEngineAutoCompaction(t *testing.T) {
 	cfg := workload.SmallConfig()
 	ds := workload.BuildDataset(cfg)
@@ -153,24 +156,102 @@ func TestEngineAutoCompaction(t *testing.T) {
 	eng := NewEngine(snt.Build(ds.G, base, snt.Options{}),
 		Config{Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10,
 			Compaction: snt.CompactionPolicy{TriggerPartitions: trigger}})
+	defer eng.Close()
 	for bi, ch := range chunks {
 		st, err := eng.Extend(ch)
 		if err != nil {
 			t.Fatalf("extend %d: %v", bi, err)
 		}
-		if got := eng.Index().NumPartitions(); got >= trigger+1 {
-			t.Fatalf("extend %d: auto-compaction left %d partitions (trigger %d)", bi, got, trigger)
-		}
-		// Each triggering extend publishes two epochs: ingest + compaction.
 		if eng.Epoch() < st.Epoch {
 			t.Fatalf("extend %d: published epoch went backwards", bi)
 		}
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for eng.Index().NumPartitions() >= trigger {
+		if time.Now().After(deadline) {
+			t.Fatalf("auto-compaction left %d partitions (trigger %d)", eng.Index().NumPartitions(), trigger)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 	if n, _ := eng.CompactionInfo(); n == 0 {
 		t.Fatal("auto-compaction never ran")
 	}
 	if got, want := eng.Index().Stats().Trajs, base.Len()+batch.Len(); got != want {
 		t.Fatalf("trajectories after auto-compaction = %d, want %d", got, want)
+	}
+}
+
+// TestManualCompactDoesNotBlockExtend: a manual Compact prepares its merge
+// off the write lock, so an Extend issued while the merge prepares returns
+// without waiting it out. The batch it ingests stays its own partition, and
+// a second Compact folds it in, answering like a from-scratch build.
+func TestManualCompactDoesNotBlockExtend(t *testing.T) {
+	ds := workload.BuildDataset(workload.SmallConfig())
+	base, batches := ingestBatches(ds.Store.Slice(0, ds.Store.Len()))
+	if len(batches) < 2 {
+		t.Skipf("dataset yields only %d quiescent batches", len(batches))
+	}
+	eng := NewEngine(snt.Build(ds.G, base, snt.Options{}),
+		Config{Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10})
+	defer eng.Close()
+	last := batches[len(batches)-1]
+	for b, batch := range batches[:len(batches)-1] {
+		if _, err := eng.Extend(batch); err != nil {
+			t.Fatalf("extend %d: %v", b, err)
+		}
+	}
+
+	const delay = 600 * time.Millisecond
+	failpoint.Enable(snt.FailpointPrepareRun, failpoint.Injection{Delay: delay})
+	defer failpoint.Disable(snt.FailpointPrepareRun)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := eng.Compact()
+		errc <- err
+	}()
+	deadline := time.Now().Add(30 * time.Second)
+	for failpoint.Hits(snt.FailpointPrepareRun) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("Compact never reached its preparation")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	started := time.Now()
+	if _, err := eng.Extend(last); err != nil {
+		t.Fatalf("extend during compaction: %v", err)
+	}
+	if elapsed := time.Since(started); elapsed >= delay/2 {
+		t.Fatalf("Extend took %v during a %v merge preparation — it waited the merge out", elapsed, delay)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	failpoint.Disable(snt.FailpointPrepareRun)
+	if got := eng.Index().NumPartitions(); got != 2 {
+		t.Fatalf("partitions after the first Compact = %d, want 2 (the merge plus the batch ingested during it)", got)
+	}
+	if _, err := eng.Compact(); err != nil {
+		t.Fatalf("second compact: %v", err)
+	}
+	if got := eng.Index().NumPartitions(); got != 1 {
+		t.Fatalf("partitions after the second Compact = %d, want 1", got)
+	}
+
+	ref := NewEngine(snt.Build(ds.G, ds.Store.Slice(0, ds.Store.Len()), snt.Options{}),
+		Config{Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10,
+			DisableCache: true, DisableFullResultCache: true})
+	n := 0
+	for i := 0; i < ds.Store.Len() && n < 8; i += 7 {
+		tr := ds.Store.Get(traj.ID(i))
+		if tr.Len() < 2 {
+			continue
+		}
+		n++
+		q := SPQ{Path: tr.Path(), Interval: snt.NewFixed(0, int64(1)<<40), Filter: snt.NoFilter, Beta: 10}
+		got, want := eng.TripQuery(q), ref.TripQuery(q)
+		if err := sameResult(&want, &got); err != nil {
+			t.Fatalf("query %d diverges from the rebuilt reference: %v", i, err)
+		}
 	}
 }
 

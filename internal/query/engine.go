@@ -59,31 +59,18 @@ type Config struct {
 	// the index's terminal-fallback memo (snt.Index.WholeSegment): no
 	// sub-query answer is memoised.
 	DisableCache bool
-	// CacheCapacity is the total number of cached sub-results
-	// (DefaultCacheCapacity when 0).
-	CacheCapacity int
 	// DisableFullResultCache turns off the shared full-result cache, which
 	// memoises the final convolved histogram per (path, interval, filter,
 	// β) so repeated trips skip partitioning, scans and convolution.
 	DisableFullResultCache bool
-	// FullResultCacheCapacity is the total number of cached full results
-	// (DefaultFullCacheCapacity when 0).
-	FullResultCacheCapacity int
-	// Compaction is the partition compaction policy. Auto-compaction runs
-	// inside Extend — after the ingest epoch is published — whenever
-	// Compaction.TriggerPartitions > 0 and the partition count reaches it;
-	// the zero value disables auto-compaction (Engine.Compact can still be
-	// called manually, ignoring the trigger).
+	// Compaction is the partition compaction policy. Whenever
+	// Compaction.TriggerPartitions > 0 and an Extend leaves the index with
+	// at least that many partitions, the Extend wakes a background
+	// compactor and returns; the compactor merges off the write lock and
+	// publishes each merge as its own epoch (Engine.merge). The zero value
+	// disables auto-compaction; Engine.Compact can still be called
+	// manually, ignoring the trigger.
 	Compaction snt.CompactionPolicy
-	// CompactInBackground moves auto-compaction off the ingest path: a
-	// triggering Extend returns as soon as its batch is published and a
-	// background goroutine runs the merge — the heavy preparation entirely
-	// off the write lock (concurrent Extends proceed), only the cheap
-	// apply-and-publish under it. A competing compaction (manual Compact)
-	// stales the preparation, which re-bases against the newest snapshot.
-	// The goroutine starts lazily on the first triggering Extend; Close
-	// stops it.
-	CompactInBackground bool
 }
 
 // snapshot is one published index state: the immutable index, the
@@ -158,13 +145,19 @@ func NewEngineAt(ix *snt.Index, cfg Config, epoch uint64) *Engine {
 	cfg = cfg.WithDefaults()
 	e := &Engine{cfg: cfg, snap: new(atomic.Pointer[snapshot])}
 	e.snap.Store(&snapshot{ix: ix, est: cfg.Estimator, epoch: epoch})
-	if !cfg.DisableCache {
-		e.cache = newSubCache(cfg.CacheCapacity)
-	}
-	if !cfg.DisableFullResultCache {
-		e.full = newFullCache(cfg.FullResultCacheCapacity)
-	}
+	e.makeCaches()
 	return e
+}
+
+// makeCaches builds the result caches the configuration enables, at
+// DefaultCacheCapacity and DefaultFullCacheCapacity.
+func (e *Engine) makeCaches() {
+	if !e.cfg.DisableCache {
+		e.cache = newSPQCache[subValue](DefaultCacheCapacity)
+	}
+	if !e.cfg.DisableFullResultCache {
+		e.full = newSPQCache[fullValue](DefaultFullCacheCapacity)
+	}
 }
 
 // ErrFollower is returned by the write paths of a follower engine.
@@ -181,14 +174,8 @@ var ErrFollower = errors.New("query: follower engine is read-only; write through
 // the follower owns (it has no background compactor). It exists for
 // pathhist's Engine.Replica, a benchmark shim; serving code does not use it.
 func NewFollower(primary *Engine) *Engine {
-	cfg := primary.cfg
-	e := &Engine{cfg: cfg, snap: primary.snap, follower: true}
-	if !cfg.DisableCache {
-		e.cache = newSubCache(cfg.CacheCapacity)
-	}
-	if !cfg.DisableFullResultCache {
-		e.full = newFullCache(cfg.FullResultCacheCapacity)
-	}
+	e := &Engine{cfg: primary.cfg, snap: primary.snap, follower: true}
+	e.makeCaches()
 	return e
 }
 
@@ -209,8 +196,8 @@ func (e *Engine) Snapshot() (*snt.Index, uint64) {
 func (e *Engine) Index() *snt.Index { return e.snap.Load().ix }
 
 // Epoch returns the current index epoch: 0 after NewEngine, incremented by
-// every publication — each successful non-empty Extend and each effective
-// Compact (so a triggering auto-compacted ingest advances it by two).
+// every publication — each successful non-empty Extend and each merge that
+// changed the layout (manual Compact or the background compactor).
 func (e *Engine) Epoch() uint64 { return e.snap.Load().epoch }
 
 // IngestStats describes the snapshot one Extend published. The values come
@@ -273,21 +260,10 @@ func (e *Engine) ExtendCtx(ctx context.Context, add *traj.Store) (IngestStats, e
 		TotalTrajectories: nix.Stats().Trajs,
 	}
 	// Auto-compaction rides behind the ingest publication: the batch is
-	// already being served when the merge starts, and the compacted snapshot
-	// is published as its own epoch. Queries never block either way. A
-	// compaction failure is NOT an ingest failure — the batch is already
-	// published and served, so reporting an error here would make callers
-	// (and the /extend handler's reject counters) believe a served batch
-	// was rejected; the fragmented layout simply lives on, counted in
-	// CompactionFailures.
+	// already being served, the Extend returns now, and the background
+	// compactor merges off the lock and publishes its own epoch.
 	if tp := e.cfg.Compaction.TriggerPartitions; tp > 0 && nix.NumPartitions() >= tp {
-		if e.cfg.CompactInBackground {
-			// Background mode: the ingest returns now; the merge runs off
-			// the lock and publishes its own epoch when ready.
-			e.kickCompactor()
-		} else if _, err := e.compactLocked(e.cfg.Compaction); err != nil {
-			e.compactFailures.Add(1)
-		}
+		e.kickCompactor()
 	}
 	return st, nil
 }
@@ -318,10 +294,12 @@ func (e *Engine) kickCompactor() {
 }
 
 // Close stops the background compactor (if one ever started) and waits for
-// it to exit; a merge already applying finishes publishing first. Close is
+// it to exit; a merge in preparation is abandoned at its next run boundary
+// and a merge already applying finishes publishing first. Close is
 // idempotent, and the engine keeps serving queries afterwards — only
-// background compaction stops. Callers that enabled CompactInBackground
-// must Close the engine to avoid leaking its goroutine.
+// background compaction stops. An engine whose Compaction.TriggerPartitions
+// is positive starts the compactor on its first triggering Extend and must
+// be Closed to stop that goroutine.
 func (e *Engine) Close() {
 	e.bgMu.Lock()
 	c := e.bg
@@ -334,7 +312,12 @@ func (e *Engine) Close() {
 	}
 }
 
-// compactorLoop serves kicks until Close.
+// compactorLoop serves kicks until Close. Each kick drains the merge
+// backlog: merge again until the policy plans nothing. A failed merge is
+// NOT an ingest failure — the triggering batch is already published and
+// served — so it is only counted in CompactionFailures and the fragmented
+// layout lives on until the next kick; an abort is Close, not a failure,
+// and the backlog stays for the next process.
 func (e *Engine) compactorLoop(c *compactor) {
 	defer close(c.done)
 	for {
@@ -343,41 +326,33 @@ func (e *Engine) compactorLoop(c *compactor) {
 			return
 		case <-c.kick:
 		}
-		e.backgroundCycle(c)
+		for {
+			st, err := e.merge(e.cfg.Compaction, c.stop)
+			if err != nil && !errors.Is(err, snt.ErrCompactionAborted) {
+				e.compactFailures.Add(1)
+			}
+			if err != nil || st.Runs == 0 {
+				break
+			}
+		}
 	}
 }
 
-// backgroundCycle drains the merge backlog: prepare the next chunk of work
-// off the write lock — ingest and queries proceed — then apply and publish
-// it under the lock (cheap: column remap and pointer swap). A preparation
-// staled by a competing compaction is re-based by preparing again against
-// the newest snapshot; concurrent Extends never stale it (they only append
-// partitions, which the apply remaps on the fly). The cycle ends when the
-// policy plans nothing — with MaxRuns set, each iteration merges one
-// bounded chunk, so the lock is never held for a multi-merge stall.
-func (e *Engine) backgroundCycle(c *compactor) {
+// merge is the engine's one compaction routine. It prepares the merge
+// against the published snapshot with no lock held — ingest and queries
+// proceed — then takes extMu, applies the preparation onto the snapshot
+// current by then (partitions an Extend appended meanwhile carry over
+// unmerged) and publishes it as its own epoch. A preparation staled by a
+// competing merge is prepared again against the newest snapshot. A closed
+// stop abandons the preparation at its next run boundary
+// (snt.ErrCompactionAborted). The returned stats carry the epoch of their
+// own publication, or the current epoch when the policy planned nothing
+// (Runs == 0).
+func (e *Engine) merge(pol snt.CompactionPolicy, stop <-chan struct{}) (snt.CompactionStats, error) {
 	for {
-		select {
-		case <-c.stop:
-			return
-		default:
-		}
-		sn := e.snap.Load()
-		// The stop channel rides into the preparation so a Close during a
-		// giant merge abandons it at the next chunk boundary instead of
-		// building every remaining run first.
-		prepared, err := sn.ix.PrepareCompactionStop(e.cfg.Compaction, c.stop)
+		prepared, err := e.snap.Load().ix.PrepareCompaction(pol, stop)
 		if err != nil {
-			if errors.Is(err, snt.ErrCompactionAborted) {
-				// Shutdown/drain, not a failure: the merge backlog simply
-				// stays for the next process to pick up.
-				return
-			}
-			e.compactFailures.Add(1)
-			return
-		}
-		if prepared == nil {
-			return
+			return snt.CompactionStats{}, err
 		}
 		e.extMu.Lock()
 		// The plan above ran against a possibly-stale snapshot; under extMu
@@ -386,21 +361,18 @@ func (e *Engine) backgroundCycle(c *compactor) {
 		//lint:ignore snappin deliberate re-read under extMu: compaction plans lock-free and re-bases on the current snapshot before publishing
 		cur := e.snap.Load()
 		nix, stats, err := cur.ix.ApplyCompaction(prepared)
-		if err != nil {
+		if errors.Is(err, snt.ErrCompactionStale) {
 			e.extMu.Unlock()
-			if errors.Is(err, snt.ErrCompactionStale) {
-				continue // a competing compaction landed: re-base
-			}
-			e.compactFailures.Add(1)
-			return
+			continue
 		}
-		if nix != cur.ix {
-			next := e.publishLocked(cur, nix)
-			stats.Epoch = next.epoch
+		stats.Epoch = cur.epoch
+		if err == nil && nix != cur.ix {
+			stats.Epoch = e.publishLocked(cur, nix).epoch
 			e.compactions.Add(1)
 			e.lastCompaction.Store(&stats)
 		}
 		e.extMu.Unlock()
+		return stats, err
 	}
 }
 
@@ -427,41 +399,20 @@ func (e *Engine) publishLocked(sn *snapshot, nix *snt.Index) *snapshot {
 
 // Compact merges temporal partitions per the configured policy, ignoring
 // its partition-count trigger (a manual call is the trigger), and publishes
-// the compacted index as a new epoch. Readers never block: compaction runs
-// entirely off the serving path against the current snapshot, exactly like
-// Extend, and queries in flight finish on the epoch they pinned. The
+// the compacted index as a new epoch. It runs the same merge as the
+// background compactor: readers never block, and Extends are held up only
+// by the cheap apply-and-publish, not by the preparation. Partitions an
+// Extend appends while the merge prepares stay unmerged, so the result
+// may hold more than one partition even under the unbounded policy. The
 // returned stats report the merge; PartitionsBefore == PartitionsAfter
 // means the policy found nothing to merge (no epoch was published).
 func (e *Engine) Compact() (snt.CompactionStats, error) {
 	if e.follower {
 		return snt.CompactionStats{}, ErrFollower
 	}
-	e.extMu.Lock()
-	defer e.extMu.Unlock()
 	pol := e.cfg.Compaction
 	pol.TriggerPartitions = -1
-	return e.compactLocked(pol)
-}
-
-// compactLocked runs one compaction and publishes the result if anything
-// merged. The returned stats carry the epoch of their own publication
-// (IngestStats-style attribution: a racing writer cannot skew them), or
-// the current epoch when nothing merged. Callers hold extMu.
-func (e *Engine) compactLocked(pol snt.CompactionPolicy) (snt.CompactionStats, error) {
-	sn := e.snap.Load()
-	nix, stats, err := sn.ix.Compact(pol)
-	if err != nil {
-		return stats, err
-	}
-	if nix == sn.ix {
-		stats.Epoch = sn.epoch
-		return stats, nil
-	}
-	next := e.publishLocked(sn, nix)
-	stats.Epoch = next.epoch
-	e.compactions.Add(1)
-	e.lastCompaction.Store(&stats)
-	return stats, nil
+	return e.merge(pol, nil)
 }
 
 // CompactionInfo reports how many compactions the engine has published and
@@ -474,7 +425,7 @@ func (e *Engine) CompactionInfo() (int64, snt.CompactionStats) {
 	return n, snt.CompactionStats{}
 }
 
-// CompactionFailures counts auto-compactions that failed after their
+// CompactionFailures counts background merges that failed after their
 // triggering ingest had already been published (the ingest itself
 // succeeded; the fragmented layout lives on until the next trigger or a
 // manual Compact).

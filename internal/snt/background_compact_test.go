@@ -22,7 +22,7 @@ func TestPrepareApplyAfterExtend(t *testing.T) {
 	// to ingest while the preparation is outstanding.
 	frag := fragmentedIndex(t, g, sliceStore(s, 0, cut), 7, opts)
 	old := frag.NumPartitions()
-	p, err := frag.PrepareCompaction(CompactionPolicy{TriggerPartitions: -1})
+	p, err := frag.PrepareCompaction(CompactionPolicy{TriggerPartitions: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestApplyCompactionStale(t *testing.T) {
 	g, _, s := synthStore(t, 20, 10)
 	frag := fragmentedIndex(t, g, s, 7, Options{})
 
-	p, err := frag.PrepareCompaction(CompactionPolicy{TriggerPartitions: -1})
+	p, err := frag.PrepareCompaction(CompactionPolicy{TriggerPartitions: -1}, nil)
 	if err != nil || p == nil {
 		t.Fatalf("prepare: %v %v", p, err)
 	}
@@ -119,7 +119,7 @@ func TestApplyCompactionStale(t *testing.T) {
 	}
 	// Re-basing: prepare against the newest snapshot plans nothing (one
 	// partition left), and applying the nil preparation is a no-op.
-	p2, err := compacted.PrepareCompaction(CompactionPolicy{TriggerPartitions: -1})
+	p2, err := compacted.PrepareCompaction(CompactionPolicy{TriggerPartitions: -1}, nil)
 	if err != nil || p2 != nil {
 		t.Fatalf("re-prepare on compacted: %v %v", p2, err)
 	}
@@ -130,55 +130,4 @@ func TestApplyCompactionStale(t *testing.T) {
 	if compacted.superseded.Load() {
 		t.Fatal("nil apply superseded the snapshot")
 	}
-}
-
-// TestCompactMaxRunsChunks pins incremental compaction: MaxRuns=1 merges
-// one run per cycle, repeated cycles converge to the same layout the
-// unbounded policy reaches, and every intermediate snapshot answers
-// identically.
-func TestCompactMaxRunsChunks(t *testing.T) {
-	g, ids, s := synthStore(t, 24, 12)
-	frag := fragmentedIndex(t, g, s, 11, Options{})
-	if frag.NumPartitions() != 12 {
-		t.Fatalf("partitions = %d", frag.NumPartitions())
-	}
-	perPart := frag.parts[1].records
-	policy := CompactionPolicy{
-		TriggerPartitions: -1,
-		MaxMergedRecords:  perPart*3 + 1,
-		MaxRuns:           1,
-	}
-	ix, cycles := frag, 0
-	for {
-		next, stats, err := ix.Compact(policy)
-		if err != nil {
-			t.Fatalf("cycle %d: %v", cycles, err)
-		}
-		if next == ix {
-			break // no more runs: converged
-		}
-		if stats.Runs != 1 {
-			t.Fatalf("cycle %d merged %d runs, MaxRuns=1", cycles, stats.Runs)
-		}
-		ix = next
-		if cycles++; cycles > 12 {
-			t.Fatal("chunked compaction did not converge")
-		}
-	}
-	if cycles < 2 {
-		t.Fatalf("expected multiple chunked cycles, got %d", cycles)
-	}
-	// Convergence target: what the unbounded-runs policy produces at once.
-	full := policy
-	full.MaxRuns = 0
-	want, _, err := fragmentedIndex(t, g, s, 11, Options{}).Compact(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.NumPartitions() != want.NumPartitions() {
-		t.Fatalf("chunked converged to %d partitions, unbounded to %d",
-			ix.NumPartitions(), want.NumPartitions())
-	}
-	assertSameResults(t, ids, want, ix, "chunked vs unbounded")
-	assertSameResults(t, ids, frag, ix, "chunked vs fragmented")
 }

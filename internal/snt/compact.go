@@ -20,14 +20,14 @@ import (
 // are immutable.)
 var ErrCompactionStale = errors.New("snt: prepared compaction is stale; re-prepare against the newest snapshot")
 
-// ErrCompactionAborted is returned by PrepareCompactionStop when the stop
+// ErrCompactionAborted is returned by PrepareCompaction when the stop
 // channel closed: the preparation was abandoned at a chunk boundary, nothing
 // was superseded, and no partial state escapes (the half-built preparation
 // is garbage). The caller simply does not apply anything.
 var ErrCompactionAborted = errors.New("snt: compaction preparation aborted at a chunk boundary")
 
 // FailpointPrepareRun fires before each merged run's suffix/FM rebuild — the
-// chunk whose boundaries PrepareCompactionStop checks the stop channel at. A
+// chunk whose boundaries PrepareCompaction checks the stop channel at. A
 // Delay injection simulates a giant merge so tests can prove an abandon (or
 // an Engine.Close) does not wait out the whole preparation.
 const FailpointPrepareRun = "compact.prepare.run"
@@ -53,7 +53,7 @@ const FailpointPrepareRun = "compact.prepare.run"
 // of unmerged partitions, frozen columns of unaffected segments) is shared
 // between the snapshots, and the receiver is superseded so snapshot chains
 // stay linear. Publication to concurrent readers goes through an atomic
-// pointer swap (query.Engine.Compact) — compaction runs entirely off the
+// pointer swap (query.Engine's merge) — compaction runs entirely off the
 // serving path and readers never block.
 
 // DefaultCompactionTrigger is the partition count at which the default
@@ -75,14 +75,6 @@ type CompactionPolicy struct {
 	// cut when absorbing the next one would exceed the cap. 0 means
 	// unbounded — all adjacent partitions merge into one.
 	MaxMergedRecords int
-	// MinRun is the smallest run worth merging (default 2; merging a
-	// single partition with itself would only churn memory).
-	MinRun int
-	// MaxRuns caps how many runs one compaction merges, which is what makes
-	// background compaction incremental: a bounded chunk of work per cycle
-	// instead of one giant merge, with later cycles picking up the rest.
-	// 0 means unbounded.
-	MaxRuns int
 }
 
 // withDefaults resolves zero fields.
@@ -90,17 +82,15 @@ func (p CompactionPolicy) withDefaults() CompactionPolicy {
 	if p.TriggerPartitions == 0 {
 		p.TriggerPartitions = DefaultCompactionTrigger
 	}
-	if p.MinRun < 2 {
-		p.MinRun = 2
-	}
 	return p
 }
 
 // run is a half-open partition-id range [lo, hi) selected for merging.
 type mergeRun struct{ lo, hi int }
 
-// plan selects the runs of adjacent partitions to merge. parts carries the
-// per-partition record counts Build/Extend maintain.
+// plan selects the runs of adjacent partitions to merge; a run is at least
+// two partitions long (merging one with itself would only churn memory).
+// parts carries the per-partition record counts Build/Extend maintain.
 func (p CompactionPolicy) plan(parts []partition) []mergeRun {
 	if p.TriggerPartitions > 0 && len(parts) < p.TriggerPartitions {
 		return nil
@@ -108,7 +98,7 @@ func (p CompactionPolicy) plan(parts []partition) []mergeRun {
 	var runs []mergeRun
 	lo, recs := 0, 0
 	flush := func(hi int) {
-		if hi-lo >= p.MinRun {
+		if hi-lo >= 2 {
 			runs = append(runs, mergeRun{lo: lo, hi: hi})
 		}
 	}
@@ -127,9 +117,6 @@ func (p CompactionPolicy) plan(parts []partition) []mergeRun {
 		recs += r
 	}
 	flush(len(parts))
-	if p.MaxRuns > 0 && len(runs) > p.MaxRuns {
-		runs = runs[:p.MaxRuns]
-	}
 	return runs
 }
 
@@ -186,17 +173,13 @@ func (p *PreparedCompaction) Runs() int { return len(p.runs) }
 // and the preparation can run concurrently with reads and with Extends of
 // newer snapshots. A nil preparation (with a nil error) means the policy
 // planned no merge.
-func (ix *Index) PrepareCompaction(policy CompactionPolicy) (*PreparedCompaction, error) {
-	return ix.PrepareCompactionStop(policy, nil)
-}
-
-// PrepareCompactionStop is PrepareCompaction with an abandon signal: when
-// stop closes, the preparation returns ErrCompactionAborted at the next
-// chunk boundary instead of finishing the whole merge. The heavy work — one
-// suffix-array + FM-index rebuild per merged run — is chunked per run, so a
-// shutdown or drain abandons a giant multi-run merge after at most one
+//
+// When stop closes, the preparation returns ErrCompactionAborted at the
+// next chunk boundary instead of finishing the whole merge. The heavy work —
+// one suffix-array + FM-index rebuild per merged run — is chunked per run,
+// so a shutdown or drain abandons a giant multi-run merge after at most one
 // run's build rather than all of them. A nil stop never aborts.
-func (ix *Index) PrepareCompactionStop(policy CompactionPolicy, stop <-chan struct{}) (*PreparedCompaction, error) {
+func (ix *Index) PrepareCompaction(policy CompactionPolicy, stop <-chan struct{}) (*PreparedCompaction, error) {
 	startedAt := time.Now()
 	stopped := func() bool {
 		select {
@@ -448,15 +431,16 @@ func (ix *Index) ApplyCompaction(p *PreparedCompaction) (*Index, CompactionStats
 
 // Compact merges runs of adjacent partitions per the policy and returns the
 // compacted snapshot — PrepareCompaction and ApplyCompaction back to back
-// on one snapshot, the synchronous path used by manual /compact and by
-// in-lock auto-compaction. When the policy plans no merge the receiver
+// on one snapshot, a synchronous convenience for callers that own the
+// snapshot outright (the serving engine prepares and applies apart,
+// query.Engine.merge). When the policy plans no merge the receiver
 // itself is returned (not superseded, still extendable). Otherwise the
 // receiver is superseded exactly like Extend supersedes it: only the
 // returned snapshot may be extended or compacted further. Query results
 // from the compacted snapshot are bit-identical to the receiver's — and to
 // a from-scratch Build over the same trajectories with the merged layout.
 func (ix *Index) Compact(policy CompactionPolicy) (*Index, CompactionStats, error) {
-	p, err := ix.PrepareCompaction(policy)
+	p, err := ix.PrepareCompaction(policy, nil)
 	if err != nil {
 		return nil, CompactionStats{PartitionsBefore: len(ix.parts), PartitionsAfter: len(ix.parts)}, err
 	}

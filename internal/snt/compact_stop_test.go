@@ -8,11 +8,11 @@ import (
 	"pathhist/internal/failpoint"
 )
 
-// TestPrepareCompactionStopAborts pins the chunked-preparation contract: the
+// TestPrepareCompactionAborts pins the chunked-preparation contract: the
 // stop channel is honoured before the run loop and between per-run rebuilds,
 // an abort supersedes nothing, and the same index still compacts normally
 // afterwards.
-func TestPrepareCompactionStopAborts(t *testing.T) {
+func TestPrepareCompactionAborts(t *testing.T) {
 	g, _, s := synthStore(t, 24, 12)
 	frag := fragmentedIndex(t, g, s, 11, Options{})
 	if frag.NumPartitions() != 12 {
@@ -29,7 +29,7 @@ func TestPrepareCompactionStopAborts(t *testing.T) {
 	// A stop that is already closed aborts before any run is built.
 	closed := make(chan struct{})
 	close(closed)
-	if p, err := frag.PrepareCompactionStop(policy, closed); !errors.Is(err, ErrCompactionAborted) || p != nil {
+	if p, err := frag.PrepareCompaction(policy, closed); !errors.Is(err, ErrCompactionAborted) || p != nil {
 		t.Fatalf("pre-closed stop: got (%v, %v), want ErrCompactionAborted", p, err)
 	}
 
@@ -45,7 +45,7 @@ func TestPrepareCompactionStopAborts(t *testing.T) {
 		close(stop)
 	}()
 	started := time.Now()
-	p, err := frag.PrepareCompactionStop(policy, stop)
+	p, err := frag.PrepareCompaction(policy, stop)
 	elapsed := time.Since(started)
 	if !errors.Is(err, ErrCompactionAborted) || p != nil {
 		t.Fatalf("mid-flight stop: got (%v, %v), want ErrCompactionAborted", p, err)

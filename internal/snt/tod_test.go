@@ -154,7 +154,7 @@ func TestTodHistogramsMatchStoreRecount(t *testing.T) {
 		// Prepared against the first extension, applied to the second: the
 		// merged partition is followed by one the preparation never saw.
 		ext1 := extend(build(), 1)
-		prep, err := ext1.PrepareCompaction(CompactionPolicy{TriggerPartitions: -1})
+		prep, err := ext1.PrepareCompaction(CompactionPolicy{TriggerPartitions: -1}, nil)
 		if err != nil || prep == nil {
 			t.Fatalf("prepare: %v, %v", prep, err)
 		}

@@ -166,30 +166,21 @@ type Options struct {
 	// reads of the index's terminal-fallback memo: no sub-query answer is
 	// memoised.
 	DisableCache bool
-	// CacheCapacity is the total number of cached sub-results (a default
-	// applies when 0).
-	CacheCapacity int
 	// DisableFullResultCache turns off the engine's full-result cache,
 	// which memoises the final convolved histogram per (path, interval,
 	// filter, beta) so repeated trips skip processing entirely.
 	DisableFullResultCache bool
-	// FullResultCacheCapacity is the total number of cached full results
-	// (a default applies when 0).
-	FullResultCacheCapacity int
 	// AutoCompactPartitions enables automatic partition compaction: when a
 	// batch ingest leaves the index with at least this many temporal
-	// partitions, Extend merges them back down (off the serving path,
-	// published as its own epoch) before returning. Repeated small ingests
-	// otherwise degrade query latency linearly — every partition costs one
-	// FM-index backward search per sub-query. 0 disables auto-compaction;
-	// Engine.Compact remains available either way.
+	// partitions, Extend returns as soon as its batch is published and
+	// wakes a background goroutine, which merges the partitions back down
+	// off the write lock and publishes each merge as its own epoch.
+	// Repeated small ingests otherwise degrade query latency linearly —
+	// every partition costs one FM-index backward search per sub-query. 0
+	// disables auto-compaction; Engine.Compact remains available either
+	// way. An engine with it set must be Closed to stop the goroutine.
 	AutoCompactPartitions int
-	// CompactInBackground moves auto-compaction off the ingest path: a
-	// triggering Extend returns as soon as its batch is published, and a
-	// background goroutine prepares the merge off the write lock (ingest
-	// and queries proceed), applying and publishing it as its own epoch
-	// when ready. Engines with this set must be Closed to stop the
-	// goroutine. Requires AutoCompactPartitions > 0 to ever trigger.
+	// Deprecated: ignored; auto-compaction always runs in the background.
 	CompactInBackground bool
 }
 
@@ -281,11 +272,8 @@ func engineConfig(ix *snt.Index, opts Options) query.Config {
 		cfg.Estimator = card.New(ix, opts.Estimator)
 	}
 	cfg.DisableCache = opts.DisableCache
-	cfg.CacheCapacity = opts.CacheCapacity
 	cfg.DisableFullResultCache = opts.DisableFullResultCache
-	cfg.FullResultCacheCapacity = opts.FullResultCacheCapacity
 	cfg.Compaction = snt.CompactionPolicy{TriggerPartitions: opts.AutoCompactPartitions}
-	cfg.CompactInBackground = opts.CompactInBackground
 	return cfg
 }
 
@@ -324,9 +312,9 @@ func (e *Engine) ExtendCtx(ctx context.Context, batch *Store) (IngestStats, erro
 // the full guarantee serialise the validate→log→extend sequence).
 func (e *Engine) ValidateExtend(batch *Store) error { return e.qe.Index().ValidateBatch(batch) }
 
-// Close stops the engine's background compactor, if Options.
-// CompactInBackground ever started one, and waits for a merge in flight to
-// finish publishing. The engine keeps answering queries (and even Extends)
+// Close stops the engine's background compactor, if
+// Options.AutoCompactPartitions ever started one, and waits for it: a merge
+// in preparation is abandoned, one already applying finishes publishing. The engine keeps answering queries (and even Extends)
 // after Close — only background merging stops. Close is idempotent.
 func (e *Engine) Close() { e.qe.Close() }
 
@@ -374,8 +362,10 @@ type CompactionStats = snt.CompactionStats
 // as a new epoch. Queries never block: compaction runs off the serving path
 // against an immutable snapshot, and the compacted index answers every
 // query bit-identically to the fragmented one — only faster, because each
-// sub-query pays one FM-index backward search per partition. Stats with
-// PartitionsBefore == PartitionsAfter mean nothing needed merging.
+// sub-query pays one FM-index backward search per partition. Extends wait
+// only for the final publication, not the merge; a batch ingested while the
+// merge prepares stays its own partition. Stats with PartitionsBefore ==
+// PartitionsAfter mean nothing needed merging.
 func (e *Engine) Compact() (CompactionStats, error) { return e.qe.Compact() }
 
 // CompactionInfo returns how many compactions this engine has published
