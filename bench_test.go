@@ -58,8 +58,8 @@ func BenchmarkTable1EstimateTT(b *testing.B) {
 }
 
 // benchGridCell times one engine configuration over the query set and
-// reports the paper's accuracy metrics alongside. The sub-result cache is
-// disabled so the cell measures the paper's scan cost, not cache hits; the
+// reports the paper's accuracy metrics alongside. Both memo levels are
+// off so the cell measures the paper's scan cost, not memo hits; the
 // cached serving path is measured by BenchmarkTripQueryParallel.
 func benchGridCell(b *testing.B, qt experiments.QueryType, pt query.Partitioner, sp query.Splitter, beta int) {
 	e := env(b)

@@ -109,8 +109,8 @@ func TestConcurrentEngineMatchesSequential(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if st := shared.CacheStats(); st.Hits == 0 {
-		t.Fatalf("shared engine recorded no cache hits: %+v", st)
+	if st := shared.FullCacheStats(); st.Hits == 0 {
+		t.Fatalf("shared engine recorded no full-result cache hits: %+v", st)
 	}
 }
 

@@ -33,7 +33,8 @@ type Histogram struct {
 // that steady-state query processing reuses instead of reallocating them.
 // Only histograms that are provably unreachable go back: the query engine
 // recycles its intermediate convolution results, nothing else (sub-query
-// histograms are shared through the sub-result cache and must stay live).
+// histograms are shared through the terminal-fallback memo and the
+// full-result cache and must stay live).
 var histPool = sync.Pool{New: func() any { return new(Histogram) }}
 
 // newHist returns a histogram with a zeroed count buffer of length n,

@@ -9,34 +9,32 @@ import (
 	"pathhist/internal/snt"
 )
 
-// Result caching. Two caches share one sharded-LRU implementation, both
-// keyed by the strict-path-query tuple (path, interval, filter, β):
+// Memoisation. The engine memoises at two levels, and nowhere else:
 //
-//   - the sub-result cache memoises sub-query scans that retrieved samples:
-//     an entry holds their count, exact sum and histogram (subValue), never
-//     the samples themselves, so its size follows the histogram's span and
-//     not the sample count. A scan that failed its β requirement is not
-//     stored — the time-of-day census (snt.Index.CannotReach, asked before
-//     this cache is) rejects most failing rungs in a few adds, less than a
-//     lookup costs, and the rest are recomputed; on the benchmark's
-//     route_cold mix storing them filled the LRU with 723 k empty entries
-//     per 6 000 requests. The terminal [0, tmax] answers of a segment with
-//     data, ≈ 8 k samples each, are not kept here either: the index's own
-//     terminal-fallback memo (snt.Index.WholeSegment), asked just before
-//     this cache, holds one per segment for the snapshot's lifetime, so
-//     the LRU's slots go to the periodic rungs and multi-segment paths;
-//   - the full-result cache memoises the final convolved histogram and
-//     final sub-queries of a whole TripQuery, so a repeated trip skips
+//   - the index's terminal-fallback memo (snt.Index.WholeSegment) answers
+//     the whole-segment [0, tmax] rung, ≈ 8 k samples each, once per
+//     segment for the snapshot's lifetime; Engine.attempt asks it before
+//     any scan, and Engine.Cache counts its reuses as hits and the scans
+//     that reached the index as misses;
+//   - the full-result cache below memoises the final convolved histogram
+//     and final sub-queries of a whole TripQuery, keyed by the strict-path-
+//     query tuple (path, interval, filter, β), so a repeated trip skips
 //     partitioning, scanning and convolution entirely.
 //
+// No level memoises one periodic or multi-segment rung for reuse by a
+// different query: the full-result cache catches an exact repeat of a
+// whole trip first, and within one query the relaxation ladder never asks
+// the same key twice, so such a level answers nothing (0 hits on every
+// benchmark workload). A new memo level has to show a measured hit ratio.
+//
 // A cache entry is a proven fact about one index epoch — the immutable
-// snapshot the scan ran against — so every entry is stamped with that epoch
-// at insertion. Entries never expire within their epoch and are evicted for
-// capacity (LRU); after an Extend publishes a new epoch, entries from older
-// epochs are invalid facts and are dropped lazily: a lookup that finds an
-// entry from a different epoch removes it, counts an invalidation, and
-// reports a miss, so no cached result ever crosses an epoch boundary and a
-// batch ingest costs no stop-the-world cache sweep. Each cache is sharded
+// snapshot the query ran against — so every entry is stamped with that
+// epoch at insertion. Entries never expire within their epoch and are
+// evicted for capacity (LRU); after an Extend publishes a new epoch,
+// entries from older epochs are invalid facts: the publication purges them
+// (purgeStale), and a lookup racing it that finds an entry from a
+// different epoch removes it, counts an invalidation, and reports a miss,
+// so no cached result ever crosses an epoch boundary. The cache is sharded
 // by key hash to keep lock contention negligible under concurrent query
 // traffic, and each shard maintains its own LRU list.
 //
@@ -48,29 +46,9 @@ import (
 // cacheShards must be a power of two.
 const cacheShards = 16
 
-// DefaultCacheCapacity is the total number of sub-results an engine caches.
-const DefaultCacheCapacity = 4096
-
 // DefaultFullCacheCapacity is the total number of full results an engine
 // caches.
 const DefaultFullCacheCapacity = 1024
-
-// subValue is the payload of one cached sub-result: the sufficient
-// statistics of a non-empty sample set — count, exact sum, histogram — and
-// the fallback flag. The histogram is shared by every Result that hits the
-// entry and must be treated as immutable by all readers. An entry's size is
-// its histogram's — 8 bytes per bucket between the sample extremes plus a
-// 48-byte header (hist.SizeBytes) — and its key and linkage, whatever the
-// number of samples behind it. The entries are the answers the terminal
-// memo does not give: accepted periodic rungs, multi-segment and
-// user-filtered rungs, speed-limit fallbacks, and terminal answers that
-// exclude a trajectory.
-type subValue struct {
-	n        int
-	sum      int64
-	hist     *hist.Histogram
-	fallback bool
-}
 
 // fullValue is the payload of one cached full result: the convolved
 // histogram and the final sub-queries of a completed TripQuery. Both are
@@ -82,19 +60,19 @@ type fullValue struct {
 }
 
 // cacheEntry is one cached result plus its LRU linkage.
-type cacheEntry[V any] struct {
+type cacheEntry struct {
 	hash  uint64
 	path  network.Path // private copy, never aliased to caller memory
 	iv    snt.Interval
 	f     snt.Filter
 	beta  int
 	epoch uint64 // index epoch the value was computed against
-	val   V
+	val   fullValue
 
-	prev, next *cacheEntry[V]
+	prev, next *cacheEntry
 }
 
-func (en *cacheEntry[V]) matches(p network.Path, iv snt.Interval, f snt.Filter, beta int) bool {
+func (en *cacheEntry) matches(p network.Path, iv snt.Interval, f snt.Filter, beta int) bool {
 	if en.iv != iv || en.f != f || en.beta != beta || len(en.path) != len(p) {
 		return false
 	}
@@ -108,14 +86,14 @@ func (en *cacheEntry[V]) matches(p network.Path, iv snt.Interval, f snt.Filter, 
 
 // cacheShard is one lock domain: a hash map for lookup plus an intrusive
 // doubly-linked LRU list (head = most recent).
-type cacheShard[V any] struct {
+type cacheShard struct {
 	mu         sync.Mutex
-	m          map[uint64]*cacheEntry[V]
-	head, tail *cacheEntry[V]
+	m          map[uint64]*cacheEntry
+	head, tail *cacheEntry
 	capacity   int
 }
 
-func (s *cacheShard[V]) unlink(en *cacheEntry[V]) {
+func (s *cacheShard) unlink(en *cacheEntry) {
 	if en.prev != nil {
 		en.prev.next = en.next
 	} else {
@@ -129,7 +107,7 @@ func (s *cacheShard[V]) unlink(en *cacheEntry[V]) {
 	en.prev, en.next = nil, nil
 }
 
-func (s *cacheShard[V]) pushFront(en *cacheEntry[V]) {
+func (s *cacheShard) pushFront(en *cacheEntry) {
 	en.next = s.head
 	if s.head != nil {
 		s.head.prev = en
@@ -140,10 +118,10 @@ func (s *cacheShard[V]) pushFront(en *cacheEntry[V]) {
 	}
 }
 
-// spqCache is a sharded LRU cache keyed by the strict-path-query tuple,
-// shared by all queries of one Engine.
-type spqCache[V any] struct {
-	shards [cacheShards]cacheShard[V]
+// spqCache is the full-result cache: a sharded LRU keyed by the
+// strict-path-query tuple, shared by all queries of one Engine.
+type spqCache struct {
+	shards [cacheShards]cacheShard
 	hits   atomic.Int64
 	misses atomic.Int64
 	stale  atomic.Int64 // cross-epoch entries dropped lazily on lookup
@@ -151,11 +129,11 @@ type spqCache[V any] struct {
 }
 
 // newSPQCache returns a cache holding up to capacity entries in total.
-func newSPQCache[V any](capacity int) *spqCache[V] {
+func newSPQCache(capacity int) *spqCache {
 	per := (capacity + cacheShards - 1) / cacheShards
-	c := &spqCache[V]{}
+	c := &spqCache{}
 	for i := range c.shards {
-		c.shards[i].m = make(map[uint64]*cacheEntry[V])
+		c.shards[i].m = make(map[uint64]*cacheEntry)
 		c.shards[i].capacity = per
 	}
 	return c
@@ -189,7 +167,7 @@ func cacheHash(p network.Path, iv snt.Interval, f snt.Filter, beta int) uint64 {
 	return h
 }
 
-func (c *spqCache[V]) shard(hash uint64) *cacheShard[V] {
+func (c *spqCache) shard(hash uint64) *cacheShard {
 	return &c.shards[hash&(cacheShards-1)]
 }
 
@@ -197,9 +175,10 @@ func (c *spqCache[V]) shard(hash uint64) *cacheShard[V] {
 // used. The returned value's contents are shared and immutable. An entry
 // whose key matches but whose epoch differs is a stale fact about an older
 // (or, for a reader still on a pre-extend snapshot, a newer) index state:
-// it is removed, reported through stale (and the Stale counter), and the
-// lookup is a miss — a cached value never crosses an epoch boundary.
-func (c *spqCache[V]) get(p network.Path, iv snt.Interval, f snt.Filter, beta int, epoch uint64) (val V, ok, stale bool) {
+// it is removed, reported through stale (and the Invalidations counter),
+// and the lookup is a miss — a cached value never crosses an epoch
+// boundary.
+func (c *spqCache) get(p network.Path, iv snt.Interval, f snt.Filter, beta int, epoch uint64) (val fullValue, ok, stale bool) {
 	hash := cacheHash(p, iv, f, beta)
 	s := c.shard(hash)
 	s.mu.Lock()
@@ -230,23 +209,12 @@ func (c *spqCache[V]) get(p network.Path, iv snt.Interval, f snt.Filter, beta in
 	return
 }
 
-// book counts a lookup answered outside the LRU — a terminal-fallback memo
-// reuse (hit) or fill (miss) — so the cache statistics keep covering every
-// memoised answer.
-func (c *spqCache[V]) book(hit bool) {
-	if hit {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-}
-
 // put stores a completed result computed against the given index epoch. The
 // path is copied; the value is retained as-is (and shared with the Result
 // that produced it), so its contents must never be mutated or recycled.
-func (c *spqCache[V]) put(p network.Path, iv snt.Interval, f snt.Filter, beta int, epoch uint64, val V) {
+func (c *spqCache) put(p network.Path, iv snt.Interval, f snt.Filter, beta int, epoch uint64, val fullValue) {
 	hash := cacheHash(p, iv, f, beta)
-	en := &cacheEntry[V]{
+	en := &cacheEntry{
 		hash:  hash,
 		path:  append(network.Path(nil), p...),
 		iv:    iv,
@@ -278,11 +246,11 @@ func (c *spqCache[V]) put(p network.Path, iv snt.Interval, f snt.Filter, beta in
 // lazy same-key lookup. Queries racing the publication may still write (or
 // read) entries of the epoch they pinned at entry; those are dropped lazily
 // by the usual cross-epoch check, so the sweep is a best-effort pressure
-// release, not a correctness mechanism. Returns the number of purged
-// entries (also accumulated in CacheStats.Purges).
-func (c *spqCache[V]) purgeStale(epoch uint64) int {
+// release, not a correctness mechanism. The purged entries are counted in
+// CacheStats.Purges.
+func (c *spqCache) purgeStale(epoch uint64) {
 	if c == nil {
-		return 0
+		return
 	}
 	purged := 0
 	for i := range c.shards {
@@ -300,11 +268,10 @@ func (c *spqCache[V]) purgeStale(epoch uint64) int {
 	if purged > 0 {
 		c.purges.Add(int64(purged))
 	}
-	return purged
 }
 
 // Len returns the number of cached entries.
-func (c *spqCache[V]) Len() int {
+func (c *spqCache) Len() int {
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -315,14 +282,15 @@ func (c *spqCache[V]) Len() int {
 	return n
 }
 
-// CacheStats reports cumulative lookup traffic across all queries. Every
-// lookup is one a query's driver asked for, so the sub-result cache's Hits
-// is the sum of the per-Result CacheHits. Its Misses can be fewer than the
-// summed CacheMisses: a Result books every index scan as a miss, including
-// windows the census rejects before any lookup. Invalidations counts
-// cross-epoch entries dropped lazily on lookup after an Extend (each is also
-// a miss); Purges counts stale-epoch entries removed eagerly by the sweep an
-// epoch publication triggers (those never surface as lookup traffic).
+// CacheStats reports the cumulative traffic of one memo level. For the
+// full-result cache (Engine.FullCache), Hits and Misses count lookups,
+// Invalidations counts cross-epoch entries dropped lazily on lookup (each
+// also a miss), Purges counts stale-epoch entries removed by the sweep an
+// epoch publication triggers, and Entries is the number held. For the
+// terminal-fallback memo (Engine.Cache), Hits and Misses are the sums of
+// the per-Result CacheHits and CacheMisses over completed queries — memo
+// reuses, and scans that reached the index — and the other fields stay
+// zero: the memo lives on the index and is only ever filled.
 type CacheStats struct {
 	Hits          int64
 	Misses        int64
@@ -332,7 +300,7 @@ type CacheStats struct {
 }
 
 // Stats snapshots the cache counters.
-func (c *spqCache[V]) Stats() CacheStats {
+func (c *spqCache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}

@@ -37,20 +37,18 @@ type Source struct {
 // Outcome is a source's answer to one attempt: the sufficient statistics
 // of the retrieved samples — their count, their exact sum and their
 // histogram — or nothing: N == 0 sends the sub-query down the relaxation
-// ladder. Hist may be shared (caches, other Results); the driver never
-// mutates it.
+// ladder. Hist may be shared (the terminal memo, other Results); the
+// driver never mutates it.
 type Outcome struct {
 	N        int
 	Sum      int64
 	Hist     *hist.Histogram
 	Fallback bool // speed-limit estimate, no data at all
 	// How the answer came about, for the effort counters: an estimator skip
-	// (β̂ < β, no scan issued), a sub-result cache hit, or — neither set — a
-	// scan that reached the index. Stale marks a lookup that dropped a
-	// cross-epoch cache entry on the way.
+	// (β̂ < β, no scan issued), a terminal-memo reuse, or — neither set — a
+	// scan that reached the index.
 	Skipped bool
 	Cached  bool
-	Stale   bool
 }
 
 // OutcomeOf summarises retrieved samples into an outcome: their count, sum
@@ -206,9 +204,6 @@ func (cfg *Config) run(src Source, initial []subQ) (Result, error) {
 
 // book adds an attempt's effort to the result counters.
 func (d *driver) book(o *Outcome) {
-	if o.Stale {
-		d.res.CacheInvalidations++
-	}
 	switch {
 	case o.Skipped:
 		d.res.EstimatorSkips++

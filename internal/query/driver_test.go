@@ -221,11 +221,11 @@ func TestDriverLadder(t *testing.T) {
 	}
 }
 
-// TestDriverBooksOutcomeKinds: skips, cache hits and stale drops reported by
-// a source land in the matching Result counters.
+// TestDriverBooksOutcomeKinds: skips and memo hits reported by a source
+// land in the matching Result counters.
 func TestDriverBooksOutcomeKinds(t *testing.T) {
 	answers := []Outcome{
-		{Skipped: true, Stale: true},
+		{Skipped: true},
 		{N: 1, Sum: 10, Hist: hist.FromSamples([]int{10}, 10), Cached: true},
 	}
 	src := Source{Attempt: func(SPQ) (Outcome, error) {
@@ -239,7 +239,7 @@ func TestDriverBooksOutcomeKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.EstimatorSkips != 1 || res.CacheHits != 1 || res.CacheInvalidations != 1 || res.IndexScans != 0 || len(res.Subs) != 1 {
+	if res.EstimatorSkips != 1 || res.CacheHits != 1 || res.IndexScans != 0 || len(res.Subs) != 1 {
 		t.Fatalf("counters %+v", res)
 	}
 }

@@ -55,9 +55,9 @@ type Config struct {
 	// DisableShiftEnlarge turns off the Dai-et-al periodic interval
 	// adaptation of Section 4.2 (ablation support).
 	DisableShiftEnlarge bool
-	// DisableCache turns off the shared sub-result cache and the reads of
-	// the index's terminal-fallback memo (snt.Index.WholeSegment): no
-	// sub-query answer is memoised.
+	// DisableCache turns off the reads of the index's terminal-fallback
+	// memo (snt.Index.WholeSegment): every sub-query attempt that gets
+	// past the estimator and the census scans the index.
 	DisableCache bool
 	// DisableFullResultCache turns off the shared full-result cache, which
 	// memoises the final convolved histogram per (path, interval, filter,
@@ -75,9 +75,9 @@ type Config struct {
 
 // snapshot is one published index state: the immutable index, the
 // cardinality estimator built against it, and the epoch number that stamps
-// every cache entry derived from it. A query loads one snapshot at entry
-// and uses it throughout, so in-flight queries always see a consistent
-// index even while Extend publishes a successor.
+// every full-result cache entry derived from it. A query loads one snapshot
+// at entry and uses it throughout, so in-flight queries always see a
+// consistent index even while Extend publishes a successor.
 type snapshot struct {
 	ix    *snt.Index
 	est   *card.Estimator
@@ -87,11 +87,12 @@ type snapshot struct {
 // Engine processes travel-time queries against an SNT-index. An Engine is
 // safe for concurrent use: the published index snapshot is immutable, all
 // per-query scan state lives in pooled snt.Scratch buffers, and the shared
-// caches are internally synchronised. Extend ingests a batch of newer
-// trajectories without blocking readers: it builds a copy-on-write index
-// snapshot and publishes it with an atomic pointer swap; queries already
-// running finish against the epoch they started on, and epoch-stamped
-// cache entries from older snapshots are dropped lazily on lookup.
+// full-result cache is internally synchronised. Extend ingests a batch of
+// newer trajectories without blocking readers: it builds a copy-on-write
+// index snapshot and publishes it with an atomic pointer swap; queries
+// already running finish against the epoch they started on, and
+// epoch-stamped cache entries from older snapshots are dropped lazily on
+// lookup.
 type Engine struct {
 	cfg Config
 	// snap is the publication cell. It is a pointer so replica engines
@@ -100,12 +101,16 @@ type Engine struct {
 	// skew — the property that makes replica answers bit-identical.
 	snap  *atomic.Pointer[snapshot]
 	extMu sync.Mutex // serialises the writers (Extend, Compact)
-	cache *spqCache[subValue]
-	full  *spqCache[fullValue]
+	full  *spqCache
+
+	// memoHits and memoMisses are Cache's counters: the per-Result
+	// CacheHits and CacheMisses summed over completed queries.
+	memoHits, memoMisses atomic.Int64
 
 	// follower marks a read-only replica sharing another engine's snap
 	// cell: Extend and Compact refuse (ErrFollower), and no background
-	// compactor ever starts. Caches are the replica's own.
+	// compactor ever starts. The full-result cache and the memo
+	// counters are the replica's own.
 	follower bool
 
 	compactions     atomic.Int64
@@ -149,14 +154,11 @@ func NewEngineAt(ix *snt.Index, cfg Config, epoch uint64) *Engine {
 	return e
 }
 
-// makeCaches builds the result caches the configuration enables, at
-// DefaultCacheCapacity and DefaultFullCacheCapacity.
+// makeCaches builds the full-result cache unless the configuration
+// disables it, at DefaultFullCacheCapacity.
 func (e *Engine) makeCaches() {
-	if !e.cfg.DisableCache {
-		e.cache = newSPQCache[subValue](DefaultCacheCapacity)
-	}
 	if !e.cfg.DisableFullResultCache {
-		e.full = newSPQCache[fullValue](DefaultFullCacheCapacity)
+		e.full = newSPQCache(DefaultFullCacheCapacity)
 	}
 }
 
@@ -166,8 +168,9 @@ var ErrFollower = errors.New("query: follower engine is read-only; write through
 // NewFollower returns a read-only replica of primary: it shares primary's
 // publication cell — every snapshot (and epoch) the primary publishes is
 // visible to the follower at the same instant, so the two answer queries
-// bit-identically at all times — but owns its caches, so concurrent read
-// load spreads over per-replica cache locks instead of contending on one.
+// bit-identically at all times — but owns its full-result cache, so
+// concurrent read load spreads over per-replica cache locks instead of
+// contending on one.
 // Replicas over a snapshot mapping cost no index memory at all: the columns
 // live once, in the shared mapping (or heap). Extend and Compact on a
 // follower fail with ErrFollower; Close is safe and only ever stops state
@@ -218,10 +221,10 @@ type IngestStats struct {
 // block: the extended index is built copy-on-write next to the serving one
 // and published atomically as a new epoch, together with a refreshed
 // cardinality estimator. Queries in flight complete against the snapshot
-// they loaded at entry; the epoch stamp keeps their cache writes from ever
-// being served against the new index (and vice versa). Concurrent Extend
-// calls are serialised internally; a failed or empty batch leaves the
-// published snapshot unchanged.
+// they loaded at entry; the epoch stamp keeps their full-result cache
+// writes from ever being served against the new index (and vice versa).
+// Concurrent Extend calls are serialised internally; a failed or empty
+// batch leaves the published snapshot unchanged.
 func (e *Engine) Extend(add *traj.Store) (IngestStats, error) {
 	return e.ExtendCtx(context.Background(), add)
 }
@@ -378,7 +381,7 @@ func (e *Engine) merge(pol snt.CompactionPolicy, stop <-chan struct{}) (snt.Comp
 
 // publishLocked builds the snapshot for a new index (refreshing the
 // estimator against it), publishes it as the next epoch and eagerly purges
-// both caches of entries from other epochs. Callers hold extMu.
+// the full-result cache of entries from other epochs. Callers hold extMu.
 func (e *Engine) publishLocked(sn *snapshot, nix *snt.Index) *snapshot {
 	est := sn.est
 	if est.Enabled() {
@@ -392,7 +395,6 @@ func (e *Engine) publishLocked(sn *snapshot, nix *snt.Index) *snapshot {
 	// lazy cross-epoch check would drop them one by one); sweep them now so
 	// the memory is released immediately and post-publication queries find
 	// room for fresh results instead of a cache full of dead facts.
-	e.cache.purgeStale(next.epoch)
 	e.full.purgeStale(next.epoch)
 	return next
 }
@@ -431,16 +433,20 @@ func (e *Engine) CompactionInfo() (int64, snt.CompactionStats) {
 // manual Compact).
 func (e *Engine) CompactionFailures() int64 { return e.compactFailures.Load() }
 
-// Cache reports the cumulative sub-result cache statistics.
-func (e *Engine) Cache() CacheStats { return e.cache.Stats() }
+// Cache reports the cumulative terminal-fallback memo statistics: memo
+// reuses as Hits, scans that reached the index as Misses (both zero with
+// the cache disabled).
+func (e *Engine) Cache() CacheStats {
+	return CacheStats{Hits: e.memoHits.Load(), Misses: e.memoMisses.Load()}
+}
 
 // FullCache reports the cumulative full-result cache statistics.
 func (e *Engine) FullCache() CacheStats { return e.full.Stats() }
 
 // SubResult is one completed sub-query, summarised by the sufficient
 // statistics of its retrieved travel times: the sample count N, their exact
-// sum and their histogram. Hist may be shared with the engine's caches and
-// with other Results; treat it as immutable.
+// sum and their histogram. Hist may be shared with the terminal-fallback
+// memo, the full-result cache and other Results; treat it as immutable.
 type SubResult struct {
 	Path     network.Path
 	Interval snt.Interval // effective (shifted) interval that produced the samples
@@ -478,15 +484,15 @@ type Result struct {
 	IndexScans int
 	// EstimatorSkips counts sub-queries relaxed on the estimate alone.
 	EstimatorSkips int
-	// CacheHits and CacheMisses count sub-query scans served by the
-	// sub-result cache versus scans that had to reach the index (both
-	// stay zero with the cache disabled; a cache hit does not count as an
-	// index scan).
+	// CacheHits and CacheMisses count sub-query attempts answered by the
+	// index's terminal-fallback memo versus scans that had to reach the
+	// index (both stay zero with the cache disabled; a memo reuse does not
+	// count as an index scan).
 	CacheHits   int
 	CacheMisses int
-	// CacheInvalidations counts cached entries (sub-results or the full
-	// result) this query found stamped with a different index epoch and
-	// dropped — the lazy invalidation an Engine.Extend leaves behind.
+	// CacheInvalidations counts full-result cache entries this query found
+	// stamped with a different index epoch and dropped — the lazy
+	// invalidation a query racing an Engine.Extend leaves behind.
 	CacheInvalidations int
 	// FullCacheHit marks a result served whole from the full-result cache:
 	// Hist and Subs are the memoised outcome of an earlier identical query
@@ -531,11 +537,9 @@ func (r *Result) PredictedMean() float64 {
 //     (snt.Index.WholeSegment), which answers the whole-segment [0, tmax]
 //     rung: a fill books as an index scan and a cache miss, a reuse as a
 //     cache hit;
-//  4. with the cache enabled, the sub-result cache (epoch-checked);
-//  5. the Procedure 3-5 index scan.
+//  4. the Procedure 3-5 index scan.
 //
-// Attempts are deterministic given the snapshot and cache state; with the
-// cache disabled they are fully deterministic.
+// Attempts are deterministic: the memo's answer is the scan's.
 func (e *Engine) attempt(sn *snapshot, q SPQ, sc *snt.Scratch) Outcome {
 	if q.Beta > 0 && sn.est.Enabled() {
 		if bhat, ok := sn.est.Estimate(q.Path, q.Interval, q.Filter); ok && bhat < float64(q.Beta) {
@@ -543,36 +547,18 @@ func (e *Engine) attempt(sn *snapshot, q SPQ, sc *snt.Scratch) Outcome {
 		}
 	}
 	if sn.ix.CannotReach(q.Path, q.Interval, q.Beta) {
-		// The census rejects the rung in a few adds; a failure is never
-		// cached (cache.go), so the lookup could only miss.
+		// The census rejects the rung in a few adds.
 		return Outcome{}
 	}
-	stale := false
-	if e.cache != nil {
+	if !e.cfg.DisableCache {
 		if n, sum, h, filled, ok := sn.ix.WholeSegment(q.Path, q.Interval, q.Filter, q.Beta, e.cfg.BucketWidth); ok {
-			e.cache.book(!filled)
 			return Outcome{N: n, Sum: sum, Hist: h, Cached: !filled}
 		}
-		v, ok, st := e.cache.get(q.Path, q.Interval, q.Filter, q.Beta, sn.epoch)
-		if ok {
-			return Outcome{N: v.n, Sum: v.sum, Hist: v.hist, Fallback: v.fallback, Cached: true}
-		}
-		stale = st
 	}
+	// A scan aborted mid-sweep (TripQueryCtx deadline) leaves a partial
+	// view; the caller sees the cancellation and discards the outcome.
 	view, fallback := sn.ix.GetTravelTimesWith(sc, q.Path, q.Interval, q.Filter, q.Beta)
-	if sc.Canceled() || len(view) == 0 {
-		// A scan aborted mid-sweep (TripQueryCtx deadline) left a partial
-		// view that must not be cached or trusted — the caller is aborting
-		// the whole query. A scan that found nothing is not cached either
-		// (cache.go): the outcome is inert both ways.
-		return Outcome{Stale: stale}
-	}
-	o := OutcomeOf(view, e.cfg.BucketWidth, fallback)
-	if e.cache != nil {
-		e.cache.put(q.Path, q.Interval, q.Filter, q.Beta, sn.epoch, subValue{n: o.N, sum: o.Sum, hist: o.Hist, fallback: fallback})
-	}
-	o.Stale = stale
-	return o
+	return OutcomeOf(view, e.cfg.BucketWidth, fallback)
 }
 
 // TripQuery is Procedure 6: partition, process with relaxation, convolve.
@@ -587,12 +573,11 @@ func (e *Engine) attempt(sn *snapshot, q SPQ, sc *snt.Scratch) Outcome {
 // source: the initial sub-queries are attempted one at a time in path order,
 // because the shift-and-enlarge offsets of Section 4.2 that set each
 // sub-query's window come from the results before it. Attempts are
-// deterministic, so Subs and Hist do not depend on cache state or on other
+// deterministic, so Subs and Hist do not depend on memo state or on other
 // queries running concurrently; with the cache disabled, IndexScans and
-// EstimatorSkips do not either. With it enabled, concurrent queries race on
-// shared cache entries, so scan and hit/miss counts can vary run to run (the
-// retrieved values never differ — every entry is a deterministic function
-// of the immutable index).
+// EstimatorSkips do not either. With it enabled, concurrent queries race to
+// fill the terminal memo, so scan and hit/miss counts can vary run to run
+// (the retrieved values never differ — a memo answer is the scan's).
 func (e *Engine) TripQuery(q SPQ) Result {
 	res, _ := e.TripQueryCtx(context.Background(), q)
 	return res
@@ -603,9 +588,9 @@ func (e *Engine) TripQuery(q SPQ) Result {
 // few thousand records (snt.Scratch cancellation), so a pathological query
 // stops within microseconds of its deadline instead of finishing a
 // multi-second scan. A canceled query returns the zero Result and ctx.Err();
-// nothing partial is ever written to the sub-result or full-result caches.
-// With a background (non-cancelable) context the behaviour — including the
-// produced Result, bit for bit — is exactly TripQuery's.
+// nothing partial is ever written to the full-result cache or the memo
+// counters. With a background (non-cancelable) context the behaviour —
+// including the produced Result, bit for bit — is exactly TripQuery's.
 func (e *Engine) TripQueryCtx(ctx context.Context, q SPQ) (Result, error) {
 	start := time.Now()
 	done := ctx.Done()
@@ -667,17 +652,20 @@ func (e *Engine) TripQueryCtx(ctx context.Context, q SPQ) (Result, error) {
 	if staleFull {
 		res.CacheInvalidations++
 	}
-	if e.cache != nil {
-		// With the cache on, every scan that reached the index missed it first.
+	if !e.cfg.DisableCache {
+		// With the cache on, every scan that reached the index missed the
+		// memo first.
 		res.CacheMisses = res.IndexScans
+		e.memoHits.Add(int64(res.CacheHits))
+		e.memoMisses.Add(int64(res.CacheMisses))
 	}
 	if e.full != nil && !sc.Canceled() {
 		// Hist and Subs become shared with future hits; both are immutable
 		// from here on (the final histogram is never recycled, and Subs'
-		// histograms are already shared through the sub-result cache
-		// contract). A query that raced its own cancellation to the
-		// finish line is complete and correct, but its last scan may have
-		// been clipped — skip the memoisation rather than trust it.
+		// histograms may already be the terminal memo's). A query that
+		// raced its own cancellation to the finish line is complete and
+		// correct, but its last scan may have been clipped — skip the
+		// memoisation rather than trust it.
 		e.full.put(q.Path, q.Interval, q.Filter, q.Beta, sn.epoch, fullValue{hist: res.Hist, subs: res.Subs})
 	}
 	res.Elapsed = time.Since(start)

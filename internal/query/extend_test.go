@@ -47,8 +47,8 @@ func splitQuiescent(s *traj.Store, frac float64) (base, batch *traj.Store, ok bo
 
 // TestEngineExtendPublishesNewEpoch is the engine-level epoch contract:
 // Extend publishes the extended index as a new epoch without rebuilding the
-// engine, post-extend queries see the new batch's samples, and no cache
-// entry — full result or sub-result — crosses the epoch boundary.
+// engine, post-extend queries see the new batch's samples, and no
+// full-result cache entry crosses the epoch boundary.
 func TestEngineExtendPublishesNewEpoch(t *testing.T) {
 	cfg := workload.SmallConfig()
 	ds := workload.BuildDataset(cfg)
@@ -150,12 +150,12 @@ func TestEngineExtendPublishesNewEpoch(t *testing.T) {
 				post.Hist.Total(), cold[0].Hist.Total(), hotN)
 		}
 	}
-	// The publication swept the caches eagerly: every pre-extend entry was
-	// stamped with epoch 0 and must be gone (counted as purges), so the
-	// post-extend queries above found no stale facts to drop lazily.
-	cs, fs := eng.Cache(), eng.FullCache()
-	if cs.Purges == 0 || fs.Purges == 0 {
-		t.Fatalf("epoch publication purged nothing: sub %+v full %+v", cs, fs)
+	// The publication swept the full-result cache eagerly: every
+	// pre-extend entry was stamped with epoch 0 and must be gone (counted
+	// as purges), so the post-extend queries above found no stale facts to
+	// drop lazily.
+	if fs := eng.FullCache(); fs.Purges == 0 {
+		t.Fatalf("epoch publication purged nothing: %+v", fs)
 	}
 	if invalidations != 0 {
 		t.Fatalf("%d lazy invalidations despite the eager sweep (entries survived the purge)", invalidations)

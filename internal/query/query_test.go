@@ -511,3 +511,38 @@ func TestDisableShiftEnlarge(t *testing.T) {
 		t.Errorf("enabled shift did not adapt the interval")
 	}
 }
+
+// TestAttemptScanAllocs pins what one engine attempt at a periodic rung
+// that scans successfully allocates, with the cache on and the full-result
+// cache off: the histogram built from the scan (OutcomeOf) and nothing
+// else. The scan itself runs on the held scratch (snt's
+// TestScanAllocations), and no attempt memoises a periodic rung, so the
+// same attempt repeated scans again instead of answering from a store.
+func TestAttemptScanAllocs(t *testing.T) {
+	ix, qs := parEnv(t)
+	eng := NewEngine(ix, Config{Partitioner: Partitioner{Kind: ZoneKind}, BucketWidth: 10,
+		DisableFullResultCache: true})
+	sn := eng.snap.Load()
+	sc := snt.AcquireScratch()
+	defer snt.ReleaseScratch(sc)
+	var q SPQ
+	for _, c := range qs {
+		c.Beta = 2 // windows holding 20 records are rare at αmin
+		if o := eng.attempt(sn, c, sc); c.Interval.IsPeriodic() && o.N > 0 {
+			q = c
+			break
+		}
+	}
+	if q.Path == nil {
+		t.Fatal("no periodic query scans successfully")
+	}
+	var o Outcome
+	allocs := testing.AllocsPerRun(50, func() { o = eng.attempt(sn, q, sc) })
+	if o.N == 0 || o.Cached || o.Skipped {
+		t.Fatalf("attempt outcome %+v, want a successful scan", o)
+	}
+	// A histogram from FromSamples: its struct and its count buffer.
+	if allocs != 2 {
+		t.Fatalf("attempt allocated %v times per run, want 2", allocs)
+	}
+}

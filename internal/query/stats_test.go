@@ -13,7 +13,7 @@ import (
 
 // The tests in this file tie a sub-result's sufficient statistics — sample
 // count, exact sum, histogram — to the samples they stand for: whatever
-// route a sub-result took (a scan, a sub-result cache hit, a full-result
+// route a sub-result took (a scan, a terminal-memo reuse, a full-result
 // cache hit, the speed-limit fallback), it must summarise exactly the
 // samples a fresh Procedure 5 scan of the same strict path query retrieves.
 
@@ -91,7 +91,7 @@ func TestSubResultStatsMatchSamples(t *testing.T) {
 		{"sigmaR-nocache", Config{Splitter: SigmaR, DisableCache: true, DisableFullResultCache: true}},
 		{"sigmaL-nocache", Config{Splitter: SigmaL, DisableCache: true, DisableFullResultCache: true}},
 		{"sigmaR-cache", Config{Splitter: SigmaR}},
-		{"sigmaL-subcache", Config{Splitter: SigmaL, DisableFullResultCache: true}},
+		{"sigmaL-memo", Config{Splitter: SigmaL, DisableFullResultCache: true}},
 	} {
 		cfg := tc.cfg
 		cfg.Partitioner = Partitioner{Kind: ZoneKind}

@@ -30,6 +30,20 @@ import (
 	"pathhist/internal/traj"
 )
 
+// The fault-tolerance constants of the router and the health machine.
+const (
+	// minCoverage is the fraction of shards that must participate for a
+	// query to be answered at all. Below the floor the router returns
+	// ErrInsufficientCoverage instead of a partial result.
+	minCoverage = 0.5
+	// probeInterval is how long a down shard stays shed before a single
+	// query is let through as a recovery probe.
+	probeInterval = time.Second
+	// failThreshold is how many consecutive dispatch failures mark a
+	// shard down.
+	failThreshold = 3
+)
+
 // Config parameterises a cluster. The zero value gets sensible defaults
 // from normalize; only Shards is commonly set.
 type Config struct {
@@ -40,16 +54,6 @@ type Config struct {
 	// runs once, over merged scans, so per-shard skip decisions or cache
 	// hits would have nothing to attach to.
 	Opts pathhist.Options
-	// MinCoverage is the fraction of shards that must participate for a
-	// query to be answered at all (default 0.5). Below the floor the router
-	// returns ErrInsufficientCoverage instead of a partial result.
-	MinCoverage float64
-	// ProbeInterval is how long a down shard stays shed before a single
-	// query is let through as a recovery probe (default 1s).
-	ProbeInterval time.Duration
-	// FailThreshold is how many consecutive dispatch failures mark a shard
-	// down (default 3).
-	FailThreshold int
 	// Counters receives the shard dispatch/failure/shed/partial counters
 	// (an internal set is used when nil).
 	Counters *metrics.ServerCounters
@@ -58,15 +62,6 @@ type Config struct {
 func (cfg Config) normalized() Config {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
-	}
-	if cfg.MinCoverage <= 0 {
-		cfg.MinCoverage = 0.5
-	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = time.Second
-	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 3
 	}
 	if cfg.Counters == nil {
 		cfg.Counters = &metrics.ServerCounters{}

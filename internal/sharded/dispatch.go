@@ -67,7 +67,7 @@ func (c *Cluster) dispatch(ctx context.Context, s *shard, op func(context.Contex
 // dispatchFailed books a dispatch failure into the shard's health machine
 // and the counters and returns the error.
 func (c *Cluster) dispatchFailed(s *shard, probe bool, err error) (scanOut, error) {
-	s.health.failure(probe, c.cfg.FailThreshold, c.cfg.ProbeInterval, time.Now())
+	s.health.failure(probe, time.Now())
 	c.cfg.Counters.ShardFailures.Add(1)
 	return scanOut{}, err
 }

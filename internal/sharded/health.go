@@ -8,8 +8,8 @@ import (
 // State is a shard's health state. Transitions (driven by dispatch results
 // and the serving layer's degraded latch):
 //
-//	Ready ──(FailThreshold consecutive failures)──▶ Down
-//	Down ──(ProbeInterval elapsed, one query admitted)──▶ Recovering
+//	Ready ──(failThreshold consecutive failures)──▶ Down
+//	Down ──(probeInterval elapsed, one query admitted)──▶ Recovering
 //	Recovering ──(probe succeeds)──▶ Ready
 //	Recovering ──(probe fails)──▶ Down (probe timer re-armed)
 //	Ready ⇄ Degraded (serving layer latch; reads still dispatch, ingest
@@ -49,7 +49,7 @@ type shardHealth struct {
 
 // admit decides whether a query dispatch may proceed, implementing the
 // shed-before-dispatch policy: Ready (and Degraded — reads still work)
-// shards always admit; a Down shard sheds until ProbeInterval has elapsed,
+// shards always admit; a Down shard sheds until probeInterval has elapsed,
 // then admits exactly one dispatch as the recovery probe (single-flight:
 // the state moves to Recovering so concurrent queries keep shedding until
 // the probe resolves).
@@ -107,12 +107,12 @@ func (h *shardHealth) success() {
 
 // failure records a failed dispatch. A failed probe sends the shard
 // straight back to Down with the probe timer re-armed; otherwise the shard
-// goes down after threshold consecutive failures.
-func (h *shardHealth) failure(probe bool, threshold int, probeInterval time.Duration, now time.Time) {
+// goes down after failThreshold consecutive failures.
+func (h *shardHealth) failure(probe bool, now time.Time) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.consecFails++
-	if probe || h.consecFails >= threshold {
+	if probe || h.consecFails >= failThreshold {
 		h.state = Down
 		h.probeAt = now.Add(probeInterval)
 	}

@@ -17,9 +17,9 @@ import (
 )
 
 // ErrInsufficientCoverage is returned when so many shards are out that the
-// surviving coverage falls below Config.MinCoverage — the one condition
-// under which the router fails a query instead of degrading to a partial
-// answer (the serving layer maps it to 503).
+// surviving coverage falls below minCoverage — the one condition under
+// which the router fails a query instead of degrading to a partial answer
+// (the serving layer maps it to 503).
 var ErrInsufficientCoverage = errors.New("sharded: insufficient shard coverage")
 
 // Result is a routed query's outcome: the unsharded Result's payload plus
@@ -116,7 +116,7 @@ func (c *Cluster) Query(ctx context.Context, q pathhist.Query) (*Result, error) 
 	}
 	restarts := 0
 	for {
-		if float64(len(live)) < c.cfg.MinCoverage*float64(len(c.shards)) {
+		if float64(len(live)) < minCoverage*float64(len(c.shards)) {
 			return nil, fmt.Errorf("%w: %d of %d shards live", ErrInsufficientCoverage, len(live), len(c.shards))
 		}
 		res, err := c.runOnce(ctx, q, live)

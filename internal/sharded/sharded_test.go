@@ -633,11 +633,7 @@ func TestShardedOneShardDownPartial(t *testing.T) {
 	}
 
 	counters := &metrics.ServerCounters{}
-	c, err := Build(ds.G, copyStore(ds.Store), Config{
-		Shards:        4,
-		Counters:      counters,
-		ProbeInterval: 50 * time.Millisecond,
-	})
+	c, err := Build(ds.G, copyStore(ds.Store), Config{Shards: 4, Counters: counters})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -682,7 +678,7 @@ func TestShardedOneShardDownPartial(t *testing.T) {
 	// Lift the fault; after the probe interval the next query probes the
 	// shard, restores it, and answers over all shards again.
 	failpoint.Disable(site)
-	time.Sleep(60 * time.Millisecond)
+	time.Sleep(probeInterval + 50*time.Millisecond)
 	q := randomQuery(rng, ds, tmin, tmax)
 	want, err := fullRef.Query(q)
 	if err != nil {
@@ -769,24 +765,20 @@ func TestShardedHedging(t *testing.T) {
 	compareShardedVsPublic(t, "after-fault", 4, q, got, want)
 }
 
-// TestShardedCoverageFloor verifies the 503 path: with a coverage floor of
-// 1.0, losing any shard fails the query with ErrInsufficientCoverage.
+// TestShardedCoverageFloor verifies the 503 path: with every shard failing,
+// coverage drops below the minCoverage floor and the query fails with
+// ErrInsufficientCoverage instead of answering from too few shards.
 func TestShardedCoverageFloor(t *testing.T) {
 	ds := testDataset(t)
 	tmin, tmax := ds.Store.TimeRange()
-	c, err := Build(ds.G, copyStore(ds.Store), Config{
-		Shards:        4,
-		MinCoverage:   1.0,
-		FailThreshold: 1,
-	})
+	c, err := Build(ds.G, copyStore(ds.Store), Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	site := failpoint.ShardDown + ".3"
-	failpoint.Enable(site, failpoint.Injection{Err: errors.New("injected")})
-	defer failpoint.Disable(site)
+	failpoint.Enable(failpoint.ShardDown, failpoint.Injection{Err: errors.New("injected")})
+	defer failpoint.Disable(failpoint.ShardDown)
 
 	rng := rand.New(rand.NewSource(5))
 	q := randomQuery(rng, ds, tmin, tmax)

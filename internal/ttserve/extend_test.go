@@ -90,10 +90,10 @@ func TestExtendEndpoint(t *testing.T) {
 		st.Epoch != 1 || st.Partitions != 2 || st.Trajectories != 5 || st.LastExtendUnix == 0 {
 		t.Fatalf("stats after extend = %+v", st)
 	}
-	// The epoch publication swept both caches eagerly; the purge counters
-	// surface through /statsz (lazy invalidations only remain for queries
-	// racing the publication on a pinned snapshot).
-	if st.CachePurges == 0 || st.FullCachePurges == 0 {
+	// The epoch publication swept the full-result cache eagerly; the purge
+	// counter surfaces through /statsz (lazy invalidations only remain for
+	// queries racing the publication on a pinned snapshot).
+	if st.FullCachePurges == 0 {
 		t.Fatalf("no cache purges surfaced after extend: %+v", st)
 	}
 }

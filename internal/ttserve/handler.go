@@ -175,14 +175,16 @@ type Response struct {
 
 // Stats is the JSON shape of a /statsz answer: cumulative engine-level
 // observability for capacity planning, cache tuning and ingest monitoring.
+// CacheHits and CacheMisses are the terminal-fallback memo's: the sums of
+// the Response cache_hits and cache_misses over answered queries.
+// CachePurges is always 0 — the memo has no stale entries to purge — and
+// stays because the benchmark reads it.
 type Stats struct {
 	Partitions             int     `json:"partitions"`
 	Epoch                  uint64  `json:"epoch"`
 	Trajectories           int     `json:"trajectories"`
 	CacheHits              int64   `json:"cache_hits"`
 	CacheMisses            int64   `json:"cache_misses"`
-	CacheInvalidations     int64   `json:"cache_invalidations"`
-	CacheEntries           int     `json:"cache_entries"`
 	CacheHitRatio          float64 `json:"cache_hit_ratio"`
 	FullCacheHits          int64   `json:"full_cache_hits"`
 	FullCacheMisses        int64   `json:"full_cache_misses"`

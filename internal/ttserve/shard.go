@@ -187,13 +187,10 @@ func (s *Shard) statsSnapshot() Stats {
 		Trajectories:           s.eng.Trajectories(),
 		CacheHits:              cs.Hits,
 		CacheMisses:            cs.Misses,
-		CacheInvalidations:     cs.Invalidations,
-		CacheEntries:           cs.Entries,
 		FullCacheHits:          fs.Hits,
 		FullCacheMisses:        fs.Misses,
 		FullCacheInvalidations: fs.Invalidations,
 		FullCacheEntries:       fs.Entries,
-		CachePurges:            cs.Purges,
 		FullCachePurges:        fs.Purges,
 		IndexBytes:             c + wt + user + forest,
 		ExtendEnabled:          s.cfg.EnableExtend,

@@ -162,9 +162,10 @@ type Options struct {
 	// zone of its first segment — e.g. a smaller sample-size requirement
 	// in rural zones (the extension suggested in the paper's outlook).
 	ZoneBetas map[Zone]int
-	// DisableCache turns off the engine's shared sub-result cache and its
-	// reads of the index's terminal-fallback memo: no sub-query answer is
-	// memoised.
+	// DisableCache turns off the engine's reads of the index's
+	// terminal-fallback memo, which answers a single segment's whole-range
+	// [0, tmax] fallback: every sub-query attempt that reaches the index
+	// scans it.
 	DisableCache bool
 	// DisableFullResultCache turns off the engine's full-result cache,
 	// which memoises the final convolved histogram per (path, interval,
@@ -441,13 +442,13 @@ type Result struct {
 	// IndexScans and EstimatorSkips expose the processing effort.
 	IndexScans     int
 	EstimatorSkips int
-	// CacheHits and CacheMisses count sub-queries served by the engine's
-	// shared sub-result cache versus scans that reached the index.
+	// CacheHits and CacheMisses count sub-queries answered by the index's
+	// terminal-fallback memo versus scans that reached the index.
 	CacheHits   int
 	CacheMisses int
-	// CacheInvalidations counts cached entries from another index epoch
-	// this query dropped lazily (non-zero only for queries shortly after
-	// an Extend).
+	// CacheInvalidations counts full-result cache entries from another
+	// index epoch this query dropped lazily (non-zero only for queries
+	// racing an Extend).
 	CacheInvalidations int
 	// FullCacheHit marks a result served whole from the engine's
 	// full-result cache (all other effort counters are zero).
@@ -573,11 +574,12 @@ func (e *Engine) IndexMemory() (c, wt, user, forest int) {
 // published snapshot (grows by one per Extend).
 func (e *Engine) Partitions() int { return e.qe.Index().NumPartitions() }
 
-// CacheStats reports the cumulative sub-result cache statistics.
+// CacheStats reports the cumulative statistics of one memo level.
 type CacheStats = query.CacheStats
 
-// CacheStats snapshots the engine's shared sub-result cache counters (all
-// zero when the cache is disabled).
+// CacheStats snapshots the engine's terminal-fallback memo counters: Hits
+// and Misses are the Result CacheHits and CacheMisses summed over completed
+// queries (all zero when the cache is disabled).
 func (e *Engine) CacheStats() CacheStats { return e.qe.Cache() }
 
 // FullCacheStats snapshots the engine's full-result cache counters (all
