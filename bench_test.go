@@ -228,35 +228,6 @@ func BenchmarkFig11bEstimatorRuntime(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationScanOrder compares newest-first and oldest-first
-// temporal scans (DESIGN.md §4, decision 4).
-func BenchmarkAblationScanOrder(b *testing.B) {
-	e := env(b)
-	for _, oldest := range []bool{false, true} {
-		name := "newestFirst"
-		if oldest {
-			name = "oldestFirst"
-		}
-		b.Run(name, func(b *testing.B) {
-			ix := snt.Build(e.DS.G, e.DS.Store, snt.Options{OldestFirst: oldest})
-			// Both caches off: the cell compares raw scan orders.
-			eng := query.NewEngine(ix, query.Config{
-				Partitioner: query.Partitioner{Kind: query.ZoneKind}, BucketWidth: 10,
-				DisableCache: true, DisableFullResultCache: true,
-			})
-			qs := e.Queries
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q := qs[i%len(qs)]
-				_ = eng.TripQuery(experiments.SPQFor(q, experiments.SPQOnly, 20))
-			}
-			b.StopTimer()
-			p := e.RunCell(ix, experiments.SPQOnly, query.Partitioner{Kind: query.ZoneKind}, query.SigmaR, 20, nil)
-			b.ReportMetric(p.SMAPE, "sMAPE%")
-		})
-	}
-}
-
 // BenchmarkThroughputParallel measures multi-client query throughput (the
 // parallelization opportunity the paper's outlook names) with the cache
 // disabled: every query pays the full scan cost, concurrency alone is

@@ -179,13 +179,6 @@ func (g *Graph) Distance(a, b VertexID) float64 {
 	return math.Hypot(va.X-vb.X, va.Y-vb.Y)
 }
 
-// Midpoint returns the planar midpoint of an edge.
-func (g *Graph) Midpoint(e EdgeID) (x, y float64) {
-	ed := g.edges[e]
-	a, b := g.vertices[ed.From], g.vertices[ed.To]
-	return (a.X + b.X) / 2, (a.Y + b.Y) / 2
-}
-
 // MedianSpeedLimit returns the median of all known speed limits of the
 // category, the fallback the paper uses when a segment's limit is unknown
 // (Section 5.1.1). If the category has no known limits at all, a global

@@ -182,9 +182,6 @@ func NewFollower(primary *Engine) *Engine {
 	return e
 }
 
-// Follower reports whether the engine is a read-only replica.
-func (e *Engine) Follower() bool { return e.follower }
-
 // Snapshot returns the currently published (index, epoch) pair as one
 // consistent unit — what a persistence layer must capture together so the
 // restored engine serves the same index at the same epoch. The index is

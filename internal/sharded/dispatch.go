@@ -26,6 +26,7 @@ type scanOut struct {
 	sum     int64           // statistics: the samples' exact sum
 	hist    *hist.Histogram // statistics: the samples' histogram (nil for none)
 	shared  bool            // statistics: hist is the index memo's, never recycled
+	scanned bool            // statistics: the shard read a column of its own (a memo fill or a scan)
 }
 
 // errShardShed marks a dispatch refused before issue because the shard's

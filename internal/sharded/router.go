@@ -41,6 +41,10 @@ type Result struct {
 	// IndexScans counts scatter-merged scan attempts (the sharded analogue
 	// of the unsharded engine's per-attempt count).
 	IndexScans int
+	// CacheHits counts attempts answered from the shards' terminal memos
+	// alone: at least one live shard read its memo and none read a column.
+	// A memo reuse does not count as an index scan.
+	CacheHits int
 	// Partial marks an answer computed without the Missing shards.
 	Partial bool
 	// Missing lists the shards (ascending) whose data the answer excludes.
@@ -170,7 +174,7 @@ func (c *Cluster) runOnce(ctx context.Context, q pathhist.Query, live []int) (*R
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Hist: res.Hist, Subs: res.Subs, MeanSeconds: res.PredictedMean(), IndexScans: res.IndexScans, Epoch: rs.epoch}, nil
+	return &Result{Hist: res.Hist, Subs: res.Subs, MeanSeconds: res.PredictedMean(), IndexScans: res.IndexScans, CacheHits: res.CacheHits, Epoch: rs.epoch}, nil
 }
 
 // scatter fans one op out to every live shard concurrently, each run on its
@@ -253,18 +257,24 @@ func (c *Cluster) scatterScan(ctx context.Context, rs *runState, q query.SPQ) (q
 // equals the one built from every shard's samples together. Only the
 // histograms a scan built for this merge are recycled; a memo's stays with
 // its index. No sample anywhere gives the speed-limit fallback for a single
-// segment and a failed attempt otherwise — admit's answer for β ≤ 0.
+// segment and a failed attempt otherwise — admit's answer for β ≤ 0. The
+// attempt is a memo reuse (Outcome.Cached) when at least one shard read its
+// memo and no shard read a column, the unsharded engine's rule over the
+// union of the stripes: a shard without the segment's records reads
+// neither.
 func (c *Cluster) scatterStats(ctx context.Context, rs *runState, q query.SPQ) (query.Outcome, error) {
 	outs, err := c.scatter(ctx, rs, func(ix *snt.Index, sc *snt.Scratch) scanOut {
-		if n, sum, h, _, ok := ix.WholeSegment(q.Path, q.Interval, q.Filter, q.Beta, c.ladder.BucketWidth); ok {
-			return scanOut{n: n, sum: sum, hist: h, shared: true}
+		if n, sum, h, filled, ok := ix.WholeSegment(q.Path, q.Interval, q.Filter, q.Beta, c.ladder.BucketWidth); ok {
+			return scanOut{n: n, sum: sum, hist: h, shared: true, scanned: filled}
 		}
+		fx := ix.Frozen().Get(q.Path[0])
+		scanned := len(q.Path) > 1 || fx != nil && fx.Len() > 0
 		xs, fallback := ix.GetTravelTimesWith(sc, q.Path, q.Interval, q.Filter, 0)
 		if fallback {
-			return scanOut{}
+			return scanOut{scanned: scanned}
 		}
 		o := query.OutcomeOf(xs, c.ladder.BucketWidth, false)
-		return scanOut{n: o.N, sum: o.Sum, hist: o.Hist}
+		return scanOut{n: o.N, sum: o.Sum, hist: o.Hist, scanned: scanned}
 	})
 	if err != nil {
 		return query.Outcome{}, err
@@ -272,9 +282,12 @@ func (c *Cluster) scatterStats(ctx context.Context, rs *runState, q query.SPQ) (
 	var o query.Outcome
 	parts := make([]*hist.Histogram, 0, len(outs))
 	var built []*hist.Histogram
+	memo, scanned := false, false
 	for _, out := range outs {
 		o.N += out.n
 		o.Sum += out.sum
+		memo = memo || out.shared && !out.scanned
+		scanned = scanned || out.scanned
 		if out.hist != nil {
 			parts = append(parts, out.hist)
 			if !out.shared {
@@ -294,6 +307,7 @@ func (c *Cluster) scatterStats(ctx context.Context, rs *runState, q query.SPQ) (
 		// histogram is not among them: it lives on in its index.
 		h.Recycle()
 	}
+	o.Cached = memo && !scanned
 	return o, nil
 }
 
@@ -333,7 +347,7 @@ func (c *Cluster) admit(outs []scanOut, q query.SPQ) (xs []int, fallback bool) {
 	// drops some.
 	xs = make([]int, 0, min(total, q.Beta))
 	if total > q.Beta {
-		for _, tc := range mergeCands(outs, !c.cfg.Opts.OldestFirst)[:q.Beta] {
+		for _, tc := range mergeCands(outs)[:q.Beta] {
 			if tc.c.HasX {
 				xs = append(xs, int(tc.c.X))
 			}
@@ -353,13 +367,13 @@ func (c *Cluster) admit(outs []scanOut, q query.SPQ) (xs []int, fallback bool) {
 // mergeCands re-establishes the global scan order over per-shard candidate
 // lists. It runs only when a β cutoff applies — more than β candidates
 // came back — so it sorts at most live·β of them. The global order of the
-// equivalent unsharded index is (timestamp, global trajectory id),
-// descending for newest-first scans; stripes are contiguous ascending id
+// equivalent unsharded index is (timestamp, global trajectory id)
+// descending, the newest-first scan's; stripes are contiguous ascending id
 // blocks and every ingested batch lands whole on one shard strictly after
 // all indexed data (RouteIngest), so equal timestamps can only occur among
 // base-stripe records — where global id order is exactly (shard, local id)
 // lexicographic — and the comparator below is the global order.
-func mergeCands(outs []scanOut, newestFirst bool) []taggedCand {
+func mergeCands(outs []scanOut) []taggedCand {
 	n := 0
 	for _, o := range outs {
 		n += len(o.cands)
@@ -371,16 +385,13 @@ func mergeCands(outs []scanOut, newestFirst bool) []taggedCand {
 		}
 	}
 	slices.SortFunc(all, func(a, b taggedCand) int {
-		if newestFirst {
-			a, b = b, a
-		}
 		if a.c.Ts != b.c.Ts {
-			return cmp.Compare(a.c.Ts, b.c.Ts)
+			return cmp.Compare(b.c.Ts, a.c.Ts)
 		}
 		if a.shard != b.shard {
-			return cmp.Compare(a.shard, b.shard)
+			return cmp.Compare(b.shard, a.shard)
 		}
-		return cmp.Compare(a.c.Traj, b.c.Traj)
+		return cmp.Compare(b.c.Traj, a.c.Traj)
 	})
 	return all
 }

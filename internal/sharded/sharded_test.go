@@ -121,7 +121,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			DisableCache:           true,
 			DisableFullResultCache: true,
 		}},
-		{"partitioned-oldestfirst", pathhist.Options{PartitionDays: 7, OldestFirst: true}},
+		{"partitioned", pathhist.Options{PartitionDays: 7}},
 		// The ladder options: one Options → ladder mapping serves both sides.
 		{"zonebetas", pathhist.Options{ZoneBetas: map[pathhist.Zone]int{pathhist.ZoneRural: 3, pathhist.ZoneCity: 40}}},
 		{"alphas-bucket", pathhist.Options{IntervalSizes: []int64{600, 1200, 5400}, BucketSeconds: 7}},

@@ -42,9 +42,10 @@ const Magic = "PHSNAP\x00\x01"
 // value: the format is versioned, not self-describing. Version 2 dropped
 // the tree kind and modelled tree size from the snt meta section; version 3
 // dropped the per-record partition column from every forest segment;
-// version 4 dropped the time-of-day histogram section and its meta fields.
+// version 4 dropped the time-of-day histogram section and its meta fields;
+// version 5 dropped the scan-order word from the snt meta section.
 // An older file is refused, not mis-parsed, and its index must be rebuilt.
-const Version uint32 = 4
+const Version uint32 = 5
 
 // Sentinel errors, one per failure mode (wrapped with positional detail).
 var (
@@ -178,9 +179,6 @@ func (w *Writer) write(b []byte) {
 // Scalars are fixed-width little-endian. Slices are written as a uint64
 // element count, padding to realign to 8, then the raw elements. All of
 // them keep the payload 8-byte aligned after every slice body.
-
-// U32 appends a uint32 followed by 4 bytes of padding (alignment-preserving).
-func (w *Writer) U32(v uint32) { w.U64(uint64(v)) }
 
 // U64 appends a uint64.
 func (w *Writer) U64(v uint64) {
@@ -482,15 +480,6 @@ func (r *Reader) U64() uint64 {
 
 // I64 reads an int64 scalar.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// U32 reads a uint32 scalar (stored as a word).
-func (r *Reader) U32() uint32 {
-	v := r.U64()
-	if r.err == nil && v > math.MaxUint32 {
-		r.err = fmt.Errorf("snapio: uint32 field overflows: %d", v)
-	}
-	return uint32(v)
-}
 
 // Int reads a non-negative int scalar (stored as a word).
 func (r *Reader) Int() int {

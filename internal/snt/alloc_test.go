@@ -28,7 +28,7 @@ func TestScanAllocations(t *testing.T) {
 	cfg.TargetTrips = 450
 	ds := workload.BuildDataset(cfg)
 	rng := rand.New(rand.NewSource(21))
-	for _, opts := range []Options{{}, {PartitionDays: 7, OldestFirst: true}} {
+	for _, opts := range []Options{{}, {PartitionDays: 7}} {
 		ix := Build(ds.G, ds.Store, opts)
 		tmin, tmax := ix.TimeRange()
 		sc := AcquireScratch()

@@ -118,73 +118,70 @@ func assertSameResults(t *testing.T, ids map[string]network.EdgeID, a, b *Index,
 // trajectories — same sample order, same ISA ranges, same ToD histograms,
 // same memory model.
 func TestCompactMatchesFullBuild(t *testing.T) {
-	for _, oldest := range []bool{false, true} {
-		opts := Options{OldestFirst: oldest}
-		g, ids, s := synthStore(t, 20, 15)
-		frag := fragmentedIndex(t, g, s, 7, opts)
-		if frag.NumPartitions() != 8 {
-			t.Fatalf("fragmented partitions = %d", frag.NumPartitions())
-		}
+	g, ids, s := synthStore(t, 20, 15)
+	frag := fragmentedIndex(t, g, s, 7, Options{})
+	if frag.NumPartitions() != 8 {
+		t.Fatalf("fragmented partitions = %d", frag.NumPartitions())
+	}
 
-		compacted, stats, err := frag.Compact(CompactionPolicy{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if compacted.NumPartitions() != 1 || stats.PartitionsBefore != 8 || stats.PartitionsAfter != 1 || stats.Runs != 1 {
-			t.Fatalf("compaction stats: %+v", stats)
-		}
-		if stats.TrajsRebuilt != s.Len() {
-			t.Fatalf("TrajsRebuilt = %d, want %d", stats.TrajsRebuilt, s.Len())
-		}
-		if compacted.CompactedFrom() != 8 || !strings.Contains(compacted.String(), "1 partitions (compacted from 8)") {
-			t.Fatalf("String() = %q", compacted.String())
-		}
+	compacted, stats, err := frag.Compact(CompactionPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compacted.NumPartitions() != 1 || stats.PartitionsBefore != 8 || stats.PartitionsAfter != 1 || stats.Runs != 1 {
+		t.Fatalf("compaction stats: %+v", stats)
+	}
+	if stats.TrajsRebuilt != s.Len() {
+		t.Fatalf("TrajsRebuilt = %d, want %d", stats.TrajsRebuilt, s.Len())
+	}
+	if compacted.CompactedFrom() != 8 || !strings.Contains(compacted.String(), "1 partitions (compacted from 8)") {
+		t.Fatalf("String() = %q", compacted.String())
+	}
 
-		_, _, s2 := synthStore(t, 20, 15)
-		scratch := Build(g, s2, opts)
-		assertSameResults(t, ids, scratch, compacted, "compacted vs from-scratch")
+	_, _, s2 := synthStore(t, 20, 15)
+	scratch := Build(g, s2, Options{})
+	assertSameResults(t, ids, scratch, compacted, "compacted vs from-scratch")
 
-		// The frozen columns are bit-identical to the from-scratch build's:
-		// same timestamps and payloads, rewritten ISA positions; and the
-		// partition lookup is gone (single-partition layout).
-		if compacted.part != nil {
-			t.Fatalf("partition lookup of %d trajectories kept after full compaction", len(compacted.part))
+	// The frozen columns are bit-identical to the from-scratch build's:
+	// same timestamps and payloads, rewritten ISA positions; and the
+	// partition lookup is gone (single-partition layout).
+	if compacted.part != nil {
+		t.Fatalf("partition lookup of %d trajectories kept after full compaction", len(compacted.part))
+	}
+	scratch.Frozen().Each(func(e network.EdgeID, want *temporal.FrozenIndex) {
+		got := compacted.Frozen().Get(e)
+		if got == nil || got.Len() != want.Len() {
+			t.Fatalf("edge %d: column length mismatch", e)
 		}
-		scratch.Frozen().Each(func(e network.EdgeID, want *temporal.FrozenIndex) {
-			got := compacted.Frozen().Get(e)
-			if got == nil || got.Len() != want.Len() {
-				t.Fatalf("edge %d: column length mismatch", e)
+		if got.Census() != want.Census() {
+			t.Fatalf("edge %d: census %v vs scratch %v", e, got.Census(), want.Census())
+		}
+		for i := range want.Ts {
+			if got.Ts[i] != want.Ts[i] || got.Traj[i] != want.Traj[i] ||
+				got.Seq[i] != want.Seq[i] || got.ISA[i] != want.ISA[i] ||
+				got.A[i] != want.A[i] || got.TT[i] != want.TT[i] {
+				t.Fatalf("edge %d record %d: %+v vs scratch", e, i, got)
 			}
-			if got.Census() != want.Census() {
-				t.Fatalf("edge %d: census %v vs scratch %v", e, got.Census(), want.Census())
-			}
-			for i := range want.Ts {
-				if got.Ts[i] != want.Ts[i] || got.Traj[i] != want.Traj[i] ||
-					got.Seq[i] != want.Seq[i] || got.ISA[i] != want.ISA[i] ||
-					got.A[i] != want.A[i] || got.TT[i] != want.TT[i] {
-					t.Fatalf("edge %d record %d: %+v vs scratch", e, i, got)
-				}
-			}
-		})
-
-		// Memory model: identical FM-index and forest footprints (the many
-		// small wavelet trees and C arrays are gone).
-		mc, ms := compacted.Memory(), scratch.Memory()
-		if mc != ms {
-			t.Fatalf("memory model differs: %+v vs %+v", mc, ms)
 		}
-		fragMem := frag.Memory()
-		if mc.CBytes >= fragMem.CBytes || mc.Total() >= fragMem.Total() {
-			t.Fatalf("compaction did not shrink the index: %+v vs fragmented %+v", mc, fragMem)
-		}
+	})
 
-		// ToD selectivities match the from-scratch build exactly.
-		for _, name := range []string{"A", "B", "E"} {
-			sa, oka := todSel(scratch, ids[name], NewPeriodic(7*3600, 7200))
-			sb, okb := todSel(compacted, ids[name], NewPeriodic(7*3600, 7200))
-			if oka != okb || sa != sb {
-				t.Fatalf("ToD selectivity differs on %s: %v/%v vs %v/%v", name, sa, oka, sb, okb)
-			}
+	// Memory model: identical FM-index and forest footprints (the many
+	// small wavelet trees and C arrays are gone).
+	mc, ms := compacted.Memory(), scratch.Memory()
+	if mc != ms {
+		t.Fatalf("memory model differs: %+v vs %+v", mc, ms)
+	}
+	fragMem := frag.Memory()
+	if mc.CBytes >= fragMem.CBytes || mc.Total() >= fragMem.Total() {
+		t.Fatalf("compaction did not shrink the index: %+v vs fragmented %+v", mc, fragMem)
+	}
+
+	// ToD selectivities match the from-scratch build exactly.
+	for _, name := range []string{"A", "B", "E"} {
+		sa, oka := todSel(scratch, ids[name], NewPeriodic(7*3600, 7200))
+		sb, okb := todSel(compacted, ids[name], NewPeriodic(7*3600, 7200))
+		if oka != okb || sa != sb {
+			t.Fatalf("ToD selectivity differs on %s: %v/%v vs %v/%v", name, sa, oka, sb, okb)
 		}
 	}
 }

@@ -20,8 +20,8 @@ import (
 // searches gallop from the previous window's edge, and the enumeration
 // stops as soon as the β requirement is met or the records run out. Record
 // visit order is exactly the tree scan order (windows newest-first with
-// records descending inside each, or the oldest-first mirror), keeping
-// results bit-identical to the sequential Procedure 6 path.
+// records descending inside each), keeping results bit-identical to the
+// sequential Procedure 6 path.
 
 // lowerBound is temporal.LowerBoundTs (first index with ts[i] >= t) under
 // a local name; the wrapper inlines away.
@@ -37,10 +37,9 @@ func floorDiv(a, b int64) int64 {
 }
 
 // gallopBack returns lowerBound(ts[:en], lo) assuming the answer lies near
-// en — the window-start search of a descending periodic scan, whose answer
-// is at most one day window below the window's end. Exponential backoff
-// finds a bound below the answer in O(log distance), then a binary search
-// pins it.
+// en — the window-start search of a periodic scan, whose answer is at most
+// one day window below the window's end. Exponential backoff finds a bound
+// below the answer in O(log distance), then a binary search pins it.
 func gallopBack(ts []int64, en int, lo int64) int {
 	if en == 0 || ts[en-1] < lo {
 		return en
@@ -57,30 +56,12 @@ func gallopBack(ts []int64, en int, lo int64) int {
 	return base + lowerBound(ts[base:en], lo)
 }
 
-// gallopFwd returns lowerBound(ts, hi) within [st, len(ts)] assuming the
-// answer lies near st — the window-end search of an ascending periodic scan.
-func gallopFwd(ts []int64, st int, hi int64) int {
-	n := len(ts)
-	if st >= n || ts[st] >= hi {
-		return st
-	}
-	j, step := st, 1
-	for j < n && ts[j] < hi {
-		j += step
-		step <<= 1
-	}
-	if j > n {
-		j = n
-	}
-	return st + lowerBound(ts[st:j], hi)
-}
-
 // forEachWindow resolves the interval's time windows to column offset pairs
-// [st, en) over ts, in scan order (newest window first when descending),
-// and calls fn for every window that holds records; fn returning false
-// stops the enumeration. fn must not be stored (it is stack-allocated at
-// every call site to keep the scan path allocation-free).
-func forEachWindow(ts []int64, iv Interval, descending bool, fn func(st, en int) bool) {
+// [st, en) over ts, newest window first, and calls fn for every window that
+// holds records; fn returning false stops the enumeration. fn must not be
+// stored (it is stack-allocated at every call site to keep the scan path
+// allocation-free).
+func forEachWindow(ts []int64, iv Interval, fn func(st, en int) bool) {
 	if len(ts) == 0 {
 		return
 	}
@@ -99,57 +80,30 @@ func forEachWindow(ts []int64, iv Interval, descending bool, fn func(st, en int)
 		return
 	}
 	tod, width, day := iv.TodStart, iv.Width, int64(DaySeconds)
-	if descending {
-		// cur is the exclusive upper bound of the unprocessed column
-		// region; d the candidate day, seeded from the newest record and
-		// re-derived from the newest remaining record after every window,
-		// which jumps over days whose windows cannot hold records.
-		cur := len(ts)
-		d := floorDiv(ts[cur-1]-tod, day)
-		for cur > 0 {
-			lo := d*day + tod
-			en := cur
-			if ts[cur-1] >= lo+width {
-				// The newest remaining record sits in the gap above this
-				// window; the window's end is at most a day's records away.
-				en = gallopBack(ts, cur, lo+width)
-				if en == 0 {
-					return // nothing older than this window
-				}
-			}
-			st := gallopBack(ts, en, lo)
-			if st < en && !fn(st, en) {
-				return
-			}
-			cur = st
-			if cur > 0 {
-				d = floorDiv(ts[cur-1]-tod, day)
-			}
-		}
-		return
-	}
-	// Oldest-first mirror: cur is the inclusive lower bound of the
-	// unprocessed region; the candidate day is the earliest whose window
-	// ends after the oldest remaining record.
-	cur := 0
-	d := floorDiv(ts[0]-tod-width, day) + 1
-	for cur < len(ts) {
+	// cur is the exclusive upper bound of the unprocessed column region; d
+	// the candidate day, seeded from the newest record and re-derived from
+	// the newest remaining record after every window, which jumps over days
+	// whose windows cannot hold records.
+	cur := len(ts)
+	d := floorDiv(ts[cur-1]-tod, day)
+	for cur > 0 {
 		lo := d*day + tod
-		st := cur
-		if ts[cur] < lo {
-			// The oldest remaining record sits in the gap below this window.
-			st = gallopFwd(ts, cur, lo)
-			if st == len(ts) {
-				return // nothing newer than this window
+		en := cur
+		if ts[cur-1] >= lo+width {
+			// The newest remaining record sits in the gap above this
+			// window; the window's end is at most a day's records away.
+			en = gallopBack(ts, cur, lo+width)
+			if en == 0 {
+				return // nothing older than this window
 			}
 		}
-		en := gallopFwd(ts, st, lo+width)
+		st := gallopBack(ts, en, lo)
 		if st < en && !fn(st, en) {
 			return
 		}
-		cur = en
-		if cur < len(ts) {
-			d = floorDiv(ts[cur]-tod-width, day) + 1
+		cur = st
+		if cur > 0 {
+			d = floorDiv(ts[cur-1]-tod, day)
 		}
 	}
 }
@@ -194,10 +148,11 @@ func (s *frozenScan) admit(i int) bool {
 // in scan order across the interval's windows, keep those whose ISA index
 // falls in the partition's range and which pass the filter, and write
 // their column offsets to sc.hits in scan order, stopping once beta are
-// found (beta <= 0 scans exhaustively). Scan order is monotone in column
-// offset (descending unless OldestFirst), so the hits' time bounds are
-// their first and last entries' timestamps. It returns e's column (nil
-// when e has no records; sc.hits is then empty).
+// found (beta <= 0 scans exhaustively). Scan order is newest-first:
+// windows newest first, records descending inside each, so the hits
+// descend in column offset and their time bounds are their last and first
+// entries' timestamps. It returns e's column (nil when e has no records;
+// sc.hits is then empty).
 func (ix *Index) collect(sc *Scratch, e network.EdgeID, ranges []Range, iv Interval, f Filter, beta int) *temporal.FrozenIndex {
 	sc.hits = sc.hits[:0]
 	fx := ix.frozen.Get(e)
@@ -205,16 +160,11 @@ func (ix *Index) collect(sc *Scratch, e network.EdgeID, ranges []Range, iv Inter
 		return nil
 	}
 	s := frozenScan{fx: fx, part: ix.part, users: ix.users, ranges: ranges, rg0: ranges[0], f: f}
-	descending := !ix.opts.OldestFirst
-	forEachWindow(fx.Ts, iv, descending, func(st, en int) bool {
+	forEachWindow(fx.Ts, iv, func(st, en int) bool {
 		if sc.Canceled() {
 			return false
 		}
-		i, step := st, 1
-		if descending {
-			i, step = en-1, -1
-		}
-		for n := en - st; n > 0; n, i = n-1, i+step {
+		for n, i := en-st, en-1; n > 0; n, i = n-1, i-1 {
 			if n&(cancelStride-1) == 0 && sc.Canceled() {
 				return false
 			}
@@ -254,10 +204,7 @@ func (ix *Index) join(sc *Scratch, first *temporal.FrozenIndex, p network.Path, 
 		}
 		sc.insert(packKey(int32(first.Traj[i]), first.Seq[i]), int32(k))
 	}
-	lo, hi := hits[0], hits[len(hits)-1]
-	if lo > hi {
-		lo, hi = hi, lo
-	}
+	hi, lo := hits[0], hits[len(hits)-1] // collect emits descending offsets
 	ts := last.Ts
 	en := lowerBound(ts, first.Ts[hi]+ix.maxTrajDur+1)
 	st := lowerBound(ts[:en], first.Ts[lo])

@@ -13,7 +13,7 @@ import (
 )
 
 // treeTravelTimes is the pre-freeze Procedure 3-5 implementation, verbatim:
-// per-day Ascend/Descend tree scans with per-record callbacks building a
+// per-day Descend tree scans with per-record callbacks building a
 // (d, seq) map, then an ascending probe scan. It is the order oracle the
 // fused scans must match byte for byte.
 func treeTravelTimes(ix *Index, forest *treeforest.Forest, p network.Path, iv Interval, f Filter, beta int) (xs []int, fallback bool) {
@@ -53,7 +53,7 @@ func treeTravelTimes(ix *Index, forest *treeforest.Forest, p network.Path, iv In
 			m[mapKey{r.Traj, r.Seq}] = r.A - r.TT
 			return beta <= 0 || len(m) < beta
 		}
-		iv.EachRange(ix.tmin, ix.tmax, !ix.opts.OldestFirst, func(lo, hi int64) bool {
+		iv.EachRange(ix.tmin, ix.tmax, func(lo, hi int64) bool {
 			done := false
 			scan := func(t int64, r temporal.Record) bool {
 				cont := visit(t, r)
@@ -62,11 +62,7 @@ func treeTravelTimes(ix *Index, forest *treeforest.Forest, p network.Path, iv In
 				}
 				return cont
 			}
-			if ix.opts.OldestFirst {
-				phi.Ascend(lo, hi, scan)
-			} else {
-				phi.Descend(lo, hi, scan)
-			}
+			phi.Descend(lo, hi, scan)
 			return !done
 		})
 	}
@@ -123,9 +119,8 @@ func TestFusedScansMatchTreeScans(t *testing.T) {
 
 	for _, opts := range []Options{
 		{},
-		{OldestFirst: true},
 		{PartitionDays: 7},
-		{PartitionDays: 5, OldestFirst: true},
+		{PartitionDays: 5},
 	} {
 		ix := Build(ds.G, ds.Store, opts)
 		forests := []*treeforest.Forest{

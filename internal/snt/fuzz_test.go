@@ -144,7 +144,7 @@ func FuzzScanMatchesOracle(f *testing.F) {
 			if anyData != occurs || len(cands) != capped {
 				t.Fatalf("index %d %s: ScanCandidates %d candidates, anyData %v; oracle %d, occurs %v", k, label, len(cands), anyData, capped, occurs)
 			}
-			re, reFb := reconstructFromCands(ix, p, cands, anyData, iv, b, ix.opts.OldestFirst)
+			re, reFb := reconstructFromCands(ix, p, cands, anyData, iv, b)
 			if len(p) > 1 {
 				// Candidates keep scan order, the join emits in sweep order.
 				re, got = sortedCopy(re), sortedCopy(got)

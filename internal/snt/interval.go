@@ -105,10 +105,10 @@ func (iv Interval) Contains(t int64) bool {
 }
 
 // EachRange enumerates the absolute timestamp ranges the interval covers
-// within the data range [tmin, tmax], newest first when newestFirst is set.
-// fn returning false stops the enumeration. For periodic intervals this
-// yields one (clipped) window per day.
-func (iv Interval) EachRange(tmin, tmax int64, newestFirst bool, fn func(lo, hi int64) bool) {
+// within the data range [tmin, tmax], newest first, the order Procedure 3
+// scans them in. fn returning false stops the enumeration. For periodic
+// intervals this yields one (clipped) window per day.
+func (iv Interval) EachRange(tmin, tmax int64, fn func(lo, hi int64) bool) {
 	clipCall := func(lo, hi int64) bool {
 		if lo < tmin {
 			lo = tmin
@@ -126,17 +126,7 @@ func (iv Interval) EachRange(tmin, tmax int64, newestFirst bool, fn func(lo, hi 
 		return
 	}
 	firstDay := tmin/DaySeconds - 1 // wrapped windows of the previous day may reach tmin
-	lastDay := tmax / DaySeconds
-	if newestFirst {
-		for d := lastDay; d >= firstDay; d-- {
-			lo := d*DaySeconds + iv.TodStart
-			if !clipCall(lo, lo+iv.Width) {
-				return
-			}
-		}
-		return
-	}
-	for d := firstDay; d <= lastDay; d++ {
+	for d := tmax / DaySeconds; d >= firstDay; d-- {
 		lo := d*DaySeconds + iv.TodStart
 		if !clipCall(lo, lo+iv.Width) {
 			return

@@ -14,7 +14,7 @@ func TestFixedInterval(t *testing.T) {
 		t.Error("Contains bounds wrong")
 	}
 	var ranges [][2]int64
-	iv.EachRange(0, 1000, true, func(lo, hi int64) bool {
+	iv.EachRange(0, 1000, func(lo, hi int64) bool {
 		ranges = append(ranges, [2]int64{lo, hi})
 		return true
 	})
@@ -23,7 +23,7 @@ func TestFixedInterval(t *testing.T) {
 	}
 	// Clipping to the data range.
 	ranges = nil
-	iv.EachRange(150, 170, true, func(lo, hi int64) bool {
+	iv.EachRange(150, 170, func(lo, hi int64) bool {
 		ranges = append(ranges, [2]int64{lo, hi})
 		return true
 	})
@@ -135,50 +135,37 @@ func TestEachRangePeriodic(t *testing.T) {
 	tmin := int64(2*DaySeconds + 3600)
 	tmax := int64(5*DaySeconds + 23*3600)
 	var ranges [][2]int64
-	iv.EachRange(tmin, tmax, false, func(lo, hi int64) bool {
+	iv.EachRange(tmin, tmax, func(lo, hi int64) bool {
 		ranges = append(ranges, [2]int64{lo, hi})
 		return true
 	})
-	if len(ranges) != 4 { // days 2..5
+	if len(ranges) != 4 { // days 5..2, newest first
 		t.Fatalf("ranges = %v", ranges)
 	}
 	for i, r := range ranges {
-		d := int64(2 + i)
+		d := int64(5 - i)
 		if r[0] != d*DaySeconds+8*3600 || r[1] != d*DaySeconds+8*3600+1800 {
 			t.Errorf("day %d range = %v", d, r)
 		}
 	}
-	// Newest first reverses the order.
-	var rev [][2]int64
-	iv.EachRange(tmin, tmax, true, func(lo, hi int64) bool {
-		rev = append(rev, [2]int64{lo, hi})
-		return true
-	})
-	for i := range rev {
-		if rev[i] != ranges[len(ranges)-1-i] {
-			t.Fatal("newest-first is not the reverse")
-		}
-	}
 	// Early stop.
 	n := 0
-	iv.EachRange(tmin, tmax, true, func(lo, hi int64) bool { n++; return false })
+	iv.EachRange(tmin, tmax, func(lo, hi int64) bool { n++; return false })
 	if n != 1 {
 		t.Errorf("early stop visited %d", n)
 	}
 	// A wrapped window from the day before tmin still reaches into the
 	// data range.
 	w := NewPeriodic(23*3600+1800, 7200) // 23:30-01:30
-	var first [2]int64
+	var oldest [2]int64
 	got := false
-	w.EachRange(3*DaySeconds, 3*DaySeconds+3600, false, func(lo, hi int64) bool {
-		if !got {
-			first = [2]int64{lo, hi}
-			got = true
-		}
+	w.EachRange(3*DaySeconds, 3*DaySeconds+3600, func(lo, hi int64) bool {
+		oldest = [2]int64{lo, hi}
+		got = true
 		return true
 	})
-	if !got || first[0] != 3*DaySeconds {
-		t.Errorf("wrapped window not clipped into range: %v (got=%v)", first, got)
+	if !got || oldest[0] != 3*DaySeconds {
+		t.Errorf("wrapped window not clipped into range: %v (got=%v)", oldest, got)
 	}
 }
 

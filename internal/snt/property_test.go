@@ -121,7 +121,7 @@ func TestRandomQueriesAgainstBruteForce(t *testing.T) {
 		for _, opts := range []Options{
 			{},
 			{PartitionDays: 7},
-			{PartitionDays: 3, OldestFirst: true},
+			{PartitionDays: 3},
 		} {
 			ix := Build(c.g, c.store, opts)
 			assertCensus(t, ix, c.name)

@@ -13,7 +13,7 @@ import (
 // candidate scan — the single-shard degenerate case of the sharded router's
 // merge, where the merged order is exactly the shard's scan order. It must
 // reproduce GetTravelTimes bit for bit.
-func reconstructFromCands(ix *Index, p network.Path, cands []Cand, anyData bool, iv Interval, beta int, oldestFirst bool) (xs []int, fallback bool) {
+func reconstructFromCands(ix *Index, p network.Path, cands []Cand, anyData bool, iv Interval, beta int) (xs []int, fallback bool) {
 	if !anyData {
 		if len(p) == 1 {
 			return []int{ix.g.EstimateTTSeconds(p[0])}, true
@@ -25,19 +25,12 @@ func reconstructFromCands(ix *Index, p network.Path, cands []Cand, anyData bool,
 	}
 	if len(p) == 1 {
 		// A single segment's samples come out in ascending time order: the
-		// reverse of a descending scan's candidate order, the same order
-		// otherwise.
+		// reverse of the newest-first scan's candidate order.
 		if len(cands) == 0 {
 			return []int{ix.g.EstimateTTSeconds(p[0])}, true
 		}
-		if oldestFirst {
-			for _, c := range cands {
-				xs = append(xs, int(c.X))
-			}
-		} else {
-			for i := len(cands) - 1; i >= 0; i-- {
-				xs = append(xs, int(cands[i].X))
-			}
+		for i := len(cands) - 1; i >= 0; i-- {
+			xs = append(xs, int(cands[i].X))
 		}
 		return xs, false
 	}
@@ -62,7 +55,7 @@ func TestScanCandidatesMatchesGetTravelTimes(t *testing.T) {
 	for _, opts := range []Options{
 		{},
 		{PartitionDays: 3},
-		{PartitionDays: 7, OldestFirst: true},
+		{PartitionDays: 7},
 	} {
 		ix := Build(ds.G, ds.Store, opts)
 		tmin, tmax := ix.TimeRange()
@@ -100,7 +93,7 @@ func TestScanCandidatesMatchesGetTravelTimes(t *testing.T) {
 
 			want, wantFall := ix.GetTravelTimes(p, iv, f, beta)
 			cands, anyData := ix.ScanCandidates(sc, p, iv, f, beta)
-			got, gotFall := reconstructFromCands(ix, p, cands, anyData, iv, beta, opts.OldestFirst)
+			got, gotFall := reconstructFromCands(ix, p, cands, anyData, iv, beta)
 			if gotFall != wantFall {
 				t.Fatalf("opts %+v trial %d: fallback %v vs %v (path %v iv %v beta %d)",
 					opts, trial, gotFall, wantFall, p, iv, beta)

@@ -61,7 +61,6 @@ func (ix *Index) WriteSnapshot(w io.Writer, epoch uint64) (int64, error) {
 	sw.U64(epoch) // repeated from the header: lets the loader detect a spliced header
 	sw.U64(uint64(len(ix.parts)))
 	sw.I64(int64(ix.opts.PartitionDays))
-	sw.Bool(ix.opts.OldestFirst)
 	sw.I64(ix.tmin)
 	sw.I64(ix.tmax)
 	sw.I64(ix.maxTrajDur)
@@ -410,7 +409,6 @@ func readMeta(sr *snapio.Reader) (snapMeta, error) {
 	m.epoch = sr.U64()
 	m.numParts = sr.Int()
 	m.opts.PartitionDays = int(sr.I64())
-	m.opts.OldestFirst = sr.Bool()
 	m.tmin = sr.I64()
 	m.tmax = sr.I64()
 	m.maxTrajDur = sr.I64()

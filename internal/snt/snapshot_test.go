@@ -306,6 +306,19 @@ func TestSnapshotFailClosed(t *testing.T) {
 			t.Fatalf("mapped: err = %v, want ErrVersion", err)
 		}
 	})
+	t.Run("old version 4", func(t *testing.T) {
+		// Format 4 stored the scan-order word in the meta section; format 5
+		// scans newest-first only and drops it. Both loaders refuse a
+		// format-4 file.
+		bad := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint32(bad[8:], 4)
+		if err := load(bad); !errors.Is(err, snapio.ErrVersion) {
+			t.Fatalf("copied: err = %v, want ErrVersion", err)
+		}
+		if _, _, err := ReadSnapshotMapped(g, bad); !errors.Is(err, snapio.ErrVersion) {
+			t.Fatalf("mapped: err = %v, want ErrVersion", err)
+		}
+	})
 	t.Run("bit flip per section", func(t *testing.T) {
 		// One flipped payload byte in every section must fail the CRC.
 		for i, off := range offs {

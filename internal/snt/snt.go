@@ -26,9 +26,6 @@ type Options struct {
 	// PartitionDays is the temporal partition size of Section 4.3.2 in
 	// days; 0 builds a single partition (FULL).
 	PartitionDays int
-	// OldestFirst scans temporal indexes forward in time instead of the
-	// default newest-first order (DESIGN.md §4, decision 4).
-	OldestFirst bool
 }
 
 // partition is one temporal partition: an FM-index over the trajectory

@@ -175,20 +175,15 @@ func (ix *Index) GetTravelTimesWith(sc *Scratch, p network.Path, iv Interval, f 
 	}
 	// With l = 1 a record can only match itself, so the hits are the
 	// matches and the join collapses: their traversal times are emitted in
-	// ascending time order — exactly the sequence the join's ascending
-	// sweep would produce. β-free queries can accept the whole column, so
-	// the emission polls at the admit loop's stride; a cancelled emission
-	// returns partial samples, which the caller discards.
-	descending := !ix.opts.OldestFirst
+	// ascending time order (the hits reversed) — exactly the sequence the
+	// join's ascending sweep would produce. β-free queries can accept the
+	// whole column, so the emission polls at the admit loop's stride; a
+	// cancelled emission returns partial samples, which the caller discards.
 	for n := range hits {
 		if n&(cancelStride-1) == 0 && sc.Canceled() {
 			break
 		}
-		k := n
-		if descending {
-			k = len(hits) - 1 - n
-		}
-		sc.xs = append(sc.xs, int(fx.TT[hits[k]]))
+		sc.xs = append(sc.xs, int(fx.TT[hits[len(hits)-1-n]]))
 	}
 	return sc.xs, false
 }

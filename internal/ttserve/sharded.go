@@ -104,6 +104,10 @@ func (s *ShardedServer) toShardedResponse(res *sharded.Result) ShardedResponse {
 	out.Epoch = res.Epoch
 	out.MeanSeconds = res.MeanSeconds
 	out.IndexScans = res.IndexScans
+	// The shards always read their terminal memos, so every index scan
+	// missed them first: the single engine's rule with its memo on.
+	out.CacheHits = res.CacheHits
+	out.CacheMisses = res.IndexScans
 	if len(res.Subs) > 0 {
 		out.SubQueries = make([]SubResponse, len(res.Subs))
 	}

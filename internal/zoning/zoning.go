@@ -45,9 +45,6 @@ type Map struct {
 // NewMap returns a Map over the given polygons.
 func NewMap(polys []Polygon) *Map { return &Map{polys: polys} }
 
-// NumPolygons returns the number of zone geometries.
-func (m *Map) NumPolygons() int { return len(m.polys) }
-
 // TypeAt returns the zone type at a single point: the type of the covering
 // polygon(s) if they agree, ambiguous if they disagree, rural if none cover.
 func (m *Map) TypeAt(p Point) network.Zone {

@@ -155,9 +155,6 @@ type Options struct {
 	// IntervalSizes is the widening ladder A in seconds (default: 15, 30,
 	// 45, 60, 90, 120 minutes).
 	IntervalSizes []int64
-	// OldestFirst scans temporal data forward in time instead of the
-	// default newest-first order.
-	OldestFirst bool
 	// ZoneBetas overrides a query's Beta per initial sub-query by the
 	// zone of its first segment — e.g. a smaller sample-size requirement
 	// in rural zones (the extension suggested in the paper's outlook).
@@ -222,10 +219,7 @@ func NewEngine(g *Graph, store *Store, opts Options) (*Engine, error) {
 	if store.Len() == 0 {
 		return nil, errors.New("pathhist: empty trajectory store")
 	}
-	ix := snt.Build(g, store, snt.Options{
-		PartitionDays: opts.PartitionDays,
-		OldestFirst:   opts.OldestFirst,
-	})
+	ix := snt.Build(g, store, snt.Options{PartitionDays: opts.PartitionDays})
 	return &Engine{g: g, qe: query.NewEngineAt(ix, engineConfig(ix, opts), 0)}, nil
 }
 

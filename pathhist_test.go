@@ -125,7 +125,6 @@ func TestOptionsMatrix(t *testing.T) {
 		{Estimator: EstimatorBTAcc},
 		{PartitionDays: 7},
 		{BucketSeconds: 5, IntervalSizes: []int64{600, 1200}},
-		{OldestFirst: true},
 	} {
 		eng, ids := exampleEngine(t, opt)
 		res, err := eng.Query(Query{Path: Path{ids["A"], ids["B"], ids["E"]}, Around: 4, Beta: 2})
