@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"pathhist/internal/fmindex"
-	"pathhist/internal/suffix"
 	"pathhist/internal/temporal"
 	"pathhist/internal/traj"
 )
@@ -101,48 +99,26 @@ func (ix *Index) Extend(add *traj.Store) (*Index, error) {
 			minStart, ix.tmax)
 	}
 	w := len(ix.parts)
-	base := traj.ID(len(ix.users))
-
-	// Build the partition's trajectory string and FM-index.
-	var text []int32
-	starts := make([]int, add.Len())
-	for i := range add.All() {
-		tr := &add.All()[i]
-		starts[i] = len(text)
-		for _, e := range tr.Seq {
-			text = append(text, int32(e.Edge)+fmindex.MinEdgeSymbol)
-		}
-		text = append(text, fmindex.Terminator)
-	}
-	_, isa, bwt := suffix.BuildAll(text, ix.alphabet)
-
-	// Collect the forest batch.
-	fb := temporal.NewForestBuilder()
-	records := 0
 	newMax := ix.tmax
 	maxDur := ix.maxTrajDur
 	for i := range add.All() {
 		tr := &add.All()[i]
-		var agg int32
-		for seq, e := range tr.Seq {
-			agg += e.TT
-			fb.Add(e.Edge, e.T, temporal.Record{
-				ISA:  isa[starts[i]+seq],
-				Traj: base + traj.ID(i),
-				TT:   e.TT,
-				A:    agg,
-				Seq:  int32(seq),
-			})
+		for _, e := range tr.Seq {
 			if end := e.T + int64(e.TT); end > newMax {
 				newMax = end
 			}
-			records++
 		}
 		if d := tr.TotalDuration(); d > maxDur {
 			maxDur = d
 		}
 	}
-	frozen, err := ix.frozen.Extend(fb)
+
+	// Build the partition: its trajectory string, FM-index and forest
+	// batch, which the forest absorbs append-only.
+	var frozen *temporal.FrozenForest
+	var err error
+	parts := buildPartitions(ix.g.NumEdges(), ix.alphabet, [][]traj.Trajectory{add.All()}, traj.ID(len(ix.users)),
+		func(fb *temporal.ForestBuilder) { frozen, err = ix.frozen.Extend(fb) })
 	if err != nil {
 		return nil, err
 	}
@@ -152,15 +128,10 @@ func (ix *Index) Extend(add *traj.Store) (*Index, error) {
 	// written only beyond the receiver's visible length, which the
 	// superseded flag keeps single-writer. The first Extend materialises
 	// part with the all-zero prefix of the single partition it leaves.
-	newPart := partition{
-		fm:      fmindex.FromBWT(bwt, ix.alphabet),
-		trajs:   add.Len(),
-		records: records,
-	}
 	nix := &Index{
 		g:          ix.g,
 		opts:       ix.opts,
-		parts:      append(ix.parts[:len(ix.parts):len(ix.parts)], newPart),
+		parts:      append(ix.parts[:len(ix.parts):len(ix.parts)], parts[0]),
 		frozen:     frozen,
 		users:      ix.users,
 		part:       ix.part,
@@ -178,7 +149,7 @@ func (ix *Index) Extend(add *traj.Store) (*Index, error) {
 		nix.part = append(nix.part, int32(w))
 	}
 	nix.stats.Partitions = len(nix.parts)
-	nix.stats.Records += records
+	nix.stats.Records += parts[0].records
 	nix.stats.Trajs += add.Len()
 	nix.inheritWhole(ix, false)
 	committed = true

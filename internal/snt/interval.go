@@ -104,36 +104,6 @@ func (iv Interval) Contains(t int64) bool {
 	return mod(mod(t, DaySeconds)-iv.TodStart, DaySeconds) < iv.Width
 }
 
-// EachRange enumerates the absolute timestamp ranges the interval covers
-// within the data range [tmin, tmax], newest first, the order Procedure 3
-// scans them in. fn returning false stops the enumeration. For periodic
-// intervals this yields one (clipped) window per day.
-func (iv Interval) EachRange(tmin, tmax int64, fn func(lo, hi int64) bool) {
-	clipCall := func(lo, hi int64) bool {
-		if lo < tmin {
-			lo = tmin
-		}
-		if hi > tmax+1 {
-			hi = tmax + 1
-		}
-		if lo >= hi {
-			return true
-		}
-		return fn(lo, hi)
-	}
-	if iv.Kind == Fixed {
-		clipCall(iv.Start, iv.End)
-		return
-	}
-	firstDay := tmin/DaySeconds - 1 // wrapped windows of the previous day may reach tmin
-	for d := tmax / DaySeconds; d >= firstDay; d-- {
-		lo := d*DaySeconds + iv.TodStart
-		if !clipCall(lo, lo+iv.Width) {
-			return
-		}
-	}
-}
-
 // String formats the predicate for logs and error messages.
 func (iv Interval) String() string {
 	if iv.Kind == Fixed {

@@ -114,57 +114,33 @@ func Build(g *network.Graph, store *traj.Store, opts Options) *Index {
 	if numParts == 0 {
 		numParts = 1
 	}
-	members := make([][]traj.ID, numParts)
-	for i := range store.All() {
-		tr := &store.All()[i]
-		w := partOf(tr.StartTime())
-		members[w] = append(members[w], tr.ID)
-		ix.users[tr.ID] = tr.User
-		if d := tr.TotalDuration(); d > ix.maxTrajDur {
+	all := store.All()
+	for i := range all {
+		ix.users[all[i].ID] = all[i].User
+		if d := all[i].TotalDuration(); d > ix.maxTrajDur {
 			ix.maxTrajDur = d
 		}
 	}
-
-	fb := temporal.NewForestBuilder()
-	records := 0
-	for w := 0; w < numParts; w++ {
-		// Build the partition's trajectory string T = P0 $ P1 $ ... $.
-		var text []int32
-		starts := make([]int, len(members[w]))
-		for mi, id := range members[w] {
-			starts[mi] = len(text)
-			for _, e := range store.Get(id).Seq {
-				text = append(text, int32(e.Edge)+fmindex.MinEdgeSymbol)
-			}
-			text = append(text, fmindex.Terminator)
+	// Ids follow start time, so each partition's trajectories are one
+	// contiguous run of the sorted store.
+	groups := make([][]traj.Trajectory, numParts)
+	lo := 0
+	for w := range groups {
+		hi := lo
+		for hi < len(all) && partOf(all[hi].StartTime()) == w {
+			hi++
 		}
-		_, isa, bwt := suffix.BuildAll(text, ix.alphabet)
-		ix.parts = append(ix.parts, partition{
-			fm:      fmindex.FromBWT(bwt, ix.alphabet),
-			trajs:   len(members[w]),
-			records: len(text) - len(members[w]),
-		})
-		// Temporal records: one per segment traversal, carrying the ISA of
-		// the occurrence position, trajectory id, TT, aggregate a and seq.
-		for mi, id := range members[w] {
-			tr := store.Get(id)
-			var agg int32
-			for seq, e := range tr.Seq {
-				agg += e.TT
-				pos := starts[mi] + seq
-				fb.Add(e.Edge, e.T, temporal.Record{
-					ISA:  isa[pos],
-					Traj: id,
-					TT:   e.TT,
-					A:    agg,
-					Seq:  int32(seq),
-				})
-				records++
-			}
-		}
+		groups[w] = all[lo:hi]
+		lo = hi
 	}
-	ix.frozen = fb.Freeze()
+	ix.parts = buildPartitions(g.NumEdges(), ix.alphabet, groups, 0, func(fb *temporal.ForestBuilder) {
+		ix.frozen = fb.Freeze()
+	})
 	ix.part = partLookup(ix.parts)
+	records := 0
+	for _, p := range ix.parts {
+		records += p.records
+	}
 	ix.stats = BuildStats{
 		SetupTime:  time.Since(startedAt),
 		Partitions: numParts,
@@ -172,6 +148,83 @@ func Build(g *network.Graph, store *traj.Store, opts Options) *Index {
 		Trajs:      store.Len(),
 	}
 	return ix
+}
+
+// buildPartitions is the one partition-build routine of Build and Extend.
+// groups[w] holds partition w's trajectories, whose ids run on from first
+// in group order. A counting pass over every traversal sizes the temporal
+// builder exactly; then, per partition, the calling goroutine builds the
+// trajectory string T = P0 $ P1 $ ... $, its suffix array, ISA and BWT,
+// and adds one temporal record per traversal carrying the ISA of its
+// position in T, while one background goroutine builds the FM-index's
+// wavelet tree from the BWT. The channel between them is unbuffered, so at
+// most one wavelet tree is in flight and its BWT is the only one held
+// beyond the partition being built. finish receives the filled builder on
+// the calling goroutine while the last wavelet tree is still being built;
+// buildPartitions returns once both are done.
+func buildPartitions(numEdges, alphabet int, groups [][]traj.Trajectory, first traj.ID,
+	finish func(*temporal.ForestBuilder)) []partition {
+	counts := make([]int, numEdges)
+	for _, trs := range groups {
+		for i := range trs {
+			for _, e := range trs[i].Seq {
+				counts[e.Edge]++
+			}
+		}
+	}
+	fb := temporal.NewForestBuilder(counts)
+	parts := make([]partition, len(groups))
+	bwts := make(chan []int32)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w := 0
+		for bwt := range bwts {
+			parts[w].fm = fmindex.FromBWT(bwt, alphabet)
+			w++
+		}
+	}()
+	func() {
+		defer close(bwts)
+		id := first
+		for w, trs := range groups {
+			n := len(trs)
+			for i := range trs {
+				n += len(trs[i].Seq)
+			}
+			text := make([]int32, 0, n)
+			for i := range trs {
+				for _, e := range trs[i].Seq {
+					text = append(text, int32(e.Edge)+fmindex.MinEdgeSymbol)
+				}
+				text = append(text, fmindex.Terminator)
+			}
+			_, isa, bwt := suffix.BuildAll(text, alphabet)
+			bwts <- bwt
+			parts[w].trajs = len(trs)
+			parts[w].records = len(text) - len(trs)
+			pos := 0
+			for i := range trs {
+				var agg int32
+				for seq, e := range trs[i].Seq {
+					agg += e.TT
+					fb.Add(e.Edge, e.T, temporal.Record{
+						ISA:  isa[pos],
+						Traj: id,
+						TT:   e.TT,
+						A:    agg,
+						Seq:  int32(seq),
+					})
+					pos++
+				}
+				pos++ // the terminator
+				id++
+			}
+		}
+	}()
+	finish(fb)
+	<-done
+	return parts
 }
 
 // partLookup returns the per-trajectory partition ids of a partition list,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pathhist/internal/network"
@@ -36,7 +37,7 @@ func checkCensus(t *testing.T, what string, ff *FrozenForest) {
 // spreadBuilder adds n records per listed segment at random times of day
 // over days [day0, day0+days), negative timestamps included when day0 < 0.
 func spreadBuilder(rng *rand.Rand, edges []network.EdgeID, n int, day0, days int64) *ForestBuilder {
-	b := NewForestBuilder()
+	b := NewForestBuilder(make([]int, slices.Max(edges)+1))
 	for _, e := range edges {
 		for i := 0; i < n; i++ {
 			t := (day0+rng.Int63n(days))*86400 + rng.Int63n(86400)
@@ -127,7 +128,7 @@ func TestCensusMaintained(t *testing.T) {
 // TestCensusSaturates: a bucket pushed past 255 by a batch stays 255, reads
 // as "no bound", and leaves the other buckets exact.
 func TestCensusSaturates(t *testing.T) {
-	b := NewForestBuilder()
+	b := NewForestBuilder(make([]int, 4))
 	for i := 0; i < 250; i++ {
 		b.Add(3, int64(i%10)*86400+9*3600+int64(i), Record{Traj: traj.ID(i)}) // 09:00 bucket
 	}
@@ -141,7 +142,7 @@ func TestCensusSaturates(t *testing.T) {
 		t.Fatalf("TodBound below saturation = %d, want 250", got)
 	}
 
-	batch := NewForestBuilder()
+	batch := NewForestBuilder(make([]int, 4))
 	for i := 0; i < 20; i++ {
 		batch.Add(3, 20*86400+9*3600+int64(i), Record{Traj: traj.ID(i)})
 	}
@@ -172,7 +173,7 @@ func TestTodBoundIsUpperBound(t *testing.T) {
 	for seg := 0; seg < 60; seg++ {
 		// Records cluster in a few hours so some buckets saturate and many
 		// stay empty.
-		b := NewForestBuilder()
+		b := NewForestBuilder(make([]int, 1))
 		n := 1 + rng.Intn(1500)
 		hours := 1 + rng.Intn(6)
 		base := rng.Int63n(86400)

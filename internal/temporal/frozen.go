@@ -159,7 +159,7 @@ func (fx *FrozenIndex) SizeBytes() int {
 }
 
 // extended returns a new FrozenIndex whose columns are the receiver's
-// followed by the batch in ord's order (ts[ord[i]], recs[ord[i]]). The
+// followed by batch's, a staged segment already sorted. The
 // receiver is not modified: readers holding it keep a consistent view
 // forever. Column memory is shared where append can reuse spare capacity —
 // the batch's values land beyond the receiver's visible length, which
@@ -170,34 +170,27 @@ func (fx *FrozenIndex) SizeBytes() int {
 // linearity with its superseded flag; publication of the new snapshot to
 // concurrent readers must happen through an atomic pointer swap (or
 // equivalent happens-before edge).
-func (fx *FrozenIndex) extended(ts []int64, recs []Record, ord []int32) *FrozenIndex {
+func (fx *FrozenIndex) extended(batch *segment) *FrozenIndex {
 	if fx.Mapped {
 		// Detach-on-extend: mapped columns are read-only (append into
 		// their zero spare capacity would reallocate, but the rule is
 		// explicit, not an artifact of cap) — copy them to the heap with
 		// room for the batch so the chain grows in owned memory from here
 		// on. The mapped snapshot itself stays untouched and shared.
-		fx = fx.detached(len(recs))
+		fx = fx.detached(len(batch.ts))
 	}
 	nfx := &FrozenIndex{
-		Ts:   fx.Ts,
-		Traj: fx.Traj,
-		Seq:  fx.Seq,
-		ISA:  fx.ISA,
-		A:    fx.A,
-		TT:   fx.TT,
+		Ts:   append(fx.Ts, batch.ts...),
+		Traj: append(fx.Traj, batch.traj...),
+		Seq:  append(fx.Seq, batch.seq...),
+		ISA:  append(fx.ISA, batch.isa...),
+		A:    append(fx.A, batch.a...),
+		TT:   append(fx.TT, batch.tt...),
 
 		census: fx.census,
 	}
-	for _, o := range ord {
-		r := &recs[o]
-		nfx.Ts = append(nfx.Ts, ts[o])
-		censusAdd(&nfx.census, ts[o])
-		nfx.Traj = append(nfx.Traj, r.Traj)
-		nfx.Seq = append(nfx.Seq, r.Seq)
-		nfx.ISA = append(nfx.ISA, r.ISA)
-		nfx.A = append(nfx.A, r.A)
-		nfx.TT = append(nfx.TT, r.TT)
+	for _, t := range batch.ts {
+		censusAdd(&nfx.census, t)
 	}
 	return nfx
 }
@@ -205,8 +198,7 @@ func (fx *FrozenIndex) extended(ts []int64, recs []Record, ord []int32) *FrozenI
 // detached returns a heap-owned copy of the index with spare capacity for
 // extra more records per column, so the extension appends that follow land
 // in owned memory and never reallocate. Extending a mapped index goes
-// through it; so does Freeze, from the empty index. The receiver (and any
-// mapping behind it) is not touched.
+// through it. The receiver (and any mapping behind it) is not touched.
 func (fx *FrozenIndex) detached(extra int) *FrozenIndex {
 	n := len(fx.Ts)
 	return &FrozenIndex{
@@ -282,28 +274,40 @@ func (f *FrozenForest) Rewrite(fn func(network.EdgeID, *FrozenIndex) *FrozenInde
 // receiver is never modified — it remains a fully consistent snapshot for
 // concurrent readers (copy-on-write publication; see FrozenIndex.extended
 // for the column-sharing contract and its linear-chain requirement).
-// Untouched segments share their FrozenIndex with the new forest.
+// Untouched segments share their FrozenIndex with the new forest. A
+// successful Extend consumes the builder, as Freeze does.
 func (f *FrozenForest) Extend(b *ForestBuilder) (*FrozenForest, error) {
-	for e, ts := range b.ts {
-		if fx := f.idx[e]; fx != nil {
+	batches := 0
+	for e := range b.segs {
+		ts := b.segs[e].ts
+		if len(ts) == 0 {
+			continue
+		}
+		batches++
+		if fx := f.idx[network.EdgeID(e)]; fx != nil {
 			if first := slices.Min(ts); first < fx.MaxKey() {
 				return nil, fmt.Errorf("temporal: segment %d batch starts at %d before existing max %d",
 					e, first, fx.MaxKey())
 			}
 		}
 	}
-	nf := &FrozenForest{idx: make(map[network.EdgeID]*FrozenIndex, len(f.idx)+len(b.ts))}
+	nf := &FrozenForest{idx: make(map[network.EdgeID]*FrozenIndex, len(f.idx)+batches)}
 	for e, fx := range f.idx {
 		nf.idx[e] = fx
 	}
-	var ord []int32
-	for e, ts := range b.ts {
-		fx := nf.idx[e]
-		if fx == nil {
-			fx = &FrozenIndex{}
+	var sc sortScratch
+	for e := range b.segs {
+		s := &b.segs[e]
+		if len(s.ts) == 0 {
+			continue
 		}
-		ord = sortedOrder(ts, ord)
-		nf.idx[e] = fx.extended(ts, b.recs[e], ord)
+		s.sort(&sc)
+		if fx := nf.idx[network.EdgeID(e)]; fx != nil {
+			nf.idx[network.EdgeID(e)] = fx.extended(s)
+		} else {
+			nf.idx[network.EdgeID(e)] = s.frozen()
+		}
+		*s = segment{}
 	}
 	return nf, nil
 }

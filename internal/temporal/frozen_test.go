@@ -12,7 +12,7 @@ import (
 // randomBuilder fills a builder with records over nEdges segments; equal
 // timestamps are common (the tie order is part of the frozen contract).
 func randomBuilder(rng *rand.Rand, nEdges, nRecs int) *ForestBuilder {
-	b := NewForestBuilder()
+	b := NewForestBuilder(make([]int, nEdges))
 	for i := 0; i < nRecs; i++ {
 		e := network.EdgeID(rng.Intn(nEdges))
 		t := int64(rng.Intn(nRecs / 2)) // dense keyspace forces duplicates
@@ -39,16 +39,19 @@ func equalColumns[T comparable](a, b []T) bool {
 // brand-new segments are all compared.
 func TestFrozenExtendMatchesForestExtend(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	base, both := NewForestBuilder(), NewForestBuilder()
+	type add struct {
+		e  network.EdgeID
+		ts int64
+		r  Record
+	}
+	var baseAdds, batchAdds []add
 	for i := 0; i < 1000; i++ {
 		e := network.EdgeID(rng.Intn(5))
 		ts := int64(rng.Intn(500)) // dense keyspace forces duplicates
 		r := Record{ISA: int32(i), Traj: traj.ID(i % 97), TT: int32(1 + rng.Intn(300)),
 			A: int32(rng.Intn(10000)), Seq: int32(rng.Intn(40))}
-		base.Add(e, ts, r)
-		both.Add(e, ts, r)
+		baseAdds = append(baseAdds, add{e, ts, r})
 	}
-	batch := NewForestBuilder()
 	for i := 0; i < 400; i++ {
 		e := network.EdgeID(rng.Intn(4))
 		if i%50 == 0 {
@@ -56,9 +59,25 @@ func TestFrozenExtendMatchesForestExtend(t *testing.T) {
 		}
 		ts := int64(3000 + rng.Intn(200)) // strictly after every base key, unsorted, with ties
 		r := Record{Traj: traj.ID(i), Seq: int32(i % 9), TT: 5, A: 10, ISA: int32(i)}
-		batch.Add(e, ts, r)
-		both.Add(e, ts, r)
+		batchAdds = append(batchAdds, add{e, ts, r})
 	}
+	// build sizes a builder by counting its records first, as snt does.
+	build := func(lists ...[]add) *ForestBuilder {
+		counts := make([]int, 8)
+		for _, l := range lists {
+			for _, a := range l {
+				counts[a.e]++
+			}
+		}
+		b := NewForestBuilder(counts)
+		for _, l := range lists {
+			for _, a := range l {
+				b.Add(a.e, a.ts, a.r)
+			}
+		}
+		return b
+	}
+	base, batch, both := build(baseAdds), build(batchAdds), build(baseAdds, batchAdds)
 	ff := base.Freeze()
 	before := ff.NumRecords()
 	got, err := ff.Extend(batch)
@@ -98,7 +117,7 @@ func TestFrozenExtendRejectsOld(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	ff := randomBuilder(rng, 3, 300).Freeze()
 	before := ff.NumRecords()
-	bad := NewForestBuilder()
+	bad := NewForestBuilder(make([]int, 1))
 	bad.Add(0, -1, Record{})
 	if ext, err := ff.Extend(bad); err == nil || ext != nil {
 		t.Fatal("stale batch accepted")

@@ -8,8 +8,8 @@
 // from the trajectory id.
 //
 // The only layout built and served is the frozen columnar one (frozen.go):
-// ForestBuilder collects records in any order and Freeze sorts each segment
-// once and writes its columns. The paper's B+-tree and CSS-tree layouts are
+// ForestBuilder collects records in any order into per-segment columns and
+// Freeze sorts each segment's columns once, in place. The paper's B+-tree and CSS-tree layouts are
 // reproduced from those columns by internal/treeforest, for the Figure 10
 // experiments and as a test oracle.
 package temporal
@@ -35,23 +35,53 @@ type Record struct {
 // Freeze turns them into a new FrozenForest; FrozenForest.Extend appends
 // them to an existing one. Either way each segment's records are sorted
 // stably by entry timestamp (the batch build of Section 4.3.1).
+//
+// Storage is dense by edge id and sized by a counting pass: each segment's
+// records are staged in the columns they freeze into, allocated once at
+// the count the caller gave, so Add never regrows them and freezing sorts
+// them in place rather than copying them.
 type ForestBuilder struct {
-	ts   map[network.EdgeID][]int64
-	recs map[network.EdgeID][]Record
+	segs []segment // by edge id
 }
 
-// NewForestBuilder returns an empty builder.
-func NewForestBuilder() *ForestBuilder {
-	return &ForestBuilder{
-		ts:   make(map[network.EdgeID][]int64),
-		recs: make(map[network.EdgeID][]Record),
+// segment is one segment's records in insertion order, staged column by
+// column as a FrozenIndex holds them.
+type segment struct {
+	ts              []int64
+	traj            []traj.ID
+	seq, isa, a, tt []int32
+}
+
+// NewForestBuilder returns an empty builder for the edge ids [0,
+// len(counts)), where counts[e] is the number of records Add will receive
+// for segment e. Add appends beyond a count (the column then regrows) and
+// panics on an edge id outside the range.
+func NewForestBuilder(counts []int) *ForestBuilder {
+	b := &ForestBuilder{segs: make([]segment, len(counts))}
+	for e, n := range counts {
+		if n > 0 {
+			b.segs[e] = segment{
+				ts:   make([]int64, 0, n),
+				traj: make([]traj.ID, 0, n),
+				seq:  make([]int32, 0, n),
+				isa:  make([]int32, 0, n),
+				a:    make([]int32, 0, n),
+				tt:   make([]int32, 0, n),
+			}
+		}
 	}
+	return b
 }
 
 // Add records one segment traversal.
 func (b *ForestBuilder) Add(e network.EdgeID, t int64, r Record) {
-	b.ts[e] = append(b.ts[e], t)
-	b.recs[e] = append(b.recs[e], r)
+	s := &b.segs[e]
+	s.ts = append(s.ts, t)
+	s.traj = append(s.traj, r.Traj)
+	s.seq = append(s.seq, r.Seq)
+	s.isa = append(s.isa, r.ISA)
+	s.a = append(s.a, r.A)
+	s.tt = append(s.tt, r.TT)
 }
 
 // sortedOrder returns the permutation that lists ts in ascending order with
@@ -68,17 +98,62 @@ func sortedOrder(ts []int64, buf []int32) []int32 {
 	return ord
 }
 
-// Freeze builds the frozen columnar forest: per segment, one sort of a
-// permutation, then the records are appended in that order to an empty
-// index whose columns already have their final capacity — each column is
-// allocated once, with len == cap. The builder is left untouched.
+// permute rearranges col in place to col[ord[0]], col[ord[1]], ..., through
+// tmp, and returns tmp's memory for reuse.
+func permute[T any](col []T, ord []int32, tmp []T) []T {
+	tmp = slices.Grow(tmp[:0], len(col))[:len(col)]
+	for i, o := range ord {
+		tmp[i] = col[o]
+	}
+	copy(col, tmp)
+	return tmp
+}
+
+// sortScratch is the memory sort reuses from one segment to the next.
+type sortScratch struct {
+	ord  []int32
+	ts   []int64
+	traj []traj.ID
+	i32  []int32
+}
+
+// sort orders the staged columns in place, stably by entry timestamp. A
+// segment whose records arrived in timestamp order is left as it is.
+func (s *segment) sort(sc *sortScratch) {
+	if slices.IsSorted(s.ts) {
+		return
+	}
+	sc.ord = sortedOrder(s.ts, sc.ord)
+	sc.ts = permute(s.ts, sc.ord, sc.ts)
+	sc.traj = permute(s.traj, sc.ord, sc.traj)
+	for _, col := range [...][]int32{s.seq, s.isa, s.a, s.tt} {
+		sc.i32 = permute(col, sc.ord, sc.i32)
+	}
+}
+
+// Freeze builds the frozen columnar forest: per segment, the staged columns
+// are sorted in place and become the frozen index's columns, so a builder
+// sized by its counts yields columns with len == cap and no record is
+// copied. Freeze consumes the builder: it holds no records afterwards.
 func (b *ForestBuilder) Freeze() *FrozenForest {
-	ff := &FrozenForest{idx: make(map[network.EdgeID]*FrozenIndex, len(b.ts))}
-	var ord []int32
-	var empty FrozenIndex
-	for e, ts := range b.ts {
-		ord = sortedOrder(ts, ord)
-		ff.idx[e] = empty.detached(len(ts)).extended(ts, b.recs[e], ord)
+	ff := &FrozenForest{idx: make(map[network.EdgeID]*FrozenIndex, len(b.segs))}
+	var sc sortScratch
+	for e := range b.segs {
+		if s := &b.segs[e]; len(s.ts) > 0 {
+			s.sort(&sc)
+			ff.idx[network.EdgeID(e)] = s.frozen()
+			*s = segment{}
+		}
 	}
 	return ff
+}
+
+// frozen returns a FrozenIndex over the sorted staged columns themselves,
+// with its census counted.
+func (s *segment) frozen() *FrozenIndex {
+	fx := &FrozenIndex{Ts: s.ts, Traj: s.traj, Seq: s.seq, ISA: s.isa, A: s.a, TT: s.tt}
+	for _, t := range s.ts {
+		censusAdd(&fx.census, t)
+	}
+	return fx
 }

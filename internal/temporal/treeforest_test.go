@@ -26,7 +26,7 @@ const (
 func buildBoth(t *testing.T, n int) (css, bt *treeforest.Index, fc, fb *treeforest.Forest) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(21))
-	b := temporal.NewForestBuilder()
+	b := temporal.NewForestBuilder(make([]int, 2))
 	for i := 0; i < n; i++ {
 		ts := int64(rng.Intn(100000))
 		b.Add(1, ts, temporal.Record{ISA: int32(i), Traj: 0, TT: 10, A: 10, Seq: 0})
@@ -39,7 +39,7 @@ func buildBoth(t *testing.T, n int) (css, bt *treeforest.Index, fc, fb *treefore
 // randomFrozen freezes records over nEdges segments; equal timestamps are
 // common (the tie order is part of the frozen contract).
 func randomFrozen(rng *rand.Rand, nEdges, nRecs int) *temporal.FrozenForest {
-	b := temporal.NewForestBuilder()
+	b := temporal.NewForestBuilder(make([]int, nEdges))
 	for i := 0; i < nRecs; i++ {
 		e := network.EdgeID(rng.Intn(nEdges))
 		t := int64(rng.Intn(nRecs / 2)) // dense keyspace forces duplicates
@@ -91,7 +91,7 @@ func TestBothKindsAgree(t *testing.T) {
 }
 
 func TestForestBasics(t *testing.T) {
-	b := temporal.NewForestBuilder()
+	b := temporal.NewForestBuilder(make([]int, 10))
 	b.Add(5, 100, temporal.Record{Traj: 1, Seq: 0, TT: 7, A: 7})
 	b.Add(5, 50, temporal.Record{Traj: 2, Seq: 0, TT: 9, A: 9})
 	b.Add(9, 60, temporal.Record{Traj: 1, Seq: 1, TT: 4, A: 11})

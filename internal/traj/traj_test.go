@@ -2,6 +2,7 @@ package traj
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -203,6 +204,62 @@ func TestReadStoreErrors(t *testing.T) {
 	empty := []byte{'N', 'C', 'T', '1', 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0 /* l=0 */}
 	if _, err := ReadStore(bytes.NewReader(empty)); err == nil {
 		t.Error("zero-length trajectory accepted")
+	}
+}
+
+// TestReadStoreTruncationErrors cuts an encoding at every byte and checks
+// the error names where the stream ended: the trajectory, the entry, and
+// io.EOF at a header or entry boundary, io.ErrUnexpectedEOF inside one. A
+// trajectory longer than chunkEntries puts cuts on both sides of a chunk
+// boundary.
+func TestReadStoreTruncationErrors(t *testing.T) {
+	s := NewStore()
+	s.Add(3, []Entry{{Edge: 1, T: 10, TT: 2}})
+	long := make([]Entry, chunkEntries+37)
+	for j := range long {
+		long[j] = Entry{Edge: network.EdgeID(j % 9), T: int64(100 + 3*j), TT: 3}
+	}
+	s.Add(4, long)
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	kind := func(off int) string {
+		if off == 0 {
+			return "EOF"
+		}
+		return "unexpected EOF"
+	}
+	// want maps a cut position to the error ReadStore must return.
+	want := func(k int) string {
+		switch {
+		case k < 4:
+			return "traj: reading magic: " + kind(k)
+		case k < 8:
+			return "traj: reading count: " + kind(k-4)
+		}
+		pos := 8
+		for i := 0; i < s.Len(); i++ {
+			if k < pos+8 {
+				return fmt.Sprintf("traj: trajectory %d: %s", i, kind(k-pos))
+			}
+			pos += 8
+			for j := range s.Get(ID(i)).Seq {
+				if k < pos+entryBytes {
+					return fmt.Sprintf("traj: trajectory %d entry %d: %s", i, j, kind(k-pos))
+				}
+				pos += entryBytes
+			}
+		}
+		t.Fatalf("cut %d is past the %d-byte encoding", k, len(data))
+		return ""
+	}
+	for k := 0; k < len(data); k++ {
+		_, err := ReadStore(bytes.NewReader(data[:k]))
+		if err == nil || err.Error() != want(k) {
+			t.Fatalf("cut at %d of %d: error %v, want %q", k, len(data), err, want(k))
+		}
 	}
 }
 
