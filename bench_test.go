@@ -435,6 +435,42 @@ func BenchmarkExtendWhileServing(b *testing.B) {
 	b.ReportMetric(float64(tmpl.Len()), "trajs/batch")
 }
 
+// fragmentedIndex builds an index over the oldest half of e's dataset and
+// ingests the rest through up to nBatches Extend batches cut at quiescent
+// boundaries, returning the fragmented index (one partition per batch plus
+// the base).
+func fragmentedIndex(e *experiments.Env, nBatches int) *snt.Index {
+	s := e.DS.Store.Slice(0, e.DS.Store.Len())
+	cuts := workload.IngestionCuts(s, nBatches)
+	if cuts == nil {
+		// No split points: the whole dataset in one build.
+		return snt.Build(e.DS.G, s, snt.Options{})
+	}
+	ix := snt.Build(e.DS.G, s.Slice(0, cuts[0]), snt.Options{})
+	for b := range cuts {
+		hi := s.Len()
+		if b+1 < len(cuts) {
+			hi = cuts[b+1]
+		}
+		next, err := ix.Extend(s.Slice(cuts[b], hi))
+		if err != nil {
+			panic(fmt.Sprintf("fragmenting extend %d: %v", b, err))
+		}
+		ix = next
+	}
+	return ix
+}
+
+// compactAll merges every partition of ix into one, preparing and applying
+// back to back.
+func compactAll(ix *snt.Index) (*snt.Index, snt.CompactionStats, error) {
+	p, err := ix.PrepareCompaction(snt.CompactionPolicy{TriggerPartitions: -1}, nil)
+	if err != nil {
+		return nil, snt.CompactionStats{}, err
+	}
+	return ix.ApplyCompaction(p)
+}
+
 // BenchmarkManyPartitions is the ingest-degradation headline (PR 4): cold
 // TripQuery latency over the same data in three index layouts — fragmented
 // by 32 live Extend batches (one backward search per partition per
@@ -443,8 +479,8 @@ func BenchmarkExtendWhileServing(b *testing.B) {
 // rebuilt, with fragmented several times worse.
 func BenchmarkManyPartitions(b *testing.B) {
 	e := env(b)
-	frag := e.FragmentedIndex(32)
-	compacted, _, err := frag.Compact(snt.CompactionPolicy{TriggerPartitions: -1})
+	frag := fragmentedIndex(e, 32)
+	compacted, _, err := compactAll(frag)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -481,9 +517,9 @@ func BenchmarkCompact(b *testing.B) {
 	e := env(b)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		frag := e.FragmentedIndex(32)
+		frag := fragmentedIndex(e, 32)
 		b.StartTimer()
-		compacted, st, err := frag.Compact(snt.CompactionPolicy{TriggerPartitions: -1})
+		compacted, st, err := compactAll(frag)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -550,24 +586,9 @@ func BenchmarkFMIndexBackwardSearch(b *testing.B) {
 	}
 }
 
-func BenchmarkGetTravelTimes(b *testing.B) {
-	e := env(b)
-	ix := e.Index(0)
-	qs := e.Queries
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := qs[i%len(qs)]
-		sub := q.Path
-		if len(sub) > 4 {
-			sub = sub[:4]
-		}
-		_, _ = ix.GetTravelTimes(sub, snt.PeriodicAround(q.T0, 900), snt.NoFilter, 20)
-	}
-}
-
-// BenchmarkGetTravelTimesScratch is the zero-allocation scan path: the same
-// scans as BenchmarkGetTravelTimes over one held Scratch.
+// BenchmarkGetTravelTimesScratch is the zero-allocation scan path: sub-paths
+// of up to four segments, 900 s periodic windows, β = 20, over one held
+// Scratch.
 func BenchmarkGetTravelTimesScratch(b *testing.B) {
 	e := env(b)
 	ix := e.Index(0)
@@ -712,8 +733,8 @@ func BenchmarkSnapshotWrite(b *testing.B) {
 	b.ReportMetric(float64(size), "snapshot_bytes")
 }
 
-// BenchmarkSnapshotLoad restores a serving-ready engine from snapshot
-// bytes (the restart-with-persistence path).
+// BenchmarkSnapshotLoad restores a serving-ready engine from a snapshot
+// file, read into memory and decoded (the restart-with-persistence path).
 func BenchmarkSnapshotLoad(b *testing.B) {
 	e := env(b)
 	eng, err := NewEngine(e.DS.G, e.DS.Store, snapshotBenchOpts)
@@ -724,13 +745,13 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 	if _, err := eng.Snapshot(&buf); err != nil {
 		b.Fatal(err)
 	}
-	data := buf.Bytes()
+	path := writeSnapshotImage(b, buf.Bytes())
 	q := e.Queries[0]
-	b.SetBytes(int64(len(data)))
+	b.SetBytes(int64(buf.Len()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		restored, err := LoadSnapshot(e.DS.G, bytes.NewReader(data), snapshotBenchOpts)
+		restored, err := LoadSnapshotFile(e.DS.G, path, snapshotBenchOpts)
 		if err != nil {
 			b.Fatal(err)
 		}

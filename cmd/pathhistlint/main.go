@@ -1,28 +1,16 @@
 // Command pathhistlint runs the engine's invariant lint suite
-// (internal/analysis, DESIGN.md §13) over Go packages.
-//
-// Standalone:
+// (internal/analysis, DESIGN.md §13) over Go packages:
 //
 //	go run ./cmd/pathhistlint ./...
 //	go run ./cmd/pathhistlint -rules frozenmut,syncerr ./internal/...
-//
-// As a vet tool (the unitchecker protocol — go vet typechecks and supplies
-// export data per package, pathhistlint analyzes):
-//
-//	go build -o /tmp/pathhistlint ./cmd/pathhistlint
-//	go vet -vettool=/tmp/pathhistlint ./...
 //
 // Exit status: 0 clean, 1 usage or load failure, 2 diagnostics reported.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
 	"os"
-	"runtime"
 	"strings"
 
 	"pathhist/internal/analysis"
@@ -30,57 +18,11 @@ import (
 
 func main() {
 	var (
-		vFlag     = flag.String("V", "", "print version and exit (go vet handshake)")
-		flagsFlag = flag.Bool("flags", false, "print flag descriptions as JSON and exit (go vet handshake)")
 		listFlag  = flag.Bool("list", false, "list the suite's analyzers and exit")
 		rulesFlag = flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	)
-	// go vet passes analyzer flags like -frozenmut=true to enable passes;
-	// accept and ignore unknown boolean selectors gracefully by defining
-	// one per analyzer.
-	enabled := make(map[string]*bool)
-	for _, a := range analysis.All() {
-		enabled[a.Name] = flag.Bool(a.Name, true, "enable the "+a.Name+" pass")
-	}
 	flag.Parse()
 
-	if *vFlag != "" {
-		// The cmd/go vettool handshake: "path version <id>", where the id
-		// keys go vet's result cache — hash the binary so a rebuilt tool
-		// invalidates cached verdicts.
-		exe, err := os.Executable()
-		if err != nil {
-			exe = "pathhistlint"
-		}
-		h := sha256.New()
-		if data, err := os.ReadFile(exe); err == nil {
-			h.Write(data)
-		}
-		fmt.Printf("%s version %s buildID=%x\n", exe, runtime.Version(), h.Sum(nil))
-		return
-	}
-	if *flagsFlag {
-		// go vet asks which flags the tool understands before passing any.
-		type jsonFlag struct {
-			Name  string
-			Bool  bool
-			Usage string
-		}
-		var fl []jsonFlag
-		flag.VisitAll(func(f *flag.Flag) {
-			b, ok := f.Value.(interface{ IsBoolFlag() bool })
-			fl = append(fl, jsonFlag{f.Name, ok && b.IsBoolFlag(), f.Usage})
-		})
-		data, err := json.MarshalIndent(fl, "", "\t")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		//lint:ignore syncerr handshake output to go vet; a broken pipe surfaces in go vet itself
-		os.Stdout.Write(data)
-		fmt.Println()
-		return
-	}
 	if *listFlag {
 		for _, a := range analysis.All() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
@@ -88,14 +30,8 @@ func main() {
 		return
 	}
 
-	analyzers := selectAnalyzers(*rulesFlag, enabled)
+	analyzers := selectAnalyzers(*rulesFlag)
 	args := flag.Args()
-
-	// Unitchecker mode: go vet invokes the tool with a single *.cfg file.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVettool(args[0], analyzers))
-	}
-
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
@@ -112,90 +48,18 @@ func main() {
 	}
 }
 
-// version participates in go vet's tool-cache key; bump when analyzer
-// behaviour changes so cached clean verdicts are invalidated.
-const version = "v8.0.0"
-
-func selectAnalyzers(rules string, enabled map[string]*bool) []*analysis.Analyzer {
-	var out []*analysis.Analyzer
-	if rules != "" {
-		for _, name := range strings.Split(rules, ",") {
-			a := analysis.ByName(strings.TrimSpace(name))
-			if a == nil {
-				fmt.Fprintf(os.Stderr, "pathhistlint: unknown rule %q\n", name)
-				os.Exit(1)
-			}
-			out = append(out, a)
-		}
-		return out
+func selectAnalyzers(rules string) []*analysis.Analyzer {
+	if rules == "" {
+		return analysis.All()
 	}
-	for _, a := range analysis.All() {
-		if on, ok := enabled[a.Name]; !ok || *on {
-			out = append(out, a)
+	var out []*analysis.Analyzer
+	for _, name := range strings.Split(rules, ",") {
+		a := analysis.ByName(strings.TrimSpace(name))
+		if a == nil {
+			fmt.Fprintf(os.Stderr, "pathhistlint: unknown rule %q\n", name)
+			os.Exit(1)
 		}
+		out = append(out, a)
 	}
 	return out
-}
-
-// vetConfig is the package description go vet hands a -vettool (the
-// x/tools unitchecker wire format; unknown fields are ignored).
-type vetConfig struct {
-	ID          string
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	VetxOutput  string
-	VetxOnly    bool
-}
-
-// runVettool analyzes the single package described by cfgFile, using the
-// export data go vet already produced for its dependencies.
-func runVettool(cfgFile string, analyzers []*analysis.Analyzer) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pathhistlint: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "pathhistlint: parsing %s: %v\n", cfgFile, err)
-		return 1
-	}
-	// The protocol requires an output file even from fact-free tools.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "pathhistlint: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	// The suite guards production code: standalone mode analyzes only
-	// non-test GoFiles, so the test-augmented variants go vet also builds
-	// are skipped here for the same verdict from both entry points. A unit
-	// containing any _test.go file is such a variant — the production
-	// files it duplicates are analyzed under their own unit.
-	for _, f := range cfg.GoFiles {
-		if strings.HasSuffix(f, "_test.go") {
-			return 0
-		}
-	}
-	fset := token.NewFileSet()
-	imp := analysis.NewMapImporter(fset, cfg.PackageFile)
-	pkg, err := analysis.CheckFiles(fset, cfg.ImportPath, cfg.GoFiles, cfg.ImportMap, imp)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pathhistlint: %v\n", err)
-		return 1
-	}
-	diags := analysis.RunPackage(pkg, analyzers)
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
 }

@@ -221,7 +221,7 @@ func TestLoadSnapshotFallback(t *testing.T) {
 	}
 
 	// And a good snapshot restores without touching the build path.
-	snap := filepath.Join(t.TempDir(), pathhist.SnapshotFileName)
+	snap := filepath.Join(t.TempDir(), pathhist.SnapshotName(0))
 	if _, err := eng.SnapshotFile(snap); err != nil {
 		t.Fatal(err)
 	}

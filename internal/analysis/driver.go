@@ -36,15 +36,15 @@ func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		diags = append(diags, RunPackage(pkg, analyzers)...)
+		diags = append(diags, runPackage(pkg, analyzers)...)
 	}
 	sortDiagnostics(diags)
 	return diags, nil
 }
 
-// RunPackage applies the analyzers to one loaded package and returns the
+// runPackage applies the analyzers to one loaded package and returns the
 // unsuppressed diagnostics (plus any malformed-directive findings).
-func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
+func runPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	sup, diags := collectSuppressions(pkg)
 	for _, a := range analyzers {
 		if !a.applies(pkg.Path) {

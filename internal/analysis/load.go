@@ -87,7 +87,7 @@ func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 		for i, f := range t.GoFiles {
 			files[i] = filepath.Join(t.Dir, f)
 		}
-		pkg, err := CheckFiles(fset, t.ImportPath, files, t.ImportMap, imp)
+		pkg, err := checkFiles(fset, t.ImportPath, files, t.ImportMap, imp)
 		if err != nil {
 			return nil, err
 		}
@@ -97,11 +97,10 @@ func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// CheckFiles parses and typechecks one package from its source files, with
+// checkFiles parses and typechecks one package from its source files, with
 // imports resolved through imp (remapped via importMap first, as vendoring
-// or `go vet` configs require). It is the shared core of LoadPackages and
-// the vettool mode of cmd/pathhistlint.
-func CheckFiles(fset *token.FileSet, importPath string, files []string, importMap map[string]string, imp types.Importer) (*Package, error) {
+// requires).
+func checkFiles(fset *token.FileSet, importPath string, files []string, importMap map[string]string, imp types.Importer) (*Package, error) {
 	parsed := make([]*ast.File, 0, len(files))
 	for _, name := range files {
 		src, err := os.ReadFile(name)
@@ -144,13 +143,6 @@ func (m *mappedImporter) Import(path string) (*types.Package, error) {
 		path = mapped
 	}
 	return m.imp.Import(path)
-}
-
-// NewMapImporter returns an importer reading dependencies from the given
-// import-path → export-data-file map. This is the shape `go vet` hands a
-// vettool via its .cfg PackageFile field.
-func NewMapImporter(fset *token.FileSet, packageFile map[string]string) types.Importer {
-	return newExportImporter(fset, packageFile)
 }
 
 // newExportImporter returns an importer that reads dependencies from the

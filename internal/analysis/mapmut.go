@@ -14,12 +14,11 @@ var columnReaders = map[string]bool{
 	"I32s": true,
 	"I64s": true,
 	"U16s": true,
-	"U32s": true,
 	"U64s": true,
 }
 
 // MapMut enforces the zero-copy decoding contract of DESIGN.md §15: a slice
-// obtained from a snapio.Reader column method (I32s, I64s, U16s, U32s, U64s,
+// obtained from a snapio.Reader column method (I32s, I64s, U16s, U64s,
 // or the generic snapio.ReadI32s) may be a view over a read-only mmap'd
 // snapshot file, so writing through it is at best a hidden detach-to-heap
 // bug and at worst a SIGSEGV against a PROT_READ page in production. Decoded

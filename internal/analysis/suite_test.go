@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pathhist/internal/analysis"
-	"pathhist/internal/analysis/analysistest"
 )
 
 // Each analyzer runs over its fixture package under testdata/src — packages
@@ -15,27 +14,27 @@ import (
 // annotations.
 
 func TestFrozenMut(t *testing.T) {
-	analysistest.Run(t, "./testdata/src/frozenmut", analysis.FrozenMut)
+	runWant(t, "./testdata/src/frozenmut", analysis.FrozenMut)
 }
 
 func TestMapMut(t *testing.T) {
-	analysistest.Run(t, "./testdata/src/mapmut", analysis.MapMut)
+	runWant(t, "./testdata/src/mapmut", analysis.MapMut)
 }
 
 func TestSnapPin(t *testing.T) {
-	analysistest.Run(t, "./testdata/src/snappin", analysis.SnapPin)
+	runWant(t, "./testdata/src/snappin", analysis.SnapPin)
 }
 
 func TestSyncErr(t *testing.T) {
-	analysistest.Run(t, "./testdata/src/syncerr", analysis.SyncErr)
+	runWant(t, "./testdata/src/syncerr", analysis.SyncErr)
 }
 
 func TestPoolEscape(t *testing.T) {
-	analysistest.Run(t, "./testdata/src/poolescape", analysis.PoolEscape)
+	runWant(t, "./testdata/src/poolescape", analysis.PoolEscape)
 }
 
 func TestCancelPoll(t *testing.T) {
-	analysistest.Run(t, "./testdata/src/cancelpoll", analysis.CancelPoll)
+	runWant(t, "./testdata/src/cancelpoll", analysis.CancelPoll)
 }
 
 // TestMalformedDirective checks the suppression machinery fail-closed: a

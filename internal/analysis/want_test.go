@@ -1,17 +1,4 @@
-// Package analysistest runs analyzers over fixture packages and checks
-// their diagnostics against `// want` annotations, mirroring the
-// golang.org/x/tools package of the same name closely enough that fixtures
-// read familiarly:
-//
-//	fx.Ts[0] = 9 // want `write to published frozen`
-//
-// Each annotation carries one or more backquoted (or double-quoted) regular
-// expressions; every diagnostic on the annotated line must match one of
-// them, every annotation must be matched by some diagnostic, and any
-// diagnostic on an unannotated line fails the test. Suppressed diagnostics
-// never reach the matcher — a fixture line carrying //lint:ignore and no
-// `want` is exactly how suppression is proven to work.
-package analysistest
+package analysis_test
 
 import (
 	"bufio"
@@ -38,10 +25,20 @@ var (
 	quotedRE = regexp.MustCompile("`([^`]*)`|\"([^\"]*)\"")
 )
 
-// Run loads the fixture package at dir (relative to the test's working
-// directory), applies the analyzers, and reports every mismatch between
-// diagnostics and `// want` annotations as a test error.
-func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
+// runWant loads the fixture package at dir (relative to the test's
+// working directory), applies the analyzers and checks their diagnostics
+// against `// want` annotations, mirroring golang.org/x/tools'
+// analysistest closely enough that fixtures read familiarly:
+//
+//	fx.Ts[0] = 9 // want `write to published frozen`
+//
+// Each annotation carries one or more backquoted (or double-quoted) regular
+// expressions; every diagnostic on the annotated line must match one of
+// them, every annotation must be matched by some diagnostic, and any
+// diagnostic on an unannotated line fails the test. Suppressed diagnostics
+// never reach the matcher — a fixture line carrying //lint:ignore and no
+// `want` is exactly how suppression is proven to work.
+func runWant(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
 	diags, err := analysis.Run(".", []string{dir}, analyzers)
 	if err != nil {

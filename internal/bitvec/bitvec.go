@@ -19,18 +19,6 @@ func NewBuilder(n int) *Builder {
 	return &Builder{words: make([]uint64, (n+63)/64)}
 }
 
-// Append adds one bit.
-func (b *Builder) Append(bit bool) {
-	w := b.n >> 6
-	if w >= len(b.words) {
-		b.words = append(b.words, 0)
-	}
-	if bit {
-		b.words[w] |= 1 << uint(b.n&63)
-	}
-	b.n++
-}
-
 // Set sets bit i (which must be < the capacity given to NewBuilder) and
 // extends the logical length to cover it. Used for random-order filling.
 func (b *Builder) Set(i int) {
@@ -79,17 +67,6 @@ type Vector struct {
 	sub    []uint16
 	n      int
 	ones   int
-}
-
-// Len returns the number of bits.
-func (v *Vector) Len() int { return v.n }
-
-// Ones returns the total number of set bits.
-func (v *Vector) Ones() int { return v.ones }
-
-// Get returns bit i.
-func (v *Vector) Get(i int) bool {
-	return v.words[i>>6]&(1<<uint(i&63)) != 0
 }
 
 // Rank1 returns the number of set bits in [0, i) in O(1): superblock

@@ -188,39 +188,6 @@ const (
 	maxInt64 = 1<<63 - 1
 )
 
-// MinKey returns the smallest key (ok=false when empty).
-func (t *Tree[V]) MinKey() (int64, bool) {
-	n := t.first
-	for n != nil && len(n.keys) == 0 {
-		n = n.next
-	}
-	if n == nil {
-		return 0, false
-	}
-	return n.keys[0], true
-}
-
-// MaxKey returns the largest key (ok=false when empty).
-func (t *Tree[V]) MaxKey() (int64, bool) {
-	n := t.last
-	for n != nil && len(n.keys) == 0 {
-		n = n.prev
-	}
-	if n == nil {
-		return 0, false
-	}
-	return n.keys[len(n.keys)-1], true
-}
-
-// CountRange returns the number of entries with lo <= key < hi. For the
-// B+-tree this walks the leaves (the CSS-tree does it in O(log n); that
-// asymmetry is why the CSS estimator modes are exact, Section 4.4).
-func (t *Tree[V]) CountRange(lo, hi int64) int {
-	c := 0
-	t.AscendRange(lo, hi, func(int64, V) bool { c++; return true })
-	return c
-}
-
 // Stats describes the tree's shape for the memory model.
 type Stats struct {
 	Leaves, Inners int

@@ -12,12 +12,6 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Error("Len != 0")
 	}
-	if _, ok := tr.MinKey(); ok {
-		t.Error("MinKey on empty")
-	}
-	if _, ok := tr.MaxKey(); ok {
-		t.Error("MaxKey on empty")
-	}
 	called := false
 	tr.AscendRange(0, 100, func(int64, int) bool { called = true; return true })
 	tr.DescendRange(0, 100, func(int64, int) bool { called = true; return true })
@@ -49,12 +43,6 @@ func TestInsertAndScan(t *testing.T) {
 		if keys[i] != wantK[i] || vals[i] != wantV[i] {
 			t.Fatalf("ascend = %v %v", keys, vals)
 		}
-	}
-	if k, _ := tr.MinKey(); k != 1 {
-		t.Errorf("MinKey = %d", k)
-	}
-	if k, _ := tr.MaxKey(); k != 7 {
-		t.Errorf("MaxKey = %d", k)
 	}
 	if c := tr.CountRange(3, 6); c != 3 {
 		t.Errorf("CountRange(3,6) = %d, want 3", c)

@@ -56,12 +56,6 @@ func (t *Tree[V]) buildDirectory() {
 // Len returns the number of entries.
 func (t *Tree[V]) Len() int { return len(t.keys) }
 
-// Key returns the i-th key in sorted order.
-func (t *Tree[V]) Key(i int) int64 { return t.keys[i] }
-
-// Val returns the i-th value in sorted order.
-func (t *Tree[V]) Val(i int) V { return t.vals[i] }
-
 // LowerBound returns the first index whose key is >= key (Len() if none).
 func (t *Tree[V]) LowerBound(key int64) int {
 	n := len(t.keys)
@@ -100,25 +94,6 @@ func (t *Tree[V]) LowerBound(key int64) int {
 	return n
 }
 
-// UpperBound returns the first index whose key is > key.
-func (t *Tree[V]) UpperBound(key int64) int {
-	if key == maxInt64 {
-		return len(t.keys)
-	}
-	return t.LowerBound(key + 1)
-}
-
-const maxInt64 = 1<<63 - 1
-
-// CountRange returns, exactly and in O(log n), the number of entries with
-// lo <= key < hi — the fast range-size computation of Section 4.3.1.
-func (t *Tree[V]) CountRange(lo, hi int64) int {
-	if hi <= lo {
-		return 0
-	}
-	return t.LowerBound(hi) - t.LowerBound(lo)
-}
-
 // AscendRange calls fn for entries with lo <= key < hi in ascending order;
 // fn returning false stops the scan.
 func (t *Tree[V]) AscendRange(lo, hi int64, fn func(key int64, v V) bool) {
@@ -136,22 +111,6 @@ func (t *Tree[V]) DescendRange(lo, hi int64, fn func(key int64, v V) bool) {
 			return
 		}
 	}
-}
-
-// MinKey returns the smallest key (ok=false when empty).
-func (t *Tree[V]) MinKey() (int64, bool) {
-	if len(t.keys) == 0 {
-		return 0, false
-	}
-	return t.keys[0], true
-}
-
-// MaxKey returns the largest key (ok=false when empty).
-func (t *Tree[V]) MaxKey() (int64, bool) {
-	if len(t.keys) == 0 {
-		return 0, false
-	}
-	return t.keys[len(t.keys)-1], true
 }
 
 // SizeBytes models the memory footprint: sorted key and payload arrays plus

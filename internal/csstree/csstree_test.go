@@ -12,12 +12,6 @@ func TestEmpty(t *testing.T) {
 	if tr.Len() != 0 || tr.LowerBound(5) != 0 || tr.CountRange(0, 10) != 0 {
 		t.Error("empty tree misbehaves")
 	}
-	if _, ok := tr.MinKey(); ok {
-		t.Error("MinKey on empty")
-	}
-	if _, ok := tr.MaxKey(); ok {
-		t.Error("MaxKey on empty")
-	}
 }
 
 func TestSmallSorted(t *testing.T) {
@@ -35,20 +29,8 @@ func TestSmallSorted(t *testing.T) {
 			t.Errorf("LowerBound(%d) = %d, want %d", c.key, got, c.want)
 		}
 	}
-	if got := tr.UpperBound(3); got != 3 {
-		t.Errorf("UpperBound(3) = %d, want 3", got)
-	}
 	if got := tr.CountRange(3, 6); got != 3 {
 		t.Errorf("CountRange(3,6) = %d, want 3", got)
-	}
-	if k, _ := tr.MinKey(); k != 1 {
-		t.Error("MinKey")
-	}
-	if k, _ := tr.MaxKey(); k != 9 {
-		t.Error("MaxKey")
-	}
-	if tr.Key(2) != 3 || tr.Val(2) != 31 {
-		t.Error("Key/Val accessor")
 	}
 }
 

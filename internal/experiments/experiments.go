@@ -324,12 +324,3 @@ func FormatGrid(points []GridPoint, metric func(GridPoint) float64, name string)
 	}
 	return out
 }
-
-// EdgeCount is a convenience for reports.
-func (env *Env) EdgeCount() int { return env.DS.G.NumEdges() }
-
-// NetworkPathLen returns the average query path length in segments.
-func (env *Env) NetworkPathLen() float64 {
-	_, segs, _ := env.DS.AvgQueryStats(env.Queries)
-	return segs
-}

@@ -9,7 +9,6 @@ import (
 	"pathhist/internal/hist"
 	"pathhist/internal/metrics"
 	"pathhist/internal/query"
-	"pathhist/internal/snt"
 	"pathhist/internal/treeforest"
 )
 
@@ -212,13 +211,6 @@ func (env *Env) RunEstimatorSweep(partDays []int) []EstimatorRuntimeRow {
 		}
 	}
 	return rows
-}
-
-// IndexBuildTiming measures a cold build (used by Figure 10c and the
-// BenchmarkIndexBuild* benches).
-func (env *Env) IndexBuildTiming(partDays int) time.Duration {
-	ix := snt.Build(env.DS.G, env.DS.Store, snt.Options{PartitionDays: partDays})
-	return ix.Stats().SetupTime
 }
 
 // FormatMemory renders Figure 10a/10c rows.

@@ -94,6 +94,9 @@ var (
 
 // Enable activates an injection for the named site, replacing any previous
 // one (and resetting its hit count).
+//
+// Test seam for pathhist, pathhist/internal/query, pathhist/internal/sharded,
+// pathhist/internal/snt, pathhist/internal/ttserve and pathhist/internal/wal.
 func Enable(name string, inj Injection) {
 	mu.Lock()
 	defer mu.Unlock()
@@ -108,6 +111,9 @@ func Enable(name string, inj Injection) {
 
 // Disable deactivates the named site. Disabling an inactive site is a
 // no-op.
+//
+// Test seam for pathhist/internal/query, pathhist/internal/sharded,
+// pathhist/internal/snt, pathhist/internal/ttserve and pathhist/internal/wal.
 func Disable(name string) {
 	mu.Lock()
 	defer mu.Unlock()
@@ -118,6 +124,8 @@ func Disable(name string) {
 }
 
 // Reset deactivates every site — the test-suite teardown.
+//
+// Test seam for pathhist, pathhist/internal/ttserve and pathhist/internal/wal.
 func Reset() {
 	mu.Lock()
 	defer mu.Unlock()
@@ -127,6 +135,8 @@ func Reset() {
 
 // Hits reports how many times the named site was reached since it was
 // enabled (0 when not enabled).
+//
+// Test seam for pathhist/internal/query and pathhist/internal/sharded.
 func Hits(name string) int {
 	mu.Lock()
 	s := sites[name]

@@ -5,10 +5,7 @@
 // suffixes of the trajectory string that begin with a query path.
 package fmindex
 
-import (
-	"pathhist/internal/suffix"
-	"pathhist/internal/wavelet"
-)
+import "pathhist/internal/wavelet"
 
 // Terminator is the trajectory-separator symbol '$'. Edge symbols start at
 // MinEdgeSymbol; symbol 0 is reserved for the suffix-array sentinel.
@@ -22,13 +19,6 @@ type Index struct {
 	c  []int64 // c[s] = number of symbols in T lexicographically smaller than s; len = k+1
 	wt *wavelet.Tree
 	n  int
-}
-
-// New builds the FM-index of the trajectory string text whose symbols lie in
-// [1, k). It computes the suffix array internally.
-func New(text []int32, k int) *Index {
-	sa := suffix.Array(text, k)
-	return FromBWT(suffix.BWT(text, sa), k)
 }
 
 // FromBWT builds the FM-index from an existing Burrows-Wheeler transform.
@@ -45,9 +35,6 @@ func FromBWT(bwt []int32, k int) *Index {
 
 // Len returns |T|.
 func (ix *Index) Len() int { return ix.n }
-
-// C returns C[s] (exported for the cardinality estimator's diagnostics).
-func (ix *Index) C(s int32) int64 { return ix.c[s] }
 
 // Alphabet returns k, the alphabet size the index was built with (len(C)
 // is k+1). The snapshot loader cross-checks it against the index-level
@@ -80,14 +67,6 @@ func (ix *Index) GetISARange(path []int32) (st, ed int64) {
 		}
 	}
 	return st, ed
-}
-
-// Count returns the number of occurrences of the path in the trajectory
-// string, i.e. the width of its ISA range — the c_P input of the cardinality
-// estimator (Section 4.4).
-func (ix *Index) Count(path []int32) int64 {
-	st, ed := ix.GetISARange(path)
-	return ed - st
 }
 
 // CSizeBytes models the memory of the symbol-count array: the paper keeps a

@@ -140,10 +140,10 @@ func TestSizeAccounting(t *testing.T) {
 	if ix.WTSizeBytes() <= 0 {
 		t.Error("WTSizeBytes should be positive")
 	}
-	if ix.C(Terminator) != 0 {
-		t.Errorf("C($) = %d, want 0 (nothing sorts before $)", ix.C(Terminator))
+	if ix.c[Terminator] != 0 {
+		t.Errorf("C($) = %d, want 0 (nothing sorts before $)", ix.c[Terminator])
 	}
-	if ix.C(MinEdgeSymbol) != 4 {
-		t.Errorf("C(A) = %d, want 4 (four $ terminators)", ix.C(MinEdgeSymbol))
+	if ix.c[MinEdgeSymbol] != 4 {
+		t.Errorf("C(A) = %d, want 4 (four $ terminators)", ix.c[MinEdgeSymbol])
 	}
 }

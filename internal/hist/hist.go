@@ -370,6 +370,8 @@ func (h *TodHistogram) massLinear(s, e int64) float64 {
 }
 
 // Width returns the bucket width in seconds.
+//
+// Test seam for pathhist/internal/snt.
 func (h *TodHistogram) Width() int { return h.width }
 
 // SizeBytes models the memory footprint (Figure 10b).

@@ -47,18 +47,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// MeanInt returns the mean of integer samples.
-func MeanInt(xs []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += float64(x)
-	}
-	return s / float64(len(xs))
-}
-
 // Percentile returns the p-th percentile (0..100) of xs using nearest-rank
 // on a sorted copy.
 func Percentile(xs []float64, p float64) float64 {

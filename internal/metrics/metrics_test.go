@@ -65,14 +65,11 @@ func TestQErrorProperty(t *testing.T) {
 }
 
 func TestMeans(t *testing.T) {
-	if Mean(nil) != 0 || MeanInt(nil) != 0 {
+	if Mean(nil) != 0 {
 		t.Error("empty means")
 	}
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %v", got)
-	}
-	if got := MeanInt([]int{2, 4}); got != 3 {
-		t.Errorf("MeanInt = %v", got)
 	}
 }
 

@@ -457,8 +457,8 @@ type SubResult struct {
 // MeanX returns the exact sample mean X̄ of the sub-query (Section 5.3.1),
 // 0 for no samples, in O(1).
 //
-// It has the bits metrics.MeanInt would compute over the samples, which
-// adds float64(x) in order and divides by the count: every sample is an
+// It has the bits of the in-order float mean over the samples, which adds
+// float64(x) in order and divides by the count: every sample is an
 // integer and every partial sum stays below 2⁵³ (2²⁰ samples of a full day,
 // 86 399 s, sum to under 2³⁷), so each of those additions is exact, the
 // float sum equals float64(Sum), and the one rounding left is the division,

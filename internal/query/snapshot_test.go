@@ -43,7 +43,7 @@ func TestEngineSnapshotRestoresEpoch(t *testing.T) {
 	if _, err := six.WriteSnapshot(&buf, sepoch); err != nil {
 		t.Fatal(err)
 	}
-	lix, lepoch, err := snt.ReadSnapshot(ds.G, bytes.NewReader(buf.Bytes()))
+	lix, lepoch, err := snt.ReadSnapshotBytes(ds.G, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

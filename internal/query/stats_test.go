@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pathhist/internal/hist"
-	"pathhist/internal/metrics"
 	"pathhist/internal/network"
 	"pathhist/internal/snt"
 )
@@ -21,7 +20,9 @@ import (
 // strict path query at the interval that produced it. beta is the β the
 // driver asked with: the query's, or 0 for the terminal [0, tmax] fallback.
 func statsMatchScan(ix *snt.Index, s *SubResult, beta, bucketWidth int) error {
-	xs, fallback := ix.GetTravelTimes(s.Path, s.Interval, s.Filter, beta)
+	sc := snt.AcquireScratch()
+	defer snt.ReleaseScratch(sc)
+	xs, fallback := ix.GetTravelTimesWith(sc, s.Path, s.Interval, s.Filter, beta)
 	var sum int64
 	for _, x := range xs {
 		sum += int64(x)
@@ -36,8 +37,8 @@ func statsMatchScan(ix *snt.Index, s *SubResult, beta, bucketWidth int) error {
 	if err := sameHist(s.Hist, hist.FromSamples(xs, bucketWidth)); err != nil {
 		return fmt.Errorf("histogram: %w", err)
 	}
-	if got, want := s.MeanX(), metrics.MeanInt(xs); math.Float64bits(got) != math.Float64bits(want) {
-		return fmt.Errorf("MeanX %v (bits %x), MeanInt %v (bits %x)", got, math.Float64bits(got), want, math.Float64bits(want))
+	if got, want := s.MeanX(), meanInt(xs); math.Float64bits(got) != math.Float64bits(want) {
+		return fmt.Errorf("MeanX %v (bits %x), meanInt %v (bits %x)", got, math.Float64bits(got), want, math.Float64bits(want))
 	}
 	return nil
 }
@@ -45,8 +46,8 @@ func statsMatchScan(ix *snt.Index, s *SubResult, beta, bucketWidth int) error {
 // TestSubResultStatsMatchSamples: for every final sub-query of a mixed
 // workload — periodic and fixed intervals, user filters, σR and σL, the
 // caches off and on, cold and warm — (N, Sum, Hist) equal (len, Σ,
-// hist.FromSamples) of the samples snt.GetTravelTimes returns for the same
-// strict path query, and MeanX has the bits metrics.MeanInt computes over
+// hist.FromSamples) of the samples snt.GetTravelTimesWith returns for the
+// same strict path query, and MeanX has the bits meanInt computes over
 // them. The mix is checked to reach the terminal [0, tmax] fallback and the
 // single-segment speed-limit estimate.
 func TestSubResultStatsMatchSamples(t *testing.T) {
@@ -133,8 +134,8 @@ func TestSubResultStatsMatchSamples(t *testing.T) {
 }
 
 // TestMeanXExactAtScale: 2²⁰ samples of a full day less a second sum to
-// under 2³⁷, far below 2⁵³, so every partial sum MeanInt forms is still an
-// exact integer and MeanX from (N, Sum) has MeanInt's bits. A mixed set of
+// under 2³⁷, far below 2⁵³, so every partial sum meanInt forms is still an
+// exact integer and MeanX from (N, Sum) has meanInt's bits. A mixed set of
 // the same size leaves a non-trivial rounding to the final division.
 func TestMeanXExactAtScale(t *testing.T) {
 	const n = 1 << 20
@@ -147,8 +148,8 @@ func TestMeanXExactAtScale(t *testing.T) {
 	for name, xs := range map[string][]int{"constant": same, "mixed": mixed} {
 		o := OutcomeOf(xs, 10, false)
 		s := SubResult{N: o.N, Sum: o.Sum, Hist: o.Hist}
-		if got, want := s.MeanX(), metrics.MeanInt(xs); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s: MeanX %v, MeanInt %v", name, got, want)
+		if got, want := s.MeanX(), meanInt(xs); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: MeanX %v, meanInt %v", name, got, want)
 		}
 		if s.N != n || s.Hist.NumSamples() != n {
 			t.Fatalf("%s: n %d, histogram n %d", name, s.N, s.Hist.NumSamples())
@@ -157,4 +158,17 @@ func TestMeanXExactAtScale(t *testing.T) {
 	if (&SubResult{}).MeanX() != 0 {
 		t.Fatal("MeanX of no samples is not 0")
 	}
+}
+
+// meanInt is the mean of integer samples summed in order as float64: the
+// reference MeanX must match bit for bit.
+func meanInt(xs []int) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var s float64
+	for _, x := range xs {
+		s += float64(x)
+	}
+	return s / float64(len(xs))
 }

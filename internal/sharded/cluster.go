@@ -17,7 +17,6 @@
 package sharded
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -188,8 +187,9 @@ func New(g *network.Graph, engines []*pathhist.Engine, cfg Config) (*Cluster, er
 // NumShards returns the shard count.
 func (c *Cluster) NumShards() int { return len(c.shards) }
 
-// Engine returns shard i's engine (the serving layer wires each one to its
-// own WAL and snapshot directory).
+// Engine returns shard i's engine.
+//
+// Test seam for pathhist/internal/ttserve.
 func (c *Cluster) Engine(i int) *pathhist.Engine { return c.shards[i].eng }
 
 // Counters returns the cluster's metrics sink.
@@ -299,22 +299,6 @@ func (c *Cluster) RouteIngest(batch *traj.Store, ingest func(shard int) error) (
 	c.ingestCond.Broadcast()
 	c.ingestMu.Unlock()
 	return si, err
-}
-
-// Extend routes a batch to one shard's engine (the library-mode ingest; the
-// serving layer routes through RouteIngest with its own durable write). An
-// empty batch is a no-op with shard -1 and zero stats.
-func (c *Cluster) Extend(ctx context.Context, batch *traj.Store) (int, pathhist.IngestStats, error) {
-	var st pathhist.IngestStats
-	if batch == nil || batch.Len() == 0 {
-		return -1, st, nil
-	}
-	si, err := c.RouteIngest(batch, func(shard int) error {
-		var err error
-		st, err = c.shards[shard].eng.ExtendCtx(ctx, batch)
-		return err
-	})
-	return si, st, err
 }
 
 // validateGlobalLocked checks the cross-shard Extend precondition: the batch

@@ -74,8 +74,11 @@ func TestShardedTerminalMemoSurvivesMerge(t *testing.T) {
 					if !filled {
 						reused++
 					}
-					xs, _ := ix.GetTravelTimes(network.Path{e}, iv, snt.NoFilter, 0)
-					if !histsEqual(h, hist.FromSamples(xs, c.ladder.BucketWidth)) {
+					sc := snt.AcquireScratch()
+					xs, _ := ix.GetTravelTimesWith(sc, network.Path{e}, iv, snt.NoFilter, 0)
+					same := histsEqual(h, hist.FromSamples(xs, c.ladder.BucketWidth))
+					snt.ReleaseScratch(sc)
+					if !same {
 						t.Fatalf("N=%d shard %d segment %d: memo histogram no longer matches the scan", n, si, e)
 					}
 				}

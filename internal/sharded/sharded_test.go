@@ -411,8 +411,10 @@ func TestShardedTerminalStatsMatchUnsharded(t *testing.T) {
 		rs := pinAll(c)
 		for _, q := range attempts {
 			q.Filter = snt.NoFilter
-			xs, fallback := refIx.GetTravelTimes(q.Path, q.Interval, q.Filter, 0)
+			sc := snt.AcquireScratch()
+			xs, fallback := refIx.GetTravelTimesWith(sc, q.Path, q.Interval, q.Filter, 0)
 			want := query.OutcomeOf(xs, c.ladder.BucketWidth, fallback)
+			snt.ReleaseScratch(sc)
 			got, dispatched := rung(t, c, rs, q)
 			if dispatched != int64(n) {
 				t.Fatalf("N=%d %v: %d dispatches", n, q.Path, dispatched)

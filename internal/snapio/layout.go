@@ -10,7 +10,7 @@ import (
 // Alignment and size audit for the unsafe bulk-copy path.
 //
 // rawBytes views a fixed-width integer slice as its in-memory bytes, and
-// WriteI32s/ReadI32s (and the I64s/U16s/U32s/U64s column codecs) memcpy
+// WriteI32s/ReadI32s (and the I64s/U16s/U64s column codecs) memcpy
 // through that view whenever hostLittleEndian holds. The soundness of
 // those copies — and of pointing column slices straight into an mmap'd
 // snapshot — rests on three properties this file pins at compile time, so

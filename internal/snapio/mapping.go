@@ -36,10 +36,6 @@ func (m *Mapping) Data() []byte { return m.data }
 // Path returns the file the mapping was opened from.
 func (m *Mapping) Path() string { return m.path }
 
-// Mapped reports whether Data is an OS mapping (false on the portable
-// heap-copy fallback).
-func (m *Mapping) Mapped() bool { return m.mapped }
-
 // Close releases the mapping. It must only be called once nothing decoded
 // over Data remains reachable; after Close, Data returns nil.
 func (m *Mapping) Close() error {

@@ -8,25 +8,24 @@ import (
 	"unsafe"
 )
 
-// writeTestSnapshot encodes one snapshot with a single section holding every
-// column width, returning the file bytes and the values written.
-func writeTestSnapshot(t *testing.T) ([]byte, []int64, []uint32, []uint16) {
+// writeTestSnapshot encodes one snapshot with a single section holding an
+// int64 and a uint16 column, returning the file bytes and the values
+// written.
+func writeTestSnapshot(t *testing.T) ([]byte, []int64, []uint16) {
 	t.Helper()
 	i64s := []int64{-5, 0, 7, 1 << 40}
-	u32s := []uint32{1, 2, 3}
 	u16s := []uint16{9, 8, 7, 6, 5}
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	w.WriteHeader(Header{Epoch: 11, Partitions: 1, Sections: 1})
 	w.Begin(1)
 	w.I64s(i64s)
-	w.U32s(u32s)
 	w.U16s(u16s)
 	w.End()
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), i64s, u32s, u16s
+	return buf.Bytes(), i64s, u16s
 }
 
 // aliases reports whether slice s points into block.
@@ -43,7 +42,7 @@ func aliases[T any](s []T, block []byte) bool {
 // the backing bytes — same values as the copying reader, but aliasing the
 // buffer instead of fresh heap memory.
 func TestMappedReaderZeroCopy(t *testing.T) {
-	data, i64s, u32s, u16s := writeTestSnapshot(t)
+	data, i64s, u16s := writeTestSnapshot(t)
 
 	for _, mode := range []string{"copied", "mapped"} {
 		var r *Reader
@@ -63,7 +62,6 @@ func TestMappedReaderZeroCopy(t *testing.T) {
 			t.Fatalf("%s: Next: %v", mode, err)
 		}
 		gi := r.I64s()
-		gu32 := r.U32s()
 		gu16 := r.U16s()
 		if err := r.Err(); err != nil {
 			t.Fatalf("%s: decode: %v", mode, err)
@@ -73,26 +71,21 @@ func TestMappedReaderZeroCopy(t *testing.T) {
 				t.Fatalf("%s: I64s[%d] = %d, want %d", mode, i, gi[i], i64s[i])
 			}
 		}
-		for i := range u32s {
-			if gu32[i] != u32s[i] {
-				t.Fatalf("%s: U32s[%d] = %d, want %d", mode, i, gu32[i], u32s[i])
-			}
-		}
 		for i := range u16s {
 			if gu16[i] != u16s[i] {
 				t.Fatalf("%s: U16s[%d] = %d, want %d", mode, i, gu16[i], u16s[i])
 			}
 		}
 		wantAlias := mode == "mapped" && hostLittleEndian
-		if aliases(gi, data) != wantAlias || aliases(gu32, data) != wantAlias || aliases(gu16, data) != wantAlias {
-			t.Fatalf("%s: aliasing = %v/%v/%v, want all %v", mode,
-				aliases(gi, data), aliases(gu32, data), aliases(gu16, data), wantAlias)
+		if aliases(gi, data) != wantAlias || aliases(gu16, data) != wantAlias {
+			t.Fatalf("%s: aliasing = %v/%v, want both %v", mode,
+				aliases(gi, data), aliases(gu16, data), wantAlias)
 		}
 		// A view must have no spare capacity: appending to it reallocates
 		// instead of writing past the column into the mapping.
-		if wantAlias && (cap(gi) != len(gi) || cap(gu32) != len(gu32) || cap(gu16) != len(gu16)) {
-			t.Fatalf("view capacity exceeds length: %d/%d %d/%d %d/%d",
-				cap(gi), len(gi), cap(gu32), len(gu32), cap(gu16), len(gu16))
+		if wantAlias && (cap(gi) != len(gi) || cap(gu16) != len(gu16)) {
+			t.Fatalf("view capacity exceeds length: %d/%d %d/%d",
+				cap(gi), len(gi), cap(gu16), len(gu16))
 		}
 	}
 }
@@ -101,7 +94,7 @@ func TestMappedReaderZeroCopy(t *testing.T) {
 // like the copying one — corruption fails closed before any view is handed
 // out.
 func TestMappedReaderChecksum(t *testing.T) {
-	data, _, _, _ := writeTestSnapshot(t)
+	data, _, _ := writeTestSnapshot(t)
 	bad := append([]byte(nil), data...)
 	bad[headerSize+sectionHdrSize+3] ^= 0x10 // flip one payload bit
 	r, err := NewMappedReader(bad)
@@ -116,7 +109,7 @@ func TestMappedReaderChecksum(t *testing.T) {
 // TestMapFile: the file-backed store round-trips bytes, reports its mode and
 // path, serves a mapped reader, and closes cleanly (idempotently).
 func TestMapFile(t *testing.T) {
-	data, i64s, _, _ := writeTestSnapshot(t)
+	data, i64s, _ := writeTestSnapshot(t)
 	path := filepath.Join(t.TempDir(), "snap.snt")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)

@@ -292,19 +292,6 @@ func (w *Writer) U64s(v []uint64) {
 // I32s appends a []int32 column (8-byte padded).
 func (w *Writer) I32s(v []int32) { WriteI32s(w, v) }
 
-// U32s appends a []uint32 column (8-byte padded).
-func (w *Writer) U32s(v []uint32) {
-	w.slicePrefix(len(v))
-	if hostLittleEndian {
-		w.buf = append(w.buf, rawBytes(v)...)
-	} else {
-		for _, x := range v {
-			w.buf = binary.LittleEndian.AppendUint32(w.buf, x)
-		}
-	}
-	w.alignBuf()
-}
-
 // U16s appends a []uint16 column (8-byte padded).
 func (w *Writer) U16s(v []uint16) {
 	w.slicePrefix(len(v))
@@ -558,30 +545,6 @@ func (r *Reader) U64s() []uint64 {
 
 // I32s reads a []int32 column.
 func (r *Reader) I32s() []int32 { return ReadI32s[int32](r) }
-
-// U32s reads a []uint32 column.
-func (r *Reader) U32s() []uint32 {
-	n := r.sliceLen(4, "[]uint32")
-	if r.err != nil || n == 0 {
-		r.alignOff()
-		return nil
-	}
-	if v, ok := view[uint32](r, n); ok {
-		r.alignOff()
-		return v
-	}
-	out := make([]uint32, n)
-	if hostLittleEndian {
-		r.secOff += copy(rawBytes(out), r.sec[r.secOff:r.secOff+n*4])
-	} else {
-		for i := range out {
-			out[i] = binary.LittleEndian.Uint32(r.sec[r.secOff:])
-			r.secOff += 4
-		}
-	}
-	r.alignOff()
-	return out
-}
 
 // U16s reads a []uint16 column.
 func (r *Reader) U16s() []uint16 {

@@ -22,7 +22,7 @@ func TestRoundTrip(t *testing.T) {
 	w.End()
 	w.Begin(2)
 	w.U64s([]uint64{10, 11})
-	w.U32s(nil)
+	w.U16s(nil)
 	w.End()
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -73,8 +73,8 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.U64s(); len(got) != 2 || got[0] != 10 {
 		t.Fatalf("U64s = %v", got)
 	}
-	if got := r.U32s(); got != nil {
-		t.Fatalf("U32s = %v, want nil", got)
+	if got := r.U16s(); got != nil {
+		t.Fatalf("U16s = %v, want nil", got)
 	}
 	if r.Err() != nil {
 		t.Fatal(r.Err())

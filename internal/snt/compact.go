@@ -165,9 +165,6 @@ type PreparedCompaction struct {
 	prepared  time.Duration
 }
 
-// Runs returns how many partition runs the preparation merges.
-func (p *PreparedCompaction) Runs() int { return len(p.runs) }
-
 // PrepareCompaction plans and precomputes a compaction of the receiver per
 // the policy, without superseding anything: the receiver stays extendable
 // and the preparation can run concurrently with reads and with Extends of
@@ -428,25 +425,3 @@ func (ix *Index) ApplyCompaction(p *PreparedCompaction) (*Index, CompactionStats
 	committed = true
 	return nix, stats, nil
 }
-
-// Compact merges runs of adjacent partitions per the policy and returns the
-// compacted snapshot — PrepareCompaction and ApplyCompaction back to back
-// on one snapshot, a synchronous convenience for callers that own the
-// snapshot outright (the serving engine prepares and applies apart,
-// query.Engine.merge). When the policy plans no merge the receiver
-// itself is returned (not superseded, still extendable). Otherwise the
-// receiver is superseded exactly like Extend supersedes it: only the
-// returned snapshot may be extended or compacted further. Query results
-// from the compacted snapshot are bit-identical to the receiver's — and to
-// a from-scratch Build over the same trajectories with the merged layout.
-func (ix *Index) Compact(policy CompactionPolicy) (*Index, CompactionStats, error) {
-	p, err := ix.PrepareCompaction(policy, nil)
-	if err != nil {
-		return nil, CompactionStats{PartitionsBefore: len(ix.parts), PartitionsAfter: len(ix.parts)}, err
-	}
-	return ix.ApplyCompaction(p)
-}
-
-// CompactedFrom returns the partition count before the Compact call that
-// produced this snapshot, or 0 when it was never compacted.
-func (ix *Index) CompactedFrom() int { return ix.compactedFrom }

@@ -4,7 +4,8 @@
 // internal/snapio, so a process can restore a serving-ready index with one
 // sequential file read instead of replaying the whole build pipeline
 // (suffix arrays, BWTs, per-segment sorts). The build pipeline is untouched:
-// WriteSnapshot reads the immutable index, ReadSnapshot constructs an
+// WriteSnapshot reads the immutable index, ReadSnapshotBytes (or
+// ReadSnapshotMapped) constructs an
 // equivalent one, and the differential suite asserts the loaded index is
 // query-identical (exact sample order, columns, memory model) to the one
 // that wrote it.
@@ -113,37 +114,17 @@ type snapMeta struct {
 	numForestIdx  int
 }
 
-// ReadSnapshot restores an index written by WriteSnapshot against the same
-// road network, returning the index and the serving epoch it was written
-// at. Loading fails closed: truncation, checksum mismatches and format
-// version skew surface as the snapio sentinel errors, and internal
+// ReadSnapshotBytes restores an index written by WriteSnapshot from an
+// in-memory file image (e.g. an os.ReadFile result) against the same road
+// network, returning the index and the serving epoch it was written at.
+// Sections are decoded straight out of data with no intermediate copy of
+// the whole file, and every column is copied onto the heap — the index owns
+// its memory. Loading fails closed: truncation, checksum mismatches and
+// format version skew surface as the snapio sentinel errors, and internal
 // disagreements — header vs section epoch or partition counts, a snapshot
 // of a different network — as ErrSnapshotMismatch. The restored index is a
 // fresh snapshot: it can be queried, extended and compacted exactly like
 // the index that was written.
-func ReadSnapshot(g *network.Graph, r io.Reader) (*Index, uint64, error) {
-	// Size-aware sources (bytes.Reader, buffered files) get one exact
-	// allocation; io.ReadAll's doubling growth would otherwise memmove the
-	// multi-megabyte file several times over.
-	var data []byte
-	if l, ok := r.(interface{ Len() int }); ok {
-		data = make([]byte, l.Len())
-		if _, err := io.ReadFull(r, data); err != nil {
-			return nil, 0, fmt.Errorf("snt: reading snapshot: %w", err)
-		}
-	} else {
-		var err error
-		if data, err = io.ReadAll(r); err != nil {
-			return nil, 0, fmt.Errorf("snt: reading snapshot: %w", err)
-		}
-	}
-	return ReadSnapshotBytes(g, data)
-}
-
-// ReadSnapshotBytes is ReadSnapshot over an in-memory file image (e.g. an
-// os.ReadFile result): sections are decoded straight out of data with no
-// intermediate copy of the whole file, and every column is copied onto the
-// heap — the index owns its memory.
 func ReadSnapshotBytes(g *network.Graph, data []byte) (*Index, uint64, error) {
 	sr, err := snapio.NewReader(data)
 	if err != nil {

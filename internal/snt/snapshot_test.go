@@ -56,7 +56,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	g, ids, ix := snapshotFixture(t)
 	data := snapshotBytes(t, ix, 3)
 
-	loaded, epoch, err := ReadSnapshot(g, bytes.NewReader(data))
+	loaded, epoch, err := ReadSnapshotBytes(g, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestSnapshotLoadedIndexIsLive(t *testing.T) {
 		name string
 		load func() (*Index, uint64, error)
 	}{
-		{"copied", func() (*Index, uint64, error) { return ReadSnapshot(g, bytes.NewReader(data)) }},
+		{"copied", func() (*Index, uint64, error) { return ReadSnapshotBytes(g, data) }},
 		{"mapped", func() (*Index, uint64, error) { return ReadSnapshotMapped(g, data) }},
 	} {
 		loaded, _, err := read.load()
@@ -244,7 +244,7 @@ func TestSnapshotFailClosed(t *testing.T) {
 	}
 
 	load := func(b []byte) error {
-		_, _, err := ReadSnapshot(g, bytes.NewReader(b))
+		_, _, err := ReadSnapshotBytes(g, b)
 		return err
 	}
 
@@ -441,7 +441,7 @@ func TestSnapshotFailClosed(t *testing.T) {
 	t.Run("wrong network", func(t *testing.T) {
 		other := network.New()
 		if err := func() error {
-			_, _, err := ReadSnapshot(other, bytes.NewReader(data))
+			_, _, err := ReadSnapshotBytes(other, data)
 			return err
 		}(); !errors.Is(err, ErrSnapshotMismatch) {
 			t.Fatalf("err = %v, want ErrSnapshotMismatch", err)

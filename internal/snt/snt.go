@@ -269,9 +269,6 @@ func (ix *Index) TimeRange() (int64, int64) { return ix.tmin, ix.tmax }
 // NumPartitions returns the number of temporal partitions.
 func (ix *Index) NumPartitions() int { return len(ix.parts) }
 
-// User returns the user id of a trajectory (the container U).
-func (ix *Index) User(d traj.ID) traj.UserID { return ix.users[d] }
-
 // Frozen exposes the frozen temporal forest (used by the cardinality
 // estimator for its O(log n) exact range counts).
 func (ix *Index) Frozen() *temporal.FrozenForest { return ix.frozen }

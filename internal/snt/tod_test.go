@@ -1,7 +1,6 @@
 package snt
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -168,7 +167,7 @@ func TestTodHistogramsMatchStoreRecount(t *testing.T) {
 		assertTodMatchesOracle(t, applied, s, label("prepare+apply"))
 
 		data := snapshotBytes(t, applied, 1)
-		copied, _, err := ReadSnapshot(g, bytes.NewReader(data))
+		copied, _, err := ReadSnapshotBytes(g, data)
 		if err != nil {
 			t.Fatal(err)
 		}

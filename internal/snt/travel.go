@@ -20,6 +20,9 @@ type Filter struct {
 }
 
 // NoFilter matches everything.
+//
+// Test seam for pathhist, pathhist/internal/card, pathhist/internal/query and
+// pathhist/internal/sharded.
 var NoFilter = Filter{User: traj.NoUser, ExcludeTraj: -1}
 
 // HasPredicate reports whether a droppable non-temporal predicate is set
@@ -70,7 +73,7 @@ func (ix *Index) todBound(e network.EdgeID, iv Interval) (bound int, held bool) 
 	return math.MaxInt, fx != nil
 }
 
-// CannotReach reports whether the census alone proves that GetTravelTimes
+// CannotReach reports whether the census alone proves that GetTravelTimesWith
 // answers (nil, false) for this sub-query: β is required and the periodic
 // window cannot hold β records of the first segment on all days together,
 // so the enumeration would end in Procedure 5 line 7-8's rejection. It
@@ -110,7 +113,7 @@ func CannotReachAll(ixs []*Index, p network.Path, iv Interval, beta int) bool {
 	return held
 }
 
-// GetTravelTimes is Procedure 5: retrieve the travel times of up to beta
+// GetTravelTimesWith is Procedure 5: retrieve the travel times of up to beta
 // trajectories that traversed path p within interval iv and satisfy f. The
 // fallback flag is set when the speed-limit estimate was returned because a
 // single segment has no data at all (Section 2.2's estimateTT fallback).
@@ -124,25 +127,9 @@ func CannotReachAll(ixs []*Index, p network.Path, iv Interval, beta int) bool {
 //     that answer without a record being visited;
 //   - fixed intervals accept any non-empty match set regardless of beta.
 //
-// The returned slice is freshly allocated and owned by the caller. Hot
-// paths that issue many scans should use GetTravelTimesWith with a held
-// Scratch instead.
-func (ix *Index) GetTravelTimes(p network.Path, iv Interval, f Filter, beta int) (xs []int, fallback bool) {
-	sc := AcquireScratch()
-	defer ReleaseScratch(sc)
-	view, fallback := ix.GetTravelTimesWith(sc, p, iv, f, beta)
-	if view == nil {
-		return nil, fallback
-	}
-	xs = make([]int, len(view))
-	copy(xs, view)
-	return xs, fallback
-}
-
-// GetTravelTimesWith is GetTravelTimes over caller-held scratch state. The
-// returned slice aliases the scratch sample buffer and is only valid until
-// the next *With call on the same Scratch; callers that retain the samples
-// must copy them out.
+// The returned slice aliases the caller-held scratch's sample buffer and
+// is only valid until the next *With call on the same Scratch; callers that
+// retain the samples must copy them out.
 func (ix *Index) GetTravelTimesWith(sc *Scratch, p network.Path, iv Interval, f Filter, beta int) (xs []int, fallback bool) {
 	if len(p) == 0 {
 		return nil, false

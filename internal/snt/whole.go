@@ -36,7 +36,7 @@ type wholeMemo struct {
 
 // WholeSegment answers the terminal fallback from the memo: the count,
 // exact sum and histogram (bucket width width) of every traversal time of
-// p's one segment — what GetTravelTimes returns for the same question,
+// p's one segment — what GetTravelTimesWith returns for the same question,
 // summarised. ok is false, and nothing is computed, for any other question:
 // a path of more than one segment, β > 0, a periodic interval or a fixed one
 // that misses some of the segment's records, a user predicate, a

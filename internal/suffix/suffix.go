@@ -25,7 +25,7 @@ func Array(text []int32, k int) []int32 {
 
 // BuildAll returns the suffix array, inverse suffix array and
 // Burrows-Wheeler transform of text in one call — the triple every
-// partition (re)build needs (snt.Build, Index.Extend and Index.Compact all
+// partition (re)build needs (snt.Build, Index.Extend and compaction all
 // derive an FM-index and per-record ISA positions from the same text).
 func BuildAll(text []int32, k int) (sa, isa, bwt []int32) {
 	sa = Array(text, k)

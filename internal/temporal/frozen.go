@@ -72,6 +72,8 @@ func censusAdd(c *[CensusBuckets]uint8, t int64) {
 }
 
 // Census returns the time-of-day census (a copy).
+//
+// Test seam for pathhist/internal/snt.
 func (fx *FrozenIndex) Census() [CensusBuckets]uint8 { return fx.census }
 
 // TodBound returns an upper bound on the number of records whose time of
@@ -232,15 +234,6 @@ func (f *FrozenForest) Each(fn func(network.EdgeID, *FrozenIndex)) {
 // NumIndexes returns the number of segments with data.
 func (f *FrozenForest) NumIndexes() int { return len(f.idx) }
 
-// NumRecords returns the total number of traversal records.
-func (f *FrozenForest) NumRecords() int {
-	n := 0
-	for _, fx := range f.idx {
-		n += fx.Len()
-	}
-	return n
-}
-
 // SizeBytes is the forest's actual columnar footprint.
 func (f *FrozenForest) SizeBytes() int {
 	const perEntryMapOverhead = 48 // hash bucket + pointer per segment index
@@ -255,9 +248,9 @@ func (f *FrozenForest) SizeBytes() int {
 // by fn's result; returning the input index unchanged shares it between the
 // forests. The receiver is never modified — this is the copy-on-write
 // primitive partition compaction uses to republish ISA positions
-// (snt.Index.Compact) without touching segments whose records all lie
-// outside the merged partitions. fn must return a
-// non-nil index and must not mutate the input index or its columns.
+// (snt.Index.ApplyCompaction) without touching segments whose records all
+// lie outside the merged partitions. fn must return a non-nil index and
+// must not mutate the input index or its columns.
 func (f *FrozenForest) Rewrite(fn func(network.EdgeID, *FrozenIndex) *FrozenIndex) *FrozenForest {
 	nf := &FrozenForest{idx: make(map[network.EdgeID]*FrozenIndex, len(f.idx))}
 	for e, fx := range f.idx {

@@ -3,12 +3,10 @@
 // sequence s = <(e0,t0,TT0), ..., (e_{l-1},t_{l-1},TT_{l-1})> of traversed
 // segments with entry timestamps and traversal durations. The package also
 // provides the 180-second gap splitting of the ITSP preprocessing step
-// (Section 5.1.3), the Dur function, a trajectory store, and binary
-// serialisation.
+// (Section 5.1.3), a trajectory store, and binary serialisation.
 package traj
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -81,33 +79,6 @@ func (tr *Trajectory) Validate() error {
 		}
 	}
 	return nil
-}
-
-// ErrNoSubPath is returned by Dur when the trajectory does not contain the
-// path as a sub-path (Dur is then undefined per Section 2.2).
-var ErrNoSubPath = errors.New("traj: trajectory does not traverse the path")
-
-// Dur returns Dur(tr, P): the summed traversal time of the first occurrence
-// of P as a contiguous sub-path of P_tr. It returns ErrNoSubPath if the
-// trajectory never traverses P without detours.
-func (tr *Trajectory) Dur(p network.Path) (int64, error) {
-	if len(p) == 0 || len(p) > len(tr.Seq) {
-		return 0, ErrNoSubPath
-	}
-outer:
-	for i := 0; i+len(p) <= len(tr.Seq); i++ {
-		for j := range p {
-			if tr.Seq[i+j].Edge != p[j] {
-				continue outer
-			}
-		}
-		var sum int64
-		for j := range p {
-			sum += int64(tr.Seq[i+j].TT)
-		}
-		return sum, nil
-	}
-	return 0, ErrNoSubPath
 }
 
 // MaxGap is the ITSP trajectory-splitting threshold: a new trajectory starts

@@ -32,37 +32,6 @@ func paperTrajectories(t testing.TB) (*Store, map[string]network.EdgeID) {
 	return s, ids
 }
 
-func TestPaperDurExamples(t *testing.T) {
-	s, ids := paperTrajectories(t)
-	p := network.Path{ids["A"], ids["B"], ids["E"]}
-	d0, err := s.Get(0).Dur(p)
-	if err != nil || d0 != 11 {
-		t.Errorf("Dur(tr0, <A,B,E>) = %d, %v; want 11", d0, err)
-	}
-	d3, err := s.Get(3).Dur(p)
-	if err != nil || d3 != 10 {
-		t.Errorf("Dur(tr3, <A,B,E>) = %d, %v; want 10", d3, err)
-	}
-	// tr1 does not traverse <A,B,E>.
-	if _, err := s.Get(1).Dur(p); err != ErrNoSubPath {
-		t.Errorf("Dur(tr1, <A,B,E>) err = %v, want ErrNoSubPath", err)
-	}
-	// Sub-path of tr1.
-	d1, err := s.Get(1).Dur(network.Path{ids["C"], ids["D"]})
-	if err != nil || d1 != 6 {
-		t.Errorf("Dur(tr1, <C,D>) = %d, %v; want 6", d1, err)
-	}
-	// Empty path is undefined.
-	if _, err := s.Get(0).Dur(nil); err != ErrNoSubPath {
-		t.Errorf("Dur(tr0, <>) should be undefined")
-	}
-	// Path longer than the trajectory.
-	long := network.Path{ids["A"], ids["B"], ids["E"], ids["F"], ids["A"]}
-	if _, err := s.Get(0).Dur(long); err != ErrNoSubPath {
-		t.Errorf("overlong path should be undefined")
-	}
-}
-
 func TestValidate(t *testing.T) {
 	s, ids := paperTrajectories(t)
 	for _, tr := range s.All() {

@@ -50,15 +50,21 @@ type tree interface {
 type Index struct{ t tree }
 
 // Len returns the number of traversal records.
+//
+// Test seam for pathhist/internal/temporal.
 func (x *Index) Len() int { return x.t.Len() }
 
 // Ascend scans records with lo <= t < hi in ascending time order; fn
 // returning false stops the scan.
+//
+// Test seam for pathhist/internal/snt and pathhist/internal/temporal.
 func (x *Index) Ascend(lo, hi int64, fn func(t int64, r temporal.Record) bool) {
 	x.t.AscendRange(lo, hi, fn)
 }
 
 // Descend scans records with lo <= t < hi in descending time order.
+//
+// Test seam for pathhist/internal/snt and pathhist/internal/temporal.
 func (x *Index) Descend(lo, hi int64, fn func(t int64, r temporal.Record) bool) {
 	x.t.DescendRange(lo, hi, fn)
 }
@@ -91,6 +97,8 @@ func FromFrozen(ff *temporal.FrozenForest, kind Kind) *Forest {
 }
 
 // Get returns Φe, or nil when the segment has no data.
+//
+// Test seam for pathhist/internal/snt and pathhist/internal/temporal.
 func (f *Forest) Get(e network.EdgeID) *Index { return f.idx[e] }
 
 // SizeBytes models the forest's memory footprint given the per-record

@@ -349,10 +349,6 @@ func (c *core) init(f front, cfg Config, counters *metrics.ServerCounters, shard
 	}
 }
 
-// Counters exposes the robustness counters (shared, live — callers must
-// only read).
-func (c *core) Counters() *metrics.ServerCounters { return c.counters }
-
 // headerTracker remembers whether a handler already committed a response,
 // so the panic-recovery path knows whether a 500 can still be written.
 type headerTracker struct {
@@ -406,10 +402,6 @@ func (c *core) BeginDrain() {
 	c.draining.Store(true)
 	c.ready.Store(false)
 }
-
-// SetReady overrides the readiness bit (it starts true — a constructed
-// front wraps fully recovered engines). BeginDrain clears it permanently.
-func (c *core) SetReady(v bool) { c.ready.Store(v && !c.draining.Load()) }
 
 // readyz reports routability: 200 once recovery (snapshot load + WAL
 // replay) is complete and the server is not draining, 503 otherwise.

@@ -689,9 +689,6 @@ func (w *WAL) Stats() Stats {
 	}
 }
 
-// Path returns the log's file path.
-func (w *WAL) Path() string { return w.path }
-
 // Close closes the underlying file, first waiting out any in-flight
 // group-commit fsync so the fd is never closed under it. Records already
 // fsynced stay durable; Close itself syncs nothing (every append returns

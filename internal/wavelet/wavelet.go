@@ -185,53 +185,14 @@ func New(seq []int32) *Tree {
 // Len returns the sequence length.
 func (t *Tree) Len() int { return t.n }
 
-// Rank returns the number of occurrences of symbol c in the prefix [0, i).
-func (t *Tree) Rank(c int32, i int) int {
-	if i <= 0 {
-		return 0
-	}
-	if i > t.n {
-		i = t.n
-	}
-	if t.singleUse {
-		if c == t.single {
-			return i
-		}
-		return 0
-	}
-	cd, ok := t.codes[c]
-	if !ok {
-		return 0
-	}
-	ni := int32(0)
-	for d := uint8(0); d < cd.len; d++ {
-		nd := &t.nodes[ni]
-		var next int32
-		if cd.bits&(1<<d) == 0 {
-			i = nd.bv.Rank0(i)
-			next = nd.left
-		} else {
-			i = nd.bv.Rank1(i)
-			next = nd.right
-		}
-		if i == 0 {
-			return 0
-		}
-		if next < 0 {
-			return i
-		}
-		ni = next
-	}
-	return i
-}
-
-// Rank2 returns Rank(c, i) and Rank(c, j) from a single tree descent. The
+// Rank2 returns the number of occurrences of symbol c in the prefixes
+// [0, i) and [0, j), from a single tree descent. The
 // FM-index backward search of Procedure 2 needs the ranks of both interval
 // bounds at the same symbol for every path step; answering them together
 // halves the code lookups and node walks, and on the O(1) bit-vector rank
 // directory the whole step is a handful of table reads. Requires i <= j
-// (backward-search bounds always satisfy this); results are identical to
-// two Rank calls.
+// (backward-search bounds always satisfy this); the tests check it against
+// two calls of a one-prefix reference Rank.
 func (t *Tree) Rank2(c int32, i, j int) (ri, rj int) {
 	if j <= 0 {
 		return 0, 0
@@ -277,30 +238,6 @@ func (t *Tree) Rank2(c int32, i, j int) (ri, rj int) {
 		ni = next
 	}
 	return i, j
-}
-
-// Access returns the symbol at position i (used by tests; query processing
-// needs only Rank).
-func (t *Tree) Access(i int) int32 {
-	if t.singleUse {
-		return t.single
-	}
-	ni := int32(0)
-	for {
-		nd := &t.nodes[ni]
-		var next int32
-		if nd.bv.Get(i) {
-			i = nd.bv.Rank1(i)
-			next = nd.right
-		} else {
-			i = nd.bv.Rank0(i)
-			next = nd.left
-		}
-		if next < 0 {
-			return ^next
-		}
-		ni = next
-	}
 }
 
 // perNodeOverhead models the fixed per-node cost of the C++ structure

@@ -259,8 +259,8 @@ func LadderConfig(opts Options) query.Config {
 
 // engineConfig completes LadderConfig into the internal query engine
 // configuration, building the cardinality estimator against the index that
-// will be served (NewEngine's freshly built one, or LoadSnapshot's restored
-// one).
+// will be served (NewEngine's freshly built one, or a loaded snapshot's
+// restored one).
 func engineConfig(ix *snt.Index, opts Options) query.Config {
 	cfg := LadderConfig(opts)
 	if opts.Estimator != card.Off {

@@ -57,13 +57,6 @@ func syncDir(dir string) error {
 // the dataset's network.bin: the road network is loaded separately and the
 // snapshot refuses to load against a different network.
 
-// SnapshotFileName is the legacy single-snapshot file name inside a
-// snapshot directory. SnapshotFileIn now writes epoch-named files (see
-// SnapshotName) so several generations can be retained; FindLatestSnapshot
-// still recognises this name so directories written by older builds keep
-// loading.
-const SnapshotFileName = "snapshot.snt"
-
 // SnapshotStats reports one written snapshot: its size, the index epoch it
 // captured, and how many trajectories that index held. The trajectory
 // count is captured from the same pinned publication as the epoch, which
@@ -85,9 +78,8 @@ func SnapshotName(epoch uint64) string {
 }
 
 // FindLatestSnapshot locates the newest snapshot file in dir: the
-// highest-epoch SnapshotName file, falling back to the legacy
-// SnapshotFileName when no epoch-named snapshot exists. Empty string (and
-// nil error) means the directory holds no snapshot at all.
+// highest-epoch SnapshotName file. Empty string (and nil error) means the
+// directory holds no snapshot at all.
 func FindLatestSnapshot(dir string) (string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -103,14 +95,10 @@ func FindLatestSnapshot(dir string) (string, error) {
 			best = name
 		}
 	}
-	if best != "" {
-		return filepath.Join(dir, best), nil
+	if best == "" {
+		return "", nil
 	}
-	legacy := filepath.Join(dir, SnapshotFileName)
-	if _, err := os.Stat(legacy); err == nil {
-		return legacy, nil
-	}
-	return "", nil
+	return filepath.Join(dir, best), nil
 }
 
 // snapshotNamed reports whether name matches the epoch-named snapshot
@@ -137,10 +125,7 @@ func snapshotNamed(name string) bool {
 // covers it, and the file a mapped engine is serving over
 // (Engine.MappedSnapshotPath): deleting a mapped file works on unix —
 // the inode survives the unlink — but silently breaks the next restart's
-// re-open. The legacy SnapshotFileName is treated as older than every
-// epoch-named snapshot (it is only deleted once an epoch-named one exists,
-// and never while protected). Returns the deleted file names. keep < 1 is
-// treated as 1.
+// re-open. Returns the deleted file names. keep < 1 is treated as 1.
 func PruneSnapshots(dir string, keep int, protect ...string) ([]string, error) {
 	if keep < 1 {
 		keep = 1
@@ -150,24 +135,15 @@ func PruneSnapshots(dir string, keep int, protect ...string) ([]string, error) {
 		return nil, err
 	}
 	var named []string
-	legacy := false
 	for _, ent := range entries {
-		if ent.IsDir() {
-			continue
-		}
-		if snapshotNamed(ent.Name()) {
+		if !ent.IsDir() && snapshotNamed(ent.Name()) {
 			named = append(named, ent.Name())
-		} else if ent.Name() == SnapshotFileName {
-			legacy = true
 		}
 	}
 	sort.Strings(named) // zero-padded hex: lexicographic == epoch order
 	var doomed []string
 	if len(named) > keep {
 		doomed = named[:len(named)-keep]
-	}
-	if legacy && len(named) > 0 {
-		doomed = append(doomed, SnapshotFileName)
 	}
 	protected := func(path string) bool {
 		for _, p := range protect {
@@ -275,30 +251,19 @@ func (e *Engine) snapshotAtomic(dir string, target func(epoch uint64) string) (S
 	return st, nil
 }
 
-// LoadSnapshot restores an Engine from a snapshot written by Snapshot,
-// against the same road network it was written with. The restored engine
-// republishes the snapshot's epoch, so epoch-stamped observability (and any
-// client correlating epochs across the restart) stays consistent; query
-// results are bit-identical to the engine that wrote the snapshot. The
-// Options play the same role as in NewEngine — partitioning, estimator,
-// caches, compaction policy are serving-time choices, not part of the
-// persisted index — and the cardinality estimator is rebuilt against the
-// restored index: the Acc modes derive their time-of-day histograms from
-// it, so the estimator the writer ran does not matter. Loading fails closed on any corruption (see
-// snt.ReadSnapshot); nothing is partially served.
-func LoadSnapshot(g *Graph, r io.Reader, opts Options) (*Engine, error) {
-	if g == nil {
-		return nil, fmt.Errorf("pathhist: nil graph")
-	}
-	ix, epoch, err := snt.ReadSnapshot(g, r)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{g: g, qe: query.NewEngineAt(ix, engineConfig(ix, opts), epoch)}, nil
-}
-
-// LoadSnapshotFile restores an Engine from a snapshot file: one stat-sized
-// read, then sections decode straight out of that buffer.
+// LoadSnapshotFile restores an Engine from a snapshot file written by
+// Snapshot, SnapshotFile or SnapshotFileIn, against the same road network
+// it was written with: one stat-sized read, then sections decode straight
+// out of that buffer. The restored engine republishes the snapshot's
+// epoch, so epoch-stamped observability (and any client correlating epochs
+// across the restart) stays consistent; query results are bit-identical to
+// the engine that wrote the snapshot. The Options play the same role as in
+// NewEngine — partitioning, estimator, caches, compaction policy are
+// serving-time choices, not part of the persisted index — and the
+// cardinality estimator is rebuilt against the restored index: the Acc
+// modes derive their time-of-day histograms from it, so the estimator the
+// writer ran does not matter. Loading fails closed on any corruption (see
+// snt.ReadSnapshotBytes); nothing is partially served.
 func LoadSnapshotFile(g *Graph, path string, opts Options) (*Engine, error) {
 	if err := failpoint.Inject(FailpointSnapshotLoad); err != nil {
 		return nil, fmt.Errorf("pathhist: reading snapshot %s: %w", path, err)

@@ -8,12 +8,15 @@ import (
 
 // TestSnapshotFileInAndRetention pins the epoch-named snapshot lifecycle:
 // SnapshotFileIn writes snapshot-<epoch>.snt with trajectory-count stats,
-// FindLatestSnapshot picks the newest (falling back to the legacy name),
-// and PruneSnapshots keeps the newest K while never deleting the protected
+// FindLatestSnapshot picks the newest (none in an empty directory), and
+// PruneSnapshots keeps the newest K while never deleting the protected
 // file.
 func TestSnapshotFileInAndRetention(t *testing.T) {
 	g, eng, qs := lifecycleEngine(t, Options{Partition: ByZone})
 	dir := t.TempDir()
+	if got, err := FindLatestSnapshot(dir); err != nil || got != "" {
+		t.Fatalf("empty dir: %q, %v", got, err)
+	}
 
 	st, err := eng.SnapshotFileIn(dir)
 	if err != nil {
@@ -33,8 +36,8 @@ func TestSnapshotFileInAndRetention(t *testing.T) {
 	}
 	assertSameAnswers(t, eng, restored, qs, "epoch-named snapshot")
 
-	// Fake older generations plus a legacy snapshot. The engine's epoch is
-	// 3 (two extends + compaction), so epochs 0-2 are strictly older.
+	// Fake older generations. The engine's epoch is 3 (two extends +
+	// compaction), so epochs 0-2 are strictly older.
 	if eng.Epoch() != 3 {
 		t.Fatalf("lifecycle epoch = %d, fixture assumes 3", eng.Epoch())
 	}
@@ -44,34 +47,29 @@ func TestSnapshotFileInAndRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, SnapshotFileName), []byte("legacy"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 
 	latest, err := FindLatestSnapshot(dir)
 	if err != nil || latest != wantPath {
 		t.Fatalf("FindLatestSnapshot = %s, %v; want %s", latest, err, wantPath)
 	}
 
-	// keep=2 with epoch 1 protected: epochs {0} and the legacy file go,
-	// {1 (protected), 2, real} survive.
+	// keep=2 with epoch 1 protected: epoch 0 goes, {1 (protected), 2,
+	// real} survive.
 	protect := filepath.Join(dir, SnapshotName(1))
 	deleted, err := PruneSnapshots(dir, 2, protect)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(deleted) != 2 {
-		t.Fatalf("deleted %v, want 2 files", deleted)
+	if len(deleted) != 1 || deleted[0] != SnapshotName(0) {
+		t.Fatalf("deleted %v, want [%s]", deleted, SnapshotName(0))
 	}
 	for _, name := range []string{SnapshotName(1), SnapshotName(2), filepath.Base(wantPath)} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Fatalf("%s should survive: %v", name, err)
 		}
 	}
-	for _, name := range []string{SnapshotName(0), SnapshotFileName} {
-		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-			t.Fatalf("%s should be pruned", name)
-		}
+	if _, err := os.Stat(filepath.Join(dir, SnapshotName(0))); !os.IsNotExist(err) {
+		t.Fatalf("%s should be pruned", SnapshotName(0))
 	}
 
 	// With the protection lifted the keep bound applies strictly.
@@ -85,26 +83,5 @@ func TestSnapshotFileInAndRetention(t *testing.T) {
 	entries, _ := os.ReadDir(dir)
 	if len(entries) != 1 {
 		t.Fatalf("%d files left, want 1", len(entries))
-	}
-}
-
-// TestFindLatestSnapshotLegacyFallback: a directory holding only the
-// legacy snapshot.snt (written by an older build) still resolves.
-func TestFindLatestSnapshotLegacyFallback(t *testing.T) {
-	dir := t.TempDir()
-	if got, err := FindLatestSnapshot(dir); err != nil || got != "" {
-		t.Fatalf("empty dir: %q, %v", got, err)
-	}
-	legacy := filepath.Join(dir, SnapshotFileName)
-	if err := os.WriteFile(legacy, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := FindLatestSnapshot(dir); err != nil || got != legacy {
-		t.Fatalf("legacy dir: %q, %v", got, err)
-	}
-	// Pruning a legacy-only directory deletes nothing (it is the only
-	// generation).
-	if deleted, err := PruneSnapshots(dir, 1, ""); err != nil || len(deleted) != 0 {
-		t.Fatalf("legacy-only prune: %v, %v", deleted, err)
 	}
 }

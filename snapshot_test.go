@@ -75,7 +75,7 @@ func assertSameAnswers(t *testing.T, a, b *Engine, qs []workload.Query, label st
 	}
 }
 
-// TestPublicSnapshotRoundTrip: the public Snapshot/LoadSnapshot pair
+// TestPublicSnapshotRoundTrip: the public Snapshot/LoadSnapshotFile pair
 // restores an engine whose answers, epoch, partition layout and memory
 // model are identical to the writer's — with the estimator and ToD
 // histograms (CSSAcc) in play.
@@ -91,7 +91,8 @@ func TestPublicSnapshotRoundTrip(t *testing.T) {
 	if st.Bytes != int64(buf.Len()) || st.Bytes == 0 || st.Epoch != eng.Epoch() {
 		t.Fatalf("Snapshot stats %+v, buffered %d, engine epoch %d", st, buf.Len(), eng.Epoch())
 	}
-	restored, err := LoadSnapshot(g, bytes.NewReader(buf.Bytes()), opts)
+	path := writeSnapshotImage(t, buf.Bytes())
+	restored, err := LoadSnapshotFile(g, path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestPublicSnapshotRoundTrip(t *testing.T) {
 	}
 	assertSameAnswers(t, eng, restored, qs, "restored")
 
-	if _, err := LoadSnapshot(nil, bytes.NewReader(buf.Bytes()), opts); err == nil {
+	if _, err := LoadSnapshotFile(nil, path, opts); err == nil {
 		t.Fatal("nil graph accepted")
 	}
 }
@@ -124,7 +125,7 @@ func TestPublicSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotFileAtomic(t *testing.T) {
 	g, eng, qs := lifecycleEngine(t, Options{Partition: ByZone})
 	dir := t.TempDir()
-	path := filepath.Join(dir, SnapshotFileName)
+	path := filepath.Join(dir, SnapshotName(0))
 
 	st, err := eng.SnapshotFile(path)
 	if err != nil {
@@ -161,7 +162,7 @@ func TestSnapshotFileAtomic(t *testing.T) {
 	assertSameAnswers(t, eng, restored, qs, "file round trip")
 
 	// A write into a missing directory fails without touching the target.
-	if _, err := eng.SnapshotFile(filepath.Join(dir, "missing", SnapshotFileName)); err == nil {
+	if _, err := eng.SnapshotFile(filepath.Join(dir, "missing", SnapshotName(0))); err == nil {
 		t.Fatal("snapshot into missing directory succeeded")
 	}
 	// Corruption fails closed at load.
@@ -238,7 +239,7 @@ func TestSnapshotWhileServing(t *testing.T) {
 	wg.Wait()
 
 	for i, data := range snaps {
-		restored, err := LoadSnapshot(ds.G, bytes.NewReader(data), Options{Partition: ByZone})
+		restored, err := LoadSnapshotFile(ds.G, writeSnapshotImage(t, data), Options{Partition: ByZone})
 		if err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)
 		}
@@ -278,11 +279,7 @@ func TestLoadedAccEstimatorMatchesBuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(st.Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copied, err := LoadSnapshot(ds.G, bytes.NewReader(data), opts(EstimatorCSSAcc))
+	copied, err := LoadSnapshotFile(ds.G, st.Path, opts(EstimatorCSSAcc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,4 +319,15 @@ func TestLoadedAccEstimatorMatchesBuilt(t *testing.T) {
 		t.Fatalf("CSSAcc and CSSFast skip the same %d sub-queries over %d queries", accSkips, len(qs))
 	}
 	t.Logf("%d queries: CSSAcc skipped %d sub-queries, CSSFast %d", len(qs), accSkips, fastSkips)
+}
+
+// writeSnapshotImage writes snapshot bytes to a fresh file and returns its
+// path, for the file loaders.
+func writeSnapshotImage(t testing.TB, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), SnapshotName(0))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
