@@ -5,10 +5,7 @@ import (
 	"go/types"
 )
 
-const (
-	sntPkg  = "pathhist/internal/snt"
-	histPkg = "pathhist/internal/hist"
-)
+const sntPkg = "pathhist/internal/snt"
 
 // PoolEscape enforces the pooled-scratch ownership contract (DESIGN.md §6):
 // a *snt.Scratch obtained from AcquireScratch belongs to one goroutine for
@@ -25,15 +22,11 @@ const (
 //     (early returns and panics leak), a missing release doubly so;
 //   - a *snt.Scratch must not be assigned to a field, element, package
 //     variable, channel, or composite literal, and a function that
-//     acquired one must not return it;
-//   - hist.(*Histogram).Recycle may only be called on plain local
-//     variables — never on fields, elements, or call results, which is how
-//     a histogram shared through a cache or Result ends up recycled while
-//     readers still hold it.
+//     acquired one must not return it.
 var PoolEscape = &Analyzer{
 	Name: "poolescape",
 	Doc: "pooled scratch must be released on every path (deferred release), " +
-		"must never be stored past return, and only local histograms may be recycled",
+		"and must never be stored past return",
 	Run: runPoolEscape,
 }
 
@@ -63,8 +56,6 @@ func checkPoolUnit(pass *Pass, unit funcUnit) {
 				acquires = append(acquires, st)
 			case isFunc(fn, sntPkg, "ReleaseScratch"):
 				releases++
-			case isMethod(fn, histPkg, "Histogram", "Recycle"):
-				checkRecycleReceiver(pass, st)
 			}
 		case *ast.DeferStmt:
 			if isFunc(calleeFunc(pass.Info, st.Call), sntPkg, "ReleaseScratch") {
@@ -166,25 +157,4 @@ func checkScratchStore(pass *Pass, as *ast.AssignStmt) {
 					"not be stored past return")
 		}
 	}
-}
-
-// checkRecycleReceiver flags Recycle calls whose receiver is not a plain
-// local variable or parameter.
-func checkRecycleReceiver(pass *Pass, call *ast.CallExpr) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	recv := ast.Unparen(sel.X)
-	if id, ok := recv.(*ast.Ident); ok {
-		if v, ok := pass.Info.Uses[id].(*types.Var); ok {
-			if !v.IsField() && v.Pkg() != nil && v.Parent() != v.Pkg().Scope() {
-				return // local or parameter: fine
-			}
-		}
-	}
-	pass.Reportf(call.Pos(),
-		"Recycle on a non-local histogram; only provably-unreachable "+
-			"intermediates (plain locals) may go back to the pool — anything "+
-			"reachable through a field, cache or Result may still have readers")
 }

@@ -1,12 +1,8 @@
 // Package poolescape is the test fixture for the poolescape analyzer:
-// pooled scratch is released on every path and never stored past return;
-// only local histograms are recycled.
+// pooled scratch is released on every path and never stored past return.
 package poolescape
 
-import (
-	"pathhist/internal/hist"
-	"pathhist/internal/snt"
-)
+import "pathhist/internal/snt"
 
 type holder struct{ sc *snt.Scratch }
 
@@ -55,19 +51,6 @@ func returned() *snt.Scratch {
 	sc := snt.AcquireScratch()
 	defer snt.ReleaseScratch(sc)
 	return sc // want `returned to the caller`
-}
-
-// recycleLocal recycles a provably-unreachable intermediate: fine.
-func recycleLocal(xs []int) {
-	hg := hist.FromSamples(xs, 30)
-	hg.Recycle()
-}
-
-type result struct{ H *hist.Histogram }
-
-// recycleShared recycles a histogram still reachable through a result.
-func recycleShared(r *result) {
-	r.H.Recycle() // want `Recycle on a non-local histogram`
 }
 
 // suppressed documents a deliberate store.

@@ -10,12 +10,13 @@ package hist
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Histogram is a travel-time histogram with integer bucket width h seconds:
 // bucket i covers travel times [i*h, (i+1)*h). Counts are float64 because
-// convolution multiplies them.
+// convolution multiplies them. A histogram is a value: its constructor
+// fills it and nothing mutates it afterwards, so any number of readers may
+// share it (the terminal-fallback memo, the full-result cache, Results).
 type Histogram struct {
 	h      int // bucket width in seconds
 	offset int // index of the first stored bucket
@@ -26,46 +27,12 @@ type Histogram struct {
 	// convolution). They drive the shift-and-enlarge interval adaptation
 	// (Section 4.2).
 	min, max int
-	n        int // number of underlying samples (product after convolution)
+	n        int // number of underlying samples (saturated product after convolution)
 }
 
-// histPool recycles Histogram structs together with their count buffers so
-// that steady-state query processing reuses instead of reallocating them.
-// Only histograms that are provably unreachable go back: the query engine
-// recycles its intermediate convolution results, nothing else (sub-query
-// histograms are shared through the terminal-fallback memo and the
-// full-result cache and must stay live).
-var histPool = sync.Pool{New: func() any { return new(Histogram) }}
-
-// newHist returns a histogram with a zeroed count buffer of length n,
-// reusing a recycled histogram when one fits.
+// newHist returns a histogram with a zeroed count buffer of length n.
 func newHist(h, offset, n int) *Histogram {
-	hg := histPool.Get().(*Histogram)
-	if cap(hg.counts) >= n {
-		hg.counts = hg.counts[:n]
-		for i := range hg.counts {
-			hg.counts[i] = 0
-		}
-	} else {
-		hg.counts = make([]float64, n)
-	}
-	hg.h = h
-	hg.offset = offset
-	hg.total = 0
-	hg.min, hg.max, hg.n = 0, 0, 0
-	return hg
-}
-
-// Recycle returns the histogram to the package pool. It must only be called
-// on histograms no other code can reach — in practice the query engine's
-// intermediate convolution results. The histogram is unusable afterwards.
-func (hg *Histogram) Recycle() {
-	if hg == nil {
-		return
-	}
-	hg.counts = hg.counts[:0]
-	hg.total = 0
-	histPool.Put(hg)
+	return &Histogram{h: h, offset: offset, counts: make([]float64, n)}
 }
 
 // FromSamples builds a histogram with bucket width h from travel-time
@@ -148,8 +115,9 @@ func Union(hs ...*Histogram) *Histogram {
 // BucketWidth returns h.
 func (hg *Histogram) BucketWidth() int { return hg.h }
 
-// NumSamples returns the number of samples the histogram was built from
-// (the product of sample counts after convolution).
+// NumSamples returns the number of samples the histogram was built from:
+// after convolution, the product of the operands' sample counts, saturated
+// at math.MaxInt (five sub-paths of 8 000 samples each already exceed it).
 func (hg *Histogram) NumSamples() int { return hg.n }
 
 // Total returns the total mass.
@@ -228,7 +196,10 @@ func (hg *Histogram) Convolve(other *Histogram) *Histogram {
 	out := newHist(hg.h, hg.offset+other.offset, len(hg.counts)+len(other.counts)-1)
 	out.min = hg.min + other.min
 	out.max = hg.max + other.max
-	out.n = hg.n * other.n
+	out.n = math.MaxInt
+	if hg.n == 0 || other.n <= math.MaxInt/hg.n {
+		out.n = hg.n * other.n
+	}
 	for i, a := range hg.counts {
 		if a == 0 {
 			continue
@@ -237,7 +208,7 @@ func (hg *Histogram) Convolve(other *Histogram) *Histogram {
 			if b == 0 {
 				continue
 			}
-			out.counts[i+j] += a * b
+			out.counts[i+j] += float64(a * b) // explicit conversion: never fused into an FMA
 		}
 	}
 	for _, c := range out.counts {

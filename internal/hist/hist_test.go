@@ -119,6 +119,28 @@ func TestConvolveMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestConvolveSampleCountSaturates: five sub-paths of 8 000 samples each
+// multiply to 8 000⁵ ≈ 3.3·10¹⁹ > 2⁶³; the count saturates instead of
+// wrapping, and stays saturated through a further fold.
+func TestConvolveSampleCountSaturates(t *testing.T) {
+	xs := make([]int, 8000)
+	for i := range xs {
+		xs[i] = 60 + i%40
+	}
+	part := FromSamples(xs, 10)
+	var conv *Histogram
+	for k := 1; k <= 6; k++ {
+		conv = conv.Convolve(part)
+		want := math.MaxInt
+		if k <= 4 {
+			want = int(math.Pow(8000, float64(k)))
+		}
+		if got := conv.NumSamples(); got != want {
+			t.Fatalf("after %d folds NumSamples = %d, want %d", k, got, want)
+		}
+	}
+}
+
 func TestQuantileAndCDF(t *testing.T) {
 	h := FromSamples([]int{10, 20, 30, 40}, 10)
 	if got := h.CDF(50); got != 1 {

@@ -211,7 +211,7 @@ func (c *spqCache) get(p network.Path, iv snt.Interval, f snt.Filter, beta int, 
 
 // put stores a completed result computed against the given index epoch. The
 // path is copied; the value is retained as-is (and shared with the Result
-// that produced it), so its contents must never be mutated or recycled.
+// that produced it), so its contents must never be mutated.
 func (c *spqCache) put(p network.Path, iv snt.Interval, f snt.Filter, beta int, epoch uint64, val fullValue) {
 	hash := cacheHash(p, iv, f, beta)
 	en := &cacheEntry{

@@ -288,21 +288,11 @@ func (d *driver) splitPoint(sub subQ, effective snt.Interval) (int, error) {
 	return lo, nil
 }
 
-// convolveSubs folds the sub-query histograms in path order, recycling the
-// intermediate convolution results (which nothing else can reach; the
-// operands and the returned final histogram stay live).
+// convolveSubs folds the sub-query histograms in path order.
 func convolveSubs(subs []SubResult) *hist.Histogram {
 	var conv *hist.Histogram
-	owned := false
 	for i := range subs {
-		next := conv.Convolve(subs[i].Hist)
-		if owned && next != conv {
-			conv.Recycle()
-		}
-		// next is a fresh intermediate only when both operands existed;
-		// otherwise Convolve returned an operand we must not recycle.
-		owned = conv != nil && subs[i].Hist != nil
-		conv = next
+		conv = conv.Convolve(subs[i].Hist)
 	}
 	return conv
 }

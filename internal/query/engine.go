@@ -67,9 +67,10 @@ type Config struct {
 	// Compaction.TriggerPartitions > 0 and an Extend leaves the index with
 	// at least that many partitions, the Extend wakes a background
 	// compactor and returns; the compactor merges off the write lock and
-	// publishes each merge as its own epoch (Engine.merge). The zero value
-	// disables auto-compaction; Engine.Compact can still be called
-	// manually, ignoring the trigger.
+	// publishes each merge as its own epoch (Engine.merge). A trigger ≤ 0,
+	// the zero value included, disables auto-compaction; Engine.Compact
+	// can still be called manually, ignoring the trigger. In snt the same
+	// field ≤ 0 means an ungated plan, which is what Engine.Compact runs.
 	Compaction snt.CompactionPolicy
 }
 
@@ -657,12 +658,10 @@ func (e *Engine) TripQueryCtx(ctx context.Context, q SPQ) (Result, error) {
 		e.memoMisses.Add(int64(res.CacheMisses))
 	}
 	if e.full != nil && !sc.Canceled() {
-		// Hist and Subs become shared with future hits; both are immutable
-		// from here on (the final histogram is never recycled, and Subs'
-		// histograms may already be the terminal memo's). A query that
-		// raced its own cancellation to the finish line is complete and
-		// correct, but its last scan may have been clipped — skip the
-		// memoisation rather than trust it.
+		// Hist and Subs become shared with future hits; neither is
+		// written again. A query that raced its own cancellation to the
+		// finish line is complete and correct, but its last scan may have
+		// been clipped — skip the memoisation rather than trust it.
 		e.full.put(q.Path, q.Interval, q.Filter, q.Beta, sn.epoch, fullValue{hist: res.Hist, subs: res.Subs})
 	}
 	res.Elapsed = time.Since(start)

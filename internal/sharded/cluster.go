@@ -187,11 +187,6 @@ func New(g *network.Graph, engines []*pathhist.Engine, cfg Config) (*Cluster, er
 // NumShards returns the shard count.
 func (c *Cluster) NumShards() int { return len(c.shards) }
 
-// Engine returns shard i's engine.
-//
-// Test seam for pathhist/internal/ttserve.
-func (c *Cluster) Engine(i int) *pathhist.Engine { return c.shards[i].eng }
-
 // Counters returns the cluster's metrics sink.
 func (c *Cluster) Counters() *metrics.ServerCounters { return c.cfg.Counters }
 

@@ -25,7 +25,7 @@ type scanOut struct {
 	n       int             // statistics: the sample count; σL: the count
 	sum     int64           // statistics: the samples' exact sum
 	hist    *hist.Histogram // statistics: the samples' histogram (nil for none)
-	shared  bool            // statistics: hist is the index memo's, never recycled
+	memo    bool            // statistics: answered from the index's terminal-fallback memo
 	scanned bool            // statistics: the shard read a column of its own (a memo fill or a scan)
 }
 

@@ -16,7 +16,7 @@ import (
 // 1-, 2- and 4-shard clusters. Every answer must equal the unsharded
 // engine's, and afterwards every shard's memoised terminal histogram must
 // still equal a fresh hist.FromSamples of the shard's scan: the router
-// unions the memo histograms but must never recycle them. Each answer must
+// unions the memo histograms but must never alter them. Each answer must
 // also book its effort as an unsharded engine with a fresh memo and no
 // full-result cache does: a memo reuse is a cache hit, not an index scan,
 // and a shard without the segment's records neither reads nor fills a memo
@@ -62,7 +62,7 @@ func TestShardedTerminalMemoSurvivesMerge(t *testing.T) {
 		}
 		reused := 0
 		for si := 0; si < n; si++ {
-			ix := c.Engine(si).QueryEngine().Index()
+			ix := c.shards[si].eng.QueryEngine().Index()
 			_, tmax := ix.TimeRange()
 			iv := snt.NewFixed(0, tmax+1)
 			for _, q := range qs {

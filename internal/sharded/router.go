@@ -254,18 +254,16 @@ func (c *Cluster) scatterScan(ctx context.Context, rs *runState, q query.SPQ) (q
 // way the answer comes through the shard's dispatch, so failpoints, health,
 // the budget and the restart path see every shard. Counts and sums add,
 // and the histograms union exactly (hist.Union), so the merged outcome
-// equals the one built from every shard's samples together. Only the
-// histograms a scan built for this merge are recycled; a memo's stays with
-// its index. No sample anywhere gives the speed-limit fallback for a single
-// segment and a failed attempt otherwise — admit's answer for β ≤ 0. The
-// attempt is a memo reuse (Outcome.Cached) when at least one shard read its
-// memo and no shard read a column, the unsharded engine's rule over the
-// union of the stripes: a shard without the segment's records reads
-// neither.
+// equals the one built from every shard's samples together. No sample
+// anywhere gives the speed-limit fallback for a single segment and a
+// failed attempt otherwise — admit's answer for β ≤ 0. The attempt is a
+// memo reuse (Outcome.Cached) when at least one shard read its memo and no
+// shard read a column, the unsharded engine's rule over the union of the
+// stripes: a shard without the segment's records reads neither.
 func (c *Cluster) scatterStats(ctx context.Context, rs *runState, q query.SPQ) (query.Outcome, error) {
 	outs, err := c.scatter(ctx, rs, func(ix *snt.Index, sc *snt.Scratch) scanOut {
 		if n, sum, h, filled, ok := ix.WholeSegment(q.Path, q.Interval, q.Filter, q.Beta, c.ladder.BucketWidth); ok {
-			return scanOut{n: n, sum: sum, hist: h, shared: true, scanned: filled}
+			return scanOut{n: n, sum: sum, hist: h, memo: true, scanned: filled}
 		}
 		fx := ix.Frozen().Get(q.Path[0])
 		scanned := len(q.Path) > 1 || fx != nil && fx.Len() > 0
@@ -281,18 +279,14 @@ func (c *Cluster) scatterStats(ctx context.Context, rs *runState, q query.SPQ) (
 	}
 	var o query.Outcome
 	parts := make([]*hist.Histogram, 0, len(outs))
-	var built []*hist.Histogram
-	memo, scanned := false, false
+	memoRead, scanned := false, false
 	for _, out := range outs {
 		o.N += out.n
 		o.Sum += out.sum
-		memo = memo || out.shared && !out.scanned
+		memoRead = memoRead || out.memo && !out.scanned
 		scanned = scanned || out.scanned
 		if out.hist != nil {
 			parts = append(parts, out.hist)
-			if !out.shared {
-				built = append(built, out.hist)
-			}
 		}
 	}
 	if o.N == 0 {
@@ -302,12 +296,7 @@ func (c *Cluster) scatterStats(ctx context.Context, rs *runState, q query.SPQ) (
 		return query.Outcome{}, nil
 	}
 	o.Hist = hist.Union(parts...)
-	for _, h := range built {
-		// Built for this merge alone and unreachable after it. A memo
-		// histogram is not among them: it lives on in its index.
-		h.Recycle()
-	}
-	o.Cached = memo && !scanned
+	o.Cached = memoRead && !scanned
 	return o, nil
 }
 

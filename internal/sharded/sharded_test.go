@@ -201,7 +201,7 @@ func TestShardedCensusOneShardEmpty(t *testing.T) {
 		// The premise, read off the shards' own indexes.
 		sum := 0
 		for i := 0; i < 3; i++ {
-			ix, _ := c.Engine(i).QueryEngine().Snapshot()
+			ix, _ := c.shards[i].eng.QueryEngine().Snapshot()
 			bound := ix.Frozen().Get(ids["A"]).TodBound(18*3600, 1800)
 			if (i == 0) != (bound == 0) || bound >= beta {
 				t.Fatalf("shard %d: evening bound %d", i, bound)
@@ -347,7 +347,7 @@ func segmentStripesStore() (*network.Graph, map[string]network.EdgeID, *traj.Sto
 func pinAll(c *Cluster) *runState {
 	rs := &runState{}
 	for i := range c.shards {
-		ix, _ := c.Engine(i).QueryEngine().Snapshot()
+		ix, _ := c.shards[i].eng.QueryEngine().Snapshot()
 		rs.live, rs.ixs = append(rs.live, i), append(rs.ixs, ix)
 		if _, tmax := ix.TimeRange(); i == 0 || tmax > rs.tmax {
 			rs.tmax = tmax
@@ -874,7 +874,7 @@ func TestShardedIngestRouting(t *testing.T) {
 	bounds = append(bounds, ds.Store.Len())
 	before := make([]int, 4)
 	for i := range before {
-		before[i] = c.Engine(i).Trajectories()
+		before[i] = c.shards[i].eng.Trajectories()
 	}
 	for i := 0; i+1 < len(bounds); i++ {
 		si, _, err := c.Extend(context.Background(), ds.Store.Slice(bounds[i], bounds[i+1]))
@@ -885,7 +885,7 @@ func TestShardedIngestRouting(t *testing.T) {
 			t.Fatal("batch routed to degraded shard 2")
 		}
 	}
-	if c.Engine(2).Trajectories() != before[2] {
+	if c.shards[2].eng.Trajectories() != before[2] {
 		t.Fatal("degraded shard 2 grew")
 	}
 	if counters.IngestReroutes.Load() == 0 {

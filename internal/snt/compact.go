@@ -56,18 +56,13 @@ const FailpointPrepareRun = "compact.prepare.run"
 // pointer swap (query.Engine's merge) — compaction runs entirely off the
 // serving path and readers never block.
 
-// DefaultCompactionTrigger is the partition count at which the default
-// policy starts planning merges.
-const DefaultCompactionTrigger = 8
-
 // CompactionPolicy is a size-tiered merge policy over adjacent partitions.
-// The zero value compacts everything into a single partition once the index
-// holds DefaultCompactionTrigger partitions.
+// The zero value compacts everything into a single partition whenever the
+// index holds two or more.
 type CompactionPolicy struct {
-	// TriggerPartitions gates planning: with fewer partitions Compact is a
-	// no-op. 0 applies DefaultCompactionTrigger; negative values disable
-	// the gate (compact whenever a merge is possible — the manual-trigger
-	// setting).
+	// TriggerPartitions gates planning: with fewer partitions the policy
+	// plans no merge. A value ≤ 0 disables the gate (compact whenever a
+	// merge is possible — the manual-trigger setting).
 	TriggerPartitions int
 	// MaxMergedRecords caps one merged partition's record count, which is
 	// what makes the policy size-tiered: a partition already at or above
@@ -75,14 +70,6 @@ type CompactionPolicy struct {
 	// cut when absorbing the next one would exceed the cap. 0 means
 	// unbounded — all adjacent partitions merge into one.
 	MaxMergedRecords int
-}
-
-// withDefaults resolves zero fields.
-func (p CompactionPolicy) withDefaults() CompactionPolicy {
-	if p.TriggerPartitions == 0 {
-		p.TriggerPartitions = DefaultCompactionTrigger
-	}
-	return p
 }
 
 // run is a half-open partition-id range [lo, hi) selected for merging.
@@ -186,7 +173,7 @@ func (ix *Index) PrepareCompaction(policy CompactionPolicy, stop <-chan struct{}
 			return false
 		}
 	}
-	runs := policy.withDefaults().plan(ix.parts)
+	runs := policy.plan(ix.parts)
 	if len(runs) == 0 {
 		return nil, nil
 	}

@@ -21,7 +21,7 @@ func TestPrepareCompactionAborts(t *testing.T) {
 	// A record cap of ~3 partitions' worth yields a multi-run plan — the
 	// "giant merge" whose chunk boundaries the stop channel is checked at.
 	policy := CompactionPolicy{TriggerPartitions: -1, MaxMergedRecords: frag.parts[1].records*3 + 1}
-	runs := policy.withDefaults().plan(frag.parts)
+	runs := policy.plan(frag.parts)
 	if len(runs) < 3 {
 		t.Fatalf("plan yields %d runs; the test needs a multi-run merge", len(runs))
 	}

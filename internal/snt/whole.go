@@ -21,7 +21,7 @@ import (
 
 // wholeEntry is one memoised terminal answer: the statistics of every
 // traversal time of the segment, bucketed at width. Its histogram is shared
-// by every reader and must never be mutated or recycled.
+// by every reader and must never be mutated.
 type wholeEntry struct {
 	width int
 	n     int

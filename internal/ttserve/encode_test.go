@@ -11,7 +11,6 @@ import (
 	"pathhist"
 	"pathhist/internal/failpoint"
 	"pathhist/internal/network"
-	"pathhist/internal/sharded"
 )
 
 // overflowFronts serves one dataset from both fronts: a straight road of n
@@ -45,14 +44,10 @@ func overflowFronts(t *testing.T, n int) map[string]http.Handler {
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
-	cluster, err := sharded.Build(g, store.Slice(0, store.Len()), sharded.Config{Shards: 2, Opts: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cluster.Close)
-	shards := make([]*Shard, cluster.NumShards())
-	for i := range shards {
-		shards[i] = NewShard(cluster.Engine(i), Config{})
+	cluster, engines := buildCluster(t, g, store.Slice(0, store.Len()), 2, opts)
+	shards := make([]*Shard, len(engines))
+	for i, eng := range engines {
+		shards[i] = NewShard(eng, Config{})
 	}
 	front, err := NewShardedServer(cluster, shards, Config{})
 	if err != nil {

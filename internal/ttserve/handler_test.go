@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"pathhist"
-	"pathhist/internal/sharded"
 )
 
 // testOptions configure every engine over the testData dataset.
@@ -63,18 +62,14 @@ func bothFronts(t *testing.T, cfg Config) []testFront {
 	single := NewServer(eng, cfg)
 
 	g, _, store := testData()
-	cluster, err := sharded.Build(g, store, sharded.Config{Shards: 2, Opts: testOptions})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cluster.Close)
-	shards := make([]*Shard, cluster.NumShards())
-	for i := range shards {
+	cluster, engines := buildCluster(t, g, store, 2, testOptions)
+	shards := make([]*Shard, len(engines))
+	for i, eng := range engines {
 		sc := cfg
 		if cfg.SnapshotDir != "" {
 			sc.SnapshotDir = t.TempDir()
 		}
-		shards[i] = NewShard(cluster.Engine(i), sc)
+		shards[i] = NewShard(eng, sc)
 	}
 	front, err := NewShardedServer(cluster, shards, cfg)
 	if err != nil {

@@ -34,7 +34,8 @@ type ShardedServer struct {
 var errShed = errors.New("ttserve: ingest shard shed the batch")
 
 // NewShardedServer wraps a cluster and its per-shard durability units into
-// one handler. shards[i] must wrap the same engine as cluster.Engine(i).
+// one handler. shards[i] must wrap the engine the cluster adopted as shard
+// i (the i-th engine handed to sharded.New).
 // Front-level admission limits (body size, trajectory cap, timeouts) come
 // from cfg.
 func NewShardedServer(cluster *sharded.Cluster, shards []*Shard, cfg Config) (*ShardedServer, error) {

@@ -28,6 +28,29 @@ func shardedDataset(t testing.TB) *workload.Dataset {
 	return workload.BuildDataset(cfg)
 }
 
+// buildCluster builds an n-shard cluster the way cmd/ttserve does: one
+// engine per stripe (sharded.Stripes) under sharded.ShardOptions, adopted
+// by sharded.New. It sorts store by start time and returns the engines in
+// shard order; the cluster closes them at cleanup.
+func buildCluster(t testing.TB, g *pathhist.Graph, store *pathhist.Store, n int, opts pathhist.Options) (*sharded.Cluster, []*pathhist.Engine) {
+	t.Helper()
+	stripes := sharded.Stripes(store, n)
+	engines := make([]*pathhist.Engine, len(stripes))
+	for i, st := range stripes {
+		eng, err := pathhist.NewEngine(g, st, sharded.ShardOptions(opts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = eng
+	}
+	cluster, err := sharded.New(g, engines, sharded.Config{Opts: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.Close)
+	return cluster, engines
+}
+
 // shardedFixture is a scatter-gather front over n shards plus an unsharded
 // control server over the same (deep-copied) store, both on test listeners.
 type shardedFixture struct {
@@ -41,14 +64,10 @@ func newShardedFixture(t *testing.T, n int, cfg Config) *shardedFixture {
 	t.Helper()
 	ds := shardedDataset(t)
 	ds.Store.SortByStart()
-	cluster, err := sharded.Build(ds.G, ds.Store.Slice(0, ds.Store.Len()), sharded.Config{Shards: n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cluster.Close)
-	shards := make([]*Shard, cluster.NumShards())
-	for i := range shards {
-		shards[i] = NewShard(cluster.Engine(i), Config{EnableExtend: cfg.EnableExtend})
+	cluster, engines := buildCluster(t, ds.G, ds.Store.Slice(0, ds.Store.Len()), n, pathhist.Options{})
+	shards := make([]*Shard, len(engines))
+	for i, eng := range engines {
+		shards[i] = NewShard(eng, Config{EnableExtend: cfg.EnableExtend})
 	}
 	front, err := NewShardedServer(cluster, shards, cfg)
 	if err != nil {
@@ -234,14 +253,10 @@ func TestShardedFrontExtend(t *testing.T) {
 	cut := cuts[len(cuts)/2]
 	base, batch := ds.Store.Slice(0, cut), ds.Store.Slice(cut, ds.Store.Len())
 
-	cluster, err := sharded.Build(ds.G, base.Slice(0, base.Len()), sharded.Config{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	shards := make([]*Shard, cluster.NumShards())
-	for i := range shards {
-		shards[i] = NewShard(cluster.Engine(i), Config{EnableExtend: true})
+	cluster, engines := buildCluster(t, ds.G, base.Slice(0, base.Len()), 4, pathhist.Options{})
+	shards := make([]*Shard, len(engines))
+	for i, eng := range engines {
+		shards[i] = NewShard(eng, Config{EnableExtend: true})
 	}
 	front, err := NewShardedServer(cluster, shards, Config{EnableExtend: true})
 	if err != nil {
@@ -382,14 +397,10 @@ func TestShardedFrontPartialEpoch(t *testing.T) {
 	}
 	cut := cuts[len(cuts)/2]
 	base, batch := ds.Store.Slice(0, cut), ds.Store.Slice(cut, ds.Store.Len())
-	cluster, err := sharded.Build(ds.G, base, sharded.Config{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	shards := make([]*Shard, cluster.NumShards())
-	for i := range shards {
-		shards[i] = NewShard(cluster.Engine(i), Config{EnableExtend: true})
+	cluster, engines := buildCluster(t, ds.G, base, 4, pathhist.Options{})
+	shards := make([]*Shard, len(engines))
+	for i, eng := range engines {
+		shards[i] = NewShard(eng, Config{EnableExtend: true})
 	}
 	front, err := NewShardedServer(cluster, shards, Config{EnableExtend: true})
 	if err != nil {
@@ -458,14 +469,10 @@ func TestShardedFrontDegradedIngestReroutes(t *testing.T) {
 	b1 := ds.Store.Slice(cuts[len(cuts)-3], cuts[len(cuts)-2])
 	b2 := ds.Store.Slice(cuts[len(cuts)-2], ds.Store.Len())
 
-	cluster, err := sharded.Build(ds.G, base.Slice(0, base.Len()), sharded.Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	shards := make([]*Shard, 2)
-	for i := range shards {
-		shards[i] = NewShard(cluster.Engine(i), Config{EnableExtend: true})
+	cluster, engines := buildCluster(t, ds.G, base.Slice(0, base.Len()), 2, pathhist.Options{})
+	shards := make([]*Shard, len(engines))
+	for i, eng := range engines {
+		shards[i] = NewShard(eng, Config{EnableExtend: true})
 	}
 	shards[0].enterDegraded(errors.New("simulated write-ahead log failure"))
 	front, err := NewShardedServer(cluster, shards, Config{EnableExtend: true})
