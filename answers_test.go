@@ -81,21 +81,37 @@ func putHist(h hash.Hash, hg *pathhist.Histogram, k int) {
 // one-partition engine, and a two-shard cluster. The queries are the root
 // benchmarks' set at β 2 and 20, without and with the user filter, run in
 // that order on one engine per row; no query excludes its own trajectory,
-// which the cluster does not support. A change that moves any answer bit
-// fails here; rewrite the file with -update only when the change means to.
+// which the cluster does not support. Two more question sets run on fresh
+// one-partition and weekly-partition engines only: the same questions with
+// each excluding its own trajectory, and fixed intervals of four weeks
+// around each trip, without and with the user filter. A change that moves
+// any answer bit fails here; rewrite the file with -update only when the
+// change means to.
 func TestAnswerFingerprints(t *testing.T) {
 	cfg := workload.SmallConfig()
 	ds := workload.BuildDataset(cfg)
 	qs := ds.MakeQueries(0.05, 5, cfg.Seed+1)
-	var questions []pathhist.Query
+	var questions, excluding, fixed []pathhist.Query
 	for _, beta := range []int{2, 20} {
 		for _, filter := range []bool{false, true} {
 			for _, q := range qs {
-				questions = append(questions, pathhist.Query{
+				pq := pathhist.Query{
 					Path: q.Path, Periodic: true, Around: q.T0, Beta: beta,
 					FilterUser: filter, User: q.User,
-				})
+				}
+				questions = append(questions, pq)
+				pq.Exclude, pq.ExcludeTraj = true, q.Traj
+				excluding = append(excluding, pq)
 			}
+		}
+	}
+	const fourteenDays = 14 * 86400
+	for _, filter := range []bool{false, true} {
+		for _, q := range qs {
+			fixed = append(fixed, pathhist.Query{
+				Path: q.Path, From: q.T0 - fourteenDays, Until: q.T0 + fourteenDays, Beta: 20,
+				FilterUser: filter, User: q.User,
+			})
 		}
 	}
 
@@ -125,6 +141,18 @@ func TestAnswerFingerprints(t *testing.T) {
 	t.Cleanup(mapped.Close)
 
 	var got bytes.Buffer
+	runRow := func(name string, eng *pathhist.Engine, qs []pathhist.Query) {
+		t.Helper()
+		row := newAnswerRow(name)
+		for _, q := range qs {
+			res, err := eng.Query(q)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			row.add(res)
+		}
+		got.WriteString(row.line())
+	}
 	for _, e := range []struct {
 		name string
 		eng  *pathhist.Engine
@@ -135,15 +163,17 @@ func TestAnswerFingerprints(t *testing.T) {
 		{"snapshot-copied", copied},
 		{"snapshot-mapped", mapped},
 	} {
-		row := newAnswerRow(e.name)
-		for _, q := range questions {
-			res, err := e.eng.Query(q)
-			if err != nil {
-				t.Fatalf("%s: %v", e.name, err)
-			}
-			row.add(res)
-		}
-		got.WriteString(row.line())
+		runRow(e.name, e.eng, questions)
+	}
+	for _, e := range []struct {
+		name string
+		opts pathhist.Options
+	}{
+		{"one-partition", pathhist.Options{}},
+		{"partition-days-7", pathhist.Options{PartitionDays: 7}},
+	} {
+		runRow(e.name+"-exclude-self", newEngine(e.opts), excluding)
+		runRow(e.name+"-fixed", newEngine(e.opts), fixed)
 	}
 
 	cluster, err := sharded.Build(ds.G, ds.Store.Slice(0, ds.Store.Len()),

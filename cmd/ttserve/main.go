@@ -50,6 +50,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -289,6 +290,12 @@ func run(ctx context.Context, cfg config) error {
 	}
 	// Recovery complete: swap the real handler in; /readyz flips to 200.
 	handler.Store(handlerBox{front})
+	// Recovery's transients (the decoded trajectories, the suffix arrays)
+	// are garbage now, but the heap goal of the last collection during
+	// recovery still counts them: serving would grow the heap to about
+	// twice recovery's live peak before collecting it. One collection now
+	// sets the goal from what serving keeps, off the ready path.
+	go runtime.GC()
 	log.Printf("serving %d trajectories over %d edges in %d shard(s); listening on %s (%s)",
 		total, g.NumEdges(), cfg.shards, ln.Addr(), mode)
 	if cfg.started != nil {

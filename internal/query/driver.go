@@ -290,9 +290,5 @@ func (d *driver) splitPoint(sub subQ, effective snt.Interval) (int, error) {
 
 // convolveSubs folds the sub-query histograms in path order.
 func convolveSubs(subs []SubResult) *hist.Histogram {
-	var conv *hist.Histogram
-	for i := range subs {
-		conv = conv.Convolve(subs[i].Hist)
-	}
-	return conv
+	return hist.ConvolveAll(len(subs), func(i int) *hist.Histogram { return subs[i].Hist })
 }

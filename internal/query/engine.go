@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -619,8 +620,11 @@ func (e *Engine) TripQueryCtx(ctx context.Context, q SPQ) (Result, error) {
 		q.Path = append(network.Path(nil), q.Path...)
 	}
 	sc := snt.AcquireScratch()
-	defer snt.ReleaseScratch(sc) // also disarms the cancel channel
+	defer snt.ReleaseScratch(sc) // also disarms the cancel channel and the walk memo
 	sc.SetCancel(done)
+	// A failed user-filtered rung's walk is widened by the ladder's reach,
+	// so it answers the wider rungs of the same sub-query too.
+	sc.SetReach(slices.Max(e.cfg.Alphas) - slices.Min(e.cfg.Alphas))
 	_, tmax := sn.ix.TimeRange()
 	// The local source: every question goes to the pinned snapshot on this
 	// query's scratch. A scan or count that observed the cancel channel

@@ -18,7 +18,10 @@ import (
 // periodic and fixed intervals, with and without a user filter, at β 20
 // and β 0, and checks that the scans it measures found something — all but
 // a periodic window for one user at β 20, which no user here fills, so
-// those scans end in Procedure 5's rejection.
+// those scans end in Procedure 5's rejection. Every case runs on an unarmed
+// Scratch and on one armed with the relaxation ladder's reach, whose
+// user-filtered periodic scans walk a widened window and keep it in the
+// walk memo, or are answered from it.
 func TestScanAllocations(t *testing.T) {
 	cfg := workload.SmallConfig()
 	cfg.Net.Cities = 3
@@ -31,7 +34,8 @@ func TestScanAllocations(t *testing.T) {
 	for _, opts := range []Options{{}, {PartitionDays: 7}} {
 		ix := Build(ds.G, ds.Store, opts)
 		tmin, tmax := ix.TimeRange()
-		sc := AcquireScratch()
+		plain, armed := AcquireScratch(), AcquireScratch()
+		armed.SetReach(ladderReach)
 		found := map[string]bool{}
 		for trial := 0; trial < 12; trial++ {
 			tr := ds.Store.Get(traj.ID(rng.Intn(ds.Store.Len())))
@@ -43,8 +47,12 @@ func TestScanAllocations(t *testing.T) {
 				p := append(network.Path(nil), tp[:plen]...)
 				for _, iv := range []Interval{PeriodicAround(tr.StartTime(), 7200), NewFixed(tmin, tmax+1)} {
 					for _, f := range []Filter{NoFilter, {User: tr.User, ExcludeTraj: -1}} {
-						for _, beta := range []int{20, 0} {
-							label := fmt.Sprintf("opts %+v path %v iv %v filter %+v beta %d", opts, p, iv, f, beta)
+						for _, c := range []struct {
+							beta int
+							sc   *Scratch
+						}{{20, plain}, {0, plain}, {20, armed}, {0, armed}} {
+							beta, sc := c.beta, c.sc
+							label := fmt.Sprintf("opts %+v reach %d path %v iv %v filter %+v beta %d", opts, sc.reach, p, iv, f, beta)
 							if a := testing.AllocsPerRun(20, func() { ix.GetTravelTimesWith(sc, p, iv, f, beta) }); a != 0 {
 								t.Errorf("%s: GetTravelTimesWith allocates %v times per scan", label, a)
 							}
@@ -55,16 +63,17 @@ func TestScanAllocations(t *testing.T) {
 								t.Errorf("%s: ScanCandidates allocates %v times per scan", label, a)
 							}
 							if xs, fallback := ix.GetTravelTimesWith(sc, p, iv, f, beta); len(xs) > 0 && !fallback {
-								found[fmt.Sprintf("len %d %v user %v β %d", plen, iv.Kind, f.HasPredicate(), beta)] = true
+								found[fmt.Sprintf("len %d %v user %v β %d reach %d", plen, iv.Kind, f.HasPredicate(), beta, sc.reach)] = true
 							}
 						}
 					}
 				}
 			}
 		}
-		ReleaseScratch(sc)
-		if len(found) != 14 {
-			t.Fatalf("opts %+v: only %d of the 14 case shapes returned samples: %v", opts, len(found), found)
+		ReleaseScratch(plain)
+		ReleaseScratch(armed)
+		if len(found) != 28 {
+			t.Fatalf("opts %+v: only %d of the 28 case shapes returned samples: %v", opts, len(found), found)
 		}
 	}
 }

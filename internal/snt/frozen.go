@@ -144,23 +144,35 @@ func (s *frozenScan) admit(i int) bool {
 // or more segments, by join; each projects the same hits and matches onto
 // its own result.
 
-// collect is Procedure 3 over the frozen columns: visit segment e's records
-// in scan order across the interval's windows, keep those whose ISA index
-// falls in the partition's range and which pass the filter, and write
+// collect is Procedure 3 over the frozen columns: visit segment p[0]'s
+// records in scan order across the interval's windows, keep those whose ISA
+// index falls in the partition's range and which pass the filter, and write
 // their column offsets to sc.hits in scan order, stopping once beta are
 // found (beta <= 0 scans exhaustively). Scan order is newest-first:
 // windows newest first, records descending inside each, so the hits
 // descend in column offset and their time bounds are their last and first
-// entries' timestamps. It returns e's column (nil when e has no records;
-// sc.hits is then empty).
-func (ix *Index) collect(sc *Scratch, e network.EdgeID, ranges []Range, iv Interval, f Filter, beta int) *temporal.FrozenIndex {
+// entries' timestamps. It returns p[0]'s column (nil when p[0] has no
+// records; sc.hits is then empty).
+//
+// A rung the walk memo serves (Scratch.widens) walks the window widened by
+// the ladder's reach instead, in the same order with the same admit test:
+// only the admitted records inside iv become hits, and a walk that ends
+// short of beta is kept in the memo, so the ladder's wider rungs over the
+// same path and filter read their hits from it (recall).
+func (ix *Index) collect(sc *Scratch, p network.Path, ranges []Range, iv Interval, f Filter, beta int) *temporal.FrozenIndex {
 	sc.hits = sc.hits[:0]
-	fx := ix.frozen.Get(e)
+	fx := ix.frozen.Get(p[0])
 	if fx == nil || fx.Len() == 0 {
 		return nil
 	}
 	s := frozenScan{fx: fx, part: ix.part, users: ix.users, ranges: ranges, rg0: ranges[0], f: f}
-	forEachWindow(fx.Ts, iv, func(st, en int) bool {
+	walk, widened := iv, sc.widens(iv, f, beta)
+	if widened {
+		walk = widen(iv, sc.reach)
+		sc.memo.ix, sc.memo.offs = nil, sc.memo.offs[:0]
+	}
+	sc.walks++
+	forEachWindow(fx.Ts, walk, func(st, en int) bool {
 		if sc.Canceled() {
 			return false
 		}
@@ -171,6 +183,12 @@ func (ix *Index) collect(sc *Scratch, e network.EdgeID, ranges []Range, iv Inter
 			if !s.admit(i) {
 				continue
 			}
+			if widened {
+				sc.memo.offs = append(sc.memo.offs, int32(i))
+				if !iv.Contains(fx.Ts[i]) {
+					continue
+				}
+			}
 			sc.hits = append(sc.hits, int32(i))
 			if beta > 0 && len(sc.hits) >= beta {
 				return false
@@ -178,7 +196,46 @@ func (ix *Index) collect(sc *Scratch, e network.EdgeID, ranges []Range, iv Inter
 		}
 		return true
 	})
+	if widened && len(sc.hits) < beta && !sc.Canceled() {
+		m := &sc.memo
+		m.ix, m.path, m.f, m.window = ix, append(m.path[:0], p...), f, walk
+	}
 	return fx
+}
+
+// widen returns the periodic window iv widened on both sides by half the
+// ladder's reach, rounded up, capped at the whole day. A later rung of the
+// same ladder keeps iv's centre and grows by at most reach, so it lies
+// inside.
+func widen(iv Interval, reach int64) Interval {
+	h := (reach + 1) / 2
+	return NewPeriodic(iv.TodStart-h, iv.Width+2*h)
+}
+
+// recall answers a rung from the walk memo when the memo holds the
+// exhaustive walk of p under f on this index over a window containing iv:
+// it fills sc.hits with the first beta memoised offsets whose timestamps
+// lie in iv — the hits collect would admit, in the same order, since both
+// lists descend in column offset — and returns p[0]'s column. It reports
+// false, touching nothing, when the memo cannot answer.
+func (ix *Index) recall(sc *Scratch, p network.Path, iv Interval, f Filter, beta int) (*temporal.FrozenIndex, bool) {
+	if !sc.widens(iv, f, beta) || !sc.memo.covers(ix, p, iv, f) {
+		return nil, false
+	}
+	fx := ix.frozen.Get(p[0])
+	sc.hits = sc.hits[:0]
+	for n, i := range sc.memo.offs {
+		if n&(cancelStride-1) == cancelStride-1 && sc.Canceled() {
+			break
+		}
+		if iv.Contains(fx.Ts[i]) {
+			sc.hits = append(sc.hits, i)
+			if len(sc.hits) >= beta {
+				break
+			}
+		}
+	}
+	return fx, true
 }
 
 // join is Procedure 4 over the frozen columns for a path p of l >= 2

@@ -68,7 +68,7 @@ func (ix *Index) ScanCandidates(sc *Scratch, p network.Path, iv Interval, f Filt
 		// against a global β, so "fewer than β here" decides nothing.
 		return nil, true
 	}
-	fx := ix.collect(sc, p[0], ranges, iv, f, beta)
+	fx := ix.collect(sc, p, ranges, iv, f, beta)
 	if len(sc.hits) == 0 {
 		return nil, true
 	}

@@ -127,6 +127,10 @@ func CannotReachAll(ixs []*Index, p network.Path, iv Interval, beta int) bool {
 //     that answer without a record being visited;
 //   - fixed intervals accept any non-empty match set regardless of beta.
 //
+// On a Scratch armed with SetReach, a user-filtered periodic rung that the
+// walk memo covers is answered from it before Procedure 2 (recall), with
+// the same samples.
+//
 // The returned slice aliases the caller-held scratch's sample buffer and
 // is only valid until the next *With call on the same Scratch; callers that
 // retain the samples must copy them out.
@@ -134,18 +138,21 @@ func (ix *Index) GetTravelTimesWith(sc *Scratch, p network.Path, iv Interval, f 
 	if len(p) == 0 {
 		return nil, false
 	}
-	ranges, total := ix.isaRanges(sc, p)
-	if total == 0 {
-		if len(p) == 1 {
-			sc.xs = append(sc.xs[:0], ix.g.EstimateTTSeconds(p[0]))
-			return sc.xs, true
+	fx, ok := ix.recall(sc, p, iv, f, beta)
+	if !ok {
+		ranges, total := ix.isaRanges(sc, p)
+		if total == 0 {
+			if len(p) == 1 {
+				sc.xs = append(sc.xs[:0], ix.g.EstimateTTSeconds(p[0]))
+				return sc.xs, true
+			}
+			return nil, false
 		}
-		return nil, false
+		if ix.CannotReach(p, iv, beta) {
+			return nil, false
+		}
+		fx = ix.collect(sc, p, ranges, iv, f, beta)
 	}
-	if ix.CannotReach(p, iv, beta) {
-		return nil, false
-	}
-	fx := ix.collect(sc, p[0], ranges, iv, f, beta)
 	hits := sc.hits
 	if len(hits) < beta && iv.IsPeriodic() {
 		return nil, false
@@ -194,6 +201,6 @@ func (ix *Index) CountMatchesWith(sc *Scratch, p network.Path, iv Interval, f Fi
 	if b, _ := ix.todBound(p[0], iv); total == 0 || b == 0 {
 		return 0
 	}
-	ix.collect(sc, p[0], ranges, iv, f, limit)
+	ix.collect(sc, p, ranges, iv, f, limit)
 	return len(sc.hits)
 }

@@ -6,7 +6,6 @@ package wavelet
 
 import (
 	"container/heap"
-	"sort"
 
 	"pathhist/internal/bitvec"
 )
@@ -64,32 +63,35 @@ func (h *hHeap) Pop() interface{} {
 // tree whose ranks are all zero.
 func New(seq []int32) *Tree {
 	t := &Tree{n: len(seq), codes: make(map[int32]code)}
-	freq := make(map[int32]int64)
-	for _, s := range seq {
-		freq[s]++
-	}
-	if len(freq) == 0 {
+	if len(seq) == 0 {
 		t.singleUse = true
 		t.single = -1
 		return t
 	}
-	if len(freq) == 1 {
+	lo, hi := seq[0], seq[0]
+	for _, s := range seq[1:] {
+		lo, hi = min(lo, s), max(hi, s)
+	}
+	if lo == hi {
 		t.singleUse = true
-		for s := range freq {
-			t.single = s
-		}
+		t.single = lo
 		return t
 	}
-	// Deterministic Huffman: seed heap in symbol order.
-	syms := make([]int32, 0, len(freq))
-	for s := range freq {
-		syms = append(syms, s)
+	// The build's per-symbol state — frequencies here, codes below — lives
+	// in slices indexed by symbol − lo: the fill passes read a code per
+	// sequence position, and a slice read is cheaper than a map probe.
+	freq := make([]int64, int(hi)-int(lo)+1)
+	for _, s := range seq {
+		freq[int(s)-int(lo)]++
 	}
-	sort.Slice(syms, func(i, j int) bool { return syms[i] < syms[j] })
-	h := make(hHeap, 0, len(syms))
+	// Deterministic Huffman: seed heap in symbol order.
+	h := make(hHeap, 0, len(freq))
 	order := 0
-	for _, s := range syms {
-		h = append(h, &hItem{weight: freq[s], order: order, sym: s, leaf: true})
+	for k, f := range freq {
+		if f == 0 {
+			continue
+		}
+		h = append(h, &hItem{weight: f, order: order, sym: lo + int32(k), leaf: true})
 		order++
 	}
 	heap.Init(&h)
@@ -107,19 +109,24 @@ func New(seq []int32) *Tree {
 		bits uint64
 		len  uint8
 	}
+	codes := make([]code, len(freq))
+	setCode := func(sym int32, c code) {
+		codes[int(sym)-int(lo)] = c
+		t.codes[sym] = c
+	}
 	var assign func(q qe) int32
 	assign = func(q qe) int32 {
 		idx := int32(len(t.nodes))
 		t.nodes = append(t.nodes, node{})
 		var nd node
 		if q.it.left.leaf {
-			t.codes[q.it.left.sym] = code{bits: q.bits, len: q.len + 1}
+			setCode(q.it.left.sym, code{bits: q.bits, len: q.len + 1})
 			nd.left = ^q.it.left.sym
 		} else {
 			nd.left = assign(qe{it: q.it.left, bits: q.bits, len: q.len + 1})
 		}
 		if q.it.right.leaf {
-			t.codes[q.it.right.sym] = code{bits: q.bits | 1<<q.len, len: q.len + 1}
+			setCode(q.it.right.sym, code{bits: q.bits | 1<<q.len, len: q.len + 1})
 			nd.right = ^q.it.right.sym
 		} else {
 			nd.right = assign(qe{it: q.it.right, bits: q.bits | 1<<q.len, len: q.len + 1})
@@ -132,7 +139,7 @@ func New(seq []int32) *Tree {
 	// Count bits per node, preallocate builders, then fill with cursors.
 	counts := make([]int64, len(t.nodes))
 	for _, s := range seq {
-		c := t.codes[s]
+		c := codes[int(s)-int(lo)]
 		ni := int32(0)
 		for d := uint8(0); d < c.len; d++ {
 			counts[ni]++
@@ -156,7 +163,7 @@ func New(seq []int32) *Tree {
 		builders[i].SetLen(int(counts[i]))
 	}
 	for _, s := range seq {
-		c := t.codes[s]
+		c := codes[int(s)-int(lo)]
 		ni := int32(0)
 		for d := uint8(0); d < c.len; d++ {
 			bit := c.bits&(1<<d) != 0
