@@ -15,9 +15,10 @@ import (
 // Scope: functions that hold a *snt.Scratch (parameter or receiver field
 // access is what distinguishes a query-path scan from construction and
 // compaction code, which are not cancellable). Within those, every for or
-// range loop that reads a temporal.FrozenIndex column — directly or
-// through a local alias (ts := fx.Ts) — must contain a call to
-// (*snt.Scratch).Canceled somewhere in its body.
+// range loop that reads a temporal.FrozenIndex column or the
+// temporal.FrozenForest cumulative column — directly or through a local
+// alias (ts := fx.Ts) — must contain a call to (*snt.Scratch).Canceled
+// somewhere in its body.
 var CancelPoll = &Analyzer{
 	Name: "cancelpoll",
 	Doc: "scan loops over frozen columns in Scratch-holding functions must " +
@@ -143,7 +144,7 @@ func checkLoops(pass *Pass, body *ast.BlockStmt, aliases map[types.Object]bool) 
 }
 
 // isColumnExpr reports whether e reads a frozen column: a slice-typed
-// selector off a FrozenIndex, or a local alias of one.
+// selector off a FrozenIndex or FrozenForest, or a local alias of one.
 func isColumnExpr(pass *Pass, e ast.Expr, aliases map[types.Object]bool) bool {
 	e = ast.Unparen(e)
 	if _, _, ok := columnSource(pass, e); ok {

@@ -12,7 +12,7 @@ import (
 func unbounded(sc *snt.Scratch, fx *temporal.FrozenIndex) int64 {
 	var s int64
 	for i := range fx.Ts { // want `scan loop over frozen columns never polls Scratch\.Canceled`
-		s += int64(fx.TT[i])
+		s += int64(fx.Seq[i])
 	}
 	return s
 }
@@ -24,7 +24,7 @@ func polled(sc *snt.Scratch, fx *temporal.FrozenIndex) int64 {
 		if i&8191 == 0 && sc.Canceled() {
 			return s
 		}
-		s += int64(fx.TT[i])
+		s += int64(fx.Seq[i])
 	}
 	return s
 }
@@ -35,6 +35,28 @@ func viaAlias(sc *snt.Scratch, fx *temporal.FrozenIndex) int64 {
 	var s int64
 	for i := 0; i < len(ts); i++ { // want `scan loop over frozen columns never polls Scratch\.Canceled`
 		s += ts[i]
+	}
+	return s
+}
+
+// unpolledSamples reads one sample per hit from the forest's cumulative
+// column — the join's shape — without checking the deadline.
+func unpolledSamples(sc *snt.Scratch, ff *temporal.FrozenForest, hits []int32) int64 {
+	var s int64
+	for _, b := range hits { // want `scan loop over frozen columns never polls Scratch\.Canceled`
+		s += int64(ff.Cum[b])
+	}
+	return s
+}
+
+// polledSamples is the same loop polling at the stride.
+func polledSamples(sc *snt.Scratch, ff *temporal.FrozenForest, hits []int32) int64 {
+	var s int64
+	for k, b := range hits {
+		if k&8191 == 8191 && sc.Canceled() {
+			return s
+		}
+		s += int64(ff.Cum[b])
 	}
 	return s
 }
@@ -54,7 +76,7 @@ func suppressed(sc *snt.Scratch, fx *temporal.FrozenIndex) int64 {
 	var s int64
 	//lint:ignore cancelpoll fixture: demonstrates that a justified suppression is honored
 	for i := range fx.Ts {
-		s += int64(fx.A[i])
+		s += int64(fx.ISA[i])
 	}
 	return s
 }

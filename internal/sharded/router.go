@@ -328,26 +328,22 @@ func (c *Cluster) admit(outs []scanOut, q query.SPQ) (xs []int, fallback bool) {
 	if len(q.Path) == 1 && total == 0 {
 		return []int{c.g.EstimateTTSeconds(q.Path[0])}, true
 	}
-	// The samples come out in shard order, or merged order under a cutoff,
-	// not the unsharded scan's (which emits single-segment samples oldest
-	// first). The order is immaterial: an outcome keeps only their count,
+	// Every candidate carries its sample. The samples come out in shard
+	// order, or merged order under a cutoff, not the unsharded scan's hit
+	// order. The order is immaterial: an outcome keeps only their count,
 	// exact sum and histogram. Only which candidates survive the cutoff
 	// depends on order, so the global order is rebuilt only when the cutoff
 	// drops some.
 	xs = make([]int, 0, min(total, q.Beta))
 	if total > q.Beta {
 		for _, tc := range mergeCands(outs)[:q.Beta] {
-			if tc.c.HasX {
-				xs = append(xs, int(tc.c.X))
-			}
+			xs = append(xs, int(tc.c.X))
 		}
 		return xs, false
 	}
 	for _, o := range outs {
 		for i := range o.cands {
-			if o.cands[i].HasX {
-				xs = append(xs, int(o.cands[i].X))
-			}
+			xs = append(xs, int(o.cands[i].X))
 		}
 	}
 	return xs, false

@@ -43,9 +43,12 @@ const Magic = "PHSNAP\x00\x01"
 // the tree kind and modelled tree size from the snt meta section; version 3
 // dropped the per-record partition column from every forest segment;
 // version 4 dropped the time-of-day histogram section and its meta fields;
-// version 5 dropped the scan-order word from the snt meta section.
+// version 5 dropped the scan-order word from the snt meta section;
+// version 6 replaced every forest segment's A and TT columns with one
+// trajectory-major cumulative column at the end of the forest section, and
+// dropped the maximum trajectory duration from the snt meta section.
 // An older file is refused, not mis-parsed, and its index must be rebuilt.
-const Version uint32 = 5
+const Version uint32 = 6
 
 // Sentinel errors, one per failure mode (wrapped with positional detail).
 var (

@@ -396,13 +396,12 @@ func (ix *Index) ApplyCompaction(p *PreparedCompaction) (*Index, CompactionStats
 		part:          partLookup(parts),
 		tmin:          ix.tmin,
 		tmax:          ix.tmax,
-		maxTrajDur:    ix.maxTrajDur,
 		alphabet:      ix.alphabet,
 		stats:         ix.stats,
 		compactedFrom: len(ix.parts),
 	}
 	nix.stats.Partitions = numNew
-	nix.inheritWhole(ix, true)
+	nix.inheritWhole(ix)
 	stats.PartitionsAfter = numNew
 	stats.Runs = len(runs)
 	stats.TrajsRebuilt = p.trajs

@@ -1,6 +1,7 @@
 package snt
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -158,12 +159,14 @@ func TestCompactMatchesFullBuild(t *testing.T) {
 		}
 		for i := range want.Ts {
 			if got.Ts[i] != want.Ts[i] || got.Traj[i] != want.Traj[i] ||
-				got.Seq[i] != want.Seq[i] || got.ISA[i] != want.ISA[i] ||
-				got.A[i] != want.A[i] || got.TT[i] != want.TT[i] {
+				got.Seq[i] != want.Seq[i] || got.ISA[i] != want.ISA[i] {
 				t.Fatalf("edge %d record %d: %+v vs scratch", e, i, got)
 			}
 		}
 	})
+	if !slices.Equal(compacted.frozen.Cum, scratch.frozen.Cum) || !slices.Equal(compacted.frozen.Start, scratch.frozen.Start) {
+		t.Fatal("cumulative column differs from the from-scratch build's")
+	}
 
 	// Memory model: identical FM-index and forest footprints (the many
 	// small wavelet trees and C arrays are gone).

@@ -11,13 +11,15 @@ import (
 )
 
 // buildDigests are the SHA-256 digests of WriteSnapshot (epoch 1, SetupTime
-// zeroed) over SmallConfig's dataset. They were recorded before the build
-// pipeline was parallelised and its temporal builder made dense, and pin
-// that neither changed a byte of the index.
+// zeroed) over SmallConfig's dataset. The first recording, before the build
+// pipeline was parallelised and its temporal builder made dense, pinned
+// that neither changed a byte of the index; they were recorded again at
+// snapshot format 6, whose forest section carries the cumulative column
+// in place of the per-segment A and TT columns.
 var buildDigests = map[string]string{
-	"full":   "19005c3bc0d99edeab6f882e055d537a160983d3ba30b165b80c2af1d05cee57",
-	"7-day":  "ffb21e53e46513d1613f1d87bb8984eb734cf495b76bc1911d55fafa0247ee58",
-	"extend": "20c9586606ee3f06380fe0918155e69a3f92d1914d96a17e25ac12277ace9e99",
+	"full":   "84242578e0e979813c2c81bd2a120d38790e0cdb72e264f130016e32313a4aed",
+	"7-day":  "6e6025590d1bf35130efb911ef0f82020f74c864fd848ebb11a9621c9f7e9fe4",
+	"extend": "7383dea4cdd3091a881d5e5c9a9a4e715f6f8cb1a766e96e9d6bec15e486587b",
 }
 
 // snapshotDigest hashes the index's snapshot with the wall-clock build time

@@ -100,16 +100,11 @@ func (ix *Index) Extend(add *traj.Store) (*Index, error) {
 	}
 	w := len(ix.parts)
 	newMax := ix.tmax
-	maxDur := ix.maxTrajDur
 	for i := range add.All() {
-		tr := &add.All()[i]
-		for _, e := range tr.Seq {
+		for _, e := range add.All()[i].Seq {
 			if end := e.T + int64(e.TT); end > newMax {
 				newMax = end
 			}
-		}
-		if d := tr.TotalDuration(); d > maxDur {
-			maxDur = d
 		}
 	}
 
@@ -129,17 +124,16 @@ func (ix *Index) Extend(add *traj.Store) (*Index, error) {
 	// superseded flag keeps single-writer. The first Extend materialises
 	// part with the all-zero prefix of the single partition it leaves.
 	nix := &Index{
-		g:          ix.g,
-		opts:       ix.opts,
-		parts:      append(ix.parts[:len(ix.parts):len(ix.parts)], parts[0]),
-		frozen:     frozen,
-		users:      ix.users,
-		part:       ix.part,
-		tmin:       ix.tmin,
-		tmax:       newMax,
-		maxTrajDur: maxDur,
-		alphabet:   ix.alphabet,
-		stats:      ix.stats,
+		g:        ix.g,
+		opts:     ix.opts,
+		parts:    append(ix.parts[:len(ix.parts):len(ix.parts)], parts[0]),
+		frozen:   frozen,
+		users:    ix.users,
+		part:     ix.part,
+		tmin:     ix.tmin,
+		tmax:     newMax,
+		alphabet: ix.alphabet,
+		stats:    ix.stats,
 	}
 	if nix.part == nil {
 		nix.part = make([]int32, len(ix.users), len(ix.users)+add.Len())
@@ -151,7 +145,7 @@ func (ix *Index) Extend(add *traj.Store) (*Index, error) {
 	nix.stats.Partitions = len(nix.parts)
 	nix.stats.Records += parts[0].records
 	nix.stats.Trajs += add.Len()
-	nix.inheritWhole(ix, false)
+	nix.inheritWhole(ix)
 	committed = true
 	return nix, nil
 }

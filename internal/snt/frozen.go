@@ -140,9 +140,9 @@ func (s *frozenScan) admit(i int) bool {
 }
 
 // The scan core. Every retrieval entry point — GetTravelTimesWith,
-// ScanCandidates, CountMatchesWith — is collect followed, for paths of two
-// or more segments, by join; each projects the same hits and matches onto
-// its own result.
+// ScanCandidates, CountMatchesWith — runs Index.scan: collect, then join,
+// which projects every hit onto its one sample; each entry point reads the
+// same hits and samples into its own result.
 
 // collect is Procedure 3 over the frozen columns: visit segment p[0]'s
 // records in scan order across the interval's windows, keep those whose ISA
@@ -216,14 +216,16 @@ func widen(iv Interval, reach int64) Interval {
 // exhaustive walk of p under f on this index over a window containing iv:
 // it fills sc.hits with the first beta memoised offsets whose timestamps
 // lie in iv — the hits collect would admit, in the same order, since both
-// lists descend in column offset — and returns p[0]'s column. It reports
-// false, touching nothing, when the memo cannot answer.
-func (ix *Index) recall(sc *Scratch, p network.Path, iv Interval, f Filter, beta int) (*temporal.FrozenIndex, bool) {
+// lists descend in column offset — and, when there are beta of them, sc.xs
+// with their samples (join); the memo serves periodic rungs only, so fewer
+// hits fail the rung and need none. It reports false, touching nothing,
+// when the memo cannot answer.
+func (ix *Index) recall(sc *Scratch, p network.Path, iv Interval, f Filter, beta int) bool {
 	if !sc.widens(iv, f, beta) || !sc.memo.covers(ix, p, iv, f) {
-		return nil, false
+		return false
 	}
 	fx := ix.frozen.Get(p[0])
-	sc.hits = sc.hits[:0]
+	sc.hits, sc.xs = sc.hits[:0], sc.xs[:0]
 	for n, i := range sc.memo.offs {
 		if n&(cancelStride-1) == cancelStride-1 && sc.Canceled() {
 			break
@@ -235,44 +237,36 @@ func (ix *Index) recall(sc *Scratch, p network.Path, iv Interval, f Filter, beta
 			}
 		}
 	}
-	return fx, true
+	if len(sc.hits) >= beta {
+		ix.join(sc, fx, len(p))
+	}
+	return true
 }
 
-// join is Procedure 4 over the frozen columns for a path p of l >= 2
-// segments, after collect returned first: the hits enter the probe table as
-// (d, seq) → hit ordinal, and one ascending sweep of the last segment's
-// records calls emit(h, x) for every record whose (d, seq+1-l) key names
-// hit h, with the path travel time x = a_{l-1} - (a_0 - TT_0). The sequence
-// number in the key guards against trajectories with circular paths
-// (Section 4.1.3). The sweep is restricted to the only timestamps a
-// matching record can have: within [minT, maxT + maxTrajectoryDuration] of
-// the hits. emit must not be stored (it is stack-allocated at every call
-// site to keep the scan path allocation-free).
-func (ix *Index) join(sc *Scratch, first *temporal.FrozenIndex, p network.Path, emit func(h int, x int32)) {
-	hits := sc.hits
-	last := ix.frozen.Get(p[len(p)-1])
-	if len(hits) == 0 || last == nil {
-		return
-	}
-	sc.resetTable(len(hits))
-	for k, i := range hits {
+// join is Procedure 4, after collect (or recall) filled sc.hits from
+// first, p[0]'s column: it sets sc.xs to one travel-time sample per hit, in
+// hit order. A hit's ISA lies in the range of p's backward search, so the
+// trajectory-string suffix that starts at the hit begins with p: the hit's
+// trajectory d traverses p's last segment at sequence seq+l-1. The sample
+// is therefore one difference in the forest's trajectory-major cumulative
+// column, x = a_{seq+l-1} - (a_seq - TT_seq) = Cum[b+l-1] - Cum[b-1] with
+// b = Start[d]+seq and 0 before sequence 0, and with l = 1 it is the hit's
+// own traversal time. The read is clamped to d's last record: that never
+// binds on a consistent index, and on a snapshot whose forest disagrees
+// with its FM-indexes it keeps the read inside the trajectory.
+func (ix *Index) join(sc *Scratch, first *temporal.FrozenIndex, l int) {
+	sc.xs = sc.xs[:0]
+	cum, start := ix.frozen.Cum, ix.frozen.Start
+	for k, i := range sc.hits {
 		if k&(cancelStride-1) == cancelStride-1 && sc.Canceled() {
 			return
 		}
-		sc.insert(packKey(int32(first.Traj[i]), first.Seq[i]), int32(k))
-	}
-	hi, lo := hits[0], hits[len(hits)-1] // collect emits descending offsets
-	ts := last.Ts
-	en := lowerBound(ts, first.Ts[hi]+ix.maxTrajDur+1)
-	st := lowerBound(ts[:en], first.Ts[lo])
-	seqShift := 1 - int32(len(p))
-	for i := st; i < en; i++ {
-		if (i-st)&(cancelStride-1) == cancelStride-1 && sc.Canceled() {
-			return
+		d, s := first.Traj[i], int(first.Seq[i])
+		b := int(start[d]) + s
+		x := cum[min(b+l, int(start[d+1]))-1]
+		if s > 0 {
+			x -= cum[b-1]
 		}
-		if h, ok := sc.lookup(packKey(int32(last.Traj[i]), last.Seq[i]+seqShift)); ok {
-			a := hits[h]
-			emit(int(h), last.A[i]-(first.A[a]-first.TT[a]))
-		}
+		sc.xs = append(sc.xs, int(x))
 	}
 }

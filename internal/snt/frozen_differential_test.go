@@ -2,6 +2,7 @@ package snt
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -12,10 +13,13 @@ import (
 	"pathhist/internal/workload"
 )
 
-// treeTravelTimes is the pre-freeze Procedure 3-5 implementation, verbatim:
-// per-day Descend tree scans with per-record callbacks building a
-// (d, seq) map, then an ascending probe scan. It is the order oracle the
-// fused scans must match byte for byte.
+// treeTravelTimes is the pre-freeze Procedure 3-5 implementation: per-day
+// Descend tree scans with per-record callbacks building a (d, seq) map of
+// the hits, then a probe join that sweeps the last segment's whole tree and
+// looks each record up in the map. It emits the samples in hit order, so it
+// is the order oracle the fused scans must match byte for byte, and it
+// reads TT and a from the tree payloads, not from the cumulative column the
+// index joins over.
 func treeTravelTimes(ix *Index, forest *treeforest.Forest, p network.Path, iv Interval, f Filter, beta int) (xs []int, fallback bool) {
 	sc := AcquireScratch()
 	defer ReleaseScratch(sc)
@@ -30,8 +34,8 @@ func treeTravelTimes(ix *Index, forest *treeforest.Forest, p network.Path, iv In
 		d   traj.ID
 		seq int32
 	}
-	m := map[mapKey]int32{}
-	var minT, maxT int64
+	m := map[mapKey]int{} // hit → its ordinal
+	var diffs []int32     // a_0 - TT_0 per hit
 	if phi := forest.Get(p[0]); phi != nil {
 		visit := func(t int64, r temporal.Record) bool {
 			rg := ranges[oraclePart(ix, r.Traj)]
@@ -44,14 +48,9 @@ func treeTravelTimes(ix *Index, forest *treeforest.Forest, p network.Path, iv In
 			if f.User != traj.NoUser && ix.users[r.Traj] != f.User {
 				return true
 			}
-			if len(m) == 0 || t < minT {
-				minT = t
-			}
-			if len(m) == 0 || t > maxT {
-				maxT = t
-			}
-			m[mapKey{r.Traj, r.Seq}] = r.A - r.TT
-			return beta <= 0 || len(m) < beta
+			m[mapKey{r.Traj, r.Seq}] = len(diffs)
+			diffs = append(diffs, r.A-r.TT)
+			return beta <= 0 || len(diffs) < beta
 		}
 		iv.EachRange(ix.tmin, ix.tmax, func(lo, hi int64) bool {
 			done := false
@@ -66,17 +65,24 @@ func treeTravelTimes(ix *Index, forest *treeforest.Forest, p network.Path, iv In
 			return !done
 		})
 	}
-	if len(m) < beta && iv.IsPeriodic() {
+	if len(diffs) < beta && iv.IsPeriodic() {
 		return nil, false
 	}
-	if len(m) > 0 {
+	if len(diffs) > 0 {
+		byHit := make([]int, len(diffs))
+		found := make([]bool, len(diffs))
 		if phi := forest.Get(p[len(p)-1]); phi != nil {
-			phi.Ascend(minT, maxT+ix.maxTrajDur+1, func(t int64, r temporal.Record) bool {
-				if diff, ok := m[mapKey{r.Traj, r.Seq + 1 - int32(len(p))}]; ok {
-					xs = append(xs, int(r.A-diff))
+			phi.Ascend(math.MinInt64, math.MaxInt64, func(t int64, r temporal.Record) bool {
+				if h, ok := m[mapKey{r.Traj, r.Seq + 1 - int32(len(p))}]; ok {
+					byHit[h], found[h] = int(r.A-diffs[h]), true
 				}
 				return true
 			})
+		}
+		for h, x := range byHit {
+			if found[h] {
+				xs = append(xs, x)
+			}
 		}
 	}
 	if len(xs) == 0 && len(p) == 1 {

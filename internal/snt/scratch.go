@@ -8,23 +8,15 @@ import (
 )
 
 // Scratch holds the reusable per-scan state of the Procedure 3/4 retrieval
-// path: the admitted first-segment offsets, the open-addressing probe table
-// that replaces the (d, seq) map, the travel-time sample buffer, the
-// symbol/range buffers of Procedure 2, and the walk memo of one query's
-// relaxation ladder.
+// path: the admitted first-segment offsets, the travel-time sample buffer
+// (one sample per admitted offset), the symbol/range buffers of Procedure
+// 2, and the walk memo of one query's relaxation ladder.
 // A Scratch belongs to exactly one goroutine at a time; the index itself is
 // immutable after Build, so any number of goroutines may scan concurrently
 // as long as each uses its own Scratch (see DESIGN.md §6).
 type Scratch struct {
-	// Open-addressing table mapping packed (d, seq) keys to hit ordinals
-	// (indexes into hits).
-	// keys[i] == emptySlot marks a free slot; len(keys) is a power of two.
-	keys []uint64
-	vals []int32
-	n    int // occupied slots
-
-	xs     []int   // travel-time sample buffer (GetTravelTimesWith output)
 	hits   []int32 // first-segment column offsets admitted by collect, in scan order
+	xs     []int   // travel-time samples, xs[k] of hits[k] (join)
 	syms   []int32 // trajectory-string symbols of the query path
 	ranges []Range // per-partition ISA ranges
 
@@ -104,111 +96,6 @@ func (sc *Scratch) Canceled() bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// emptySlot is never a valid packed key: trajectory ids are non-negative
-// int32s, so the top bit of the packed key's high word is always clear.
-const emptySlot = ^uint64(0)
-
-// packKey packs a (trajectory id, sequence number) pair into one probe key.
-// Negative sequence numbers (join looks up seq+1-l) pack to distinct
-// keys via the uint32 conversion.
-func packKey(d int32, seq int32) uint64 {
-	return uint64(uint32(d))<<32 | uint64(uint32(seq))
-}
-
-// hashKey is Fibonacci hashing; the table mask is applied by the caller.
-func hashKey(k uint64) uint64 {
-	return k * 0x9E3779B97F4A7C15
-}
-
-const minTableSize = 64
-
-// resetTable prepares the probe table for hint insertions, sized to at
-// least 4·hint slots: the join's lookups are mostly misses, which under
-// linear probing scan to the next empty slot, and at load factor 1/4 they
-// stop after one or two probes (at 3/4, about eight). hint <= 0 sizes
-// minimally; insert grows the table on demand past load 3/4.
-func (sc *Scratch) resetTable(hint int) {
-	size := minTableSize
-	for size < hint*4 {
-		size <<= 1
-	}
-	if cap(sc.keys) >= size {
-		sc.keys = sc.keys[:size]
-		sc.vals = sc.vals[:size]
-	} else {
-		sc.keys = make([]uint64, size)
-		sc.vals = make([]int32, size)
-	}
-	for i := range sc.keys {
-		sc.keys[i] = emptySlot
-	}
-	sc.n = 0
-}
-
-// insert maps key to val, overwriting an existing mapping. It reports
-// whether the key was new.
-func (sc *Scratch) insert(key uint64, val int32) bool {
-	if (sc.n+1)*4 > len(sc.keys)*3 {
-		sc.grow()
-	}
-	mask := uint64(len(sc.keys) - 1)
-	i := hashKey(key) & mask
-	for {
-		switch sc.keys[i] {
-		case emptySlot:
-			sc.keys[i] = key
-			sc.vals[i] = val
-			sc.n++
-			return true
-		case key:
-			sc.vals[i] = val
-			return false
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// lookup returns the value mapped to key.
-func (sc *Scratch) lookup(key uint64) (int32, bool) {
-	if sc.n == 0 {
-		return 0, false
-	}
-	mask := uint64(len(sc.keys) - 1)
-	i := hashKey(key) & mask
-	for {
-		switch sc.keys[i] {
-		case key:
-			return sc.vals[i], true
-		case emptySlot:
-			return 0, false
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// grow doubles the table, rehashing the occupied slots.
-func (sc *Scratch) grow() {
-	oldKeys, oldVals := sc.keys, sc.vals
-	size := len(oldKeys) * 2
-	sc.keys = make([]uint64, size)
-	sc.vals = make([]int32, size)
-	for i := range sc.keys {
-		sc.keys[i] = emptySlot
-	}
-	mask := uint64(size - 1)
-	for i, k := range oldKeys {
-		if k == emptySlot {
-			continue
-		}
-		j := hashKey(k) & mask
-		for sc.keys[j] != emptySlot {
-			j = (j + 1) & mask
-		}
-		sc.keys[j] = k
-		sc.vals[j] = oldVals[i]
 	}
 }
 

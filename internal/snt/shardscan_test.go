@@ -23,21 +23,12 @@ func reconstructFromCands(ix *Index, p network.Path, cands []Cand, anyData bool,
 	if len(cands) < beta && iv.IsPeriodic() {
 		return nil, false
 	}
-	if len(p) == 1 {
-		// A single segment's samples come out in ascending time order: the
-		// reverse of the newest-first scan's candidate order.
-		if len(cands) == 0 {
-			return []int{ix.g.EstimateTTSeconds(p[0])}, true
-		}
-		for i := len(cands) - 1; i >= 0; i-- {
-			xs = append(xs, int(cands[i].X))
-		}
-		return xs, false
+	if len(p) == 1 && len(cands) == 0 {
+		return []int{ix.g.EstimateTTSeconds(p[0])}, true
 	}
+	// Samples come out in hit order, the candidates' scan order.
 	for _, c := range cands {
-		if c.HasX {
-			xs = append(xs, int(c.X))
-		}
+		xs = append(xs, int(c.X))
 	}
 	return xs, false
 }
@@ -98,16 +89,12 @@ func TestScanCandidatesMatchesGetTravelTimes(t *testing.T) {
 				t.Fatalf("opts %+v trial %d: fallback %v vs %v (path %v iv %v beta %d)",
 					opts, trial, gotFall, wantFall, p, iv, beta)
 			}
-			if len(p) == 1 {
-				// The single-segment reconstruction must match the emission
-				// sequence exactly — it is the order the merge preserves.
-				if !equalInts(got, want) {
-					t.Fatalf("opts %+v trial %d: single-seg sequence %v vs %v (path %v iv %v beta %d)",
-						opts, trial, got, want, p, iv, beta)
-				}
-			} else if !equalInts(sortedCopy(got), sortedCopy(want)) {
-				t.Fatalf("opts %+v trial %d: multiset %v vs %v (path %v iv %v filter %+v beta %d)",
-					opts, trial, sortedCopy(got), sortedCopy(want), p, iv, f, beta)
+			// The reconstruction must match the emission sequence exactly,
+			// at every path length: both are in hit order, the order the
+			// merge preserves.
+			if !equalInts(got, want) {
+				t.Fatalf("opts %+v trial %d: sequence %v vs %v (path %v iv %v filter %+v beta %d)",
+					opts, trial, got, want, p, iv, f, beta)
 			}
 			// The candidate count is the β-capped admitted count the merged
 			// Procedure 5 check and the σL splitter sum across shards.

@@ -64,7 +64,6 @@ func (ix *Index) WriteSnapshot(w io.Writer, epoch uint64) (int64, error) {
 	sw.I64(int64(ix.opts.PartitionDays))
 	sw.I64(ix.tmin)
 	sw.I64(ix.tmax)
-	sw.I64(ix.maxTrajDur)
 	sw.U64(uint64(ix.alphabet))
 	sw.U64(uint64(ix.compactedFrom))
 	sw.I64(int64(ix.stats.SetupTime))
@@ -105,7 +104,6 @@ type snapMeta struct {
 	numParts      int
 	opts          Options
 	tmin, tmax    int64
-	maxTrajDur    int64
 	alphabet      int
 	compactedFrom int
 	stats         BuildStats
@@ -186,7 +184,6 @@ func readSnapshot(g *network.Graph, sr *snapio.Reader, data []byte) (*Index, uin
 		opts:          meta.opts,
 		tmin:          meta.tmin,
 		tmax:          meta.tmax,
-		maxTrajDur:    meta.maxTrajDur,
 		alphabet:      meta.alphabet,
 		compactedFrom: meta.compactedFrom,
 		stats:         meta.stats,
@@ -275,17 +272,35 @@ func readSnapshot(g *network.Graph, sr *snapio.Reader, data []byte) (*Index, uin
 }
 
 // validateSnapshotColumns cross-checks every frozen record against the
-// structures its fields index at query time: the segment must belong to
-// the graph, Traj indexes the users container and the partition lookup,
-// Seq is a non-negative sequence position, and ISA must lie inside the ISA
-// space [0, |T_w|) of the partition w its trajectory belongs to.
-// Per-section CRCs cannot catch a forest section spliced in from a
-// *different valid snapshot* — every section checksums clean — so this is
-// the semantic check that refuses to serve one instead of panicking (or
-// silently mis-answering) at query time.
+// structures its fields index at query time. The cumulative column must
+// frame one trajectory per user: len(Start) is the user count plus one,
+// Start runs from 0 up to len(Cum) without decreasing. Then, per record,
+// the segment must belong to the graph, Traj indexes the users container
+// and the partition lookup, Seq is a sequence position inside its
+// trajectory's run of the cumulative column (so every sample read stays in
+// bounds), and ISA must lie inside the ISA space [0, |T_w|) of the
+// partition w its trajectory belongs to. Per-section CRCs cannot catch a
+// forest section spliced in from a *different valid snapshot* — every
+// section checksums clean — so this is the semantic check that refuses to
+// serve one instead of panicking (or silently mis-answering) at query time.
 func (ix *Index) validateSnapshotColumns() error {
 	numUsers := len(ix.users)
 	numEdges := ix.g.NumEdges()
+	start, cum := ix.frozen.Start, ix.frozen.Cum
+	if len(start) != numUsers+1 {
+		return fmt.Errorf("%w: cumulative column frames %d trajectories, users container %d",
+			ErrSnapshotMismatch, len(start)-1, numUsers)
+	}
+	if start[0] != 0 || int(start[numUsers]) != len(cum) {
+		return fmt.Errorf("%w: cumulative column offsets run %d..%d over %d aggregates",
+			ErrSnapshotMismatch, start[0], start[numUsers], len(cum))
+	}
+	for d := 1; d <= numUsers; d++ {
+		if start[d] < start[d-1] {
+			return fmt.Errorf("%w: cumulative column offsets decrease at trajectory %d",
+				ErrSnapshotMismatch, d)
+		}
+	}
 	// ISA bounds per partition, hoisted out of the record loop: the loop
 	// below runs over every frozen record on every (mapped) load, so it must
 	// stay branch-light — an unsigned compare folds each negative and upper
@@ -305,7 +320,7 @@ func (ix *Index) validateSnapshotColumns() error {
 				ErrSnapshotMismatch, e, numEdges)
 			return
 		}
-		if frozenColumnsValid(fx, ix.part, fmLen, uint32(numUsers)) {
+		if frozenColumnsValid(fx, ix.part, fmLen, start) {
 			return
 		}
 		for i := 0; i < fx.Len(); i++ {
@@ -321,9 +336,9 @@ func (ix *Index) validateSnapshotColumns() error {
 					ErrSnapshotMismatch, e, i, isa, w, ix.parts[w].fm.Len())
 				return
 			}
-			if fx.Seq[i] < 0 {
-				bad = fmt.Errorf("%w: segment %d record %d has negative sequence position",
-					ErrSnapshotMismatch, e, i)
+			if n := start[d+1] - start[d]; fx.Seq[i] < 0 || fx.Seq[i] >= n {
+				bad = fmt.Errorf("%w: segment %d record %d sequence position %d outside trajectory %d's %d",
+					ErrSnapshotMismatch, e, i, fx.Seq[i], d, n)
 				return
 			}
 		}
@@ -334,10 +349,12 @@ func (ix *Index) validateSnapshotColumns() error {
 // frozenColumnsValid is the fast scan behind validateSnapshotColumns: true
 // iff every record's Traj/ISA/Seq passes the semantic bounds, with part the
 // index's partition lookup (nil = one partition; its ids are in range by
-// construction). The unsigned casts check "negative or too large" in one
-// compare per field, and the one-partition path keeps constant bounds so
-// the loop carries no per-iteration loads beyond the columns themselves.
-func frozenColumnsValid(fx *temporal.FrozenIndex, part []int32, fmLen []uint32, numUsers uint32) bool {
+// construction) and start the cumulative column's offsets, already checked
+// to frame one run per user. The unsigned casts check "negative or too
+// large" in one compare per field, and the one-partition path keeps a
+// constant ISA bound.
+func frozenColumnsValid(fx *temporal.FrozenIndex, part []int32, fmLen []uint32, start []int32) bool {
+	numUsers := uint32(len(start) - 1)
 	ids := fx.Traj
 	n := len(ids)
 	if len(fx.Seq) != n || len(fx.ISA) != n {
@@ -352,7 +369,8 @@ func frozenColumnsValid(fx *temporal.FrozenIndex, part []int32, fmLen []uint32, 
 		}
 		bound := fmLen[0]
 		for i := range ids {
-			if uint32(ids[i]) >= numUsers || uint32(isa[i]) >= bound || seq[i] < 0 {
+			d := uint32(ids[i])
+			if d >= numUsers || uint32(isa[i]) >= bound || uint32(seq[i]) >= uint32(start[d+1]-start[d]) {
 				return false
 			}
 		}
@@ -360,7 +378,7 @@ func frozenColumnsValid(fx *temporal.FrozenIndex, part []int32, fmLen []uint32, 
 	}
 	for i := range ids {
 		d := uint32(ids[i])
-		if d >= numUsers || uint32(isa[i]) >= fmLen[part[d]] || seq[i] < 0 {
+		if d >= numUsers || uint32(isa[i]) >= fmLen[part[d]] || uint32(seq[i]) >= uint32(start[d+1]-start[d]) {
 			return false
 		}
 	}
@@ -392,7 +410,6 @@ func readMeta(sr *snapio.Reader) (snapMeta, error) {
 	m.opts.PartitionDays = int(sr.I64())
 	m.tmin = sr.I64()
 	m.tmax = sr.I64()
-	m.maxTrajDur = sr.I64()
 	m.alphabet = sr.Int()
 	m.compactedFrom = sr.Int()
 	m.stats.SetupTime = time.Duration(sr.I64())

@@ -82,7 +82,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if loaded.CompactedFrom() != ix.CompactedFrom() || loaded.String() != ix.String() {
 		t.Fatalf("String() = %q, want %q", loaded.String(), ix.String())
 	}
-	if loaded.maxTrajDur != ix.maxTrajDur || loaded.alphabet != ix.alphabet || loaded.opts != ix.opts {
+	if loaded.alphabet != ix.alphabet || loaded.opts != ix.opts {
 		t.Fatalf("restored internals differ: %+v vs %+v", loaded.opts, ix.opts)
 	}
 
@@ -119,11 +119,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 		for i := 0; i < want.Len(); i++ {
 			if got.Ts[i] != want.Ts[i] || got.Traj[i] != want.Traj[i] || got.Seq[i] != want.Seq[i] ||
-				got.ISA[i] != want.ISA[i] || got.A[i] != want.A[i] || got.TT[i] != want.TT[i] {
+				got.ISA[i] != want.ISA[i] {
 				t.Fatalf("segment %d record %d differs", e, i)
 			}
 		}
 	})
+	if !slices.Equal(loaded.frozen.Cum, ix.frozen.Cum) || !slices.Equal(loaded.frozen.Start, ix.frozen.Start) {
+		t.Fatal("cumulative column differs from the writer's")
+	}
 
 	// Formula (2) over the histograms derived from the loaded columns feeds
 	// the Acc estimators; spot-check it end to end (the store-recount
@@ -319,6 +322,19 @@ func TestSnapshotFailClosed(t *testing.T) {
 			t.Fatalf("mapped: err = %v, want ErrVersion", err)
 		}
 	})
+	t.Run("old version 5", func(t *testing.T) {
+		// Format 5 stored A and TT columns per forest segment and a maximum
+		// trajectory duration in the meta section; format 6 keeps one
+		// cumulative column instead. Both loaders refuse a format-5 file.
+		bad := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint32(bad[8:], 5)
+		if err := load(bad); !errors.Is(err, snapio.ErrVersion) {
+			t.Fatalf("copied: err = %v, want ErrVersion", err)
+		}
+		if _, _, err := ReadSnapshotMapped(g, bad); !errors.Is(err, snapio.ErrVersion) {
+			t.Fatalf("mapped: err = %v, want ErrVersion", err)
+		}
+	})
 	t.Run("bit flip per section", func(t *testing.T) {
 		// One flipped payload byte in every section must fail the CRC.
 		for i, off := range offs {
@@ -436,6 +452,43 @@ func TestSnapshotFailClosed(t *testing.T) {
 		}
 		if _, _, err := ReadSnapshotMapped(g, bad); !errors.Is(err, ErrSnapshotMismatch) {
 			t.Fatalf("mapped: err = %v, want ErrSnapshotMismatch", err)
+		}
+	})
+	t.Run("cumulative column ragged or spliced", func(t *testing.T) {
+		// Every sample is read from the cumulative column at offsets taken
+		// from Start and a record's Seq, so the loader refuses offsets that
+		// do not frame one run per user over the whole column, and records
+		// whose Seq falls outside their trajectory's run.
+		withColumn := func(doctor func(start, cum []int32) ([]int32, []int32)) func(*Index) {
+			return func(cp *Index) {
+				nf := *cp.frozen
+				nf.Start, nf.Cum = doctor(slices.Clone(nf.Start), slices.Clone(nf.Cum))
+				cp.frozen = &nf
+			}
+		}
+		for name, doctor := range map[string]func(start, cum []int32) ([]int32, []int32){
+			"one offset short": func(start, cum []int32) ([]int32, []int32) { return start[:len(start)-1], cum },
+			"one offset extra": func(start, cum []int32) ([]int32, []int32) {
+				return append(start, start[len(start)-1]), cum
+			},
+			"column longer than its offsets":  func(start, cum []int32) ([]int32, []int32) { return start, append(cum, 0) },
+			"column shorter than its offsets": func(start, cum []int32) ([]int32, []int32) { return start, cum[:len(cum)-1] },
+			"offsets decrease": func(start, cum []int32) ([]int32, []int32) {
+				start[1], start[2] = start[2], start[1]
+				return start, cum
+			},
+			"first trajectory's last record spliced onto the second": func(start, cum []int32) ([]int32, []int32) {
+				start[1]--
+				return start, cum
+			},
+		} {
+			bad := doctored(t, withColumn(doctor))
+			if err := load(bad); !errors.Is(err, ErrSnapshotMismatch) {
+				t.Fatalf("%s: err = %v, want ErrSnapshotMismatch", name, err)
+			}
+			if _, _, err := ReadSnapshotMapped(g, bad); !errors.Is(err, ErrSnapshotMismatch) {
+				t.Fatalf("%s mapped: err = %v, want ErrSnapshotMismatch", name, err)
+			}
 		}
 	})
 	t.Run("wrong network", func(t *testing.T) {

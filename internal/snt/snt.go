@@ -1,11 +1,11 @@
 // Package snt implements the paper's core contribution: the SNT-index of
 // Koide et al. extended for travel-time histogram retrieval (Section 4). It
 // combines per-partition spatial FM-indexes over the trajectory string with
-// a temporal forest whose records carry traversal times, aggregate times
-// and sequence numbers (Section 4.1.3), so that the traversal times of
-// all trajectories following a path can be retrieved with one scan of the
-// first segment's index and one scan of the last segment's index
-// (Procedures 3-5).
+// a temporal forest whose records carry trajectory ids and sequence numbers
+// (Section 4.1.3), and whose aggregate times are kept once, in trajectory
+// order, so that the travel times of all trajectories following a path can
+// be retrieved with one scan of the first segment's index and one
+// subtraction per match (Procedures 3-5).
 package snt
 
 import (
@@ -57,7 +57,6 @@ type Index struct {
 	part   []int32
 
 	tmin, tmax int64
-	maxTrajDur int64
 	alphabet   int
 	stats      BuildStats
 
@@ -117,9 +116,6 @@ func Build(g *network.Graph, store *traj.Store, opts Options) *Index {
 	all := store.All()
 	for i := range all {
 		ix.users[all[i].ID] = all[i].User
-		if d := all[i].TotalDuration(); d > ix.maxTrajDur {
-			ix.maxTrajDur = d
-		}
 	}
 	// Ids follow start time, so each partition's trajectories are one
 	// contiguous run of the sorted store.
@@ -157,7 +153,9 @@ func Build(g *network.Graph, store *traj.Store, opts Options) *Index {
 // trajectory string T = P0 $ P1 $ ... $, its suffix array, ISA and BWT,
 // and adds one temporal record per traversal carrying the ISA of its
 // position in T, while one background goroutine builds the FM-index's
-// wavelet tree from the BWT. The channel between them is unbuffered, so at
+// wavelet tree from the BWT. Records are added trajectory by trajectory,
+// the order the forest's cumulative column is laid out in. The channel
+// between them is unbuffered, so at
 // most one wavelet tree is in flight and its BWT is the only one held
 // beyond the partition being built. finish receives the filled builder on
 // the calling goroutine while the last wavelet tree is still being built;
@@ -340,7 +338,7 @@ type MemoryStats struct {
 	CBytes      int // segment counters, all partitions
 	WTBytes     int // wavelet trees, all partitions
 	UserBytes   int // the associative container U
-	ForestBytes int // frozen columnar temporal forest plus the per-trajectory partition lookup
+	ForestBytes int // frozen columnar temporal forest, its cumulative column, and the per-trajectory partition lookup
 }
 
 // Total returns the summed index memory.

@@ -113,6 +113,33 @@ func CannotReachAll(ixs []*Index, p network.Path, iv Interval, beta int) bool {
 	return held
 }
 
+// scan is the scan core every retrieval entry point shares: Procedure 2
+// (isaRanges), the census gate, Procedure 3 (collect, which fills sc.hits)
+// and Procedure 4 (join, which fills sc.xs with one sample per hit, in hit
+// order). occurs reports whether p occurs in any partition's trajectory
+// string. need is the number of records a periodic window must admit for
+// the rung to pass: GetTravelTimesWith needs β, while a count or a shard
+// needs one (a shard's count is summed with the others' against a global
+// β, so "fewer than β here" decides nothing). Both lists are left empty,
+// and no record is visited, when p does not occur or when the first
+// segment's census bounds its records inside iv below need; a periodic
+// window that admits fewer than need hits gets no samples.
+func (ix *Index) scan(sc *Scratch, p network.Path, iv Interval, f Filter, beta, need int) (occurs bool) {
+	sc.hits, sc.xs = sc.hits[:0], sc.xs[:0]
+	ranges, total := ix.isaRanges(sc, p)
+	if total == 0 {
+		return false
+	}
+	if b, _ := ix.todBound(p[0], iv); b < need {
+		return true
+	}
+	fx := ix.collect(sc, p, ranges, iv, f, beta)
+	if len(sc.hits) > 0 && (len(sc.hits) >= need || !iv.IsPeriodic()) {
+		ix.join(sc, fx, len(p))
+	}
+	return true
+}
+
 // GetTravelTimesWith is Procedure 5: retrieve the travel times of up to beta
 // trajectories that traversed path p within interval iv and satisfy f. The
 // fallback flag is set when the speed-limit estimate was returned because a
@@ -127,57 +154,32 @@ func CannotReachAll(ixs []*Index, p network.Path, iv Interval, beta int) bool {
 //     that answer without a record being visited;
 //   - fixed intervals accept any non-empty match set regardless of beta.
 //
-// On a Scratch armed with SetReach, a user-filtered periodic rung that the
-// walk memo covers is answered from it before Procedure 2 (recall), with
-// the same samples.
+// The samples come out in hit order, newest first, whatever the path's
+// length. On a Scratch armed with SetReach, a user-filtered periodic rung
+// that the walk memo covers is answered from it before Procedure 2
+// (recall), with the same samples.
 //
 // The returned slice aliases the caller-held scratch's sample buffer and
 // is only valid until the next *With call on the same Scratch; callers that
-// retain the samples must copy them out.
+// retain the samples must copy them out. A scan cancelled mid-way returns
+// partial samples, which the caller discards.
 func (ix *Index) GetTravelTimesWith(sc *Scratch, p network.Path, iv Interval, f Filter, beta int) (xs []int, fallback bool) {
 	if len(p) == 0 {
 		return nil, false
 	}
-	fx, ok := ix.recall(sc, p, iv, f, beta)
-	if !ok {
-		ranges, total := ix.isaRanges(sc, p)
-		if total == 0 {
-			if len(p) == 1 {
-				sc.xs = append(sc.xs[:0], ix.g.EstimateTTSeconds(p[0]))
-				return sc.xs, true
-			}
-			return nil, false
+	if !ix.recall(sc, p, iv, f, beta) && !ix.scan(sc, p, iv, f, beta, beta) {
+		if len(p) == 1 {
+			sc.xs = append(sc.xs[:0], ix.g.EstimateTTSeconds(p[0]))
+			return sc.xs, true
 		}
-		if ix.CannotReach(p, iv, beta) {
-			return nil, false
-		}
-		fx = ix.collect(sc, p, ranges, iv, f, beta)
-	}
-	hits := sc.hits
-	if len(hits) < beta && iv.IsPeriodic() {
 		return nil, false
 	}
-	sc.xs = sc.xs[:0]
-	if len(p) > 1 {
-		// Samples come out in the join's sweep order.
-		ix.join(sc, fx, p, func(_ int, x int32) { sc.xs = append(sc.xs, int(x)) })
-		return sc.xs, false
+	if len(sc.hits) < beta && iv.IsPeriodic() {
+		return nil, false
 	}
-	if len(hits) == 0 {
-		sc.xs = append(sc.xs, ix.g.EstimateTTSeconds(p[0]))
+	if len(sc.hits) == 0 && len(p) == 1 {
+		sc.xs = append(sc.xs[:0], ix.g.EstimateTTSeconds(p[0]))
 		return sc.xs, true
-	}
-	// With l = 1 a record can only match itself, so the hits are the
-	// matches and the join collapses: their traversal times are emitted in
-	// ascending time order (the hits reversed) — exactly the sequence the
-	// join's ascending sweep would produce. β-free queries can accept the
-	// whole column, so the emission polls at the admit loop's stride; a
-	// cancelled emission returns partial samples, which the caller discards.
-	for n := range hits {
-		if n&(cancelStride-1) == 0 && sc.Canceled() {
-			break
-		}
-		sc.xs = append(sc.xs, int(fx.TT[hits[len(hits)-1-n]]))
 	}
 	return sc.xs, false
 }
@@ -197,10 +199,6 @@ func (ix *Index) CountMatchesWith(sc *Scratch, p network.Path, iv Interval, f Fi
 	if len(p) == 0 {
 		return 0
 	}
-	ranges, total := ix.isaRanges(sc, p)
-	if b, _ := ix.todBound(p[0], iv); total == 0 || b == 0 {
-		return 0
-	}
-	ix.collect(sc, p, ranges, iv, f, limit)
+	ix.scan(sc, p, iv, f, limit, 1)
 	return len(sc.hits)
 }

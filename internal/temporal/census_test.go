@@ -36,12 +36,15 @@ func checkCensus(t *testing.T, what string, ff *FrozenForest) {
 
 // spreadBuilder adds n records per listed segment at random times of day
 // over days [day0, day0+days), negative timestamps included when day0 < 0.
-func spreadBuilder(rng *rand.Rand, edges []network.EdgeID, n int, day0, days int64) *ForestBuilder {
+// Each record is a one-segment trajectory, with ids from first on.
+func spreadBuilder(rng *rand.Rand, first int, edges []network.EdgeID, n int, day0, days int64) *ForestBuilder {
 	b := NewForestBuilder(make([]int, slices.Max(edges)+1))
+	d := traj.ID(first)
 	for _, e := range edges {
 		for i := 0; i < n; i++ {
 			t := (day0+rng.Int63n(days))*86400 + rng.Int63n(86400)
-			b.Add(e, t, Record{Traj: traj.ID(i), Seq: int32(i % 7), TT: 5, A: 10, ISA: int32(i)})
+			b.Add(e, t, Record{Traj: d, TT: 5, A: 5, ISA: int32(i)})
+			d++
 		}
 	}
 	return b
@@ -84,11 +87,11 @@ func snapRoundTrip(t *testing.T, ff *FrozenForest, mapped bool) *FrozenForest {
 // Extend of a mapped index (detach) and WithISA.
 func TestCensusMaintained(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	ff := spreadBuilder(rng, []network.EdgeID{0, 1, 2}, 300, -3, 40).Freeze()
+	ff := spreadBuilder(rng, 0, []network.EdgeID{0, 1, 2}, 300, -3, 40).Freeze()
 	checkCensus(t, "Freeze", ff)
 
 	// Segment 0 untouched, 1 and 2 extended, 9 brand new.
-	batch := spreadBuilder(rng, []network.EdgeID{1, 2, 9}, 120, 50, 10)
+	batch := spreadBuilder(rng, ff.NumTrajs(), []network.EdgeID{1, 2, 9}, 120, 50, 10)
 	ext, err := ff.Extend(batch)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +111,7 @@ func TestCensusMaintained(t *testing.T) {
 			}
 		})
 		// Extending a loaded forest: a mapped one detaches its columns first.
-		again, err := loaded.Extend(spreadBuilder(rng, []network.EdgeID{0, 9, 12}, 80, 70, 5))
+		again, err := loaded.Extend(spreadBuilder(rng, loaded.NumTrajs(), []network.EdgeID{0, 9, 12}, 80, 70, 5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +135,7 @@ func TestCensusSaturates(t *testing.T) {
 	for i := 0; i < 250; i++ {
 		b.Add(3, int64(i%10)*86400+9*3600+int64(i), Record{Traj: traj.ID(i)}) // 09:00 bucket
 	}
-	b.Add(3, 23*3600, Record{})
+	b.Add(3, 23*3600, Record{Traj: 250})
 	ff := b.Freeze()
 	fx := ff.Get(3)
 	if c := fx.Census(); c[18] != 250 || c[46] != 1 {
@@ -144,7 +147,7 @@ func TestCensusSaturates(t *testing.T) {
 
 	batch := NewForestBuilder(make([]int, 4))
 	for i := 0; i < 20; i++ {
-		batch.Add(3, 20*86400+9*3600+int64(i), Record{Traj: traj.ID(i)})
+		batch.Add(3, 20*86400+9*3600+int64(i), Record{Traj: traj.ID(251 + i)})
 	}
 	ext, err := ff.Extend(batch)
 	if err != nil {
@@ -179,7 +182,7 @@ func TestTodBoundIsUpperBound(t *testing.T) {
 		base := rng.Int63n(86400)
 		for i := 0; i < n; i++ {
 			day := rng.Int63n(60) - 5
-			b.Add(0, day*86400+base+rng.Int63n(int64(hours)*3600), Record{})
+			b.Add(0, day*86400+base+rng.Int63n(int64(hours)*3600), Record{Traj: traj.ID(i)})
 		}
 		fx := b.Freeze().Get(0)
 		census := recountCensus(fx.Ts)
@@ -223,11 +226,11 @@ func TestTodBoundIsUpperBound(t *testing.T) {
 // 48 bytes per segment with data on top of the columns and their headers.
 func TestSizeBytesCountsCensus(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	ff := spreadBuilder(rng, []network.EdgeID{0, 1, 2, 3}, 50, 0, 10).Freeze()
+	ff := spreadBuilder(rng, 0, []network.EdgeID{0, 1, 2, 3}, 50, 0, 10).Freeze()
 	const sliceHeader, mapEntry = 24, 48
-	want := 0
+	want := 2*sliceHeader + (len(ff.Cum)+len(ff.Start))*4 // the cumulative column and its offsets
 	ff.Each(func(_ network.EdgeID, fx *FrozenIndex) {
-		columns := 6*sliceHeader + fx.Len()*(8+5*4) // Ts + Traj, Seq, ISA, A, TT
+		columns := 4*sliceHeader + fx.Len()*(8+3*4) // Ts + Traj, Seq, ISA
 		if got := fx.SizeBytes(); got != columns+48 {
 			t.Fatalf("SizeBytes = %d, want columns %d + 48", got, columns)
 		}

@@ -17,8 +17,10 @@ import (
 )
 
 // FrozenIndex is Φe in frozen columnar form. The exported columns share one
-// index space: record i is (Ts[i], Traj[i], Seq[i], ISA[i], A[i], TT[i]),
-// and Ts is sorted ascending with ties in the order the records were added.
+// index space: record i is (Ts[i], Traj[i], Seq[i], ISA[i]), and Ts is
+// sorted ascending with ties in the order the records were added. The
+// record's traversal and aggregate times are not columns here: the
+// forest's cumulative column holds them by (Traj[i], Seq[i]).
 // All columns are immutable after freezing — a FrozenIndex is never
 // mutated; Extend produces a new snapshot by copy-on-write — so any number
 // of goroutines may read one concurrently.
@@ -31,8 +33,6 @@ type FrozenIndex struct {
 	Traj []traj.ID
 	Seq  []int32
 	ISA  []int32
-	A    []int32
-	TT   []int32
 
 	// Mapped marks columns that alias a read-only snapshot mapping
 	// (zero-copy load, DESIGN.md §15) instead of owning heap memory.
@@ -101,7 +101,7 @@ func (fx *FrozenIndex) TodBound(todStart, width int64) int {
 }
 
 // WithISA returns a copy of the index with the ISA column replaced and
-// everything else — the other five columns, Mapped, the census — shared or
+// everything else — the other three columns, Mapped, the census — shared or
 // carried over: re-partitioning moves no timestamp. It is how snt
 // compaction republishes a segment.
 func (fx *FrozenIndex) WithISA(isa []int32) *FrozenIndex {
@@ -155,8 +155,8 @@ func (fx *FrozenIndex) CountRange(lo, hi int64) int {
 // paper's tree layouts (internal/treeforest models those).
 func (fx *FrozenIndex) SizeBytes() int {
 	const sliceHeader = 24
-	sz := 6*sliceHeader + len(fx.census) + len(fx.Ts)*8
-	sz += (len(fx.Traj) + len(fx.Seq) + len(fx.ISA) + len(fx.A) + len(fx.TT)) * 4
+	sz := 4*sliceHeader + len(fx.census) + len(fx.Ts)*8
+	sz += (len(fx.Traj) + len(fx.Seq) + len(fx.ISA)) * 4
 	return sz
 }
 
@@ -186,8 +186,6 @@ func (fx *FrozenIndex) extended(batch *segment) *FrozenIndex {
 		Traj: append(fx.Traj, batch.traj...),
 		Seq:  append(fx.Seq, batch.seq...),
 		ISA:  append(fx.ISA, batch.isa...),
-		A:    append(fx.A, batch.a...),
-		TT:   append(fx.TT, batch.tt...),
 
 		census: fx.census,
 	}
@@ -208,17 +206,48 @@ func (fx *FrozenIndex) detached(extra int) *FrozenIndex {
 		Traj: append(make([]traj.ID, 0, n+extra), fx.Traj...),
 		Seq:  append(make([]int32, 0, n+extra), fx.Seq...),
 		ISA:  append(make([]int32, 0, n+extra), fx.ISA...),
-		A:    append(make([]int32, 0, n+extra), fx.A...),
-		TT:   append(make([]int32, 0, n+extra), fx.TT...),
 
 		census: fx.census,
 	}
 }
 
 // FrozenForest is F frozen: one immutable columnar index per segment with
-// data.
+// data, plus the temporal level in trajectory order that Procedure 4 reads.
+//
+// Cum is that level: every trajectory's aggregate times, trajectory by
+// trajectory, so Cum[Start[d]+s] is the paper's a for trajectory d's
+// segment at sequence s — the travel time from d's start through that
+// segment. Start[d] is the offset of d's sequence 0 and Start[d+1] ends d,
+// so len(Start) is one more than the number of trajectories and its last
+// entry is len(Cum). A traversal time is a difference of two neighbours
+// (TT), and so is any sub-path's travel time: the l segments from sequence
+// s on take Cum[Start[d]+s+l-1] - Cum[Start[d]+s-1], with 0 before s = 0.
+// Both columns are immutable after freezing and append-only across
+// Extend, like the per-segment columns.
 type FrozenForest struct {
-	idx map[network.EdgeID]*FrozenIndex
+	idx   map[network.EdgeID]*FrozenIndex
+	Cum   []int32
+	Start []int32
+
+	// mapped marks Cum and Start as aliasing a read-only snapshot mapping,
+	// as FrozenIndex.Mapped does for a segment's columns: Extend detaches
+	// them before appending.
+	mapped bool
+}
+
+// NumTrajs returns the number of trajectories the cumulative column holds.
+func (f *FrozenForest) NumTrajs() int { return len(f.Start) - 1 }
+
+// Agg returns trajectory d's aggregate time through sequence s.
+func (f *FrozenForest) Agg(d traj.ID, s int32) int32 { return f.Cum[int(f.Start[d])+int(s)] }
+
+// TT returns the traversal time of trajectory d's segment at sequence s.
+func (f *FrozenForest) TT(d traj.ID, s int32) int32 {
+	b := int(f.Start[d]) + int(s)
+	if s == 0 {
+		return f.Cum[b]
+	}
+	return f.Cum[b] - f.Cum[b-1]
 }
 
 // Get returns the frozen Φe, or nil when the segment has no data.
@@ -234,10 +263,12 @@ func (f *FrozenForest) Each(fn func(network.EdgeID, *FrozenIndex)) {
 // NumIndexes returns the number of segments with data.
 func (f *FrozenForest) NumIndexes() int { return len(f.idx) }
 
-// SizeBytes is the forest's actual columnar footprint.
+// SizeBytes is the forest's actual columnar footprint: every segment's
+// columns and the cumulative column with its offsets.
 func (f *FrozenForest) SizeBytes() int {
 	const perEntryMapOverhead = 48 // hash bucket + pointer per segment index
-	sz := 0
+	const sliceHeader = 24
+	sz := 2*sliceHeader + (len(f.Cum)+len(f.Start))*4
 	for _, fx := range f.idx {
 		sz += fx.SizeBytes() + perEntryMapOverhead
 	}
@@ -246,13 +277,14 @@ func (f *FrozenForest) SizeBytes() int {
 
 // Rewrite returns a new forest in which every segment's index is replaced
 // by fn's result; returning the input index unchanged shares it between the
-// forests. The receiver is never modified — this is the copy-on-write
-// primitive partition compaction uses to republish ISA positions
-// (snt.Index.ApplyCompaction) without touching segments whose records all
-// lie outside the merged partitions. fn must return a non-nil index and
-// must not mutate the input index or its columns.
+// forests, and the cumulative column is always shared. The receiver is
+// never modified — this is the copy-on-write primitive partition
+// compaction uses to republish ISA positions (snt.Index.ApplyCompaction)
+// without touching segments whose records all lie outside the merged
+// partitions. fn must return a non-nil index and must not mutate the input
+// index or its columns.
 func (f *FrozenForest) Rewrite(fn func(network.EdgeID, *FrozenIndex) *FrozenIndex) *FrozenForest {
-	nf := &FrozenForest{idx: make(map[network.EdgeID]*FrozenIndex, len(f.idx))}
+	nf := &FrozenForest{idx: make(map[network.EdgeID]*FrozenIndex, len(f.idx)), Cum: f.Cum, Start: f.Start, mapped: f.mapped}
 	for e, fx := range f.idx {
 		nf.idx[e] = fn(e, fx)
 	}
@@ -267,9 +299,16 @@ func (f *FrozenForest) Rewrite(fn func(network.EdgeID, *FrozenIndex) *FrozenInde
 // receiver is never modified — it remains a fully consistent snapshot for
 // concurrent readers (copy-on-write publication; see FrozenIndex.extended
 // for the column-sharing contract and its linear-chain requirement).
-// Untouched segments share their FrozenIndex with the new forest. A
-// successful Extend consumes the builder, as Freeze does.
+// Untouched segments share their FrozenIndex with the new forest. The
+// builder's trajectories must continue the forest's id space; their
+// aggregate times are appended to the cumulative column, which shares its
+// spare capacity the same way. A successful Extend consumes the builder,
+// as Freeze does.
 func (f *FrozenForest) Extend(b *ForestBuilder) (*FrozenForest, error) {
+	if len(b.start) > 0 && int(b.first) != f.NumTrajs() {
+		return nil, fmt.Errorf("temporal: batch trajectories start at id %d, forest holds %d",
+			b.first, f.NumTrajs())
+	}
 	batches := 0
 	for e := range b.segs {
 		ts := b.segs[e].ts
@@ -284,7 +323,25 @@ func (f *FrozenForest) Extend(b *ForestBuilder) (*FrozenForest, error) {
 			}
 		}
 	}
-	nf := &FrozenForest{idx: make(map[network.EdgeID]*FrozenIndex, len(f.idx)+batches)}
+	cum, start := f.Cum, f.Start
+	if f.mapped {
+		// Detach-on-extend, as FrozenIndex.extended does for a segment.
+		cum = append(make([]int32, 0, len(cum)+len(b.cum)), cum...)
+		start = append(make([]int32, 0, len(start)+len(b.start)), start...)
+	}
+	base := int32(len(cum))
+	for _, o := range b.start[min(1, len(b.start)):] {
+		start = append(start, base+o)
+	}
+	nf := &FrozenForest{
+		idx:   make(map[network.EdgeID]*FrozenIndex, len(f.idx)+batches),
+		Cum:   append(cum, b.cum...),
+		Start: start,
+	}
+	if len(b.start) > 0 {
+		nf.Start = append(nf.Start, int32(len(nf.Cum)))
+	}
+	b.cum, b.start = nil, nil
 	for e, fx := range f.idx {
 		nf.idx[e] = fx
 	}

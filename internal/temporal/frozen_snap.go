@@ -1,8 +1,9 @@
 // Snapshot serialization of the frozen columnar forest (DESIGN.md §10).
 // Each segment's FrozenIndex is written as its raw columns — Ts, Traj, Seq,
-// ISA, A, TT — in ascending segment-id order, so snapshots of the same
-// forest are byte-identical and loading is a straight column copy with no
-// re-sorting or tree rebuilding.
+// ISA — in ascending segment-id order, followed by the trajectory-major
+// Start and Cum columns, so snapshots of the same forest are byte-identical
+// and loading is a straight column copy with no re-sorting or tree
+// rebuilding.
 package temporal
 
 import (
@@ -29,14 +30,16 @@ func (f *FrozenForest) EncodeSnap(w *snapio.Writer) {
 		snapio.WriteI32s(w, fx.Traj)
 		w.I32s(fx.Seq)
 		w.I32s(fx.ISA)
-		w.I32s(fx.A)
-		w.I32s(fx.TT)
 	}
+	w.I32s(f.Start)
+	w.I32s(f.Cum)
 }
 
 // DecodeSnapForest reads a forest written by EncodeSnap, validating that
 // every segment's columns agree in length and timestamps are sorted (the
-// FrozenIndex invariant every scan relies on).
+// FrozenIndex invariant every scan relies on). Whether Start and Cum agree
+// with each other and with the records is the loader's check (snt), which
+// knows the trajectory count they must cover.
 func DecodeSnapForest(r *snapio.Reader) (*FrozenForest, error) {
 	numIdx := r.Int()
 	if err := r.Err(); err != nil {
@@ -55,14 +58,11 @@ func DecodeSnapForest(r *snapio.Reader) (*FrozenForest, error) {
 		fx.Traj = snapio.ReadI32s[traj.ID](r)
 		fx.Seq = r.I32s()
 		fx.ISA = r.I32s()
-		fx.A = r.I32s()
-		fx.TT = r.I32s()
 		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("temporal: segment %d: %w", e, err)
 		}
 		n := len(fx.Ts)
-		if n == 0 || len(fx.Traj) != n || len(fx.Seq) != n || len(fx.ISA) != n ||
-			len(fx.A) != n || len(fx.TT) != n {
+		if n == 0 || len(fx.Traj) != n || len(fx.Seq) != n || len(fx.ISA) != n {
 			return nil, fmt.Errorf("temporal: segment %d: ragged snapshot columns (n=%d)", e, n)
 		}
 		// One pass over Ts checks the order and recounts the census, which
@@ -82,6 +82,12 @@ func DecodeSnapForest(r *snapio.Reader) (*FrozenForest, error) {
 			return nil, fmt.Errorf("temporal: segment %d appears twice in snapshot", e)
 		}
 		f.idx[e] = fx
+	}
+	f.Start = r.I32s()
+	f.Cum = r.I32s()
+	f.mapped = r.ZeroCopy()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("temporal: cumulative column: %w", err)
 	}
 	return f, nil
 }

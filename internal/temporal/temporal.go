@@ -5,24 +5,31 @@
 // aggregate travel time a from the trajectory's start and the sequence
 // number seq. The paper's temporal partition id w (Section 4.3.2) is not
 // stored per record: partitions own whole trajectories, so snt derives it
-// from the trajectory id.
+// from the trajectory id. Nor are TT and a: the forest keeps them once, in
+// one trajectory-major column of aggregate times (FrozenForest.Cum), from
+// which a record's (trajectory, seq) reads both.
 //
 // The only layout built and served is the frozen columnar one (frozen.go):
-// ForestBuilder collects records in any order into per-segment columns and
-// Freeze sorts each segment's columns once, in place. The paper's B+-tree and CSS-tree layouts are
+// ForestBuilder collects records trajectory by trajectory into per-segment
+// columns and the cumulative column, and Freeze sorts each segment's
+// columns once, in place. The paper's B+-tree and CSS-tree layouts are
 // reproduced from those columns by internal/treeforest, for the Figure 10
 // experiments and as a test oracle.
 package temporal
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"pathhist/internal/network"
 	"pathhist/internal/traj"
 )
 
-// Record is the extended leaf payload (t maps to this tuple).
+// Record is the extended leaf payload (t maps to this tuple). It is what
+// ForestBuilder.Add takes and what the paper's tree layouts store
+// (internal/treeforest); the frozen forest keeps TT and A only in its
+// cumulative column.
 type Record struct {
 	ISA  int32   // ISA index of this occurrence within its trajectory's partition's FM-index
 	Traj traj.ID // trajectory identifier d
@@ -31,10 +38,12 @@ type Record struct {
 	Seq  int32   // sequence number of the segment within the trajectory
 }
 
-// ForestBuilder accumulates traversal records per segment, in any order.
+// ForestBuilder accumulates traversal records trajectory by trajectory.
 // Freeze turns them into a new FrozenForest; FrozenForest.Extend appends
 // them to an existing one. Either way each segment's records are sorted
-// stably by entry timestamp (the batch build of Section 4.3.1).
+// stably by entry timestamp (the batch build of Section 4.3.1), and each
+// trajectory's aggregate times land in the cumulative column in sequence
+// order.
 //
 // Storage is dense by edge id and sized by a counting pass: each segment's
 // records are staged in the columns they freeze into, allocated once at
@@ -42,14 +51,22 @@ type Record struct {
 // them in place rather than copying them.
 type ForestBuilder struct {
 	segs []segment // by edge id
+
+	// The trajectory-major column being built: cum holds the aggregate
+	// times in the order Add received them, start the offset in cum of
+	// each trajectory's sequence 0, and first the id of the first
+	// trajectory (ids run on from it).
+	cum   []int32
+	start []int32
+	first traj.ID
 }
 
 // segment is one segment's records in insertion order, staged column by
 // column as a FrozenIndex holds them.
 type segment struct {
-	ts              []int64
-	traj            []traj.ID
-	seq, isa, a, tt []int32
+	ts       []int64
+	traj     []traj.ID
+	seq, isa []int32
 }
 
 // NewForestBuilder returns an empty builder for the edge ids [0,
@@ -58,6 +75,7 @@ type segment struct {
 // panics on an edge id outside the range.
 func NewForestBuilder(counts []int) *ForestBuilder {
 	b := &ForestBuilder{segs: make([]segment, len(counts))}
+	total := 0
 	for e, n := range counts {
 		if n > 0 {
 			b.segs[e] = segment{
@@ -65,23 +83,39 @@ func NewForestBuilder(counts []int) *ForestBuilder {
 				traj: make([]traj.ID, 0, n),
 				seq:  make([]int32, 0, n),
 				isa:  make([]int32, 0, n),
-				a:    make([]int32, 0, n),
-				tt:   make([]int32, 0, n),
 			}
+			total += n
 		}
 	}
+	b.cum = make([]int32, 0, total)
 	return b
 }
 
-// Add records one segment traversal.
+// Add records one segment traversal. Records arrive trajectory by
+// trajectory, each in sequence order: a record with Seq 0 opens the
+// trajectory whose id follows the previous one's, and any other record
+// continues the open trajectory at the next sequence number. r.A is the
+// aggregate time the cumulative column stores; r.TT is implied by it (the
+// difference to the previous aggregate) and not read. Add panics on a
+// record out of that order, which would misplace every later trajectory's
+// column.
 func (b *ForestBuilder) Add(e network.EdgeID, t int64, r Record) {
+	n := len(b.start)
+	switch {
+	case r.Seq == 0 && n == 0:
+		b.first = r.Traj
+		b.start = append(b.start, int32(len(b.cum)))
+	case r.Seq == 0 && r.Traj == b.first+traj.ID(n):
+		b.start = append(b.start, int32(len(b.cum)))
+	case n == 0 || r.Traj != b.first+traj.ID(n-1) || int(r.Seq) != len(b.cum)-int(b.start[n-1]):
+		panic(fmt.Sprintf("temporal: record (trajectory %d, seq %d) out of trajectory-major order", r.Traj, r.Seq))
+	}
+	b.cum = append(b.cum, r.A)
 	s := &b.segs[e]
 	s.ts = append(s.ts, t)
 	s.traj = append(s.traj, r.Traj)
 	s.seq = append(s.seq, r.Seq)
 	s.isa = append(s.isa, r.ISA)
-	s.a = append(s.a, r.A)
-	s.tt = append(s.tt, r.TT)
 }
 
 // sortedOrder returns the permutation that lists ts in ascending order with
@@ -126,17 +160,26 @@ func (s *segment) sort(sc *sortScratch) {
 	sc.ord = sortedOrder(s.ts, sc.ord)
 	sc.ts = permute(s.ts, sc.ord, sc.ts)
 	sc.traj = permute(s.traj, sc.ord, sc.traj)
-	for _, col := range [...][]int32{s.seq, s.isa, s.a, s.tt} {
-		sc.i32 = permute(col, sc.ord, sc.i32)
-	}
+	sc.i32 = permute(s.seq, sc.ord, sc.i32)
+	sc.i32 = permute(s.isa, sc.ord, sc.i32)
 }
 
 // Freeze builds the frozen columnar forest: per segment, the staged columns
 // are sorted in place and become the frozen index's columns, so a builder
 // sized by its counts yields columns with len == cap and no record is
-// copied. Freeze consumes the builder: it holds no records afterwards.
+// copied; the cumulative column is the builder's own. The builder's
+// trajectories must start at id 0 (Freeze panics otherwise). Freeze
+// consumes the builder: it holds no records afterwards.
 func (b *ForestBuilder) Freeze() *FrozenForest {
-	ff := &FrozenForest{idx: make(map[network.EdgeID]*FrozenIndex, len(b.segs))}
+	if len(b.start) > 0 && b.first != 0 {
+		panic(fmt.Sprintf("temporal: Freeze of trajectories starting at id %d, not 0", b.first))
+	}
+	ff := &FrozenForest{
+		idx:   make(map[network.EdgeID]*FrozenIndex, len(b.segs)),
+		Cum:   b.cum,
+		Start: append(b.start, int32(len(b.cum))),
+	}
+	b.cum, b.start = nil, nil
 	var sc sortScratch
 	for e := range b.segs {
 		if s := &b.segs[e]; len(s.ts) > 0 {
@@ -151,7 +194,7 @@ func (b *ForestBuilder) Freeze() *FrozenForest {
 // frozen returns a FrozenIndex over the sorted staged columns themselves,
 // with its census counted.
 func (s *segment) frozen() *FrozenIndex {
-	fx := &FrozenIndex{Ts: s.ts, Traj: s.traj, Seq: s.seq, ISA: s.isa, A: s.a, TT: s.tt}
+	fx := &FrozenIndex{Ts: s.ts, Traj: s.traj, Seq: s.seq, ISA: s.isa}
 	for _, t := range s.ts {
 		censusAdd(&fx.census, t)
 	}

@@ -29,29 +29,35 @@ func buildBoth(t *testing.T, n int) (css, bt *treeforest.Index, fc, fb *treefore
 	b := temporal.NewForestBuilder(make([]int, 2))
 	for i := 0; i < n; i++ {
 		ts := int64(rng.Intn(100000))
-		b.Add(1, ts, temporal.Record{ISA: int32(i), Traj: 0, TT: 10, A: 10, Seq: 0})
+		b.Add(1, ts, temporal.Record{ISA: int32(i), Traj: traj.ID(i), TT: 10, A: 10, Seq: 0})
 	}
 	ff := b.Freeze()
 	fc, fb = treeforest.FromFrozen(ff, treeforest.CSS), treeforest.FromFrozen(ff, treeforest.BPlus)
 	return fc.Get(1), fb.Get(1), fc, fb
 }
 
-// randomFrozen freezes records over nEdges segments; equal timestamps are
-// common (the tie order is part of the frozen contract).
-func randomFrozen(rng *rand.Rand, nEdges, nRecs int) *temporal.FrozenForest {
+// randomFrozen freezes records over nEdges segments, trajectory by
+// trajectory; equal timestamps are common (the tie order is part of the
+// frozen contract). It also returns every record as added, by (trajectory,
+// seq).
+func randomFrozen(rng *rand.Rand, nEdges, nRecs int) (*temporal.FrozenForest, map[[2]int32]temporal.Record) {
 	b := temporal.NewForestBuilder(make([]int, nEdges))
+	added := make(map[[2]int32]temporal.Record, nRecs)
+	d, seq, agg := traj.ID(0), int32(0), int32(0)
 	for i := 0; i < nRecs; i++ {
+		if seq > 0 && rng.Intn(20) == 0 {
+			d, seq, agg = d+1, 0, 0
+		}
 		e := network.EdgeID(rng.Intn(nEdges))
 		t := int64(rng.Intn(nRecs / 2)) // dense keyspace forces duplicates
-		b.Add(e, t, temporal.Record{
-			ISA:  int32(i),
-			Traj: traj.ID(i % 97),
-			TT:   int32(1 + rng.Intn(300)),
-			A:    int32(rng.Intn(10000)),
-			Seq:  int32(rng.Intn(40)),
-		})
+		tt := int32(1 + rng.Intn(300))
+		agg += tt
+		r := temporal.Record{ISA: int32(i), Traj: d, TT: tt, A: agg, Seq: seq}
+		b.Add(e, t, r)
+		added[[2]int32{int32(d), seq}] = r
+		seq++
 	}
-	return b.Freeze()
+	return b.Freeze(), added
 }
 
 func TestKindString(t *testing.T) {
@@ -92,9 +98,9 @@ func TestBothKindsAgree(t *testing.T) {
 
 func TestForestBasics(t *testing.T) {
 	b := temporal.NewForestBuilder(make([]int, 10))
-	b.Add(5, 100, temporal.Record{Traj: 1, Seq: 0, TT: 7, A: 7})
-	b.Add(5, 50, temporal.Record{Traj: 2, Seq: 0, TT: 9, A: 9})
-	b.Add(9, 60, temporal.Record{Traj: 1, Seq: 1, TT: 4, A: 11})
+	b.Add(5, 100, temporal.Record{Traj: 0, Seq: 0, TT: 7, A: 7})
+	b.Add(9, 60, temporal.Record{Traj: 0, Seq: 1, TT: 4, A: 11})
+	b.Add(5, 50, temporal.Record{Traj: 1, Seq: 0, TT: 9, A: 9})
 	f := treeforest.FromFrozen(b.Freeze(), treeforest.CSS)
 	if f.Get(5).Len() != 2 || f.Get(9).Len() != 1 {
 		t.Fatalf("Len(5)=%d Len(9)=%d", f.Get(5).Len(), f.Get(9).Len())
@@ -151,11 +157,13 @@ func TestDescendEmptyRange(t *testing.T) {
 
 // TestFreezeMatchesTreeScans: for both tree kinds, the frozen columns hold
 // exactly the tree's entries in exactly the tree's ascending scan order
-// (including ties), and the frozen bounds are consistent on random ranges.
+// (including ties), every tree record carries the traversal and aggregate
+// times it was added with, and the frozen bounds are consistent on random
+// ranges.
 func TestFreezeMatchesTreeScans(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, kind := range []treeforest.Kind{treeforest.CSS, treeforest.BPlus} {
-		ff := randomFrozen(rng, 7, 4000)
+		ff, added := randomFrozen(rng, 7, 4000)
 		f := treeforest.FromFrozen(ff, kind)
 		ff.Each(func(e network.EdgeID, fx *temporal.FrozenIndex) {
 			x := f.Get(e)
@@ -166,7 +174,7 @@ func TestFreezeMatchesTreeScans(t *testing.T) {
 			i := 0
 			x.Ascend(minInt64, maxInt64, func(ts int64, r temporal.Record) bool {
 				if fx.Ts[i] != ts || fx.Traj[i] != r.Traj || fx.Seq[i] != r.Seq ||
-					fx.ISA[i] != r.ISA || fx.A[i] != r.A || fx.TT[i] != r.TT {
+					fx.ISA[i] != r.ISA || added[[2]int32{int32(r.Traj), r.Seq}] != r {
 					t.Fatalf("%v edge %d offset %d: column mismatch", kind, e, i)
 				}
 				i++
@@ -197,7 +205,7 @@ func TestFreezeMatchesTreeScans(t *testing.T) {
 // headers, child pointers, slack capacity) and does not exceed the CSS
 // layout it mirrors.
 func TestFrozenSmallerThanTrees(t *testing.T) {
-	ff := randomFrozen(rand.New(rand.NewSource(9)), 4, 6000)
+	ff, _ := randomFrozen(rand.New(rand.NewSource(9)), 4, 6000)
 	frozen := ff.SizeBytes()
 	if tree := treeforest.FromFrozen(ff, treeforest.BPlus).SizeBytes(treeforest.PayloadBytes); frozen >= tree {
 		t.Fatalf("frozen %d B not smaller than B+-tree model %d B", frozen, tree)

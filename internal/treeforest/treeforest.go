@@ -75,13 +75,16 @@ type Forest struct {
 }
 
 // FromFrozen builds a tree of the given kind over every segment's frozen
-// columns. Records enter in column order, so equal timestamps keep it.
+// columns. Records enter in column order, so equal timestamps keep it. Each
+// record carries the paper's full payload: its TT and a come from the
+// forest's cumulative column.
 func FromFrozen(ff *temporal.FrozenForest, kind Kind) *Forest {
 	f := &Forest{idx: make(map[network.EdgeID]*Index, ff.NumIndexes())}
 	ff.Each(func(e network.EdgeID, fx *temporal.FrozenIndex) {
 		recs := make([]temporal.Record, fx.Len())
 		for i := range recs {
-			recs[i] = temporal.Record{ISA: fx.ISA[i], Traj: fx.Traj[i], TT: fx.TT[i], A: fx.A[i], Seq: fx.Seq[i]}
+			d, s := fx.Traj[i], fx.Seq[i]
+			recs[i] = temporal.Record{ISA: fx.ISA[i], Traj: d, TT: ff.TT(d, s), A: ff.Agg(d, s), Seq: s}
 		}
 		if kind == CSS {
 			f.idx[e] = &Index{csstree.Build(fx.Ts, recs)}
